@@ -50,6 +50,16 @@ from .geom import Line, Point2
 _INT64_SAFE = 1 << 62
 
 
+# Defined here so that the sign-table size cap can raise a typed error;
+# ``variation`` re-exports both and adds the other kinds.
+class VariationError(ValueError):
+    pass
+
+
+class InstanceTooLarge(VariationError):
+    pass
+
+
 def scale_to_ints(points: tuple[Point2, ...]) -> tuple[list[tuple[int, int]], int]:
     """Common-denominator integer coordinates (exact)."""
     scale = 1
@@ -149,7 +159,7 @@ def build_sign_table(points: tuple[Point2, ...]) -> SignTable:
     # ~(2 pairs + bisectors) * (2 offsets per projection) candidate lines
     est = (distinct * (distinct - 1) + 2) * (2 * distinct)
     if est > _MAX_CANDIDATE_LINES:
-        raise ValueError(
+        raise InstanceTooLarge(
             f"candidate family for {distinct} distinct points would hold ~{est} "
             f"lines; the exact machinery is meant for desk-scale samples")
     rows = candidate_lines(int_pts)
@@ -173,29 +183,15 @@ def build_sign_table(points: tuple[Point2, ...]) -> SignTable:
     return SignTable(points=points, scale=scale, lines=lines_arr, signs=signs)
 
 
-def crossing_flags(signs) -> list[int]:
-    """Indices of crossing segments for one sign sequence (scalar reference).
+def _crossing_mask(S: np.ndarray) -> np.ndarray:
+    """Crossing segments of sign matrix S of shape (..., m), m >= 2: shape (..., m-1).
 
     Segment j (from position j to j+1) is a crossing segment when one of:
       1. strictly opposite signs,
       2. j = 0 and position 0 on the line,
       3. j > 0, position j on the line, position j-1 off it,
-      4. j = n-1, position j off the line, position j+1 on it.
+      4. j = m-2, position j off the line, position j+1 on it.
     """
-    n = len(signs) - 1
-    out = []
-    for j in range(n):
-        sj, sj1 = signs[j], signs[j + 1]
-        if (sj * sj1 < 0
-                or (j == 0 and sj == 0)
-                or (j > 0 and sj == 0 and signs[j - 1] != 0)
-                or (j == n - 1 and sj != 0 and sj1 == 0)):
-            out.append(j)
-    return out
-
-
-def _counts_from_matrix(S: np.ndarray) -> np.ndarray:
-    """Crossing counts per row for sign matrix S of shape (..., m), m >= 2."""
     A = S[..., :-1]
     B = S[..., 1:]
     crossing = (A * B) < 0
@@ -203,31 +199,33 @@ def _counts_from_matrix(S: np.ndarray) -> np.ndarray:
     if S.shape[-1] > 2:
         crossing[..., 1:] |= (S[..., 1:-1] == 0) & (S[..., :-2] != 0)
     crossing[..., -1] |= (S[..., -2] != 0) & (S[..., -1] == 0)
-    return crossing.sum(axis=-1, dtype=np.int32)
+    return crossing
+
+
+def _counts_from_matrix(S: np.ndarray) -> np.ndarray:
+    """Crossing counts per row for sign matrix S of shape (..., m), m >= 1.
+
+    Single-point convention: for m = 1 the count is 1 iff the point is on the line.
+    """
+    if S.shape[-1] == 1:
+        return (S[..., 0] == 0).astype(np.int32)
+    return _crossing_mask(S).sum(axis=-1, dtype=np.int32)
 
 
 def vf_of_indices(table: SignTable, idx) -> tuple[int, int]:
     """(variation factor, row of a lex-smallest witness line) for one index list."""
     idx = np.asarray(idx, dtype=np.intp)
-    S = table.signs[:, idx]
-    if idx.shape[0] == 1:
-        counts = (S[:, 0] == 0).astype(np.int32)
-    else:
-        counts = _counts_from_matrix(S)
+    counts = _counts_from_matrix(table.signs[:, idx])
     row = int(np.argmax(counts))  # first max = lex-smallest line (rows sorted)
     return int(counts[row]), row
 
 
 def vf_batch(table: SignTable, idx_batch: np.ndarray, chunk: int = 4096) -> np.ndarray:
     """Variation factors for a batch of equal-length index lists, shape (N,)."""
-    n_lists, m = idx_batch.shape
+    n_lists = idx_batch.shape[0]
     out = np.empty(n_lists, dtype=np.int32)
     for start in range(0, n_lists, chunk):
         block = idx_batch[start:start + chunk]
-        S = table.signs[:, block]            # (L, B, m)
-        if m == 1:
-            counts = (S[..., 0] == 0).astype(np.int32)
-        else:
-            counts = _counts_from_matrix(S)  # (L, B)
+        counts = _counts_from_matrix(table.signs[:, block])  # (L, B)
         out[start:start + block.shape[0]] = counts.max(axis=0)
     return out

@@ -21,7 +21,7 @@ from math import comb
 import numpy as np
 
 from .geom import Point2, to_fraction
-from .variation import SampledFunction
+from .variation import SampledFunction, is_exact_number
 from .ctpp import CtppFunction, CtppSum, ScaledBump, solve_plane
 
 
@@ -43,7 +43,7 @@ class PointNotInDomain(ApproxError):
 
 def _lift(v):
     """Exact lift of int/float/Fraction to Fraction; complex passes through."""
-    if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
+    if is_exact_number(v):
         return Fraction(v)
     if isinstance(v, float):
         return Fraction(v)
@@ -333,6 +333,27 @@ class C2Oracle:
                         f"finite differences disagree with partials at ({x}, {y})")
 
 
+# Closed-form smooth test functions with their partials, by name.
+BUILTIN_ORACLES = {
+    "sin_exp": C2Oracle(
+        f=lambda x, y: math.sin(float(x)) * math.exp(float(y)),
+        fx=lambda x, y: math.cos(float(x)) * math.exp(float(y)),
+        fy=lambda x, y: math.sin(float(x)) * math.exp(float(y)),
+        fxx=lambda x, y: -math.sin(float(x)) * math.exp(float(y)),
+        fxy=lambda x, y: math.cos(float(x)) * math.exp(float(y)),
+        fyy=lambda x, y: math.sin(float(x)) * math.exp(float(y)),
+        name="sin_exp"),
+    "sin_cos": C2Oracle(
+        f=lambda x, y: math.sin(float(x)) * math.cos(float(y)),
+        fx=lambda x, y: math.cos(float(x)) * math.cos(float(y)),
+        fy=lambda x, y: -math.sin(float(x)) * math.sin(float(y)),
+        fxx=lambda x, y: -math.sin(float(x)) * math.cos(float(y)),
+        fxy=lambda x, y: -math.cos(float(x)) * math.sin(float(y)),
+        fyy=lambda x, y: -math.sin(float(x)) * math.cos(float(y)),
+        name="sin_cos"),
+}
+
+
 @dataclass(frozen=True)
 class C2Report:
     eps_meas: float
@@ -466,7 +487,7 @@ def match_triangle(v0: Point2, v1: Point2, v2: Point2, f_vals, g0_vals):
     variation-norm bookkeeping (sup + spread <= 3 sup)."""
     deltas = [a - b for a, b in zip(f_vals, g0_vals)]
     h = solve_plane(v0, v1, v2, *deltas)
-    exact = all(isinstance(d, (int, Fraction)) for d in deltas)
+    exact = all(is_exact_number(d) for d in deltas)
     if exact:
         sup_h = max(abs(d) for d in deltas)
         spread = max(deltas) - min(deltas)
@@ -519,7 +540,7 @@ def match_points(f: SampledFunction, g0: CtppFunction, pts, delta) -> tuple[Ctpp
         report = MatchReport(0, (), zero, zero, zero, zero, zero, True, 0.0)
         return g, report
 
-    exact = all(isinstance(c, (int, Fraction)) for c in coefs)
+    exact = all(is_exact_number(c) for c in coefs)
     if exact:
         mags = [abs(c) for c in coefs]
     else:

@@ -8,14 +8,12 @@ second-derivative approximation, join/fill/paste operators, the example
 generators, the full verification suite, and SVG plotting.
 
 Exit code 0 on success; 2 on validation errors, with one machine-readable
-``error:<Kind>:<message>`` line on stderr. The environment variable
-PLANEVAR_THREADS caps internal parallelism (restart workers).
+``error:<Kind>:<message>`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -33,7 +31,7 @@ from .variation import (
 )
 from .onedim import OnedimError, RealSample, ac_modulus, iota_extend, make_example, var_1d
 from .ctpp import CtppError, classify_point, extend_to_polygon, interpolate_grid, validate_ctpp
-from .approx import ApproxError, C2Oracle, bernstein2, c2_to_poly, match_points
+from .approx import BUILTIN_ORACLES, ApproxError, C2Oracle, bernstein2, c2_to_poly, match_points
 from .joins import ConvexCurve, JoinsError, SectorSpec, graph_fill, join_report, pasting_extend, sector_fill
 from .suite import run_suite, suite_csv
 from .svg import ctpp_svg
@@ -47,7 +45,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _write(path: str | None, text: str) -> None:
     if path:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise BadInputFile(f"{path}: {exc.strerror}") from exc
 
 
 def _read(path: str) -> str:
@@ -179,32 +180,12 @@ def _cmd_ctpp_classify(args) -> int:
     return 0
 
 
-_BUILTIN_ORACLES = {
-    "sin_exp": C2Oracle(
-        f=lambda x, y: math.sin(float(x)) * math.exp(float(y)),
-        fx=lambda x, y: math.cos(float(x)) * math.exp(float(y)),
-        fy=lambda x, y: math.sin(float(x)) * math.exp(float(y)),
-        fxx=lambda x, y: -math.sin(float(x)) * math.exp(float(y)),
-        fxy=lambda x, y: math.cos(float(x)) * math.exp(float(y)),
-        fyy=lambda x, y: math.sin(float(x)) * math.exp(float(y)),
-        name="sin_exp"),
-    "sin_cos": C2Oracle(
-        f=lambda x, y: math.sin(float(x)) * math.cos(float(y)),
-        fx=lambda x, y: math.cos(float(x)) * math.cos(float(y)),
-        fy=lambda x, y: -math.sin(float(x)) * math.sin(float(y)),
-        fxx=lambda x, y: -math.sin(float(x)) * math.cos(float(y)),
-        fxy=lambda x, y: -math.cos(float(x)) * math.sin(float(y)),
-        fyy=lambda x, y: -math.sin(float(x)) * math.cos(float(y)),
-        name="sin_cos"),
-}
-
-
 def _cmd_approx_bernstein(args) -> int:
     if args.poly:
         p = fileio.poly2_from_json(_read(args.poly))
         target = p.eval
     elif args.builtin:
-        target = _BUILTIN_ORACLES[args.builtin].f
+        target = BUILTIN_ORACLES[args.builtin].f
     else:
         raise BadInputFile("need --poly or --builtin")
     b = bernstein2(lambda x, y: target(x, y), args.degree)
@@ -217,8 +198,10 @@ def _cmd_approx_bernstein(args) -> int:
 def _cmd_approx_c2(args) -> int:
     if args.poly:
         oracle = C2Oracle.from_poly(fileio.poly2_from_json(_read(args.poly)))
+    elif args.builtin:
+        oracle = BUILTIN_ORACLES[args.builtin]
     else:
-        oracle = _BUILTIN_ORACLES[args.builtin]
+        raise BadInputFile("need --poly or --builtin")
     p, rep = c2_to_poly(oracle, degree=args.degree, grid_n=args.grid)
     if args.out_poly:
         _write(args.out_poly, fileio.poly2_to_json(p))
@@ -385,13 +368,13 @@ def build_parser() -> _Parser:
     asub = sp.add_subparsers(dest="approx_command", required=True)
     a = asub.add_parser("bernstein")
     a.add_argument("--poly")
-    a.add_argument("--builtin", choices=sorted(_BUILTIN_ORACLES))
+    a.add_argument("--builtin", choices=sorted(BUILTIN_ORACLES))
     a.add_argument("--degree", type=int, required=True)
     a.add_argument("--out")
     a.set_defaults(func=_cmd_approx_bernstein)
     a = asub.add_parser("c2")
     a.add_argument("--poly")
-    a.add_argument("--builtin", choices=sorted(_BUILTIN_ORACLES))
+    a.add_argument("--builtin", choices=sorted(BUILTIN_ORACLES))
     a.add_argument("--degree", type=int, default=8)
     a.add_argument("--grid", type=int, default=41)
     a.add_argument("--out")

@@ -29,7 +29,7 @@ from .geom import (
     to_fraction,
     _ear_clip_indices,
 )
-from .variation import PlanarCoeffs, SampledFunction
+from .variation import PlanarCoeffs, SampledFunction, is_exact_number
 
 
 class CtppError(ValueError):
@@ -54,10 +54,6 @@ class BadSpec(CtppError):
 
 class NotContainable(CtppError):
     pass
-
-
-def _is_exact_number(v) -> bool:
-    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
 def solve_plane(v0: Point2, v1: Point2, v2: Point2, z0, z1, z2) -> PlanarCoeffs:
@@ -93,7 +89,7 @@ class CtppFunction:
         raise CtppError(f"vertex {vid} belongs to no triangle")
 
     def is_rational(self) -> bool:
-        return all(_is_exact_number(c.a) and _is_exact_number(c.b) and _is_exact_number(c.c)
+        return all(is_exact_number(c.a) and is_exact_number(c.b) and is_exact_number(c.c)
                    for c in self.coeffs)
 
     def sample(self, points) -> SampledFunction:
@@ -134,8 +130,8 @@ def validate_ctpp(g: CtppFunction, tol: float = 1e-9) -> list[EdgeViolation]:
         c1, c2 = g.coeffs[t1], g.coeffs[t2]
         va1, va2 = c1.eval(pa), c2.eval(pa)
         vb1, vb2 = c1.eval(pb), c2.eval(pb)
-        if _is_exact_number(va1) and _is_exact_number(va2) and \
-           _is_exact_number(vb1) and _is_exact_number(vb2):
+        if is_exact_number(va1) and is_exact_number(va2) and \
+           is_exact_number(vb1) and is_exact_number(vb2):
             bad = va1 != va2 or vb1 != vb2
         else:
             bad = abs(complex(va1) - complex(va2)) > tol or \
@@ -428,7 +424,7 @@ def _least_gradient_plane(v1: Point2, v2: Point2, v_free: Point2, z1, z2):
 
     a0, b0 = comps(z1 * 0)  # components at z = 0
     denom = A1 * A1 + B1 * B1
-    if _is_exact_number(z1) and _is_exact_number(z2):
+    if is_exact_number(z1) and is_exact_number(z2):
         z_star = -(a0 * A1 + b0 * B1) / denom
     else:
         z_star = -(complex(a0) * complex(A1) + complex(b0) * complex(B1)) / complex(denom)
@@ -499,7 +495,7 @@ def star_planar_bound(f: SampledFunction, centre: Point2, rays: list[Point2],
         for i in sectors:
             want = sector_coeffs[i].eval(p)
             got = f.value(p)
-            if _is_exact_number(want) and _is_exact_number(got):
+            if is_exact_number(want) and is_exact_number(got):
                 ok = want == got
             else:
                 ok = abs(complex(want) - complex(got)) <= tol
@@ -626,8 +622,8 @@ def triangle_lipschitz_report(g: CtppFunction) -> list[PieceBound]:
         t = g.tri.triangle(idx)
         c = g.coeffs[idx]
         vert_vals = [c.eval(v) for v in t.vertices]
-        exact = all(_is_exact_number(v) for v in vert_vals) and \
-            _is_exact_number(c.a) and _is_exact_number(c.b)
+        exact = all(is_exact_number(v) for v in vert_vals) and \
+            is_exact_number(c.a) and is_exact_number(c.b)
         key = tuple(sorted((float(t.v0.x), float(t.v0.y), float(t.v1.x), float(t.v1.y),
                             float(t.v2.x), float(t.v2.y))))
         r = radius_cache.get(key)

@@ -112,10 +112,7 @@ def pullback_certificate(f: SampledFunction, curve: ConvexCurve,
     """Certify var(pullback) <= 2 * var(f on graph) with exact values."""
     fhat = psi_pullback(f, curve)
     v1 = var_1d(fhat)
-    if is_collinear(f.points):
-        est = var_collinear(f)
-    else:
-        est = var_exact_small(f, max_len)
+    est = _best_estimate(f, "exact", max_len, 0)
     return PullbackCertificate(var_1d=v1, var_graph=est.value,
                                factor_ok=v1 <= 2 * est.value,
                                graph_estimate=est)

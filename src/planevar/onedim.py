@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geom import P, to_fraction
-from .variation import InstanceTooLarge, SampledFunction, VariationError
+from .variation import InstanceTooLarge, SampledFunction, VariationError, is_exact_number
 
 
 class OnedimError(ValueError):
@@ -81,8 +81,7 @@ class RealFunction1D:
 
     @property
     def is_rational_real(self) -> bool:
-        return all(isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-                   for v in self.values)
+        return all(is_exact_number(v) for v in self.values)
 
     def sup_abs(self):
         if self.is_rational_real:

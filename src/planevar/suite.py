@@ -62,7 +62,7 @@ from .ctpp import (
     pyramid_ctpp,
     triangle_lipschitz_report,
 )
-from .approx import C2Oracle, Poly2, c2_to_poly, grid_lipschitz, match_points
+from .approx import BUILTIN_ORACLES, C2Oracle, Poly2, c2_to_poly, grid_lipschitz, match_points
 from .joins import ConvexCurve, joins_convexly_on_sample, psi_pullback
 from .onedim import bv_norm_1d
 
@@ -220,8 +220,7 @@ def criterion_02(seed_seq) -> CriterionResult:
                 cv = Fraction(float(c[li]))
                 exact = av * ints[pi][0] + bv * ints[pi][1] - cv
                 signs[li, pi] = 0 if exact == 0 else (1 if exact > 0 else -1)
-        counts = _vfcore._counts_from_matrix(signs) if len(pts) > 1 \
-            else (signs[:, 0] == 0).astype(int)
+        counts = _vfcore._counts_from_matrix(signs)
         if int(counts.max()) > vf_prod:
             random_line_excess += 1
     ok = mismatches == 0 and random_line_excess == 0
@@ -465,15 +464,7 @@ def criterion_09(seed_seq, registry=None) -> CriterionResult:
 def criterion_10(seed_seq) -> CriterionResult:
     """Second-order pipeline: Lipschitz-norm chain at degree 12; exact cubics."""
     t0 = time.time()
-    oracle = C2Oracle(
-        f=lambda x, y: math.sin(float(x)) * math.exp(float(y)),
-        fx=lambda x, y: math.cos(float(x)) * math.exp(float(y)),
-        fy=lambda x, y: math.sin(float(x)) * math.exp(float(y)),
-        fxx=lambda x, y: -math.sin(float(x)) * math.exp(float(y)),
-        fxy=lambda x, y: math.cos(float(x)) * math.exp(float(y)),
-        fyy=lambda x, y: math.sin(float(x)) * math.exp(float(y)),
-        name="sin_exp")
-    _, rep = c2_to_poly(oracle, degree=12, grid_n=41)
+    _, rep = c2_to_poly(BUILTIN_ORACLES["sin_exp"], degree=12, grid_n=41)
     chain_ok = rep.lip_norm_err <= (4 + math.sqrt(13)) * rep.eps_meas * 1.01
 
     rng = np.random.default_rng(seed_seq)

@@ -11,26 +11,17 @@ reals and floating otherwise.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import _vfcore
+from ._vfcore import InstanceTooLarge, VariationError
 from .geom import AffineMap, Line, Point2, cross, dist_sq, side_of
 
 
-class VariationError(ValueError):
-    pass
-
-
 class PointOutsideDomain(VariationError):
-    pass
-
-
-class InstanceTooLarge(VariationError):
     pass
 
 
@@ -50,13 +41,9 @@ class SingularMap(VariationError):
     pass
 
 
-def _is_rational_real(values) -> bool:
-    return all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in values)
-
-
-def _abs_diff(a, b):
-    d = a - b
-    return abs(d)
+def is_exact_number(v) -> bool:
+    """True for exact rational reals (int or Fraction); bool is not a number here."""
+    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -109,7 +96,7 @@ class SampledFunction:
 
     @property
     def is_rational_real(self) -> bool:
-        return _is_rational_real(self.values)
+        return all(is_exact_number(v) for v in self.values)
 
     def sup_abs(self):
         if self.is_rational_real:
@@ -162,10 +149,11 @@ def cvar(f: SampledFunction, S) -> object:
     if not pts:
         raise VariationError("empty point list")
     vals = [f.value(p) for p in pts]
+    exact = all(is_exact_number(v) for v in vals)
     if len(vals) == 1:
-        return Fraction(0) if _is_rational_real(vals) else 0.0
-    if _is_rational_real(vals):
-        return sum((_abs_diff(vals[i], vals[i - 1]) for i in range(1, len(vals))),
+        return Fraction(0) if exact else 0.0
+    if exact:
+        return sum((abs(vals[i] - vals[i - 1]) for i in range(1, len(vals))),
                    Fraction(0))
     cvals = [complex(v) for v in vals]
     return float(sum(abs(cvals[i] - cvals[i - 1]) for i in range(1, len(cvals))))
@@ -179,10 +167,10 @@ def vf_line(S, line: Line) -> tuple[int, list[int]]:
     pts = list(S)
     if not pts:
         raise VariationError("empty point list")
-    signs = [side_of(line, p).value for p in pts]
+    signs = np.array([side_of(line, p).value for p in pts], dtype=np.int8)
     if len(pts) == 1:
-        return (1 if signs[0] == 0 else 0), []
-    idx = _vfcore.crossing_flags(signs)
+        return int(_vfcore._counts_from_matrix(signs)), []
+    idx = np.flatnonzero(_vfcore._crossing_mask(signs)).tolist()
     return len(idx), idx
 
 
@@ -203,7 +191,7 @@ def vf_exact(S) -> VfResult:
         raise VariationError("empty point list")
     table = _vfcore.build_sign_table(pts)
     count, row = _vfcore.vf_of_indices(table, np.arange(len(pts)))
-    return VfResult(vf=max(count, 0), witness=table.line_at(row))
+    return VfResult(vf=count, witness=table.line_at(row))
 
 
 def is_collinear(points) -> bool:
@@ -284,6 +272,17 @@ def _index_sequences(k: int, m: int) -> np.ndarray:
     return np.concatenate([rep[mask], last[mask, None]], axis=1)
 
 
+def _diff_matrix(f: SampledFunction) -> np.ndarray:
+    """Floating |f_i - f_j| for every pair of sample indices."""
+    vals_c = np.array([complex(v) for v in f.values])
+    return np.abs(vals_c[:, None] - vals_c[None, :])
+
+
+def _witness_key(f: SampledFunction, value, seq) -> tuple:
+    """Witness order: largest value, then fewest points, then lex-smallest coordinates."""
+    return (-value, len(seq), tuple((f.points[i].x, f.points[i].y) for i in seq))
+
+
 def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
     """Exact maximum of cvar/vf over all lists of at most ``max_len`` points.
 
@@ -302,8 +301,7 @@ def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
         raise VariationError("max_len must be >= 1")
 
     table = _vfcore.build_sign_table(f.points)
-    vals_c = np.array([complex(v) for v in f.values])
-    diff = np.abs(vals_c[:, None] - vals_c[None, :])
+    diff = _diff_matrix(f)
 
     per_len: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     best_float = 0.0
@@ -326,7 +324,7 @@ def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
         exact_diff = {}
         for i in range(k):
             for j in range(k):
-                exact_diff[(i, j)] = _abs_diff(f.values[i], f.values[j])
+                exact_diff[(i, j)] = abs(f.values[i] - f.values[j])
 
     best_value = None
     best_key = None
@@ -342,8 +340,7 @@ def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
                 val = total / v
             else:
                 val = float(obj[row])
-            coord_key = tuple((f.points[i].x, f.points[i].y) for i in seq)
-            key = (-val, len(seq), coord_key)
+            key = _witness_key(f, val, seq)
             if best_key is None or key < best_key:
                 best_key = key
                 best_value = val
@@ -366,17 +363,19 @@ class SearchConfig:
     max_len: int = 12
     cooling: float = 0.995
 
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("PLANEVAR_THREADS", "1")))
-    except ValueError:
-        return 1
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise VariationError(f"restarts must be >= 1, got {self.restarts}")
+        if self.iters < 0:
+            raise VariationError(f"iters must be >= 0, got {self.iters}")
+        if self.max_len < 2:
+            raise VariationError(f"max_len must be >= 2, got {self.max_len}")
+        if not 0 < self.cooling <= 1:
+            raise VariationError(f"cooling must lie in (0, 1], got {self.cooling}")
 
 
 def _anneal_once(table, diff, k, cfg: SearchConfig, seed_entropy) -> dict:
     rng = np.random.default_rng(seed_entropy)
-    signs = table.signs
     t0 = float(diff.max())
     start = int(np.argmax(diff))
     cur = [start // k, start % k]
@@ -384,9 +383,7 @@ def _anneal_once(table, diff, k, cfg: SearchConfig, seed_entropy) -> dict:
         cur = [0, 1 % k] if k > 1 else [0]
 
     def evaluate(idx):
-        S = signs[:, idx]
-        counts = _vfcore._counts_from_matrix(S)
-        vf = int(counts.max())
+        vf, _ = _vfcore.vf_of_indices(table, idx)
         cv = float(diff[idx[:-1], idx[1:]].sum()) if len(idx) > 1 else 0.0
         return cv / max(vf, 1), vf
 
@@ -480,9 +477,10 @@ def _propose(rng, cur: list[int], k: int, max_len: int):
 def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEstimate:
     """Certified lower bound for the variation by simulated annealing.
 
-    Deterministic for a fixed seed: restart r uses the r-th spawn of the
-    root seed sequence, and results reduce by (objective, witness) order
-    independent of scheduling. The witness value is recomputed exactly.
+    Deterministic for a fixed seed: restarts run one after another, restart r
+    uses the r-th spawn of the root seed sequence, and the best result is the
+    first in witness order (objective, length, coordinates). The witness value
+    is recomputed exactly.
     """
     cfg = config or SearchConfig()
     k = len(f.points)
@@ -491,23 +489,10 @@ def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEst
         return VarEstimate(value=zero, witness=(f.points[0],), witness_vf=1,
                            exact=False, method="anneal", seed=cfg.seed)
     table = _vfcore.build_sign_table(f.points)
-    vals_c = np.array([complex(v) for v in f.values])
-    diff = np.abs(vals_c[:, None] - vals_c[None, :])
-
+    diff = _diff_matrix(f)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    workers = min(_threads(), cfg.restarts)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda s: _anneal_once(table, diff, k, cfg, s), children))
-    else:
-        results = [_anneal_once(table, diff, k, cfg, s) for s in children]
-
-    def result_key(r):
-        pts = tuple((f.points[i].x, f.points[i].y) for i in r["idx"])
-        return (-r["obj"], len(r["idx"]), pts)
-
-    best = min(results, key=result_key)
+    results = [_anneal_once(table, diff, k, cfg, s) for s in children]
+    best = min(results, key=lambda r: _witness_key(f, r["obj"], r["idx"]))
     witness = tuple(f.points[i] for i in best["idx"])
     exact_cv = cvar(f, witness)
     vf = best["vf"]

@@ -217,3 +217,33 @@ def test_missing_file_is_exit_2(tmp_path):
     code, out, err = run_cli("var1d", "--fn", str(tmp_path / "missing.json"))
     assert code == 2
     assert err.startswith("error:BadInputFile:")
+
+
+def assert_single_error(code, err, kind):
+    assert code == 2
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error:{kind}:")
+    assert "Traceback" not in err
+
+
+def test_vf_too_many_points_is_typed_error(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"list": [[i, i * i % 97] for i in range(120)]}))
+    code, out, err = run_cli("vf", "--list", str(path))
+    assert_single_error(code, err, "InstanceTooLarge")
+
+
+def test_var_zero_restarts_is_typed_error(square_fx):
+    code, out, err = run_cli("var", "--fn", square_fx, "--restarts", "0")
+    assert_single_error(code, err, "VariationError")
+
+
+def test_var_out_into_missing_dir_is_typed_error(square_fx, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli("var", "--fn", square_fx, "--mode", "exact", "--out", str(target))
+    assert_single_error(code, err, "BadInputFile")
+
+
+def test_approx_c2_without_source_is_typed_error():
+    code, out, err = run_cli("approx", "c2")
+    assert_single_error(code, err, "BadInputFile")

@@ -4,9 +4,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from planevar._vfcore import _counts_from_matrix, build_sign_table
 from planevar.geom import AffineMap, Line, P
+from planevar.suite import _crossing_count_reference
 from planevar.variation import (
     DomainTooSmall,
     InstanceTooLarge,
@@ -18,10 +21,12 @@ from planevar.variation import (
     SearchConfig,
     SingularMap,
     VarEstimate,
+    VariationError,
     affine_pushforward,
     bv_norm,
     cvar,
     is_collinear,
+    is_exact_number,
     lipschitz_constant,
     var_collinear,
     var_exact_small,
@@ -387,3 +392,37 @@ def test_thread_cap_does_not_change_results(monkeypatch):
 def test_var_collinear_requires_collinear():
     with pytest.raises(Exception):
         var_collinear(F_X)
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_counts_from_matrix_matches_reference(m):
+    """The production crossing kernel against the suite's scalar oracle."""
+    rng = np.random.default_rng(m)
+    flat = rng.integers(-1, 2, size=(300, m)).astype(np.int8)
+    flat[:40] = 0  # all-on-line rows, plus zeros scattered through the rest
+    counts = _counts_from_matrix(flat)
+    assert counts.tolist() == [_crossing_count_reference(row.tolist()) for row in flat]
+    batched = flat.reshape(30, 10, m)
+    counts3 = _counts_from_matrix(batched)
+    assert counts3.shape == (30, 10)
+    assert counts3.ravel().tolist() == counts.tolist()
+
+
+def test_sign_table_size_refusal_is_typed():
+    pts = tuple(P(i, i * i % 97) for i in range(120))
+    with pytest.raises(InstanceTooLarge):
+        build_sign_table(pts)
+
+
+@pytest.mark.parametrize("bad", [dict(restarts=0), dict(iters=-1), dict(max_len=1),
+                                 dict(cooling=0.0), dict(cooling=1.5)])
+def test_search_config_rejects_bad_values(bad):
+    with pytest.raises(VariationError):
+        SearchConfig(**bad)
+
+
+def test_is_exact_number():
+    assert is_exact_number(3) and is_exact_number(Fraction(1, 3))
+    assert not is_exact_number(True)
+    assert not is_exact_number(0.5)
+    assert not is_exact_number(1j)
