@@ -21,7 +21,7 @@ from math import comb
 import numpy as np
 
 from .geom import Point2, to_fraction
-from .variation import SampledFunction, is_exact_number
+from .variation import SampledFunction, all_exact, magnitudes, spread
 from .ctpp import CtppFunction, CtppSum, ScaledBump, solve_plane
 
 
@@ -43,11 +43,9 @@ class PointNotInDomain(ApproxError):
 
 def _lift(v):
     """Exact lift of int/float/Fraction to Fraction; complex passes through."""
-    if is_exact_number(v):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(v)
-    return v
+    if isinstance(v, complex):
+        return v
+    return to_fraction(v)
 
 
 @dataclass(frozen=True)
@@ -92,8 +90,8 @@ class Poly2:
         return len(self.coeffs[0]) - 1
 
     def eval(self, x, y):
-        x = _lift(x) if not isinstance(x, complex) else x
-        y = _lift(y) if not isinstance(y, complex) else y
+        x = _lift(x)
+        y = _lift(y)
         total = 0
         for row in reversed(self.coeffs):
             inner = 0
@@ -407,6 +405,8 @@ def c2_to_poly(oracle: C2Oracle, degree: int, grid_n: int = 41,
     all errors on a grid and checks the 2/3/4/sqrt(13) error chain against
     the measured second-derivative error.
     """
+    if grid_n < 2:
+        raise ApproxError(f"measurement grid needs at least 2 points per side, got {grid_n}")
     if not skip_spot_check:
         oracle.spot_check()
     g_xx = bernstein2(oracle.fxx, degree)
@@ -487,16 +487,10 @@ def match_triangle(v0: Point2, v1: Point2, v2: Point2, f_vals, g0_vals):
     variation-norm bookkeeping (sup + spread <= 3 sup)."""
     deltas = [a - b for a, b in zip(f_vals, g0_vals)]
     h = solve_plane(v0, v1, v2, *deltas)
-    exact = all(is_exact_number(d) for d in deltas)
-    if exact:
-        sup_h = max(abs(d) for d in deltas)
-        spread = max(deltas) - min(deltas)
-    else:
-        cd = [complex(d) for d in deltas]
-        sup_h = max(abs(d) for d in cd)
-        spread = max(abs(a - b) for a in cd for b in cd)
-    return h, MatchTriangleReport(sup_h=sup_h, spread=spread,
-                                  bv_bound=sup_h + spread, bound_3sup=3 * sup_h)
+    sup_h = max(magnitudes(deltas))
+    spread_h = spread(deltas)
+    return h, MatchTriangleReport(sup_h=sup_h, spread=spread_h,
+                                  bv_bound=sup_h + spread_h, bound_3sup=3 * sup_h)
 
 
 @dataclass(frozen=True)
@@ -540,11 +534,8 @@ def match_points(f: SampledFunction, g0: CtppFunction, pts, delta) -> tuple[Ctpp
         report = MatchReport(0, (), zero, zero, zero, zero, zero, True, 0.0)
         return g, report
 
-    exact = all(is_exact_number(c) for c in coefs)
-    if exact:
-        mags = [abs(c) for c in coefs]
-    else:
-        mags = [abs(complex(c)) for c in coefs]
+    exact = all_exact(coefs)
+    mags = magnitudes(coefs)
     max_coef = max(mags)
     sup_h = max_coef
     var_h = 4 * sum(mags)

@@ -51,6 +51,14 @@ def _write(path: str | None, text: str) -> None:
             raise BadInputFile(f"{path}: {exc.strerror}") from exc
 
 
+def _emit(path: str | None, text: str) -> None:
+    """Write text to path when one is given, else print it."""
+    if path:
+        _write(path, text)
+    else:
+        print(text)
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -97,9 +105,9 @@ def _cmd_var(args) -> int:
     else:
         est = var_search(f, SearchConfig(iters=args.iters, restarts=args.restarts,
                                          seed=args.seed, max_len=args.max_len_search))
-    print(fmt_number(est.value))
     row = fileio.var_estimate_csv_row(est)
     _write(args.out, fileio.VAR_CSV_HEADER + "\n" + row + "\n")
+    print(fmt_number(est.value))
     if not args.out:
         print(row)
     return 0
@@ -120,10 +128,7 @@ def _cmd_iota(args) -> int:
     else:
         raise BadInputFile("need --at or --grid")
     ext = iota_extend(f, None, grid)
-    out = fileio.function_1d_to_json(ext)
-    _write(args.out, out)
-    if not args.out:
-        print(out)
+    _emit(args.out, fileio.function_1d_to_json(ext))
     print(f"var: {fmt_number(var_1d(ext))}", file=sys.stderr)
     return 0
 
@@ -189,9 +194,7 @@ def _cmd_approx_bernstein(args) -> int:
     else:
         raise BadInputFile("need --poly or --builtin")
     b = bernstein2(lambda x, y: target(x, y), args.degree)
-    _write(args.out, fileio.poly2_to_json(b))
-    if not args.out:
-        print(fileio.poly2_to_json(b))
+    _emit(args.out, fileio.poly2_to_json(b))
     return 0
 
 
@@ -216,13 +219,11 @@ def _cmd_approx_match(args) -> int:
     g0 = fileio.ctpp_from_json(_read(args.ctpp))
     pts = fileio.point_list_from_json(_read(args.points))
     g, rep = match_points(f, g0, pts, dec_coord(args.delta))
+    if args.sample_out:
+        _write(args.sample_out, fileio.sampled_function_to_json(g.sample(f.points)))
     print(f"matched: {rep.n_points}")
     print(f"interp_max_err: {rep.interp_max_err:.3e}")
     print(f"bound_ok: {'true' if rep.bound_ok else 'false'}")
-    if args.sample_out:
-        pts_all = f.points
-        _write(args.sample_out,
-               fileio.sampled_function_to_json(g.sample(pts_all)))
     return 0
 
 
@@ -264,18 +265,13 @@ def _cmd_join_paste(args) -> int:
     f = fileio.sampled_function_from_json(_read(args.fn))
     a, b = (dec_coord(v.strip()) for v in args.band.split(","))
     res = pasting_extend(f, a, b)
-    _write(args.out, fileio.sampled_function_to_json(res.h))
-    if not args.out:
-        print(fileio.sampled_function_to_json(res.h))
+    _emit(args.out, fileio.sampled_function_to_json(res.h))
     return 0
 
 
 def _cmd_example(args) -> int:
     f = make_example(args.kind, args.n)
-    text = fileio.function_1d_to_json(f)
-    _write(args.out, text)
-    if not args.out:
-        print(text)
+    _emit(args.out, fileio.function_1d_to_json(f))
     return 0
 
 

@@ -29,7 +29,8 @@ from .geom import (
     to_fraction,
     _ear_clip_indices,
 )
-from .variation import PlanarCoeffs, SampledFunction, is_exact_number
+from .variation import (PlanarCoeffs, SampledFunction, all_exact, is_exact_number, magnitudes,
+                        spread, values_agree)
 
 
 class CtppError(ValueError):
@@ -88,10 +89,6 @@ class CtppFunction:
                 return self.coeffs[t_idx].eval(self.tri.vertices[vid])
         raise CtppError(f"vertex {vid} belongs to no triangle")
 
-    def is_rational(self) -> bool:
-        return all(is_exact_number(c.a) and is_exact_number(c.b) and is_exact_number(c.c)
-                   for c in self.coeffs)
-
     def sample(self, points) -> SampledFunction:
         pts = tuple(points)
         return SampledFunction(pts, tuple(self.eval(p) for p in pts))
@@ -130,13 +127,7 @@ def validate_ctpp(g: CtppFunction, tol: float = 1e-9) -> list[EdgeViolation]:
         c1, c2 = g.coeffs[t1], g.coeffs[t2]
         va1, va2 = c1.eval(pa), c2.eval(pa)
         vb1, vb2 = c1.eval(pb), c2.eval(pb)
-        if is_exact_number(va1) and is_exact_number(va2) and \
-           is_exact_number(vb1) and is_exact_number(vb2):
-            bad = va1 != va2 or vb1 != vb2
-        else:
-            bad = abs(complex(va1) - complex(va2)) > tol or \
-                  abs(complex(vb1) - complex(vb2)) > tol
-        if bad:
+        if not (values_agree(va1, va2, tol) and values_agree(vb1, vb2, tol)):
             out.append(EdgeViolation(edge=(i, j), triangles=(t1, t2),
                                      values=(va1, va2, vb1, vb2)))
     return out
@@ -493,21 +484,10 @@ def star_planar_bound(f: SampledFunction, centre: Point2, rays: list[Point2],
         if not sectors:
             raise NotStarPlanar(f"{p} lies in no sector")
         for i in sectors:
-            want = sector_coeffs[i].eval(p)
-            got = f.value(p)
-            if is_exact_number(want) and is_exact_number(got):
-                ok = want == got
-            else:
-                ok = abs(complex(want) - complex(got)) <= tol
-            if not ok:
+            if not values_agree(sector_coeffs[i].eval(p), f.value(p), tol):
                 raise NotStarPlanar(f"value at {p} does not match sector {i}")
 
-    if f.is_rational_real:
-        spread = max(f.values) - min(f.values)
-    else:
-        vals = [complex(v) for v in f.values]
-        spread = max(abs(a - b) for a in vals for b in vals)
-    return 2 * n * spread
+    return 2 * n * spread(f.values)
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +602,8 @@ def triangle_lipschitz_report(g: CtppFunction) -> list[PieceBound]:
         t = g.tri.triangle(idx)
         c = g.coeffs[idx]
         vert_vals = [c.eval(v) for v in t.vertices]
-        exact = all(is_exact_number(v) for v in vert_vals) and \
-            is_exact_number(c.a) and is_exact_number(c.b)
+        exact = all_exact(vert_vals + [c.a, c.b])
+        sup = max(magnitudes(vert_vals))
         key = tuple(sorted((float(t.v0.x), float(t.v0.y), float(t.v1.x), float(t.v1.y),
                             float(t.v2.x), float(t.v2.y))))
         r = radius_cache.get(key)
@@ -632,18 +612,16 @@ def triangle_lipschitz_report(g: CtppFunction) -> list[PieceBound]:
             radius_cache[key] = r
         if exact:
             grad_sq = c.a * c.a + c.b * c.b
-            sup_sq = max(v * v for v in vert_vals)
+            sup_sq = sup * sup
             # |grad| <= 2 sup / r  <=>  grad_sq * r^2 <= 4 sup_sq
             r_hi = r.exact if r.is_exact else r.hi
             r_lo = r.exact if r.is_exact else r.lo
             ok = grad_sq * r_hi * r_hi <= 4 * sup_sq
             if not ok and grad_sq * r_lo * r_lo <= 4 * sup_sq:
                 ok = True  # inside the interval's slack: not a genuine violation
-            out.append(PieceBound(idx, grad_sq, max(abs(v) for v in vert_vals), ok))
         else:
             grad_sq = abs(complex(c.a)) ** 2 + abs(complex(c.b)) ** 2
-            sup = max(abs(complex(v)) for v in vert_vals)
             ok = grad_sq <= (2 * sup / float(r.lo if not r.is_exact else r.exact)) ** 2 \
                 * (1 + 1e-9) + 1e-18
-            out.append(PieceBound(idx, grad_sq, sup, ok))
+        out.append(PieceBound(idx, grad_sq, sup, ok))
     return out

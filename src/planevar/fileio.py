@@ -8,9 +8,10 @@ rationals as p/q and complex values as re+imi with 12 significant digits.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
-from .geom import Point2, Polygon, Rectangle, Triangulation
+from .geom import GeomError, Point2, Polygon, Rectangle, Triangulation, to_fraction
 from .variation import PlanarCoeffs, SampledFunction, VarEstimate
 from .onedim import RealFunction1D
 from .ctpp import CtppFunction
@@ -28,16 +29,12 @@ def enc_coord(v: Fraction):
 def dec_coord(v) -> Fraction:
     if isinstance(v, bool):
         raise BadInputFile(f"bad coordinate {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(v)
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise BadInputFile(f"bad rational {v!r}") from exc
-    raise BadInputFile(f"bad coordinate {v!r}")
+    try:
+        return to_fraction(v)
+    except GeomError as exc:
+        raise BadInputFile(str(exc)) from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise BadInputFile(f"bad rational {v!r}") from exc
 
 
 def enc_value(v):
@@ -54,18 +51,35 @@ def enc_value(v):
     raise BadInputFile(f"cannot serialize value {v!r}")
 
 
+def _finite_float(v) -> float:
+    try:
+        x = float(v)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadInputFile(f"cannot parse value {v!r}") from exc
+    if not math.isfinite(x):
+        raise BadInputFile(f"non-finite value {v!r}")
+    return x
+
+
 def dec_value(v):
     if isinstance(v, bool):
         raise BadInputFile("boolean is not a value")
     if isinstance(v, int):
         return v
     if isinstance(v, float):
-        return v
+        return _finite_float(v)
     if isinstance(v, str):
         return dec_coord(v)
     if isinstance(v, list) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+        return complex(_finite_float(v[0]), _finite_float(v[1]))
     raise BadInputFile(f"cannot parse value {v!r}")
+
+
+def _index(v) -> int:
+    try:
+        return int(v)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadInputFile(f"bad vertex index {v!r}") from exc
 
 
 def _point(pair) -> Point2:
@@ -155,7 +169,7 @@ def triangulation_from_json(text: str) -> Triangulation:
     doc = _load(text)
     try:
         verts = tuple(_point(p) for p in doc["vertices"])
-        tris = tuple(tuple(int(i) for i in t) for t in doc["triangles"])
+        tris = tuple(tuple(_index(i) for i in t) for t in doc["triangles"])
     except KeyError as exc:
         raise BadInputFile(f"missing field {exc}") from exc
     return Triangulation(verts, tris)
@@ -177,7 +191,7 @@ def ctpp_from_json(text: str) -> CtppFunction:
     doc = _load(text)
     try:
         verts = tuple(_point(p) for p in doc["vertices"])
-        tris = tuple(tuple(int(i) for i in t) for t in doc["triangles"])
+        tris = tuple(tuple(_index(i) for i in t) for t in doc["triangles"])
         coeffs = tuple(PlanarCoeffs(*(dec_value(v) for v in c)) for c in doc["coeffs"])
     except KeyError as exc:
         raise BadInputFile(f"missing field {exc}") from exc

@@ -119,6 +119,8 @@ def pullback_certificate(f: SampledFunction, curve: ConvexCurve,
 
 
 def _fraction_linspace(lo: Fraction, hi: Fraction, n: int) -> list[Fraction]:
+    if n < 1:
+        raise JoinsError(f"grid subdivision must be >= 1, got {n}")
     return [lo + (hi - lo) * Fraction(i, n) for i in range(n + 1)]
 
 

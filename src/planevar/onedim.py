@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geom import P, to_fraction
-from .variation import InstanceTooLarge, SampledFunction, VariationError, is_exact_number
+from .variation import InstanceTooLarge, SampledFunction, VariationError, all_exact, jump_sum, magnitudes
 
 
 class OnedimError(ValueError):
@@ -79,28 +79,13 @@ class RealFunction1D:
             raise OnedimError(f"{x} not in sample") from None
         return self.values[idx]
 
-    @property
-    def is_rational_real(self) -> bool:
-        return all(is_exact_number(v) for v in self.values)
-
-    def sup_abs(self):
-        if self.is_rational_real:
-            return max(abs(v) for v in self.values)
-        return max(abs(complex(v)) for v in self.values)
-
 
 def var_1d(f: RealFunction1D, sigma: RealSample | None = None):
     """Variation over the sample: the full increasing list dominates, so the
     value is the plain sum of consecutive |value jumps| (exact when rational)."""
     if sigma is not None and sigma != f.sample:
         f = restrict_1d(f, sigma)
-    vals = f.values
-    if len(vals) == 1:
-        return Fraction(0) if f.is_rational_real else 0.0
-    if f.is_rational_real:
-        return sum((abs(vals[i] - vals[i - 1]) for i in range(1, len(vals))), Fraction(0))
-    return float(sum(abs(complex(vals[i]) - complex(vals[i - 1]))
-                     for i in range(1, len(vals))))
+    return jump_sum(f.values)
 
 
 def restrict_1d(f: RealFunction1D, sigma: RealSample) -> RealFunction1D:
@@ -108,7 +93,7 @@ def restrict_1d(f: RealFunction1D, sigma: RealSample) -> RealFunction1D:
 
 
 def bv_norm_1d(f: RealFunction1D):
-    return f.sup_abs() + var_1d(f)
+    return max(magnitudes(f.values)) + var_1d(f)
 
 
 def iota_extend(f: RealFunction1D, sigma: RealSample | None, grid: RealSample) -> RealFunction1D:
@@ -175,7 +160,7 @@ def ac_modulus(f: RealFunction1D, sigma: RealSample | None, delta,
         f = restrict_1d(f, sigma)
     ts = f.sample.points
     n = len(ts)
-    rational = f.is_rational_real
+    rational = all_exact(f.values)
     vals = f.values if rational else tuple(complex(v) for v in f.values)
 
     def jump(i: int, j: int):
@@ -247,26 +232,24 @@ def ac_modulus(f: RealFunction1D, sigma: RealSample | None, delta,
 # ---------------------------------------------------------------------------
 # example generators (exact rational data)
 
+def _reciprocals(ks) -> RealFunction1D:
+    """The reciprocal_alternating sample restricted to the given k."""
+    pairs = [(Fraction(0), Fraction(0))]
+    pairs += [(Fraction(1, k), Fraction((-1) ** k, k)) for k in ks]
+    return RealFunction1D.from_pairs(pairs)
+
+
 def reciprocal_alternating(n: int) -> RealFunction1D:
     """Sample {0} ∪ {1/k : k <= n} with value (-1)^k / k at 1/k and 0 at 0."""
-    pairs = [(Fraction(0), Fraction(0))]
-    for k in range(1, n + 1):
-        pairs.append((Fraction(1, k), Fraction((-1) ** k, k)))
-    return RealFunction1D.from_pairs(pairs)
+    return _reciprocals(range(1, n + 1))
 
 
 def reciprocal_odd(n: int) -> RealFunction1D:
-    pairs = [(Fraction(0), Fraction(0))]
-    for k in range(1, n + 1, 2):
-        pairs.append((Fraction(1, k), Fraction((-1) ** k, k)))
-    return RealFunction1D.from_pairs(pairs)
+    return _reciprocals(range(1, n + 1, 2))
 
 
 def reciprocal_even(n: int) -> RealFunction1D:
-    pairs = [(Fraction(0), Fraction(0))]
-    for k in range(2, n + 1, 2):
-        pairs.append((Fraction(1, k), Fraction((-1) ** k, k)))
-    return RealFunction1D.from_pairs(pairs)
+    return _reciprocals(range(2, n + 1, 2))
 
 
 def cantor_level(k: int) -> RealFunction1D:

@@ -46,6 +46,47 @@ def is_exact_number(v) -> bool:
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
+# The value rule: a reduction over sample values is exact when every value is
+# exact and complex-float otherwise. These helpers are its one implementation.
+
+def all_exact(values) -> bool:
+    """True when every value is exact."""
+    return all(is_exact_number(v) for v in values)
+
+
+def magnitudes(values) -> list:
+    """|v| per value."""
+    vals = list(values)
+    if all_exact(vals):
+        return [abs(v) for v in vals]
+    return [abs(complex(v)) for v in vals]
+
+
+def jump_sum(values):
+    """Sum of |consecutive jumps|; Fraction(0) or 0.0 for a single value."""
+    vals = list(values)
+    if all_exact(vals):
+        return sum((abs(vals[i] - vals[i - 1]) for i in range(1, len(vals))), Fraction(0))
+    cvals = [complex(v) for v in vals]
+    return float(sum(abs(cvals[i] - cvals[i - 1]) for i in range(1, len(cvals))))
+
+
+def spread(values):
+    """max - min when exact, otherwise the largest pairwise |a - b|."""
+    vals = list(values)
+    if all_exact(vals):
+        return max(vals) - min(vals)
+    cvals = [complex(v) for v in vals]
+    return max(abs(a - b) for a in cvals for b in cvals)
+
+
+def values_agree(a, b, tol: float) -> bool:
+    """a == b when both are exact, otherwise |a - b| <= tol."""
+    if is_exact_number(a) and is_exact_number(b):
+        return a == b
+    return abs(complex(a) - complex(b)) <= tol
+
+
 @dataclass(frozen=True)
 class SampledFunction:
     """Finite map from plane sample points to complex (or exact rational) values."""
@@ -96,12 +137,10 @@ class SampledFunction:
 
     @property
     def is_rational_real(self) -> bool:
-        return all(is_exact_number(v) for v in self.values)
+        return all_exact(self.values)
 
     def sup_abs(self):
-        if self.is_rational_real:
-            return max(abs(v) for v in self.values)
-        return max(abs(complex(v)) for v in self.values)
+        return max(magnitudes(self.values))
 
     def diameter_sq(self) -> Fraction:
         pts = self.points
@@ -124,11 +163,6 @@ class PlanarCoeffs:
     def is_real(self) -> bool:
         return all(not isinstance(v, complex) or v.imag == 0 for v in (self.a, self.b, self.c))
 
-    def grad_norm_sq(self):
-        if isinstance(self.a, complex) or isinstance(self.b, complex):
-            return abs(complex(self.a)) ** 2 + abs(complex(self.b)) ** 2
-        return self.a * self.a + self.b * self.b
-
 
 @dataclass(frozen=True)
 class VarEstimate:
@@ -148,15 +182,7 @@ def cvar(f: SampledFunction, S) -> object:
     pts = list(S)
     if not pts:
         raise VariationError("empty point list")
-    vals = [f.value(p) for p in pts]
-    exact = all(is_exact_number(v) for v in vals)
-    if len(vals) == 1:
-        return Fraction(0) if exact else 0.0
-    if exact:
-        return sum((abs(vals[i] - vals[i - 1]) for i in range(1, len(vals))),
-                   Fraction(0))
-    cvals = [complex(v) for v in vals]
-    return float(sum(abs(cvals[i] - cvals[i - 1]) for i in range(1, len(cvals))))
+    return jump_sum(f.value(p) for p in pts)
 
 
 def vf_line(S, line: Line) -> tuple[int, list[int]]:
@@ -238,8 +264,7 @@ def var_collinear(f: SampledFunction) -> VarEstimate:
         raise VariationError("sample is not collinear")
     pts = list(f.points)
     if len(pts) == 1:
-        zero = Fraction(0) if f.is_rational_real else 0.0
-        return VarEstimate(value=zero, witness=(pts[0],), witness_vf=1,
+        return VarEstimate(value=cvar(f, pts), witness=(pts[0],), witness_vf=1,
                            exact=True, method="onedim")
     p0 = pts[0]
     ref = next((p for p in pts[1:] if p != p0), None)
@@ -485,8 +510,7 @@ def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEst
     cfg = config or SearchConfig()
     k = len(f.points)
     if k == 1:
-        zero = Fraction(0) if f.is_rational_real else 0.0
-        return VarEstimate(value=zero, witness=(f.points[0],), witness_vf=1,
+        return VarEstimate(value=cvar(f, f.points), witness=(f.points[0],), witness_vf=1,
                            exact=False, method="anneal", seed=cfg.seed)
     table = _vfcore.build_sign_table(f.points)
     diff = _diff_matrix(f)

@@ -247,3 +247,70 @@ def test_var_out_into_missing_dir_is_typed_error(square_fx, tmp_path):
 def test_approx_c2_without_source_is_typed_error():
     code, out, err = run_cli("approx", "c2")
     assert_single_error(code, err, "BadInputFile")
+
+
+def test_var_failed_out_prints_nothing(square_fx, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli("var", "--fn", square_fx, "--mode", "exact", "--out", str(target))
+    assert_single_error(code, err, "BadInputFile")
+    assert out == ""
+
+
+def test_approx_match_failed_sample_out_prints_nothing(tmp_path):
+    from planevar import fileio
+    from planevar.ctpp import interpolate_grid
+    from planevar.geom import Rectangle
+    g0 = tmp_path / "g0.json"
+    g0.write_text(fileio.ctpp_to_json(
+        interpolate_grid(lambda v: v.x, Rectangle.of(0, 1, 0, 1), 2)))
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"points": [[0, 0], [1, 1]], "values": [1, 2]}))
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"list": [[0, 0]]}))
+    args = ["approx", "match", "--fn", str(fn), "--ctpp", str(g0), "--points", str(pts),
+            "--delta", "1/4", "--sample-out"]
+    code, out, err = run_cli(*args, str(tmp_path / "s.json"))
+    assert code == 0 and out.startswith("matched: 1")
+    code, out, err = run_cli(*args, str(tmp_path / "missing" / "s.json"))
+    assert_single_error(code, err, "BadInputFile")
+    assert out == ""
+
+
+@pytest.mark.parametrize("grid", ["0", "1"])
+def test_approx_c2_degenerate_grid_is_typed_error(grid):
+    code, out, err = run_cli("approx", "c2", "--builtin", "sin_exp", "--grid", grid)
+    assert_single_error(code, err, "ApproxError")
+    assert out == ""
+
+
+def test_join_fills_refuse_zero_subdivision(tmp_path):
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"points": [[-1, 1], [0, 0], [1, 1]], "values": [1, 0, 1]}))
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"list": [[-1, 1], [0, 0], [1, 1]]}))
+    code, out, err = run_cli("join", "graphfill", "--fn", str(fn), "--curve", str(curve),
+                             "--rect=-1,1,-1,1", "--n", "0")
+    assert_single_error(code, err, "JoinsError")
+    assert out == ""
+    sector = tmp_path / "s.json"
+    sector.write_text(json.dumps({"points": [[1, 0], [0, 0], [0, 1]], "values": [1, 0, 1]}))
+    code, out, err = run_cli("join", "sector", "--fn", str(sector), "--rect=-1,1,-1,1",
+                             "--ray1", "1,0", "--ray2", "0,1", "--n", "0")
+    assert_single_error(code, err, "JoinsError")
+    assert out == ""
+
+
+@pytest.mark.parametrize("command, name, text", [
+    (["vf", "--list"], "list.json", '{"list": [[0, 0], [Infinity, 1], [2, 0]]}'),
+    (["vf", "--list"], "list.json", '{"list": [[0, 0], [NaN, 1], [2, 0]]}'),
+    (["var", "--mode", "exact", "--fn"], "fn.json",
+     '{"points": [[0, 0], [1, 0], [0, 1]], "values": [0, NaN, 1]}'),
+    (["approx", "bernstein", "--degree", "2", "--poly"], "poly.json",
+     '{"coeffs": [[1, NaN]]}'),
+])
+def test_non_finite_json_is_typed_error(tmp_path, command, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli(*command, str(path))
+    assert_single_error(code, err, "BadInputFile")
+    assert out == ""

@@ -1,5 +1,6 @@
 """Serialization round-trips and CSV formatting."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,37 @@ class TestNumberCodec:
             dec_coord("a/b")
         with pytest.raises(BadInputFile):
             dec_value({"no": 1})
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_coordinates_refused(self, v):
+        with pytest.raises(BadInputFile, match="non-finite"):
+            dec_coord(v)
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, [math.nan, 0.0], [0.0, -math.inf]])
+    def test_values_refused(self, v):
+        with pytest.raises(BadInputFile, match="non-finite"):
+            dec_value(v)
+
+    def test_string_errors_keep_their_message(self):
+        with pytest.raises(BadInputFile, match="bad rational 'nan'"):
+            dec_coord("nan")
+        with pytest.raises(BadInputFile, match="bad rational '1/0'"):
+            dec_coord("1/0")
+
+    @pytest.mark.parametrize("decode, text", [
+        (point_list_from_json, '{"list": [[0, 0], [Infinity, 1]]}'),
+        (point_list_from_json, '{"list": [[NaN, 0]]}'),
+        (sampled_function_from_json, '{"points": [[0, 0]], "values": [NaN]}'),
+        (sampled_function_from_json, '{"points": [[0, 0]], "values": [[1.0, -Infinity]]}'),
+        (poly2_from_json, '{"coeffs": [[1, NaN]]}'),
+        (triangulation_from_json,
+         '{"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, NaN]]}'),
+    ])
+    def test_json_tokens_refused(self, decode, text):
+        with pytest.raises(BadInputFile):
+            decode(text)
 
 
 class TestRoundTrips:

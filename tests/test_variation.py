@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planevar._vfcore import _counts_from_matrix, build_sign_table
-from planevar.geom import AffineMap, Line, P
+from planevar.ctpp import CtppFunction, validate_ctpp
+from planevar.geom import AffineMap, Line, P, Rectangle, grid_triangulation
 from planevar.suite import _crossing_count_reference
 from planevar.variation import (
     DomainTooSmall,
@@ -23,10 +26,15 @@ from planevar.variation import (
     VarEstimate,
     VariationError,
     affine_pushforward,
+    all_exact,
     bv_norm,
     cvar,
     is_collinear,
     is_exact_number,
+    jump_sum,
+    magnitudes,
+    spread,
+    values_agree,
     lipschitz_constant,
     var_collinear,
     var_exact_small,
@@ -426,3 +434,87 @@ def test_is_exact_number():
     assert not is_exact_number(True)
     assert not is_exact_number(0.5)
     assert not is_exact_number(1j)
+
+
+# --- the shared value reductions ---------------------------------------------
+
+fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+floats = st.floats(min_value=-1e100, max_value=1e100)
+complexes = st.complex_numbers(max_magnitude=1e100)
+inexact_lists = st.lists(st.one_of(floats, complexes, fractions), min_size=1, max_size=12) \
+    .filter(lambda vals: not all_exact(vals))
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(fractions, min_size=1, max_size=12))
+def test_reductions_on_fractions_match_plain_expressions(vals):
+    assert all_exact(vals)
+    jumps = [abs(b - a) for a, b in zip(vals, vals[1:])]
+    assert jump_sum(vals) == sum(jumps, Fraction(0))
+    assert isinstance(jump_sum(vals), Fraction)
+    assert magnitudes(vals) == [abs(v) for v in vals]
+    assert max(magnitudes(vals)) == max(abs(v) for v in vals)
+    assert spread(vals) == max(vals) - min(vals)
+    assert values_agree(vals[0], vals[-1], 1.0) == (vals[0] == vals[-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(inexact_lists)
+def test_reductions_on_floats_are_bit_identical_to_the_old_expressions(vals):
+    # the per-site expressions these helpers replaced, kept as the oracle
+    cvals = [complex(v) for v in vals]
+    old_jump_sum = float(sum(abs(cvals[i] - cvals[i - 1]) for i in range(1, len(cvals))))
+    old_magnitudes = [abs(complex(v)) for v in vals]
+    old_spread = max(abs(a - b) for a in cvals for b in cvals)
+    assert _bits([jump_sum(vals)]) == _bits([old_jump_sum])
+    assert _bits(magnitudes(vals)) == _bits(old_magnitudes)
+    assert _bits([spread(vals)]) == _bits([old_spread])
+    a, b = vals[0], vals[-1]
+    assert values_agree(a, b, 1e-9) == (abs(complex(a) - complex(b)) <= 1e-9)
+
+
+def test_single_value_jump_sum_keeps_its_type():
+    assert jump_sum([Fraction(3)]) == 0 and isinstance(jump_sum([Fraction(3)]), Fraction)
+    assert jump_sum([2.5]) == 0.0 and isinstance(jump_sum([2.5]), float)
+
+
+def _old_validate_edges(g, tol=1e-9):
+    """The all-four endpoint rule that validate_ctpp used before values_agree."""
+    out = []
+    for (i, j), t1, t2 in g.tri.shared_edges():
+        pa, pb = g.tri.vertices[i], g.tri.vertices[j]
+        c1, c2 = g.coeffs[t1], g.coeffs[t2]
+        va1, va2 = c1.eval(pa), c2.eval(pa)
+        vb1, vb2 = c1.eval(pb), c2.eval(pb)
+        if all(is_exact_number(v) for v in (va1, va2, vb1, vb2)):
+            bad = va1 != va2 or vb1 != vb2
+        else:
+            bad = abs(complex(va1) - complex(va2)) > tol or \
+                abs(complex(vb1) - complex(vb2)) > tol
+        if bad:
+            out.append(((i, j), (t1, t2)))
+    return out
+
+
+_GRID = grid_triangulation(Rectangle.of(0, 1, 0, 1), 2)
+# Exact planes that pairwise meet along grid lines, so neighbours can agree at
+# one endpoint of an edge and not the other; their float images agree within
+# tol, and the complex one is x up to 1e-12.
+_EXACT_PLANES = [PlanarCoeffs(0, 0, 0), PlanarCoeffs(1, 0, 0), PlanarCoeffs(0, 1, 0),
+                 PlanarCoeffs(1, 1, Fraction(-1, 2)), PlanarCoeffs(Fraction(1, 3), -2, 1)]
+_PLANES = _EXACT_PLANES + \
+    [PlanarCoeffs(float(c.a), float(c.b), float(c.c)) for c in _EXACT_PLANES] + \
+    [PlanarCoeffs(1 + 0j, 0.0, 1e-12)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, len(_PLANES) - 1), min_size=len(_GRID.triangles),
+                max_size=len(_GRID.triangles)))
+def test_validate_ctpp_matches_the_all_four_rule(choice):
+    g = CtppFunction(_GRID, tuple(_PLANES[k] for k in choice))
+    got = [(v.edge, v.triangles) for v in validate_ctpp(g)]
+    assert got == _old_validate_edges(g)
