@@ -149,6 +149,20 @@ class SignTable:
     def n_lines(self) -> int:
         return self.signs.shape[0]
 
+    def distinct(self) -> "SignTable":
+        """The first row of each sign pattern, kept in lexicographic line order.
+
+        A crossing count depends only on a row's sign pattern, and the first
+        maximal row of the full table is the first row of its pattern, so
+        ``vf_of_indices`` returns the same count and the same witness line on
+        both tables, and ``vf_batch`` the same counts.
+        """
+        rows = np.ascontiguousarray(self.signs)
+        keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+        keep = np.sort(np.unique(keys, return_index=True)[1])
+        return SignTable(points=self.points, scale=self.scale,
+                         lines=self.lines[keep], signs=rows[keep])
+
 
 _MAX_CANDIDATE_LINES = 2_000_000
 

@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 
 from . import fileio
-from .fileio import BadInputFile, dec_coord, fmt_number
-from .geom import GeomError
+from .fileio import BadInputFile, dec_coord, fmt_number, parse_coords
+from .geom import GeomError, Line, Point2
 from .variation import (
     SearchConfig,
     VariationError,
@@ -33,7 +33,7 @@ from .onedim import OnedimError, RealSample, ac_modulus, iota_extend, make_examp
 from .ctpp import CtppError, classify_point, extend_to_polygon, interpolate_grid, validate_ctpp
 from .approx import BUILTIN_ORACLES, ApproxError, C2Oracle, bernstein2, c2_to_poly, match_points
 from .joins import ConvexCurve, JoinsError, SectorSpec, graph_fill, join_report, pasting_extend, sector_fill
-from .suite import run_suite, suite_csv
+from .suite import CRITERIA, run_suite, suite_csv
 from .svg import ctpp_svg
 
 
@@ -66,12 +66,22 @@ def _read(path: str) -> str:
         raise BadInputFile(f"{path}: {exc.strerror}") from exc
 
 
-def _parse_point(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise BadInputFile("point must be x,y")
-    from .geom import Point2
-    return Point2(dec_coord(parts[0].strip()), dec_coord(parts[1].strip()))
+def _parse_point(text: str) -> Point2:
+    return Point2(*parse_coords(text, "point", "x,y"))
+
+
+def _parse_criteria(text: str | None) -> list[int] | None:
+    if not text:
+        return None
+    try:
+        ids = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise BadInputFile(f"--only takes criterion numbers like 5,6, got {text!r}") from None
+    unknown = [i for i in ids if i not in CRITERIA]
+    if unknown:
+        raise BadInputFile(f"unknown criterion {unknown[0]}; the suite has "
+                           f"{min(CRITERIA)}..{max(CRITERIA)}")
+    return ids
 
 
 # --- handlers -----------------------------------------------------------------
@@ -79,8 +89,7 @@ def _parse_point(text: str):
 def _cmd_vf(args) -> int:
     pts = fileio.point_list_from_json(_read(args.list))
     if args.line:
-        a, b, c = (dec_coord(v.strip()) for v in args.line.split(","))
-        from .geom import Line
+        a, b, c = parse_coords(args.line, "line", "a,b,c")
         count, idx = vf_line(pts, Line.from_coeffs(a, b, c))
         print(count)
         print(f"crossing_segments: {' '.join(map(str, idx)) if idx else '-'}")
@@ -263,7 +272,7 @@ def _cmd_join_sector(args) -> int:
 
 def _cmd_join_paste(args) -> int:
     f = fileio.sampled_function_from_json(_read(args.fn))
-    a, b = (dec_coord(v.strip()) for v in args.band.split(","))
+    a, b = parse_coords(args.band, "band", "a,b")
     res = pasting_extend(f, a, b)
     _emit(args.out, fileio.sampled_function_to_json(res.h))
     return 0
@@ -278,10 +287,11 @@ def _cmd_example(args) -> int:
 def _cmd_suite(args) -> int:
     if args.target != "paper":
         raise BadInputFile(f"unknown suite {args.target!r}; only 'paper' exists")
-    only = [int(v) for v in args.only.split(",")] if args.only else None
+    only = _parse_criteria(args.only)
+    # create the output file first, so a bad path fails before any criterion runs
+    _write(args.out, "")
     results = run_suite(seed=args.seed, only=only, verbose=True)
-    text = suite_csv(results)
-    _write(args.out, text)
+    _write(args.out, suite_csv(results))
     return 0 if all(r.passed for r in results) else 1
 
 

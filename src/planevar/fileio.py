@@ -76,16 +76,42 @@ def dec_value(v):
 
 
 def _index(v) -> int:
-    try:
-        return int(v)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise BadInputFile(f"bad vertex index {v!r}") from exc
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise BadInputFile(f"bad vertex index {v!r}")
+    return v
+
+
+def _array(v, what: str, length: int | None = None) -> list:
+    """v itself when it is a JSON array (of ``length`` items, when given)."""
+    if not isinstance(v, list) or (length is not None and len(v) != length):
+        raise BadInputFile(f"bad {what} {v!r}")
+    return v
+
+
+def _field(doc: dict, key: str) -> list:
+    """The array stored under ``key``."""
+    if key not in doc:
+        raise BadInputFile(f"missing field {key!r}")
+    return _array(doc[key], f"field {key!r}:")
 
 
 def _point(pair) -> Point2:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise BadInputFile(f"bad point {pair!r}")
-    return Point2(dec_coord(pair[0]), dec_coord(pair[1]))
+    x, y = _array(pair, "point", 2)
+    return Point2(dec_coord(x), dec_coord(y))
+
+
+def _points(doc: dict, key: str) -> tuple[Point2, ...]:
+    return tuple(_point(p) for p in _field(doc, key))
+
+
+def _triangulation(doc: dict) -> Triangulation:
+    verts = _points(doc, "vertices")
+    tris = tuple(tuple(_index(i) for i in _array(t, "triangle"))
+                 for t in _field(doc, "triangles"))
+    try:
+        return Triangulation(verts, tris)
+    except GeomError as exc:
+        raise BadInputFile(str(exc)) from exc
 
 
 # --- sampled functions ------------------------------------------------------
@@ -100,11 +126,8 @@ def sampled_function_to_json(f: SampledFunction) -> str:
 
 def sampled_function_from_json(text: str) -> SampledFunction:
     doc = _load(text)
-    try:
-        pts = tuple(_point(p) for p in doc["points"])
-        vals = tuple(dec_value(v) for v in doc["values"])
-    except KeyError as exc:
-        raise BadInputFile(f"missing field {exc}") from exc
+    pts = _points(doc, "points")
+    vals = tuple(dec_value(v) for v in _field(doc, "values"))
     if len(pts) != len(vals):
         raise BadInputFile("points/values length mismatch")
     return SampledFunction(pts, vals)
@@ -135,11 +158,7 @@ def point_list_to_json(points) -> str:
 
 def point_list_from_json(text: str) -> tuple[Point2, ...]:
     doc = _load(text)
-    key = "list" if "list" in doc else "points"
-    try:
-        return tuple(_point(p) for p in doc[key])
-    except KeyError as exc:
-        raise BadInputFile(f"missing field {exc}") from exc
+    return _points(doc, "list" if "list" in doc else "points")
 
 
 # --- polygons and triangulations -------------------------------------------
@@ -150,11 +169,7 @@ def polygon_to_json(poly: Polygon) -> str:
 
 
 def polygon_from_json(text: str) -> Polygon:
-    doc = _load(text)
-    try:
-        return Polygon(tuple(_point(p) for p in doc["vertices"]))
-    except KeyError as exc:
-        raise BadInputFile(f"missing field {exc}") from exc
+    return Polygon(_points(_load(text), "vertices"))
 
 
 def triangulation_to_json(tri: Triangulation) -> str:
@@ -166,13 +181,7 @@ def triangulation_to_json(tri: Triangulation) -> str:
 
 
 def triangulation_from_json(text: str) -> Triangulation:
-    doc = _load(text)
-    try:
-        verts = tuple(_point(p) for p in doc["vertices"])
-        tris = tuple(tuple(_index(i) for i in t) for t in doc["triangles"])
-    except KeyError as exc:
-        raise BadInputFile(f"missing field {exc}") from exc
-    return Triangulation(verts, tris)
+    return _triangulation(_load(text))
 
 
 # --- piecewise planar functions ---------------------------------------------
@@ -189,13 +198,10 @@ def ctpp_to_json(g: CtppFunction) -> str:
 
 def ctpp_from_json(text: str) -> CtppFunction:
     doc = _load(text)
-    try:
-        verts = tuple(_point(p) for p in doc["vertices"])
-        tris = tuple(tuple(_index(i) for i in t) for t in doc["triangles"])
-        coeffs = tuple(PlanarCoeffs(*(dec_value(v) for v in c)) for c in doc["coeffs"])
-    except KeyError as exc:
-        raise BadInputFile(f"missing field {exc}") from exc
-    return CtppFunction(Triangulation(verts, tris), coeffs)
+    tri = _triangulation(doc)
+    coeffs = tuple(PlanarCoeffs(*(dec_value(v) for v in _array(c, "coefficient triple", 3)))
+                   for c in _field(doc, "coeffs"))
+    return CtppFunction(tri, coeffs)
 
 
 # --- polynomials -------------------------------------------------------------
@@ -207,20 +213,22 @@ def poly2_to_json(p) -> str:
 
 def poly2_from_json(text: str):
     from .approx import Poly2
-    doc = _load(text)
-    try:
-        return Poly2.from_rows([[dec_value(c) for c in row] for row in doc["coeffs"]])
-    except KeyError as exc:
-        raise BadInputFile(f"missing field {exc}") from exc
+    return Poly2.from_rows([[dec_value(c) for c in _array(row, "coefficient row")]
+                            for row in _field(_load(text), "coeffs")])
 
 
 # --- rectangles ---------------------------------------------------------------
 
-def parse_rect(text: str) -> Rectangle:
+def parse_coords(text: str, what: str, form: str) -> list[Fraction]:
+    """Comma-separated exact numbers, exactly as many as ``form`` names."""
     parts = text.split(",")
-    if len(parts) != 4:
-        raise BadInputFile("rectangle must be x_min,x_max,y_min,y_max")
-    return Rectangle(*(dec_coord(p.strip()) for p in parts))
+    if len(parts) != len(form.split(",")):
+        raise BadInputFile(f"{what} must be {form}")
+    return [dec_coord(p.strip()) for p in parts]
+
+
+def parse_rect(text: str) -> Rectangle:
+    return Rectangle(*parse_coords(text, "rectangle", "x_min,x_max,y_min,y_max"))
 
 
 # --- CSV cells ----------------------------------------------------------------

@@ -419,6 +419,10 @@ class Triangulation:
     triangles: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        n = len(self.vertices)
+        for t in self.triangles:
+            if len(t) != 3 or not all(0 <= i < n for i in t):
+                raise GeomError(f"triangle {tuple(t)} needs three indices of the {n} vertices")
         adjacency: dict[tuple[int, int], list[int]] = {}
         for t_idx, (i, j, k) in enumerate(self.triangles):
             for e in ((i, j), (j, k), (k, i)):

@@ -569,7 +569,7 @@ def criterion_13(seed_seq, registry) -> CriterionResult:
                            time.time() - t0)
 
 
-_CRITERIA = {
+CRITERIA = {
     1: criterion_01,
     2: criterion_02,
     3: criterion_03,
@@ -592,9 +592,9 @@ def run_suite(seed: int = 0, only: list[int] | None = None,
     spawns = np.random.SeedSequence(seed).spawn(13)
     registry: list[CtppFunction] = []
     results = []
-    wanted = sorted(set(only)) if only else list(range(1, 14))
+    wanted = sorted(set(only)) if only else sorted(CRITERIA)
     for cid in wanted:
-        fn = _CRITERIA[cid]
+        fn = CRITERIA[cid]
         if cid in (7, 9, 11):
             res = fn(spawns[cid - 1], registry=registry)
         elif cid == 13:

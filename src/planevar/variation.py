@@ -325,7 +325,8 @@ def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
     if max_len < 1:
         raise VariationError("max_len must be >= 1")
 
-    table = _vfcore.build_sign_table(f.points)
+    full = _vfcore.build_sign_table(f.points)
+    table = full.distinct()
     diff = _diff_matrix(f)
 
     per_len: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -374,7 +375,8 @@ def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
     assert best_seq is not None
     witness = tuple(f.points[i] for i in best_seq)
     return VarEstimate(value=best_value, witness=witness, witness_vf=best_vf,
-                       exact=True, method="exhaustive_small")
+                       exact=True, method="exhaustive_small",
+                       stats={"table_rows": full.n_lines, "distinct_rows": table.n_lines})
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +514,8 @@ def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEst
     if k == 1:
         return VarEstimate(value=cvar(f, f.points), witness=(f.points[0],), witness_vf=1,
                            exact=False, method="anneal", seed=cfg.seed)
-    table = _vfcore.build_sign_table(f.points)
+    full = _vfcore.build_sign_table(f.points)
+    table = full.distinct()
     diff = _diff_matrix(f)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     results = [_anneal_once(table, diff, k, cfg, s) for s in children]
@@ -525,6 +528,8 @@ def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEst
         "proposals": int(sum(r["proposals"] for r in results)),
         "max_objective_seen": float(max(r["max_seen"] for r in results)),
         "restarts": cfg.restarts,
+        "table_rows": full.n_lines,
+        "distinct_rows": table.n_lines,
     }
     return VarEstimate(value=value, witness=witness, witness_vf=vf,
                        exact=False, method="anneal", seed=cfg.seed, stats=stats)

@@ -314,3 +314,37 @@ def test_non_finite_json_is_typed_error(tmp_path, command, name, text):
     code, out, err = run_cli(*command, str(path))
     assert_single_error(code, err, "BadInputFile")
     assert out == ""
+
+
+@pytest.mark.parametrize("command, text", [
+    (["var", "--fn"], '{"points": 5, "values": []}'),
+    (["ctpp", "check"],
+     '{"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1]], "coeffs": [[0, 0, 0]]}'),
+    (["ctpp", "check"],
+     '{"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, 9]], "coeffs": [[0, 0, 0]]}'),
+])
+def test_json_shape_errors_are_typed(tmp_path, command, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, out, err = run_cli(*command, str(path))
+    assert_single_error(code, err, "BadInputFile")
+    assert out == ""
+
+
+def test_argument_shape_errors_are_typed(tmp_path, zigzag):
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"points": [[0, 0], [1, 1]], "values": [1, 2]}))
+    for args in (["vf", "--list", zigzag, "--line", "1,2"],
+                 ["join", "paste", "--fn", str(fn), "--band", "0"],
+                 ["suite", "paper", "--only", "99"],
+                 ["suite", "paper", "--only", "five"]):
+        code, out, err = run_cli(*args)
+        assert_single_error(code, err, "BadInputFile")
+        assert out == ""
+
+
+def test_suite_failed_out_prints_nothing(tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli("suite", "paper", "--only", "12", "--out", str(target))
+    assert_single_error(code, err, "BadInputFile")
+    assert out == ""

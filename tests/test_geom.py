@@ -10,6 +10,7 @@ from planevar.geom import (
     AffineMap,
     CoincidentPoints,
     DegenerateTriangle,
+    GeomError,
     Line,
     NotSimple,
     P,
@@ -241,3 +242,9 @@ def test_triangulation_rejects_overshared_edge():
     with pytest.raises(Exception):
         Triangulation((P(0, 0), P(1, 0), P(0, 1), P(1, 1), P(2, 0)),
                       ((0, 1, 2), (0, 1, 3), (0, 1, 4)))
+
+
+@pytest.mark.parametrize("triangles", [((0, 1),), ((0, 1, 2, 0),), ((0, 1, 3),), ((0, 1, -1),)])
+def test_triangulation_rejects_bad_index_triples(triangles):
+    with pytest.raises(GeomError, match="three indices of the 3 vertices"):
+        Triangulation((P(0, 0), P(1, 0), P(0, 1)), triangles)

@@ -163,3 +163,34 @@ class TestCsv:
     def test_bad_json_reports_location(self):
         with pytest.raises(BadInputFile, match="line 1"):
             sampled_function_from_json("{bad json")
+
+
+_TRIANGLE = '"vertices": [[0, 0], [1, 0], [0, 1]]'
+
+
+@pytest.mark.parametrize("decode, text", [
+    (sampled_function_from_json, '{"points": 5, "values": []}'),
+    (sampled_function_from_json, '{"points": [[0, 0]], "values": 3}'),
+    (sampled_function_from_json, '{"points": [[0, 0, 0]], "values": [1]}'),
+    (point_list_from_json, '{"list": 3}'),
+    (point_list_from_json, '{"list": "ab"}'),
+    (polygon_from_json, '{"vertices": {"a": 1}}'),
+    (triangulation_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1]]}'),
+    (triangulation_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, 7]]}'),
+    (triangulation_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, -1]]}'),
+    (triangulation_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, 2.5]]}'),
+    (triangulation_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, true]]}'),
+    (triangulation_from_json, '{' + _TRIANGLE + ', "triangles": [5]}'),
+    (ctpp_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, 2]], "coeffs": [[0, 0]]}'),
+    (ctpp_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, 2]], "coeffs": [3]}'),
+    (poly2_from_json, '{"coeffs": 3}'),
+    (poly2_from_json, '{"coeffs": [3]}'),
+])
+def test_shape_errors_are_bad_input(decode, text):
+    with pytest.raises(BadInputFile):
+        decode(text)
+
+
+def test_missing_field_message_is_kept():
+    with pytest.raises(BadInputFile, match="missing field 'values'"):
+        sampled_function_from_json('{"points": [[0, 0]]}')

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planevar._vfcore import _counts_from_matrix, build_sign_table
-from planevar.ctpp import CtppFunction, validate_ctpp
+from planevar._vfcore import _counts_from_matrix, build_sign_table, vf_batch, vf_of_indices
+from planevar.ctpp import BumpSpec, CtppFunction, make_bumps, validate_ctpp
 from planevar.geom import AffineMap, Line, P, Rectangle, grid_triangulation
 from planevar.suite import _crossing_count_reference
 from planevar.variation import (
@@ -518,3 +518,95 @@ def test_validate_ctpp_matches_the_all_four_rule(choice):
     g = CtppFunction(_GRID, tuple(_PLANES[k] for k in choice))
     got = [(v.edge, v.triangles) for v in validate_ctpp(g)]
     assert got == _old_validate_edges(g)
+
+
+# --- distinct-pattern sign tables --------------------------------------------
+
+coords = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+@st.composite
+def point_lists_with_runs(draw):
+    """At most 10 points on a coarse grid: repeats and collinear runs are common."""
+    pts = draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=10))
+    if len(pts) >= 2 and draw(st.booleans()):
+        # a collinear run through the first point, in the direction of the second
+        (x0, y0), (x1, y1) = pts[0], pts[1]
+        steps = draw(st.lists(st.integers(-2, 3), max_size=10 - len(pts)))
+        pts += [(x0 + t * (x1 - x0), y0 + t * (y1 - y0)) for t in steps]
+    return tuple(P(x, y) for x, y in pts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(point_lists_with_runs(), st.data())
+def test_distinct_table_keeps_the_first_row_of_each_pattern(pts, data):
+    full = build_sign_table(pts)
+    table = full.distinct()
+    first: dict[bytes, int] = {}
+    for i, row in enumerate(full.signs):
+        first.setdefault(row.tobytes(), i)
+    kept = sorted(first.values())
+    assert table.lines.tolist() == full.lines[kept].tolist()
+    assert table.signs.tolist() == full.signs[kept].tolist()
+    assert len({row.tobytes() for row in table.signs}) == table.n_lines
+    assert (table.points, table.scale) == (full.points, full.scale)
+
+    index = st.integers(0, len(pts) - 1)
+    for idx in data.draw(st.lists(st.lists(index, min_size=1, max_size=8),
+                                  min_size=1, max_size=5)):
+        count, row = vf_of_indices(full, idx)
+        d_count, d_row = vf_of_indices(table, idx)
+        assert d_count == count
+        assert table.line_at(d_row) == full.line_at(row)
+    m = data.draw(st.integers(1, 6))
+    batch = np.array(data.draw(st.lists(st.lists(index, min_size=m, max_size=m),
+                                        min_size=1, max_size=20)), dtype=np.intp)
+    assert vf_batch(table, batch).tolist() == vf_batch(full, batch).tolist()
+
+
+def test_distinct_table_with_object_coefficients():
+    """Coordinates past the int64-safe bound take the object-array path."""
+    big = 2 ** 40
+    pts = (P(0, 0), P(big, 1), P(1, big), P(big, big), P(big // 2, big // 2), P(0, 0))
+    full = build_sign_table(pts)
+    assert full.lines.dtype == object
+    table = full.distinct()
+    assert table.n_lines < full.n_lines
+    idx = np.arange(len(pts))
+    count, row = vf_of_indices(full, idx)
+    d_count, d_row = vf_of_indices(table, idx)
+    assert (d_count, table.line_at(d_row)) == (count, full.line_at(row))
+
+
+# Values recorded from the code before sign tables were deduplicated: the
+# search and the exhaustive maximum must not move by a single proposal.
+
+def test_var_search_on_the_pyramid_is_unchanged():
+    bumps = make_bumps(BumpSpec.of(Fraction(1, 2), Fraction(1)))
+    grid = tuple(P(Fraction(i, 2) - 1, Fraction(j, 2) - 1)
+                 for j in range(5) for i in range(5))
+    f = SampledFunction(grid, tuple(bumps.pyramid(p) for p in grid))
+    est = var_search(f, SearchConfig(iters=3000, restarts=4, seed=2013))
+    assert est.value == 2
+    assert est.witness == (P(-1, 1), P(0, 0), P(1, -1))
+    assert est.witness_vf == 1
+    assert est.stats["proposals"] == 12000
+    assert est.stats["max_objective_seen"] == 2.0
+    assert (est.stats["table_rows"], est.stats["distinct_rows"]) == (1952, 684)
+
+
+SEVEN = (P(0, 0), P(3, 1), P(1, 4), P(5, 2), P(2, 6), P(6, 5), P(4, 7))
+SEVEN_VALUES = (Fraction(1, 2), Fraction(-3), Fraction(2), Fraction(5, 3), 0,
+                Fraction(-7, 4), Fraction(4))
+
+
+@pytest.mark.parametrize("max_len, value, order", [
+    (5, Fraction(113, 12), (2, 1, 3, 5, 6)),
+    (6, Fraction(137, 12), (2, 1, 3, 5, 6, 4)),
+])
+def test_var_exact_small_on_seven_points_is_unchanged(max_len, value, order):
+    est = var_exact_small(SampledFunction(SEVEN, SEVEN_VALUES), max_len=max_len)
+    assert est.value == value
+    assert est.witness == tuple(SEVEN[i] for i in order)
+    assert est.witness_vf == 2
+    assert (est.stats["table_rows"], est.stats["distinct_rows"]) == (426, 94)
