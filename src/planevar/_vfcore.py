@@ -34,6 +34,23 @@ family in its interior, so one family serves all sublists.
 
 Coordinates are scaled to integers once per point set; all candidate lines
 then have integer coefficients and every sign is an exact integer sign.
+
+Integer range
+-------------
+Let M be the largest |x| or |y| over the scaled points. Then
+
+* pair differences, and so pair normals, have components <= 2M; an interior
+  direction is the sum or difference of two pair normals or a pair normal
+  turned by a right angle, so every normal component is <= 4M (reducing by
+  a gcd only shrinks it);
+* projections u . q are <= 4M*M + 4M*M = 8M^2 in absolute value;
+* mid-gap lines (2a, 2b, t1 + t2) have coefficients <= 8M and offsets
+  <= 16M^2;
+* residuals a*x + b*y - c, and every partial sum of them, are
+  <= 8M*M + 8M*M + 16M^2 = 32M^2.
+
+So when 32M^2 <= 2^63 - 1 the whole build is exact in int64; otherwise the
+same vectorized code runs on object arrays of Python integers.
 """
 
 from __future__ import annotations
@@ -47,7 +64,8 @@ import numpy as np
 
 from .geom import Line, Point2
 
-_INT64_SAFE = 1 << 62
+_INT64_MAX = (1 << 63) - 1
+_SIGN_BLOCK = 4096     # rows of the residual matrix held at once
 
 
 # Defined here so that the sign-table size cap can raise a typed error;
@@ -109,26 +127,40 @@ def candidate_normals(int_points: list[tuple[int, int]]) -> list[tuple[int, int]
     return sorted(normals | extra)
 
 
-def _canon_line(a: int, b: int, c: int) -> tuple[int, int, int]:
-    g = math.gcd(math.gcd(abs(a), abs(b)), abs(c))
-    if g:
-        a, b, c = a // g, b // g, c // g
-    lead = a if a != 0 else b
-    if lead < 0:
-        a, b, c = -a, -b, -c
-    return a, b, c
+def _coeff_dtype(int_points: list[tuple[int, int]]):
+    """int64 when every residual provably fits, else object (Python integers).
+
+    For M = max scaled |coordinate|: normal components <= 4M, projections
+    <= 8M^2, mid-gap offsets <= 16M^2 and residuals <= 32M^2 (derived in the
+    module docstring, "Integer range"), so 32M^2 <= 2^63 - 1 keeps every
+    intermediate value of the build exact in int64.
+    """
+    m = max((max(abs(x), abs(y)) for x, y in int_points), default=0)
+    return np.int64 if 32 * m * m <= _INT64_MAX else object
 
 
-def candidate_lines(int_points: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
-    """Complete candidate family, lexicographically sorted integer triples."""
-    lines: set[tuple[int, int, int]] = set()
-    for a, b in candidate_normals(int_points):
-        projections = sorted({a * x + b * y for x, y in set(int_points)})
-        for t in projections:
-            lines.add(_canon_line(a, b, t))
-        for t1, t2 in zip(projections, projections[1:]):
-            lines.add(_canon_line(2 * a, 2 * b, t1 + t2))
-    return sorted(lines)
+def candidate_lines(int_points: list[tuple[int, int]]) -> np.ndarray:
+    """Complete candidate family: unique integer rows (a, b, c), sorted lexicographically.
+
+    The array is int64 or object (Python integers), as ``_coeff_dtype`` decides.
+    """
+    dtype = _coeff_dtype(int_points)
+    normals = np.array(candidate_normals(int_points), dtype=dtype)            # (N, 2)
+    pts = np.array(sorted(set(int_points)), dtype=dtype).reshape(-1, 2)       # (k, 2)
+    proj = np.sort(normals @ pts.T, axis=1)                                   # (N, k)
+    # offsets at the projections, then at the midpoints of the open gaps
+    on_point = np.column_stack([np.repeat(normals, len(pts), axis=0), proj.ravel()])
+    r, j = np.nonzero(proj[:, 1:] != proj[:, :-1])
+    mid_gap = np.column_stack([2 * normals[r], proj[r, j] + proj[r, j + 1]])
+    rows = np.concatenate([on_point, mid_gap])
+    # canonical form: divide by the gcd, then make the leading coefficient positive
+    rows //= np.gcd(np.gcd(rows[:, 0], rows[:, 1]), rows[:, 2])[:, None]
+    lead = np.where(rows[:, 0] != 0, rows[:, 0], rows[:, 1])
+    rows[lead < 0] *= -1
+    rows = rows[np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
 
 
 @dataclass(frozen=True)
@@ -176,25 +208,14 @@ def build_sign_table(points: tuple[Point2, ...]) -> SignTable:
         raise InstanceTooLarge(
             f"candidate family for {distinct} distinct points would hold ~{est} "
             f"lines; the exact machinery is meant for desk-scale samples")
-    rows = candidate_lines(int_pts)
-    max_abc = max(max(abs(a), abs(b), abs(c)) for a, b, c in rows)
-    max_xy = max((max(abs(x), abs(y)) for x, y in int_pts), default=0)
-    bound = 2 * max_abc * max(max_xy, 1) + max_abc
-    pts_mat = np.array([[x, y, 1] for x, y in int_pts]).T
-    if bound < _INT64_SAFE:
-        lines_arr = np.array(rows, dtype=np.int64)
-        coeff = lines_arr.copy()
-        coeff[:, 2] = -coeff[:, 2]
-        residuals = coeff @ pts_mat.astype(np.int64)
-        signs = np.sign(residuals).astype(np.int8)
-    else:
-        lines_arr = np.array(rows, dtype=object)
-        signs = np.empty((len(rows), len(int_pts)), dtype=np.int8)
-        for r, (a, b, c) in enumerate(rows):
-            for p, (x, y) in enumerate(int_pts):
-                v = a * x + b * y - c
-                signs[r, p] = 0 if v == 0 else (1 if v > 0 else -1)
-    return SignTable(points=points, scale=scale, lines=lines_arr, signs=signs)
+    lines = candidate_lines(int_pts)
+    # residual a*x + b*y - c of every line at every point, one block of rows at a time
+    pts_mat = np.array([[x, y, -1] for x, y in int_pts], dtype=lines.dtype).T
+    signs = np.empty((len(lines), len(int_pts)), dtype=np.int8)
+    for start in range(0, len(lines), _SIGN_BLOCK):
+        block = slice(start, start + _SIGN_BLOCK)
+        signs[block] = np.sign(lines[block] @ pts_mat)
+    return SignTable(points=points, scale=scale, lines=lines, signs=signs)
 
 
 def _crossing_mask(S: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planevar._vfcore import _counts_from_matrix, build_sign_table, vf_batch, vf_of_indices
+from planevar._vfcore import (
+    _counts_from_matrix,
+    build_sign_table,
+    candidate_lines,
+    candidate_normals,
+    vf_batch,
+    vf_of_indices,
+)
 from planevar.ctpp import BumpSpec, CtppFunction, make_bumps, validate_ctpp
-from planevar.geom import AffineMap, Line, P, Rectangle, grid_triangulation
+from planevar.geom import AffineMap, Line, P, Rectangle, grid_triangulation, side_of
 from planevar.suite import _crossing_count_reference
 from planevar.variation import (
     DomainTooSmall,
@@ -576,6 +584,101 @@ def test_distinct_table_with_object_coefficients():
     count, row = vf_of_indices(full, idx)
     d_count, d_row = vf_of_indices(table, idx)
     assert (d_count, table.line_at(d_row)) == (count, full.line_at(row))
+
+
+# --- candidate family and sign table ------------------------------------------
+
+def _canon_line_reference(a: int, b: int, c: int) -> tuple[int, int, int]:
+    g = math.gcd(a, b, c)
+    if g:
+        a, b, c = a // g, b // g, c // g
+    lead = a if a != 0 else b
+    if lead < 0:
+        a, b, c = -a, -b, -c
+    return a, b, c
+
+
+def _candidate_lines_reference(int_points) -> list[tuple[int, int, int]]:
+    """The per-line enumerator in Python integers: one canonical triple per offset, a set, a sort."""
+    lines: set[tuple[int, int, int]] = set()
+    for a, b in candidate_normals(int_points):
+        projections = sorted({a * x + b * y for x, y in set(int_points)})
+        for t in projections:
+            lines.add(_canon_line_reference(a, b, t))
+        for t1, t2 in zip(projections, projections[1:]):
+            lines.add(_canon_line_reference(2 * a, 2 * b, t1 + t2))
+    return sorted(lines)
+
+
+# Largest scaled |coordinate| for which every residual fits in int64 (32 M^2 <= 2^63 - 1).
+INT64_M = 2 ** 29 - 1
+
+
+@st.composite
+def int_point_lists(draw):
+    """1-12 integer points: repeats, collinear runs, one or two distinct points, huge offsets."""
+    small = st.integers(-4, 4)
+    shape = draw(st.sampled_from(["free", "one", "two", "run"]))
+    if shape == "one":
+        pts = [(draw(small), draw(small))] * draw(st.integers(1, 4))
+    elif shape == "two":
+        p, q = (draw(small), draw(small)), (draw(small), draw(small))
+        pts = draw(st.lists(st.sampled_from([p, q]), min_size=2, max_size=6))
+    else:
+        pts = draw(st.lists(st.tuples(small, small), min_size=1, max_size=12))
+        if shape == "run" and len(pts) >= 2 and pts[0] != pts[1]:
+            (x0, y0), (x1, y1) = pts[0], pts[1]
+            steps = draw(st.lists(st.integers(-3, 3), max_size=12 - len(pts)))
+            pts += [(x0 + t * (x1 - x0), y0 + t * (y1 - y0)) for t in steps]
+        pts += draw(st.lists(st.sampled_from(pts), max_size=12 - len(pts)))
+    stretch = draw(st.sampled_from([1, 7, 2 ** 20]))
+    offset = draw(st.sampled_from([0, INT64_M - 4 * 2 ** 20, INT64_M + 1, 2 ** 40]))
+    return [(offset + stretch * x, y - offset) for x, y in pts]
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_point_lists())
+def test_candidate_lines_match_the_reference_enumerator(pts):
+    lines = candidate_lines(pts)
+    assert lines.tolist() == [list(row) for row in _candidate_lines_reference(pts)]
+    m = max(max(abs(x), abs(y)) for x, y in pts)
+    assert lines.dtype == (np.int64 if m <= INT64_M else object)
+
+
+@pytest.mark.parametrize("m, dtype", [(INT64_M, np.int64), (INT64_M + 1, object)])
+def test_sign_table_dtype_switch_is_exact_on_both_sides(m, dtype):
+    """Just below the bound int64 residuals reach past 2^62; just above, Python integers."""
+    pts = (P(-m + 1, m), P(-(m // 2), m // 2), P(-1, -m + 1), P(-m, -m), P(m - 1, m),
+           P(-m, -m))
+    table = build_sign_table(pts)
+    assert table.lines.dtype == dtype
+    lines = [table.line_at(r) for r in range(table.n_lines)]
+    assert max(abs(line.residual(p)) for line in lines for p in pts) > 2 ** 62
+    for row, line in zip(table.signs, lines):
+        assert row.tolist() == [side_of(line, p).value for p in pts]
+
+
+def test_sign_table_peak_memory_stays_near_its_size():
+    """45 distinct points on a 1/32 lattice with a collinear run and repeats."""
+    rng = random.Random(45)
+    run = [(Fraction(t, 32) - 1, Fraction(2 * t, 32) - 2) for t in range(11)]
+    others: list = []
+    while len(others) < 34:
+        p = (Fraction(rng.randint(-128, 128), 32), Fraction(rng.randint(-128, 128), 32))
+        if p not in run and p not in others:
+            others.append(p)
+    lst = others[:20] + run + others[20:]
+    for _ in range(9):
+        lst.insert(rng.randint(0, len(lst)), rng.choice(lst))
+    pts = tuple(P(x, y) for x, y in lst)
+    tracemalloc.start()
+    try:
+        table = build_sign_table(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.n_lines > 100_000
+    assert peak < 3 * (table.signs.nbytes + table.lines.nbytes)
 
 
 # Values recorded from the code before sign tables were deduplicated: the
