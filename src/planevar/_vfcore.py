@@ -51,6 +51,29 @@ Let M be the largest |x| or |y| over the scaled points. Then
 
 So when 32M^2 <= 2^63 - 1 the whole build is exact in int64; otherwise the
 same vectorized code runs on object arrays of Python integers.
+
+Prefix sharing
+--------------
+``_crossing_mask`` decides segment j of a list by rules 1-4. Rules 1-3 read
+only positions j-1, j and j+1, so they give the same flag for segment j in
+every list that extends the first j+2 points. Only rule 4 (the end rule)
+depends on where the list stops. The count of a list of m >= 2 points is
+therefore the interior count of its first m-1 points (rules 1-3 on their
+segments 0..m-3) plus one last-segment term: rules 1-4 on segment m-2, which
+read the last three points. Interior counts extend the same way, one
+inner-segment term per level.
+
+``vf_batch`` tabulates these terms once per call for every point tuple, with
+one int16 row of L flags each (L lines in the sign table): rules 1+2 for a
+first segment over pairs, rules 1+3 for an inner segment over triples, and
+the same with rule 4 added for the last segment (over pairs when m = 2).
+The rules within a segment exclude one another, so OR-ing them gives the
+segment's crossing flag. The triple tables hold
+P^3 * L cells for P sample points; that stays small because the only caller,
+``variation.var_exact_small``, caps P at ``_EXACT_MAX_POINTS = 7``. A batch
+in lexicographic order, as ``var_exact_small`` builds it, lists the
+extensions of each prefix next to each other, so every distinct prefix is
+counted once and each list then costs one gather-add-max over its L rows.
 """
 
 from __future__ import annotations
@@ -255,12 +278,59 @@ def vf_of_indices(table: SignTable, idx) -> tuple[int, int]:
     return int(counts[row]), row
 
 
+def _codes(cols: np.ndarray, n_pts: int) -> np.ndarray:
+    """Row index into a table over point tuples: columns read as base-n_pts digits."""
+    code = cols[:, 0]
+    for j in range(1, cols.shape[1]):
+        code = code * n_pts + cols[:, j]
+    return code
+
+
 def vf_batch(table: SignTable, idx_batch: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    """Variation factors for a batch of equal-length index lists, shape (N,)."""
-    n_lists = idx_batch.shape[0]
+    """Variation factors for a batch of equal-length index lists, shape (N,).
+
+    Each list is counted as its prefix's interior count plus one last-segment
+    term ("Prefix sharing" in the module docstring). Within a block of
+    ``chunk`` lists, a run of rows with equal prefixes shares one interior
+    count, so a lexicographically ordered batch costs O(L) per list.
+    """
+    n_lists, m = idx_batch.shape
     out = np.empty(n_lists, dtype=np.int32)
+    if n_lists == 0:
+        return out
+    S = table.signs.T                                    # (P, L)
+    zero = S == 0
+    if m == 1:
+        out[:] = zero.any(axis=1)[idx_batch[:, 0]]       # single-point convention
+        return out
+    n_pts, n_rows = S.shape
+    count_dtype = np.int16 if m <= np.iinfo(np.int16).max else np.int32
+    # segment flags of _crossing_mask's rules over (previous, current, next) signs
+    opp = (S[:, None, :] * S[None, :, :]) < 0                           # rule 1, [cur, next]
+    end = ~zero[:, None, :] & zero[None, :, :]                          # rule 4, [cur, next]
+    first = opp | zero[:, None, :]                                       # rules 1 + 2
+    inner = opp[None] | (zero[None, :, None, :] & ~zero[:, None, None, :])  # rules 1 + 3
+    last = first | end if m == 2 else inner | end[None]
+    first, inner, last = (t.reshape(-1, n_rows).astype(count_dtype)
+                          for t in (first, inner, last))
+    tail = min(m, 3)
     for start in range(0, n_lists, chunk):
         block = idx_batch[start:start + chunk]
-        counts = _counts_from_matrix(table.signs[:, block])  # (L, B)
-        out[start:start + block.shape[0]] = counts.max(axis=0)
+        # interior counts of the distinct runs of prefixes, one level at a time;
+        # a prefix of one point has no interior segment
+        interior = np.zeros((1, n_rows), dtype=count_dtype)
+        grp = np.zeros(len(block), dtype=np.intp)
+        new = np.ones(len(block), dtype=bool)
+        new[1:] = block[1:, 0] != block[:-1, 0]
+        for level in range(2, m):
+            new[1:] |= block[1:, level - 1] != block[:-1, level - 1]
+            reps = np.flatnonzero(new)
+            lo = max(level - 3, 0)
+            term = np.take(first if level == 2 else inner,
+                           _codes(block[reps, lo:level], n_pts), axis=0)
+            interior = np.take(interior, grp[reps], axis=0) + term
+            grp = np.cumsum(new) - 1
+        counts = np.take(interior, grp, axis=0)
+        counts += np.take(last, _codes(block[:, m - tail:], n_pts), axis=0)
+        out[start:start + len(block)] = counts.max(axis=1)
     return out

@@ -14,6 +14,7 @@ Exit code 0 on success; 2 on validation errors, with one machine-readable
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -450,10 +451,15 @@ def build_parser() -> _Parser:
     return p
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built by the first main call and reused: parse_args keeps no state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -400,9 +400,6 @@ class Rectangle:
     def centre(self) -> Point2:
         return Point2((self.x_min + self.x_max) / 2, (self.y_min + self.y_max) / 2)
 
-    def to_polygon(self) -> Polygon:
-        return Polygon(self.corners())
-
 
 # ---------------------------------------------------------------------------
 # triangulations

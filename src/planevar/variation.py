@@ -111,11 +111,6 @@ class SampledFunction:
         pts, vals = zip(*pairs)
         return SampledFunction(tuple(pts), tuple(vals))
 
-    @staticmethod
-    def from_callable(points, fn) -> "SampledFunction":
-        pts = tuple(points)
-        return SampledFunction(pts, tuple(fn(p) for p in pts))
-
     def value(self, p: Point2):
         idx = self._index.get(p)  # type: ignore[attr-defined]
         if idx is None:
@@ -286,10 +281,11 @@ _EXACT_MAX_POINTS = 7
 _EXACT_MAX_LEN = 6
 
 
-def _index_sequences(k: int, m: int) -> np.ndarray:
-    if m == 1:
-        return np.arange(k, dtype=np.intp).reshape(-1, 1)
-    prev = _index_sequences(k, m - 1)
+def _extend_sequences(prev: np.ndarray, k: int) -> np.ndarray:
+    """Each row of ``prev`` followed by every index in range(k) other than its last.
+
+    Rows come out in lexicographic order when ``prev``'s rows are.
+    """
     n = prev.shape[0]
     rep = np.repeat(prev, k, axis=0)
     last = np.tile(np.arange(k, dtype=np.intp), n)
@@ -332,8 +328,10 @@ def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
     per_len: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     best_float = 0.0
     top = 1 if k == 1 else max_len
+    seqs = np.arange(k, dtype=np.intp).reshape(-1, 1)
     for m in range(1, top + 1):
-        seqs = _index_sequences(k, m)
+        if m > 1:
+            seqs = _extend_sequences(seqs, k)
         vf = _vfcore.vf_batch(table, seqs)
         if m == 1:
             cv = np.zeros(len(seqs))

@@ -65,6 +65,23 @@ def test_var_search_deterministic(square_fx, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_repeated_main_calls_keep_no_parser_state(square_fx, capsys):
+    """Later calls see defaults again, as a fresh process does."""
+    search = ["var", "--fn", square_fx, "--mode", "search", "--restarts", "2",
+              "--iters", "30"]
+    code, fresh, _ = run_cli(*search)
+    assert code == 0
+    assert main(search + ["--seed", "5"]) == 0
+    seeded = capsys.readouterr().out
+    assert seeded != fresh
+    assert main(search) == 0
+    assert capsys.readouterr().out == fresh
+    assert main(search + ["--restarts", "two"]) == 2
+    assert capsys.readouterr().err.startswith("error:BadArguments:")
+    assert main(search) == 0
+    assert capsys.readouterr().out == fresh
+
+
 def test_example_var1d_roundtrip(tmp_path, capsys):
     f = tmp_path / "c.json"
     assert main(["example", "--kind", "cantor", "--n", "4", "--out", str(f)]) == 0

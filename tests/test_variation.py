@@ -1,5 +1,6 @@
 """Curve variation, variation factors, and the 2-D variation estimates."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planevar import _vfcore
 from planevar._vfcore import (
     _counts_from_matrix,
     build_sign_table,
@@ -22,6 +24,7 @@ from planevar.ctpp import BumpSpec, CtppFunction, make_bumps, validate_ctpp
 from planevar.geom import AffineMap, Line, P, Rectangle, grid_triangulation, side_of
 from planevar.suite import _crossing_count_reference
 from planevar.variation import (
+    _extend_sequences,
     DomainTooSmall,
     InstanceTooLarge,
     MismatchedEstimate,
@@ -713,3 +716,105 @@ def test_var_exact_small_on_seven_points_is_unchanged(max_len, value, order):
     assert est.witness == tuple(SEVEN[i] for i in order)
     assert est.witness_vf == 2
     assert (est.stats["table_rows"], est.stats["distinct_rows"]) == (426, 94)
+
+
+# --- prefix-shared batch kernel -----------------------------------------------
+
+def _batch_oracle(table, seqs):
+    """The gather-and-mask count: every list rebuilt from all of its segments."""
+    return _counts_from_matrix(table.signs[:, seqs]).max(axis=0)
+
+
+def _sequences(k, m):
+    seqs = np.arange(k, dtype=np.intp).reshape(-1, 1)
+    for _ in range(m - 1):
+        seqs = _extend_sequences(seqs, k)
+    return seqs
+
+
+def test_extend_sequences_lists_every_sequence_in_lex_order():
+    for k in range(1, 6):
+        for m in range(1, 6):
+            seqs = _sequences(k, m)
+            expected = [list(s) for s in itertools.product(range(k), repeat=m)
+                        if all(a != b for a, b in zip(s, s[1:]))]
+            assert seqs.dtype == np.intp
+            assert seqs.shape == (len(expected), m)
+            assert seqs.tolist() == expected
+
+
+KERNEL_SAMPLES = {
+    "general": SEVEN,
+    "collinear": tuple(P(i, 2 * i - 3) for i in range(7)),
+    "lattice": tuple(P(i % 3, i // 3) for i in range(7)),
+}
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+@pytest.mark.parametrize("name", KERNEL_SAMPLES)
+def test_vf_batch_matches_the_gather_oracle_up_to_the_caps(name, distinct):
+    """Every index list of up to 6 points over the first k <= 7 sample points."""
+    for k in range(1, 8):
+        table = build_sign_table(KERNEL_SAMPLES[name][:k])
+        if distinct:
+            table = table.distinct()
+        for m in range(1, 7):
+            seqs = _sequences(k, m)
+            if len(seqs):
+                assert vf_batch(table, seqs).tolist() == _batch_oracle(table, seqs).tolist()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+@pytest.mark.parametrize("name", KERNEL_SAMPLES)
+def test_vf_batch_on_shuffled_and_repeating_batches(name, chunk):
+    table = build_sign_table(KERNEL_SAMPLES[name])
+    rng = np.random.default_rng(chunk)
+    for m in range(1, 7):
+        seqs = _sequences(7, m)
+        shuffled = seqs[rng.permutation(len(seqs))[:400]]
+        # few distinct indices: equal adjacent indices, repeated rows, and
+        # (after the sort) long runs of equal prefixes
+        repeating = rng.integers(0, 3, size=(400, m)).astype(np.intp)
+        ordered = repeating[np.lexsort(repeating.T[::-1])]
+        for batch in (shuffled, repeating, ordered):
+            got = vf_batch(table, batch, chunk=chunk)
+            assert got.dtype == np.int32
+            assert got.tolist() == _batch_oracle(table, batch).tolist()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+def test_vf_batch_on_an_empty_batch(m):
+    table = build_sign_table(SEVEN)
+    got = vf_batch(table, np.empty((0, m), dtype=np.intp))
+    assert got.dtype == np.int32 and got.shape == (0,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(coords, coords), min_size=1, max_size=7, unique=True), st.data())
+def test_vf_batch_matches_the_gather_oracle_on_random_samples(pts, data):
+    full = build_sign_table(tuple(P(x, y) for x, y in pts))
+    index = st.integers(0, len(pts) - 1)
+    m = data.draw(st.integers(1, 6))
+    batch = np.array(data.draw(st.lists(st.lists(index, min_size=m, max_size=m),
+                                        min_size=1, max_size=60)), dtype=np.intp)
+    ordered = batch[np.lexsort(batch.T[::-1])]
+    chunk = data.draw(st.sampled_from([1, 3, 4096]))
+    for table in (full, full.distinct()):
+        for b in (batch, ordered):
+            assert vf_batch(table, b, chunk=chunk).tolist() == _batch_oracle(table, b).tolist()
+
+
+def test_var_exact_small_calls_vf_batch_once_per_length(monkeypatch):
+    """The benchmark reads vf_batch's second argument as the batch of lists."""
+    shapes = []
+    kernel = _vfcore.vf_batch
+
+    def spy(table, idx_batch, *args, **kwargs):
+        shapes.append((idx_batch.shape, idx_batch.dtype))
+        return kernel(table, idx_batch, *args, **kwargs)
+
+    monkeypatch.setattr(_vfcore, "vf_batch", spy)
+    var_exact_small(SampledFunction(SEVEN, SEVEN_VALUES), max_len=6)
+    assert [shape[1] for shape, _ in shapes] == [1, 2, 3, 4, 5, 6]
+    assert all(dtype == np.intp for _, dtype in shapes)
+    assert sum(shape[0] for shape, _ in shapes) == 65_317
