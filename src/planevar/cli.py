@@ -30,7 +30,8 @@ from .variation import (
     vf_exact,
     vf_line,
 )
-from .onedim import OnedimError, RealSample, ac_modulus, iota_extend, make_example, var_1d
+from .onedim import (_EXAMPLE_KINDS, OnedimError, RealSample, ac_modulus, iota_extend,
+                     make_example, var_1d)
 from .ctpp import CtppError, classify_point, extend_to_polygon, interpolate_grid, validate_ctpp
 from .approx import BUILTIN_ORACLES, ApproxError, C2Oracle, bernstein2, c2_to_poly, match_points
 from .joins import ConvexCurve, JoinsError, SectorSpec, graph_fill, join_report, pasting_extend, sector_fill
@@ -429,9 +430,7 @@ def build_parser() -> _Parser:
     j.set_defaults(func=_cmd_join_paste)
 
     sp = sub.add_parser("example", help="standard example generators")
-    sp.add_argument("--kind", required=True,
-                    choices=["reciprocal-alternating", "reciprocal-odd",
-                             "reciprocal-even", "cantor", "one-over-n"])
+    sp.add_argument("--kind", required=True, choices=list(_EXAMPLE_KINDS))
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_example)

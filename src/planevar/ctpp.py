@@ -604,8 +604,9 @@ def triangle_lipschitz_report(g: CtppFunction) -> list[PieceBound]:
         vert_vals = [c.eval(v) for v in t.vertices]
         exact = all_exact(vert_vals + [c.a, c.b])
         sup = max(magnitudes(vert_vals))
-        key = tuple(sorted((float(t.v0.x), float(t.v0.y), float(t.v1.x), float(t.v1.y),
-                            float(t.v2.x), float(t.v2.y))))
+        # the inradius does not change under translation; the edge vectors name
+        # the triangle up to it
+        key = (t.v1.x - t.v0.x, t.v1.y - t.v0.y, t.v2.x - t.v0.x, t.v2.y - t.v0.y)
         r = radius_cache.get(key)
         if r is None:
             r = inradius(t)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .geom import AffineMap, Point2, Rectangle, cross, dot, to_fraction
 from .onedim import RealFunction1D, RealSample, iota_extend, var_1d
 from .variation import (
+    _EXACT_MAX_POINTS,
     SampledFunction,
     SearchConfig,
     VarEstimate,
@@ -112,7 +113,7 @@ def pullback_certificate(f: SampledFunction, curve: ConvexCurve,
     """Certify var(pullback) <= 2 * var(f on graph) with exact values."""
     fhat = psi_pullback(f, curve)
     v1 = var_1d(fhat)
-    est = _best_estimate(f, "exact", max_len, 0)
+    est = best_estimate(f, "exact", max_len, 0)
     return PullbackCertificate(var_1d=v1, var_graph=est.value,
                                factor_ok=v1 <= 2 * est.value,
                                graph_estimate=est)
@@ -335,8 +336,9 @@ class JoinReport:
     estimates: tuple[VarEstimate, VarEstimate, VarEstimate]
 
 
-def _best_estimate(f: SampledFunction, mode: str, max_len: int,
-                   seed: int) -> VarEstimate:
+def best_estimate(f: SampledFunction, mode: str, max_len: int,
+                  seed: int) -> VarEstimate:
+    """Exact on collinear samples; otherwise exhaustive ("exact") or annealed."""
     if is_collinear(f.points):
         return var_collinear(f)
     if mode == "exact":
@@ -358,13 +360,13 @@ def join_report(f: SampledFunction, sigma1, sigma2, mode: str = "exact",
         raise DomainMismatch("sigma1 union sigma2 must equal the sample domain")
     if mode == "exact":
         for part in (s1, s2, f.points):
-            if not is_collinear(part) and len(part) > 7:
+            if not is_collinear(part) and len(part) > _EXACT_MAX_POINTS:
                 raise InstanceTooLarge(
                     "exact join report needs <= 7 points per non-collinear set")
     joins = joins_convexly_on_sample(s1, s2)
-    e1 = _best_estimate(f.restrict(s1), mode, max_len, seed)
-    e2 = _best_estimate(f.restrict(s2), mode, max_len, seed)
-    eu = _best_estimate(f, mode, max_len, seed)
+    e1 = best_estimate(f.restrict(s1), mode, max_len, seed)
+    e2 = best_estimate(f.restrict(s2), mode, max_len, seed)
+    eu = best_estimate(f, mode, max_len, seed)
     all_exact = e1.exact and e2.exact and eu.exact
     lower_ok = max(e1.value, e2.value) <= eu.value
     upper_ok = (eu.value <= e1.value + e2.value) if all_exact else None

@@ -38,7 +38,6 @@ from .variation import (
     PlanarCoeffs,
     SampledFunction,
     SearchConfig,
-    var_collinear,
     var_exact_small,
     var_planar,
     var_search,
@@ -63,7 +62,7 @@ from .ctpp import (
     triangle_lipschitz_report,
 )
 from .approx import BUILTIN_ORACLES, C2Oracle, Poly2, c2_to_poly, grid_lipschitz, match_points
-from .joins import ConvexCurve, joins_convexly_on_sample, psi_pullback
+from .joins import ConvexCurve, best_estimate, joins_convexly_on_sample, psi_pullback
 from .onedim import bv_norm_1d
 
 
@@ -293,21 +292,14 @@ def criterion_04(seed_seq) -> CriterionResult:
     t0 = time.time()
     rng = np.random.default_rng(seed_seq)
     lower_bad = upper_bad = joins_bad = 0
-    from .variation import is_collinear
-
-    def exact_var(f: SampledFunction):
-        if is_collinear(f.points):
-            return var_collinear(f).value
-        return var_exact_small(f, max_len=5).value
-
     for trial in range(200):
         f, s1, s2 = _join_instance(rng, trial % 3)
         if not joins_convexly_on_sample(s1, s2):
             joins_bad += 1
             continue
-        v1 = exact_var(f.restrict(s1))
-        v2 = exact_var(f.restrict(s2))
-        vu = exact_var(f)
+        v1 = best_estimate(f.restrict(s1), "exact", 5, 0).value
+        v2 = best_estimate(f.restrict(s2), "exact", 5, 0).value
+        vu = best_estimate(f, "exact", 5, 0).value
         if max(v1, v2) > vu:
             lower_bad += 1
         if vu > v1 + v2:

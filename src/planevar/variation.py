@@ -270,7 +270,7 @@ def var_collinear(f: SampledFunction) -> VarEstimate:
     witness = tuple(ordered)
     value = cvar(f, witness)
     vf = vf_exact(witness).vf
-    return VarEstimate(value=value if vf == 1 else value / vf, witness=witness,
+    return VarEstimate(value=value / vf, witness=witness,
                        witness_vf=vf, exact=True, method="onedim")
 
 
@@ -308,10 +308,14 @@ def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
     """Exact maximum of cvar/vf over all lists of at most ``max_len`` points.
 
     The value is exact with respect to the length cap (a certified lower
-    bound for the full supremum). A vectorized floating pass ranks all
-    candidate lists; every list within a 1e-9 relative window of the float
-    maximum is then re-evaluated in exact arithmetic, which is sound because
-    the float evaluation error of these short sums is ~1e-15 relative.
+    bound for the full supremum). A vectorized floating pass scores the
+    lists level by level: each list of length m is a list of length m - 1
+    plus one index (``_extend_sequences`` extends every row k - 1 ways, in
+    order), so its curve variation is its prefix's plus one jump, the same
+    left-to-right sum as adding all m - 1 jumps. Every list within a 1e-9
+    relative window of the float maximum is then rechecked through
+    ``jump_sum`` in exact arithmetic, which is sound because the float
+    evaluation error of these short sums is ~1e-15 relative.
     """
     k = len(f.points)
     if k > _EXACT_MAX_POINTS:
@@ -326,53 +330,28 @@ def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
     diff = _diff_matrix(f)
 
     per_len: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    best_float = 0.0
     top = 1 if k == 1 else max_len
     seqs = np.arange(k, dtype=np.intp).reshape(-1, 1)
+    cv = np.zeros(k)
     for m in range(1, top + 1):
         if m > 1:
             seqs = _extend_sequences(seqs, k)
+            cv = np.repeat(cv, k - 1) + diff[seqs[:, -2], seqs[:, -1]]
         vf = _vfcore.vf_batch(table, seqs)
-        if m == 1:
-            cv = np.zeros(len(seqs))
-        else:
-            cv = diff[seqs[:, :-1], seqs[:, 1:]].sum(axis=1)
-        obj = cv / np.maximum(vf, 1)
-        per_len.append((seqs, vf, obj))
-        if len(obj):
-            best_float = max(best_float, float(obj.max()))
+        per_len.append((seqs, vf, cv / np.maximum(vf, 1)))
+    best_float = max(float(obj.max()) for _, _, obj in per_len)
 
     threshold = best_float - 1e-9 * (1.0 + abs(best_float))
     rational = f.is_rational_real
-    if rational:
-        exact_diff = {}
-        for i in range(k):
-            for j in range(k):
-                exact_diff[(i, j)] = abs(f.values[i] - f.values[j])
-
-    best_value = None
-    best_key = None
-    best_seq = None
-    best_vf = 1
+    candidates = []
     for seqs, vf, obj in per_len:
         for row in np.nonzero(obj >= threshold)[0]:
             seq = tuple(int(v) for v in seqs[row])
             v = int(vf[row])
-            if rational:
-                total = sum((exact_diff[(seq[i], seq[i - 1])] for i in range(1, len(seq))),
-                            Fraction(0))
-                val = total / v
-            else:
-                val = float(obj[row])
-            key = _witness_key(f, val, seq)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_value = val
-                best_seq = seq
-                best_vf = v
-    assert best_seq is not None
-    witness = tuple(f.points[i] for i in best_seq)
-    return VarEstimate(value=best_value, witness=witness, witness_vf=best_vf,
+            val = jump_sum(f.values[i] for i in seq) / v if rational else float(obj[row])
+            candidates.append((_witness_key(f, val, seq), val, seq, v))
+    _, value, seq, vf = min(candidates)
+    return VarEstimate(value=value, witness=tuple(f.points[i] for i in seq), witness_vf=vf,
                        exact=True, method="exhaustive_small",
                        stats={"table_rows": full.n_lines, "distinct_rows": table.n_lines})
 
@@ -405,11 +384,11 @@ def _anneal_once(table, diff, k, cfg: SearchConfig, seed_entropy) -> dict:
     start = int(np.argmax(diff))
     cur = [start // k, start % k]
     if cur[0] == cur[1]:
-        cur = [0, 1 % k] if k > 1 else [0]
+        cur = [0, 1]
 
     def evaluate(idx):
         vf, _ = _vfcore.vf_of_indices(table, idx)
-        cv = float(diff[idx[:-1], idx[1:]].sum()) if len(idx) > 1 else 0.0
+        cv = float(diff[idx[:-1], idx[1:]].sum())
         return cv / max(vf, 1), vf
 
     cur_arr = np.asarray(cur, dtype=np.intp)
@@ -519,9 +498,8 @@ def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEst
     results = [_anneal_once(table, diff, k, cfg, s) for s in children]
     best = min(results, key=lambda r: _witness_key(f, r["obj"], r["idx"]))
     witness = tuple(f.points[i] for i in best["idx"])
-    exact_cv = cvar(f, witness)
     vf = best["vf"]
-    value = exact_cv / vf if vf > 1 else exact_cv
+    value = cvar(f, witness) / vf
     stats = {
         "proposals": int(sum(r["proposals"] for r in results)),
         "max_objective_seen": float(max(r["max_seen"] for r in results)),

@@ -365,3 +365,13 @@ def test_suite_failed_out_prints_nothing(tmp_path):
     code, out, err = run_cli("suite", "paper", "--only", "12", "--out", str(target))
     assert_single_error(code, err, "BadInputFile")
     assert out == ""
+
+
+def test_example_kind_error_lists_the_kinds_in_order(capsys):
+    assert main(["example", "--kind", "nope", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error:BadArguments:argument --kind: invalid choice: 'nope' (choose from "
+        "'reciprocal-alternating', 'reciprocal-odd', 'reciprocal-even', 'cantor', "
+        "'one-over-n')\n")

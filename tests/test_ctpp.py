@@ -290,6 +290,24 @@ class TestTriangleBound:
         diam = math.sqrt(float(sample.diameter_sq()))
         assert float(est.value) <= diam * lip + 1e-9
 
+    @pytest.mark.parametrize("thin_first", [True, False])
+    def test_radius_cache_tells_apart_triangles_with_equal_coordinates(self, thin_first):
+        """Both triangles use the coordinates 0..5 once each, inradii 0.0998 and 0.592."""
+        thin = (P(0, 2), P(1, 3), P(4, 5))
+        fat = (P(0, 1), P(2, 5), P(3, 4))
+        # 0 on the thin triangle's long side, 1 at (1, 3): the steepest plane it allows
+        steep = solve_plane(*thin, Fraction(0), Fraction(1), Fraction(0))
+        flat = PlanarCoeffs(Fraction(0), Fraction(0), Fraction(1))
+        order = [(thin, steep), (fat, flat)]
+        if not thin_first:
+            order.reverse()
+        verts = tuple(v for tri, _ in order for v in tri)
+        g = CtppFunction(tri=Triangulation(verts, ((0, 1, 2), (3, 4, 5))),
+                         coeffs=tuple(c for _, c in order))
+        assert [r.ok for r in triangle_lipschitz_report(g)] == [True, True]
+        alone = CtppFunction(tri=Triangulation(thin, ((0, 1, 2),)), coeffs=(steep,))
+        assert [r.ok for r in triangle_lipschitz_report(alone)] == [True]
+
 
 def test_vector_space_closure_lazy_sum():
     g1 = interpolate_grid(lambda v: v.x, RECT01, 2)

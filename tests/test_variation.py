@@ -22,7 +22,7 @@ from planevar._vfcore import (
 )
 from planevar.ctpp import BumpSpec, CtppFunction, make_bumps, validate_ctpp
 from planevar.geom import AffineMap, Line, P, Rectangle, grid_triangulation, side_of
-from planevar.suite import _crossing_count_reference
+from planevar.suite import _crossing_count_reference, vf_pattern_oracle
 from planevar.variation import (
     _extend_sequences,
     DomainTooSmall,
@@ -716,6 +716,51 @@ def test_var_exact_small_on_seven_points_is_unchanged(max_len, value, order):
     assert est.witness == tuple(SEVEN[i] for i in order)
     assert est.witness_vf == 2
     assert (est.stats["table_rows"], est.stats["distinct_rows"]) == (426, 94)
+
+
+# Recorded before the float pass extended curve variation by prefix: any bit
+# drift in the float objective moves these values (summing each list's jumps in
+# ascending order instead of along the list changes both).
+SEVEN_COMPLEX = (2.89 + 3.72j, 3.24 + 0.55j, 1.71 - 2.31j, 2.65 + 0.59j, -1.72 - 3.49j,
+                 2.83 + 3.92j, -3.29 + 2.4j)
+
+
+@pytest.mark.parametrize("max_len, value, order", [
+    (5, "12.177126042161847", (0, 4, 6, 5, 1)),
+    (6, "13.741763799614821", (1, 0, 4, 6, 5, 3)),
+])
+def test_var_exact_small_float_path_on_seven_points_is_unchanged(max_len, value, order):
+    est = var_exact_small(SampledFunction(SEVEN, SEVEN_COMPLEX), max_len=max_len)
+    assert repr(est.value) == value
+    assert est.witness == tuple(SEVEN[i] for i in order)
+    assert est.witness_vf == 2
+
+
+def _var_exact_small_oracle(f, max_len):
+    """(value, witness, witness_vf) by scoring every list with the pattern oracle."""
+    best = None
+    for m in range(1, max_len + 1):
+        for seq in itertools.product(range(len(f.points)), repeat=m):
+            if any(a == b for a, b in zip(seq, seq[1:])):
+                continue
+            pts = tuple(f.points[i] for i in seq)
+            vf = vf_pattern_oracle(pts)
+            value = cvar(f, pts) / vf
+            key = (-value, m, tuple((p.x, p.y) for p in pts))
+            if best is None or key < best[0]:
+                best = (key, value, pts, vf)
+    return best[1:]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(coords, coords), min_size=1, max_size=4, unique=True),
+       st.data())
+def test_var_exact_small_matches_the_pattern_oracle(pts, data):
+    values = data.draw(st.lists(fractions, min_size=len(pts), max_size=len(pts)))
+    f = SampledFunction(tuple(P(x, y) for x, y in pts), tuple(values))
+    max_len = data.draw(st.integers(1, 4))
+    est = var_exact_small(f, max_len)
+    assert (est.value, est.witness, est.witness_vf) == _var_exact_small_oracle(f, max_len)
 
 
 # --- prefix-shared batch kernel -----------------------------------------------
