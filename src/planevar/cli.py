@@ -290,9 +290,16 @@ def _cmd_suite(args) -> int:
     if args.target != "paper":
         raise BadInputFile(f"unknown suite {args.target!r}; only 'paper' exists")
     only = _parse_criteria(args.only)
+    if args.seed < 0:
+        raise BadInputFile(f"--seed must be >= 0, got {args.seed}")
     # create the output file first, so a bad path fails before any criterion runs
     _write(args.out, "")
-    results = run_suite(seed=args.seed, only=only, verbose=True)
+    results = []
+    for res in run_suite(seed=args.seed, only=only):
+        status = "pass" if res.passed else "FAIL"
+        print(f"criterion {res.cid:2d} {res.name:32s} {status}  "
+              f"[{res.seconds:6.2f}s] {res.detail}")
+        results.append(res)
     _write(args.out, suite_csv(results))
     return 0 if all(r.passed for r in results) else 1
 

@@ -8,8 +8,14 @@ divergent alternating-reciprocal example, first- and second-order
 approximation error chains, exact point matching, the Cantor modulus
 diagnostic, and the per-triangle gradient bound.
 
-Randomness: one root seed; criterion k draws from the k-th spawn of the root
-seed sequence, so criteria are reproducible individually and as a set.
+Each criterion is a plain check ``criterion_NN(rng, registry) -> (passed,
+detail)``. ``run_suite`` is the one harness: it seeds, names and times every
+criterion and wraps its verdict in a ``CriterionResult``. Criterion k gets a
+generator on the k-th spawn of the root seed sequence, so criteria are
+reproducible individually and as a set. ``registry`` is the run's list of
+piecewise-planar functions: criteria 7, 9 and 11 append the functions they
+build, and criterion 13 checks all of them (the pyramid alone when the list
+is empty, as under ``--only 13``).
 
 The pair-line pattern oracle used by criterion 2 is an independent
 implementation: it enumerates achievable sign patterns as pair lines plus
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -155,10 +162,8 @@ def vf_pattern_oracle(points) -> int:
 
 # ---------------------------------------------------------------------------
 
-def criterion_01(seed_seq) -> CriterionResult:
+def criterion_01(rng, registry) -> tuple[bool, str]:
     """vf monotone under insertion, and 1 <= vf <= n, on 10^4 random instances."""
-    t0 = time.time()
-    rng = np.random.default_rng(seed_seq)
     trials = 10_000
     violations = 0
     bound_violations = 0
@@ -177,16 +182,12 @@ def criterion_01(seed_seq) -> CriterionResult:
         if not (1 <= vf_s <= max(n, 1)) or not (1 <= vf_p <= n + 1):
             bound_violations += 1
     ok = violations == 0 and bound_violations == 0
-    return CriterionResult(1, "vf_insertion_monotonicity", ok,
-                           f"trials={trials} violations={violations} "
-                           f"bound_violations={bound_violations}",
-                           time.time() - t0)
+    return ok, (f"trials={trials} violations={violations} "
+                f"bound_violations={bound_violations}")
 
 
-def criterion_02(seed_seq) -> CriterionResult:
+def criterion_02(rng, registry) -> tuple[bool, str]:
     """vf_exact equals the pattern oracle and dominates 1e5 random lines per list."""
-    t0 = time.time()
-    rng = np.random.default_rng(seed_seq)
     lists = 500
     lines_per_list = 100_000
     mismatches = 0
@@ -223,16 +224,12 @@ def criterion_02(seed_seq) -> CriterionResult:
         if int(counts.max()) > vf_prod:
             random_line_excess += 1
     ok = mismatches == 0 and random_line_excess == 0
-    return CriterionResult(2, "vf_oracle_agreement", ok,
-                           f"lists={lists} oracle_mismatches={mismatches} "
-                           f"random_line_excess={random_line_excess}",
-                           time.time() - t0)
+    return ok, (f"lists={lists} oracle_mismatches={mismatches} "
+                f"random_line_excess={random_line_excess}")
 
 
-def criterion_03(seed_seq) -> CriterionResult:
+def criterion_03(rng, registry) -> tuple[bool, str]:
     """var_exact_small equals max-min for planar data, 100 random instances."""
-    t0 = time.time()
-    rng = np.random.default_rng(seed_seq)
     bad = 0
     for _ in range(100):
         k = int(rng.integers(2, 8))
@@ -247,8 +244,7 @@ def criterion_03(seed_seq) -> CriterionResult:
         est = var_exact_small(f, max_len=4)
         if est.value != var_planar(coeffs, pts):
             bad += 1
-    return CriterionResult(3, "planar_formula", bad == 0,
-                           f"instances=100 mismatches={bad}", time.time() - t0)
+    return bad == 0, f"instances=100 mismatches={bad}"
 
 
 def _join_instance(rng, family: int):
@@ -287,10 +283,8 @@ def _join_instance(rng, family: int):
     return f, s1, s2
 
 
-def criterion_04(seed_seq) -> CriterionResult:
+def criterion_04(rng, registry) -> tuple[bool, str]:
     """Two-sided variation-join inequality on 200 convexly-joining instances."""
-    t0 = time.time()
-    rng = np.random.default_rng(seed_seq)
     lower_bad = upper_bad = joins_bad = 0
     for trial in range(200):
         f, s1, s2 = _join_instance(rng, trial % 3)
@@ -305,16 +299,12 @@ def criterion_04(seed_seq) -> CriterionResult:
         if vu > v1 + v2:
             upper_bad += 1
     ok = lower_bad == 0 and upper_bad == 0 and joins_bad == 0
-    return CriterionResult(4, "variation_join", ok,
-                           f"instances=200 lower_violations={lower_bad} "
-                           f"upper_violations={upper_bad} non_joining={joins_bad}",
-                           time.time() - t0)
+    return ok, (f"instances=200 lower_violations={lower_bad} "
+                f"upper_violations={upper_bad} non_joining={joins_bad}")
 
 
-def criterion_05(seed_seq) -> CriterionResult:
+def criterion_05(rng, registry) -> tuple[bool, str]:
     """Gap-extension isometry: var unchanged on 200 random 1-D instances."""
-    t0 = time.time()
-    rng = np.random.default_rng(seed_seq)
     bad = 0
     for _ in range(200):
         k = int(rng.integers(2, 9))
@@ -328,13 +318,11 @@ def criterion_05(seed_seq) -> CriterionResult:
         ext = iota_extend(f, None, RealSample(tuple(grid)))
         if var_1d(ext) != var_1d(f):
             bad += 1
-    return CriterionResult(5, "iota_isometry", bad == 0,
-                           f"instances=200 mismatches={bad}", time.time() - t0)
+    return bad == 0, f"instances=200 mismatches={bad}"
 
 
-def criterion_06(seed_seq) -> CriterionResult:
+def criterion_06(rng, registry) -> tuple[bool, str]:
     """Convex-graph pullback numbers: variation 1 on the graph, 2 after pullback."""
-    t0 = time.time()
     knots = [(-1, 1), (Fraction(-1, 2), Fraction(1, 2)), (0, 0),
              (Fraction(1, 2), Fraction(1, 2)), (1, 1)]
     curve = ConvexCurve.of(knots)
@@ -343,41 +331,34 @@ def criterion_06(seed_seq) -> CriterionResult:
     v_graph = var_exact_small(f, max_len=5).value
     v_pull = var_1d(psi_pullback(f, curve))
     ok = v_graph == 1 and v_pull == 2
-    return CriterionResult(6, "graph_pullback_factor_two", ok,
-                           f"var_graph={v_graph} var_pullback={v_pull}",
-                           time.time() - t0)
+    return ok, f"var_graph={v_graph} var_pullback={v_pull}"
 
 
-def criterion_07(seed_seq, registry=None) -> CriterionResult:
+def criterion_07(rng, registry) -> tuple[bool, str]:
     """Bump norms: plateau norm 3 exactly; pyramid search in [2, 4] over 1e6 proposals."""
-    t0 = time.time()
     bumps = make_bumps(BumpSpec.of(Fraction(1, 2), Fraction(1)))
     norm = bv_norm_1d(bumps.g_s_function())
     grid = tuple(P(Fraction(i, 2) - 1, Fraction(j, 2) - 1)
                  for j in range(5) for i in range(5))
     fb = SampledFunction(grid, tuple(bumps.pyramid(p) for p in grid))
-    seed = int(np.random.default_rng(seed_seq).integers(2**31))
+    seed = int(rng.integers(2**31))
     est = var_search(fb, SearchConfig(iters=125_000, restarts=8, seed=seed))
     proposals = est.stats["proposals"]
     max_seen = est.stats["max_objective_seen"]
-    if registry is not None:
-        registry.append(pyramid_ctpp())
+    registry.append(pyramid_ctpp())
     ok = norm == 3 and est.value >= 2 and max_seen <= 4.0 and proposals >= 1_000_000
-    return CriterionResult(7, "bump_norms", ok,
-                           f"plateau_norm={norm} pyramid_lower={fmt(est.value)} "
-                           f"max_seen={max_seen:.6g} proposals={proposals}",
-                           time.time() - t0)
+    return ok, (f"plateau_norm={norm} pyramid_lower={fmt(est.value)} "
+                f"max_seen={max_seen:.6g} proposals={proposals}")
 
 
 def fmt(v) -> str:
     if isinstance(v, Fraction):
-        return str(v) if v.denominator != 1 else str(v.numerator)
+        return str(v)
     return f"{float(v):.6g}"
 
 
-def criterion_08(seed_seq) -> CriterionResult:
+def criterion_08(rng, registry) -> tuple[bool, str]:
     """Alternating reciprocals diverge: var over first N >= 2 ln N - 2; N=4 exact."""
-    t0 = time.time()
     ok = True
     details = []
     for n in (10, 100, 1000):
@@ -394,13 +375,11 @@ def criterion_08(seed_seq) -> CriterionResult:
     v4 = var_1d(sub4)
     ok = ok and v4 == Fraction(35, 12)
     details.append(f"N=4:{v4}==35/12")
-    return CriterionResult(8, "reciprocal_divergence", ok, " ".join(details),
-                           time.time() - t0)
+    return ok, " ".join(details)
 
 
-def criterion_09(seed_seq, registry=None) -> CriterionResult:
+def criterion_09(rng, registry) -> tuple[bool, str]:
     """First-order interpolation: sup err <= eps and grid Lipschitz <= sqrt(2) eps."""
-    t0 = time.time()
     n = 16
     rect = Rectangle.of(0, 1, 0, 1)
 
@@ -408,8 +387,7 @@ def criterion_09(seed_seq, registry=None) -> CriterionResult:
         return math.sin(x) * math.cos(y)
 
     g = interpolate_grid(lambda v: f(float(v.x), float(v.y)), rect, n)
-    if registry is not None:
-        registry.append(g)
+    registry.append(g)
 
     fine = 128
     xs = np.linspace(0.0, 1.0, fine + 1)
@@ -447,19 +425,15 @@ def criterion_09(seed_seq, registry=None) -> CriterionResult:
     lip = grid_lipschitz((F - G)[coarse, coarse], X[coarse, coarse], Y[coarse, coarse])
 
     ok = sup_err <= eps and lip <= math.sqrt(2) * eps * 1.01
-    return CriterionResult(9, "c1_grid_interpolation", ok,
-                           f"eps_meas={eps:.6g} sup_err={sup_err:.6g} "
-                           f"lip={lip:.6g} bound={math.sqrt(2) * eps * 1.01:.6g}",
-                           time.time() - t0)
+    return ok, (f"eps_meas={eps:.6g} sup_err={sup_err:.6g} "
+                f"lip={lip:.6g} bound={math.sqrt(2) * eps * 1.01:.6g}")
 
 
-def criterion_10(seed_seq) -> CriterionResult:
+def criterion_10(rng, registry) -> tuple[bool, str]:
     """Second-order pipeline: Lipschitz-norm chain at degree 12; exact cubics."""
-    t0 = time.time()
     _, rep = c2_to_poly(BUILTIN_ORACLES["sin_exp"], degree=12, grid_n=41)
     chain_ok = rep.lip_norm_err <= (4 + math.sqrt(13)) * rep.eps_meas * 1.01
 
-    rng = np.random.default_rng(seed_seq)
     exact_ok = True
     for _ in range(10):
         rows = [[_rand_fraction(rng, span=3, den=4) for _ in range(4)]
@@ -477,25 +451,20 @@ def criterion_10(seed_seq) -> CriterionResult:
     exact_ok = exact_ok and p_fixed == fixed
 
     ok = rep.passed and chain_ok and exact_ok
-    return CriterionResult(10, "c2_pipeline", ok,
-                           f"eps={rep.eps_meas:.6g} lipnorm={rep.lip_norm_err:.6g} "
-                           f"bound={(4 + math.sqrt(13)) * rep.eps_meas * 1.01:.6g} "
-                           f"cubic_exact={exact_ok}",
-                           time.time() - t0)
+    return ok, (f"eps={rep.eps_meas:.6g} lipnorm={rep.lip_norm_err:.6g} "
+                f"bound={(4 + math.sqrt(13)) * rep.eps_meas * 1.01:.6g} "
+                f"cubic_exact={exact_ok}")
 
 
-def criterion_11(seed_seq, registry=None) -> CriterionResult:
+def criterion_11(rng, registry) -> tuple[bool, str]:
     """Point matching: exact interpolation and the (4n+1)/(4n+2) bookkeeping, 50x."""
-    t0 = time.time()
-    rng = np.random.default_rng(seed_seq)
     rect = Rectangle.of(0, 1, 0, 1)
     bad_interp = bad_book = 0
     for _ in range(50):
         vals = {}
         g0 = interpolate_grid(
             lambda v: vals.setdefault(v, _rand_fraction(rng, span=2, den=8)), rect, 2)
-        if registry is not None:
-            registry.append(g0)
+        registry.append(g0)
         grid7 = tuple(P(Fraction(i, 6), Fraction(j, 6))
                       for j in range(7) for i in range(7))
         f = SampledFunction(grid7, _rand_values(rng, len(grid7)))
@@ -516,15 +485,12 @@ def criterion_11(seed_seq, registry=None) -> CriterionResult:
         if not rep.bound_ok:
             bad_book += 1
     ok = bad_interp == 0 and bad_book == 0
-    return CriterionResult(11, "point_matching", ok,
-                           f"instances=50 interp_failures={bad_interp} "
-                           f"bookkeeping_failures={bad_book}",
-                           time.time() - t0)
+    return ok, (f"instances=50 interp_failures={bad_interp} "
+                f"bookkeeping_failures={bad_book}")
 
 
-def criterion_12(seed_seq) -> CriterionResult:
+def criterion_12(rng, registry) -> tuple[bool, str]:
     """Cantor diagnostic: variation 1 at every level; modulus stays >= 1/2."""
-    t0 = time.time()
     ok = True
     details = []
     for k in range(1, 7):
@@ -538,13 +504,11 @@ def criterion_12(seed_seq) -> CriterionResult:
         r = ac_modulus(ck, None, budget)
         ok = ok and r.value >= Fraction(1, 2)
         details.append(f"k={k}:delta={fmt(budget)}:mod={fmt(r.value)}")
-    return CriterionResult(12, "cantor_modulus_diagnostic", ok,
-                           " ".join(details), time.time() - t0)
+    return ok, " ".join(details)
 
 
-def criterion_13(seed_seq, registry) -> CriterionResult:
+def criterion_13(rng, registry) -> tuple[bool, str]:
     """Gradient bound |grad| <= (2/r) sup|F| for every piece built in the suite."""
-    t0 = time.time()
     pieces = 0
     violations = 0
     funcs = list(registry)
@@ -555,47 +519,32 @@ def criterion_13(seed_seq, registry) -> CriterionResult:
         pieces += len(rep)
         violations += sum(0 if r.ok else 1 for r in rep)
     ok = violations == 0 and pieces > 0
-    return CriterionResult(13, "triangle_gradient_bound", ok,
-                           f"functions={len(funcs)} pieces={pieces} "
-                           f"violations={violations}",
-                           time.time() - t0)
+    return ok, f"functions={len(funcs)} pieces={pieces} violations={violations}"
 
 
 CRITERIA = {
-    1: criterion_01,
-    2: criterion_02,
-    3: criterion_03,
-    4: criterion_04,
-    5: criterion_05,
-    6: criterion_06,
-    7: criterion_07,
-    8: criterion_08,
-    9: criterion_09,
-    10: criterion_10,
-    11: criterion_11,
-    12: criterion_12,
-    13: criterion_13,
+    1: ("vf_insertion_monotonicity", criterion_01),
+    2: ("vf_oracle_agreement", criterion_02),
+    3: ("planar_formula", criterion_03),
+    4: ("variation_join", criterion_04),
+    5: ("iota_isometry", criterion_05),
+    6: ("graph_pullback_factor_two", criterion_06),
+    7: ("bump_norms", criterion_07),
+    8: ("reciprocal_divergence", criterion_08),
+    9: ("c1_grid_interpolation", criterion_09),
+    10: ("c2_pipeline", criterion_10),
+    11: ("point_matching", criterion_11),
+    12: ("cantor_modulus_diagnostic", criterion_12),
+    13: ("triangle_gradient_bound", criterion_13),
 }
 
 
-def run_suite(seed: int = 0, only: list[int] | None = None,
-              verbose: bool = False) -> list[CriterionResult]:
-    """Run the criteria (all by default) with per-criterion seed streams."""
-    spawns = np.random.SeedSequence(seed).spawn(13)
+def run_suite(seed: int = 0, only: list[int] | None = None) -> Iterator[CriterionResult]:
+    """Run the criteria (all by default) in id order, yielding each result when it is done."""
+    spawns = np.random.SeedSequence(seed).spawn(len(CRITERIA))
     registry: list[CtppFunction] = []
-    results = []
-    wanted = sorted(set(only)) if only else sorted(CRITERIA)
-    for cid in wanted:
-        fn = CRITERIA[cid]
-        if cid in (7, 9, 11):
-            res = fn(spawns[cid - 1], registry=registry)
-        elif cid == 13:
-            res = fn(spawns[cid - 1], registry)
-        else:
-            res = fn(spawns[cid - 1])
-        results.append(res)
-        if verbose:
-            status = "pass" if res.passed else "FAIL"
-            print(f"criterion {res.cid:2d} {res.name:32s} {status}  "
-                  f"[{res.seconds:6.2f}s] {res.detail}")
-    return results
+    for cid in sorted(set(only)) if only else sorted(CRITERIA):
+        name, fn = CRITERIA[cid]
+        t0 = time.perf_counter()
+        passed, detail = fn(np.random.default_rng(spawns[cid - 1]), registry)
+        yield CriterionResult(cid, name, passed, detail, time.perf_counter() - t0)

@@ -225,13 +225,7 @@ def is_collinear(points) -> bool:
 
 def var_planar(coeffs: PlanarCoeffs, sigma) -> object:
     """max - min of a real planar function over the sample (exact)."""
-    if not coeffs.is_real:
-        raise NonRealCoefficients("planar variation formula needs real coefficients")
-    pts = tuple(sigma)
-    if not pts:
-        raise VariationError("empty sample")
-    vals = [coeffs.eval(p) for p in pts]
-    return max(vals) - min(vals)
+    return var_planar_estimate(coeffs, sigma).value
 
 
 def var_planar_estimate(coeffs: PlanarCoeffs, sigma) -> VarEstimate:
@@ -239,13 +233,13 @@ def var_planar_estimate(coeffs: PlanarCoeffs, sigma) -> VarEstimate:
     if not coeffs.is_real:
         raise NonRealCoefficients("planar variation formula needs real coefficients")
     pts = tuple(sigma)
+    if not pts:
+        raise VariationError("empty sample")
     vals = [coeffs.eval(p) for p in pts]
     lo = min(range(len(pts)), key=lambda i: (vals[i], pts[i].x, pts[i].y))
     hi = max(range(len(pts)), key=lambda i: (vals[i], -pts[i].x, -pts[i].y))
-    if vals[lo] == vals[hi]:
-        return VarEstimate(value=vals[hi] - vals[lo], witness=(pts[lo],),
-                           witness_vf=1, exact=True, method="planar")
-    return VarEstimate(value=vals[hi] - vals[lo], witness=(pts[lo], pts[hi]),
+    witness = (pts[lo],) if vals[lo] == vals[hi] else (pts[lo], pts[hi])
+    return VarEstimate(value=vals[hi] - vals[lo], witness=witness,
                        witness_vf=1, exact=True, method="planar")
 
 
@@ -287,10 +281,10 @@ def _extend_sequences(prev: np.ndarray, k: int) -> np.ndarray:
     Rows come out in lexicographic order when ``prev``'s rows are.
     """
     n = prev.shape[0]
-    rep = np.repeat(prev, k, axis=0)
-    last = np.tile(np.arange(k, dtype=np.intp), n)
-    mask = rep[:, -1] != last
-    return np.concatenate([rep[mask], last[mask, None]], axis=1)
+    rep = np.repeat(prev, k - 1, axis=0)
+    last = np.tile(np.arange(k - 1, dtype=np.intp), n)
+    last += last >= rep[:, -1]  # skip the row's own last index
+    return np.concatenate([rep, last[:, None]], axis=1)
 
 
 def _diff_matrix(f: SampledFunction) -> np.ndarray:
@@ -368,6 +362,8 @@ class SearchConfig:
     cooling: float = 0.995
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise VariationError(f"seed must be >= 0, got {self.seed}")
         if self.restarts < 1:
             raise VariationError(f"restarts must be >= 1, got {self.restarts}")
         if self.iters < 0:

@@ -375,3 +375,24 @@ def test_example_kind_error_lists_the_kinds_in_order(capsys):
         "error:BadArguments:argument --kind: invalid choice: 'nope' (choose from "
         "'reciprocal-alternating', 'reciprocal-odd', 'reciprocal-even', 'cantor', "
         "'one-over-n')\n")
+
+
+def test_negative_seeds_are_typed_errors(square_fx, tmp_path):
+    s1 = tmp_path / "s1.json"
+    s2 = tmp_path / "s2.json"
+    s1.write_text(json.dumps({"list": [[0, 0], [1, 0], [1, 1]]}))
+    s2.write_text(json.dumps({"list": [[1, 1], [0, 1], [0, 0]]}))
+    code, _, err = run_cli("var", "--fn", square_fx, "--seed", "-1")
+    assert_single_error(code, err, "VariationError")
+    code, _, err = run_cli("join", "report", "--fn", square_fx, "--sigma1", str(s1),
+                           "--sigma2", str(s2), "--mode", "search", "--seed", "-1")
+    assert_single_error(code, err, "VariationError")
+
+
+def test_suite_negative_seed_runs_nothing(tmp_path):
+    target = tmp_path / "x.csv"
+    code, out, err = run_cli("suite", "paper", "--seed", "-1", "--only", "8",
+                             "--out", str(target))
+    assert_single_error(code, err, "BadInputFile")
+    assert out == ""
+    assert not target.exists()

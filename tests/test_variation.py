@@ -193,6 +193,11 @@ class TestVarPlanar:
         with pytest.raises(NonRealCoefficients):
             var_planar(PlanarCoeffs(1j, 0, 0), SQUARE)
 
+    @pytest.mark.parametrize("fn", [var_planar, var_planar_estimate])
+    def test_empty_sample_rejected(self, fn):
+        with pytest.raises(VariationError, match="empty sample"):
+            fn(PlanarCoeffs(Fraction(1), Fraction(0), Fraction(0)), ())
+
     def test_estimate_witness_consistent(self):
         est = var_planar_estimate(PlanarCoeffs(Fraction(1), Fraction(0), Fraction(0)),
                                   SQUARE)
