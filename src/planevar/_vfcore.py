@@ -52,28 +52,40 @@ Let M be the largest |x| or |y| over the scaled points. Then
 So when 32M^2 <= 2^63 - 1 the whole build is exact in int64; otherwise the
 same vectorized code runs on object arrays of Python integers.
 
-Prefix sharing
---------------
-``_crossing_mask`` decides segment j of a list by rules 1-4. Rules 1-3 read
-only positions j-1, j and j+1, so they give the same flag for segment j in
-every list that extends the first j+2 points. Only rule 4 (the end rule)
-depends on where the list stops. The count of a list of m >= 2 points is
-therefore the interior count of its first m-1 points (rules 1-3 on their
-segments 0..m-3) plus one last-segment term: rules 1-4 on segment m-2, which
-read the last three points. Interior counts extend the same way, one
-inner-segment term per level.
+Pair form
+---------
+``_crossing_mask`` decides segment j of a list with signs s_0..s_{m-1} by
+rules 1-4, which exclude one another. Regroup the flags by the consecutive
+pair (s_p, s_{p+1}) they read:
 
-``vf_batch`` tabulates these terms once per call for every point tuple, with
-one int16 row of L flags each (L lines in the sign table): rules 1+2 for a
-first segment over pairs, rules 1+3 for an inner segment over triples, and
-the same with rule 4 added for the last segment (over pairs when m = 2).
-The rules within a segment exclude one another, so OR-ing them gives the
-segment's crossing flag. The triple tables hold
-P^3 * L cells for P sample points; that stays small because the only caller,
-``variation.var_exact_small``, caps P at ``_EXACT_MAX_POINTS = 7``. A batch
-in lexicographic order, as ``var_exact_small`` builds it, lists the
-extensions of each prefix next to each other, so every distinct prefix is
-counted once and each list then costs one gather-add-max over its L rows.
+* rule 1 on segment p is [s_p * s_{p+1} < 0];
+* rule 3 on segment p+1 (p+1 <= m-2) and rule 4 on segment m-2 (p = m-2)
+  both test "s_p off the line, s_{p+1} on it";
+* rule 2 is [s_0 = 0] and reads the first point alone.
+
+So every pair p = 0..m-2 contributes [s_p s_{p+1} < 0] + [s_p != 0 = s_{p+1}],
+and the count of a list is
+
+    [s_0 = 0] + sum over p of E(s_p, s_{p+1}),  E(a, b) = |a| - [a * b > 0],
+
+which for m = 1 is the single-point convention. E(a, b) is 1 exactly when a
+is off the line and b is not strictly on a's side. A list's count vector
+over the L lines of a sign table is therefore one "first" row of L terms
+plus one pair row per consecutive pair:
+
+* ``vf_batch`` tabulates every pair row once per call, P^2 * L cells for P
+  sample points; that stays small because its only caller,
+  ``variation.var_exact_small``, caps P at ``_EXACT_MAX_POINTS = 7``. A
+  list's count is its prefix's count plus one pair row, and a batch in
+  lexicographic order lists the extensions of each prefix next to each
+  other, so every distinct prefix is counted once and each list then costs
+  one gather-add-max over its L rows.
+* ``PairCounts`` serves ``variation.var_search``, where P can reach ~100, so
+  it computes a pair row on first use and keeps it. An annealing move keeps
+  a prefix and a suffix of the current list, so the new counts are the old
+  ones minus the pair rows of the old middle plus those of the new middle:
+  one to four rows for insert, delete and replace, at most two per list
+  position for swap and reverse.
 """
 
 from __future__ import annotations
@@ -278,59 +290,116 @@ def vf_of_indices(table: SignTable, idx) -> tuple[int, int]:
     return int(counts[row]), row
 
 
-def _codes(cols: np.ndarray, n_pts: int) -> np.ndarray:
-    """Row index into a table over point tuples: columns read as base-n_pts digits."""
-    code = cols[:, 0]
-    for j in range(1, cols.shape[1]):
-        code = code * n_pts + cols[:, j]
-    return code
+def _pair_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """E(a, b) = |a| - [a * b > 0] of the pair form, as booleans (broadcasting)."""
+    return (a != 0) & (a * b <= 0)
+
+
+def _count_dtype(max_len: int):
+    """Smallest signed integer dtype that holds the count of a list of ``max_len`` points.
+
+    A count is at most one term per point (pair form), so at most ``max_len``.
+    """
+    for dtype in (np.int8, np.int16, np.int32):
+        if max_len <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+class PairCounts:
+    """Crossing counts of index lists of at most ``max_len`` points, in pair form.
+
+    ``full`` counts a list; ``delta`` turns the counts of one list into those
+    of another through the pairs in which the two differ ("Pair form" in the
+    module docstring). Pair rows are computed on first use and kept, so one
+    instance should serve every list drawn from its table. At most P^2 rows
+    of L cells are kept; with L ~ 2P^2 distinct patterns that is about the
+    2P^4 cells of the full sign table the table was deduplicated from.
+    """
+
+    def __init__(self, table: SignTable, max_len: int):
+        self._signs = np.ascontiguousarray(table.signs.T)     # (P, L)
+        self._dtype = _count_dtype(max_len)
+        self._first = (self._signs == 0).astype(self._dtype)   # [s_0 = 0] per point
+        self._n_pts = self._signs.shape[0]
+        self._pairs: dict[int, np.ndarray] = {}
+
+    def _pair(self, a: int, b: int) -> np.ndarray:
+        key = a * self._n_pts + b
+        row = self._pairs.get(key)
+        if row is None:
+            row = _pair_terms(self._signs[a], self._signs[b]).astype(self._dtype)
+            self._pairs[key] = row
+        return row
+
+    def full(self, idx) -> np.ndarray:
+        """Count vector (L,) of one index list, as ``_counts_from_matrix`` gives it."""
+        counts = self._first[idx[0]].copy()
+        for p in range(len(idx) - 1):
+            counts += self._pair(idx[p], idx[p + 1])
+        return counts
+
+    def delta(self, counts: np.ndarray, old, new) -> np.ndarray:
+        """Count vector of list ``new``, given ``counts`` of list ``old`` (not modified).
+
+        The old terms go out before the new ones come in, so every partial
+        sum is a count of part of one list and fits the count dtype.
+        """
+        n, m = len(old), len(new)
+        top = min(n, m)
+        c = 0                                # common prefix
+        while c < top and old[c] == new[c]:
+            c += 1
+        d = 0                                # common suffix, disjoint from the prefix
+        while d < top - c and old[n - 1 - d] == new[m - 1 - d]:
+            d += 1
+        out = counts.copy()
+        lo = max(c - 1, 0)
+        if c == 0:
+            out -= self._first[old[0]]
+        for p in range(lo, min(n - d, n - 1)):
+            out -= self._pair(old[p], old[p + 1])
+        if c == 0:
+            out += self._first[new[0]]
+        for p in range(lo, min(m - d, m - 1)):
+            out += self._pair(new[p], new[p + 1])
+        return out
 
 
 def vf_batch(table: SignTable, idx_batch: np.ndarray, chunk: int = 4096) -> np.ndarray:
     """Variation factors for a batch of equal-length index lists, shape (N,).
 
-    Each list is counted as its prefix's interior count plus one last-segment
-    term ("Prefix sharing" in the module docstring). Within a block of
-    ``chunk`` lists, a run of rows with equal prefixes shares one interior
-    count, so a lexicographically ordered batch costs O(L) per list.
+    Each list is counted as its prefix's count plus one pair row ("Pair form"
+    in the module docstring). Within a block of ``chunk`` lists, a run of rows
+    with equal prefixes shares one prefix count, so a lexicographically
+    ordered batch costs O(L) per list.
     """
     n_lists, m = idx_batch.shape
     out = np.empty(n_lists, dtype=np.int32)
     if n_lists == 0:
         return out
     S = table.signs.T                                    # (P, L)
-    zero = S == 0
     if m == 1:
-        out[:] = zero.any(axis=1)[idx_batch[:, 0]]       # single-point convention
+        out[:] = (S == 0).any(axis=1)[idx_batch[:, 0]]   # single-point convention
         return out
     n_pts, n_rows = S.shape
-    count_dtype = np.int16 if m <= np.iinfo(np.int16).max else np.int32
-    # segment flags of _crossing_mask's rules over (previous, current, next) signs
-    opp = (S[:, None, :] * S[None, :, :]) < 0                           # rule 1, [cur, next]
-    end = ~zero[:, None, :] & zero[None, :, :]                          # rule 4, [cur, next]
-    first = opp | zero[:, None, :]                                       # rules 1 + 2
-    inner = opp[None] | (zero[None, :, None, :] & ~zero[:, None, None, :])  # rules 1 + 3
-    last = first | end if m == 2 else inner | end[None]
-    first, inner, last = (t.reshape(-1, n_rows).astype(count_dtype)
-                          for t in (first, inner, last))
-    tail = min(m, 3)
+    count_dtype = _count_dtype(m)
+    first = (S == 0).astype(count_dtype)
+    pair = _pair_terms(S[:, None, :], S[None, :, :]).reshape(-1, n_rows).astype(count_dtype)
     for start in range(0, n_lists, chunk):
         block = idx_batch[start:start + chunk]
-        # interior counts of the distinct runs of prefixes, one level at a time;
-        # a prefix of one point has no interior segment
-        interior = np.zeros((1, n_rows), dtype=count_dtype)
-        grp = np.zeros(len(block), dtype=np.intp)
+        # counts of the distinct runs of prefixes, one level at a time
         new = np.ones(len(block), dtype=bool)
         new[1:] = block[1:, 0] != block[:-1, 0]
-        for level in range(2, m):
-            new[1:] |= block[1:, level - 1] != block[:-1, level - 1]
+        grp = np.cumsum(new) - 1
+        prefix = np.take(first, block[new, 0], axis=0)
+        for level in range(1, m - 1):
+            new[1:] |= block[1:, level] != block[:-1, level]
             reps = np.flatnonzero(new)
-            lo = max(level - 3, 0)
-            term = np.take(first if level == 2 else inner,
-                           _codes(block[reps, lo:level], n_pts), axis=0)
-            interior = np.take(interior, grp[reps], axis=0) + term
+            code = block[reps, level - 1] * n_pts + block[reps, level]
+            prefix = np.take(prefix, grp[reps], axis=0) + np.take(pair, code, axis=0)
             grp = np.cumsum(new) - 1
-        counts = np.take(interior, grp, axis=0)
-        counts += np.take(last, _codes(block[:, m - tail:], n_pts), axis=0)
+        counts = np.take(prefix, grp, axis=0)
+        counts += np.take(pair, block[:, m - 2] * n_pts + block[:, m - 1], axis=0)
         out[start:start + len(block)] = counts.max(axis=1)
     return out

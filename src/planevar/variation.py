@@ -374,7 +374,7 @@ class SearchConfig:
             raise VariationError(f"cooling must lie in (0, 1], got {self.cooling}")
 
 
-def _anneal_once(table, diff, k, cfg: SearchConfig, seed_entropy) -> dict:
+def _anneal_once(pairs: _vfcore.PairCounts, diff, k, cfg: SearchConfig, seed_entropy) -> dict:
     rng = np.random.default_rng(seed_entropy)
     t0 = float(diff.max())
     start = int(np.argmax(diff))
@@ -382,37 +382,59 @@ def _anneal_once(table, diff, k, cfg: SearchConfig, seed_entropy) -> dict:
     if cur[0] == cur[1]:
         cur = [0, 1]
 
-    def evaluate(idx):
-        vf, _ = _vfcore.vf_of_indices(table, idx)
+    def objective(cand, counts):
+        vf = int(counts.max())
+        idx = np.asarray(cand, dtype=np.intp)
         cv = float(diff[idx[:-1], idx[1:]].sum())
         return cv / max(vf, 1), vf
 
-    cur_arr = np.asarray(cur, dtype=np.intp)
-    cur_obj, cur_vf = evaluate(cur_arr)
+    cur_counts = pairs.full(cur)
+    cur_obj, cur_vf = objective(cur, cur_counts)
     best = {"obj": cur_obj, "idx": list(cur), "vf": cur_vf}
     max_seen = cur_obj
     temp = t0 if t0 > 0 else 1.0
     proposals = 0
+    accepted = 0
     attempts = 0
     while proposals < cfg.iters and attempts < 3 * cfg.iters:
         attempts += 1
         cand = _propose(rng, cur, k, cfg.max_len)
         if cand is None:
             continue
-        idx = np.asarray(cand, dtype=np.intp)
-        obj, vf = evaluate(idx)
+        counts = pairs.delta(cur_counts, cur, cand)
+        obj, vf = objective(cand, counts)
         proposals += 1
         if obj > max_seen:
             max_seen = obj
         delta = obj - cur_obj
         if delta >= 0 or (temp > 1e-300 and rng.random() < math.exp(delta / temp)):
-            cur, cur_obj = cand, obj
+            cur, cur_obj, cur_counts = cand, obj, counts
+            accepted += 1
         if obj > best["obj"]:
             best = {"obj": obj, "idx": cand, "vf": vf}
         temp *= cfg.cooling
     best["max_seen"] = max_seen
     best["proposals"] = proposals
+    best["accepted"] = accepted
+    best["temperature"] = temp
     return best
+
+
+def _draw_skipping(rng, k: int, banned: set[int]) -> int | None:
+    """An index in range(k) outside ``banned``, or None when there is none.
+
+    Draws ``rng.integers(k - len(banned))`` and steps the draw past each
+    banned index at or below it, which picks the same index as drawing into
+    the ascending list of allowed indices.
+    """
+    n_allowed = k - len(banned)
+    if n_allowed <= 0:
+        return None
+    value = int(rng.integers(n_allowed))
+    for b in sorted(banned):
+        if value >= b:
+            value += 1
+    return value
 
 
 def _propose(rng, cur: list[int], k: int, max_len: int):
@@ -426,15 +448,10 @@ def _propose(rng, cur: list[int], k: int, max_len: int):
     n = len(out)
     if move == "insert":
         pos = int(rng.integers(n + 1))
-        banned = set()
-        if pos > 0:
-            banned.add(out[pos - 1])
-        if pos < n:
-            banned.add(out[pos])
-        allowed = [j for j in range(k) if j not in banned]
-        if not allowed:
+        value = _draw_skipping(rng, k, set(out[max(pos - 1, 0):pos + 1]))
+        if value is None:
             return None
-        out.insert(pos, allowed[int(rng.integers(len(allowed)))])
+        out.insert(pos, value)
         return out
     if move == "delete":
         pos = int(rng.integers(n))
@@ -444,15 +461,10 @@ def _propose(rng, cur: list[int], k: int, max_len: int):
         return out
     if move == "replace":
         pos = int(rng.integers(n))
-        banned = {out[pos]}
-        if pos > 0:
-            banned.add(out[pos - 1])
-        if pos < n - 1:
-            banned.add(out[pos + 1])
-        allowed = [j for j in range(k) if j not in banned]
-        if not allowed:
+        value = _draw_skipping(rng, k, set(out[max(pos - 1, 0):pos + 2]))
+        if value is None:
             return None
-        out[pos] = allowed[int(rng.integers(len(allowed)))]
+        out[pos] = value
         return out
     if move == "swap":
         if n < 2:
@@ -480,7 +492,9 @@ def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEst
     Deterministic for a fixed seed: restarts run one after another, restart r
     uses the r-th spawn of the root seed sequence, and the best result is the
     first in witness order (objective, length, coordinates). The witness value
-    is recomputed exactly.
+    is recomputed exactly. ``stats`` counts proposals and accepted moves over
+    all restarts, and ``final_temperature`` is the warmest restart's last
+    temperature.
     """
     cfg = config or SearchConfig()
     k = len(f.points)
@@ -490,8 +504,9 @@ def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEst
     full = _vfcore.build_sign_table(f.points)
     table = full.distinct()
     diff = _diff_matrix(f)
+    pairs = _vfcore.PairCounts(table, cfg.max_len)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    results = [_anneal_once(table, diff, k, cfg, s) for s in children]
+    results = [_anneal_once(pairs, diff, k, cfg, s) for s in children]
     best = min(results, key=lambda r: _witness_key(f, r["obj"], r["idx"]))
     witness = tuple(f.points[i] for i in best["idx"])
     vf = best["vf"]
@@ -499,6 +514,8 @@ def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEst
     stats = {
         "proposals": int(sum(r["proposals"] for r in results)),
         "max_objective_seen": float(max(r["max_seen"] for r in results)),
+        "accepted": int(sum(r["accepted"] for r in results)),
+        "final_temperature": float(max(r["temperature"] for r in results)),
         "restarts": cfg.restarts,
         "table_rows": full.n_lines,
         "distinct_rows": table.n_lines,

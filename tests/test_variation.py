@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planevar import _vfcore
@@ -24,7 +24,9 @@ from planevar.ctpp import BumpSpec, CtppFunction, make_bumps, validate_ctpp
 from planevar.geom import AffineMap, Line, P, Rectangle, grid_triangulation, side_of
 from planevar.suite import _crossing_count_reference, vf_pattern_oracle
 from planevar.variation import (
+    _draw_skipping,
     _extend_sequences,
+    _propose,
     DomainTooSmall,
     InstanceTooLarge,
     MismatchedEstimate,
@@ -868,3 +870,169 @@ def test_var_exact_small_calls_vf_batch_once_per_length(monkeypatch):
     assert [shape[1] for shape, _ in shapes] == [1, 2, 3, 4, 5, 6]
     assert all(dtype == np.intp for _, dtype in shapes)
     assert sum(shape[0] for shape, _ in shapes) == 65_317
+
+
+# --- pair form and incremental annealing counts -------------------------------
+
+def _pair_form_count(signs) -> int:
+    """[s_0 = 0] plus |a| - [a * b > 0] over consecutive sign pairs (a, b)."""
+    return int(signs[0] == 0) + sum(abs(a) - int(a * b > 0) for a, b in zip(signs, signs[1:]))
+
+
+def _table_of_signs(signs: np.ndarray):
+    """A sign table over the given (L, P) signs; its lines are never read."""
+    return _vfcore.SignTable(points=(), scale=1, lines=np.zeros((len(signs), 3), dtype=np.int64),
+                             signs=np.asarray(signs, dtype=np.int8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda m: st.lists(
+    st.lists(st.sampled_from([-1, 0, 1]), min_size=m, max_size=m), min_size=1, max_size=20)))
+def test_pair_form_equals_the_segment_rules(rows):
+    S = np.array(rows, dtype=np.int8)
+    assert _counts_from_matrix(S).tolist() == [_pair_form_count(row.tolist()) for row in S]
+    # the same lists as index lists over a table whose columns are the positions
+    m = S.shape[1]
+    pairs = _vfcore.PairCounts(_table_of_signs(S), max_len=m)
+    assert pairs.full(list(range(m))).tolist() == _counts_from_matrix(S).tolist()
+
+
+def _moves(cur: list[int], k: int):
+    """Every insert, delete, replace, swap and reverse of ``cur``, repeats allowed."""
+    n = len(cur)
+    for pos in range(n + 1):
+        for v in range(k):
+            yield cur[:pos] + [v] + cur[pos:]
+    for pos in range(n):
+        yield cur[:pos] + cur[pos + 1:]
+        for v in range(k):
+            yield cur[:pos] + [v] + cur[pos + 1:]
+    for i in range(n):
+        for j in range(i + 1, n):
+            swapped = list(cur)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            yield swapped
+            yield cur[:i] + cur[i:j + 1][::-1] + cur[j + 1:]
+
+
+@pytest.mark.parametrize("name", KERNEL_SAMPLES)
+@pytest.mark.parametrize("cur", [[0, 1], [3, 0, 4, 0, 6, 2], [6, 5, 4, 3, 2, 1, 0]])
+def test_pair_counts_delta_after_every_move(name, cur):
+    table = build_sign_table(KERNEL_SAMPLES[name]).distinct()
+    pairs = _vfcore.PairCounts(table, max_len=len(cur) + 1)
+    counts = pairs.full(cur)
+    assert counts.tolist() == _counts_from_matrix(table.signs[:, cur]).tolist()
+    before = counts.copy()
+    moves = [new for new in _moves(cur, 7) if new]
+    # both ends of the list, the whole-list reverse and an unchanged list are among them
+    assert cur[::-1] in moves and cur in moves
+    for new in moves:
+        got = pairs.delta(counts, cur, new)
+        assert got.tolist() == _counts_from_matrix(table.signs[:, new]).tolist(), new
+        assert int(got.max()) == vf_of_indices(table, new)[0]
+    assert counts.tolist() == before.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=12),
+       st.lists(st.integers(0, 3), min_size=1, max_size=12))
+@example([0, 1, 0, 1], [0, 1, 0, 1, 0, 1])     # prefix and suffix of one overlap
+@example([2, 1, 2], [2])
+def test_pair_counts_delta_between_any_two_lists(old, new):
+    table = build_sign_table(KERNEL_SAMPLES["lattice"][:4])
+    pairs = _vfcore.PairCounts(table, max_len=12)
+    got = pairs.delta(pairs.full(old), old, new)
+    assert got.tolist() == _counts_from_matrix(table.signs[:, new]).tolist()
+
+
+def test_pair_counts_follow_an_annealing_walk():
+    """Counts carried from proposal to proposal stay exact over a long walk."""
+    table = build_sign_table(SEVEN).distinct()
+    pairs = _vfcore.PairCounts(table, max_len=12)
+    rng = np.random.default_rng(3)
+    cur = [0, 1]
+    counts = pairs.full(cur)
+    for _ in range(2000):
+        cand = _propose(rng, cur, len(SEVEN), 12)
+        if cand is not None:
+            cur, counts = cand, pairs.delta(counts, cur, cand)
+            assert counts.tolist() == _counts_from_matrix(table.signs[:, cur]).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda k: st.tuples(
+    st.just(k), st.sets(st.integers(0, k - 1), max_size=3))), st.integers(0, 2**32 - 1))
+def test_draw_skipping_picks_the_allowed_list_entry(k_banned, seed):
+    k, banned = k_banned
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    allowed = [j for j in range(k) if j not in banned]
+    expected = allowed[int(ref.integers(len(allowed)))] if allowed else None
+    assert _draw_skipping(rng, k, banned) == expected
+    assert rng.random() == ref.random()       # the same number of draws
+
+
+def _pyramid():
+    bumps = make_bumps(BumpSpec.of(Fraction(1, 2), Fraction(1)))
+    grid = tuple(P(Fraction(i, 2) - 1, Fraction(j, 2) - 1)
+                 for j in range(5) for i in range(5))
+    return SampledFunction(grid, tuple(bumps.pyramid(p) for p in grid))
+
+
+def _lattice6():
+    pts = tuple(P(i, j) for j in range(6) for i in range(6))
+    return SampledFunction(pts, tuple(Fraction((3 * p.x + p.y * p.y) % 7 - 3, 4) for p in pts))
+
+
+def _complex12():
+    rng = random.Random(9)
+    pts: list = []
+    while len(pts) < 12:
+        p = P(Fraction(rng.randint(-24, 24), 4), Fraction(rng.randint(-24, 24), 4))
+        if p not in pts:
+            pts.append(p)
+    vals = tuple(complex(rng.randint(-400, 400) / 100, rng.randint(-400, 400) / 100)
+                 for _ in pts)
+    return SampledFunction(tuple(pts), vals)
+
+
+# Recorded before annealing carried its counts from move to move: a proposal
+# stream, an accept decision or a count that drifts moves these values.
+SEARCH_PINS = [
+    (_pyramid, 400, 0, "Fraction(5, 4)", (8, 3, 2, 12, 22), 2, 800, "1.25"),
+    (_pyramid, 400, 1, "Fraction(5, 4)", (14, 13, 12, 5, 7), 2, 800, "1.25"),
+    (_pyramid, 400, 2, "Fraction(3, 2)", (19, 12, 21, 12, 3, 6), 3, 800, "1.5"),
+    (_pyramid, 400, 3, "Fraction(9, 8)", (4, 6, 10, 12, 22, 17, 3, 8), 4, 800, "1.125"),
+    (_lattice6, 600, 11, "Fraction(45, 16)", (19, 20, 17, 11, 10, 8, 7, 0, 1, 5, 33, 31),
+     4, 1200, "2.8125"),
+    (_complex12, 600, 5, "13.519293249137037", (6, 2, 3, 5, 10, 5, 7), 3, 1200,
+     "13.519293249137037"),
+]
+
+
+@pytest.mark.parametrize("make, iters, seed, value, order, vf, proposals, max_seen",
+                         SEARCH_PINS)
+def test_var_search_at_fixed_seeds_is_unchanged(make, iters, seed, value, order, vf,
+                                                proposals, max_seen):
+    f = make()
+    est = var_search(f, SearchConfig(iters=iters, restarts=2, seed=seed))
+    assert repr(est.value) == value
+    assert est.witness == tuple(f.points[i] for i in order)
+    assert est.witness_vf == vf
+    assert est.stats["proposals"] == proposals
+    assert repr(est.stats["max_objective_seen"]) == max_seen
+
+
+def test_var_search_reports_acceptances_and_final_temperature():
+    est = var_search(_pyramid(), SearchConfig(iters=400, restarts=2, seed=0))
+    assert 0 < est.stats["accepted"] <= est.stats["proposals"]
+    temp = 1.0                  # the pyramid's largest value jump
+    for _ in range(400):
+        temp *= 0.995
+    assert est.stats["final_temperature"] == temp
+    # a constant function: every move has objective 0 and is accepted
+    flat = SampledFunction(SQUARE, (1, 1, 1, 1))
+    cfg = SearchConfig(iters=50, restarts=3, seed=4, cooling=0.5)
+    est = var_search(flat, cfg)
+    assert est.stats["accepted"] == est.stats["proposals"] == 150
+    assert est.stats["final_temperature"] == 0.5 ** 50
+    assert var_search(F_X, SearchConfig(iters=0, restarts=2)).stats["final_temperature"] == 1.0
