@@ -6,15 +6,23 @@ by antidifferentiation, and integrates once more to obtain a polynomial whose
 uniform and Lipschitz errors are controlled by the measured second-derivative
 error (constants 2, 3, 4 and sqrt(13), hence 4 + sqrt(13) for the full norm).
 
-Bernstein-to-monomial conversion is performed in exact rational arithmetic
-(float samples are lifted exactly) because the conversion matrix amplifies
-rounding by roughly 3^degree in floating point.
+Bernstein-to-monomial conversion is exact because the conversion matrix
+amplifies rounding by roughly 3^degree in floating point. The exact kernels
+``bernstein2`` and ``Poly2.eval`` share one rule: lift the values exactly (a
+float to its dyadic rational), write them as integers over the lcm of their
+denominators, run every sum in plain ``int`` and divide once at the end. A ``Fraction`` sum renormalises with a gcd after
+each operation; the integer sum skips that and, being exact too, gives the
+same values bit for bit. ``Poly2.eval`` evaluates homogeneously: at
+x = a/b, y = c/e it sums N_mn a^m b^(M-m) c^n e^(N-n) over the integer
+coefficients and divides by D b^M e^N. Complex samples or coefficients have
+no exact lift and keep the plain ``Fraction``/complex arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 
@@ -46,6 +54,15 @@ def _lift(v):
     if isinstance(v, complex):
         return v
     return to_fraction(v)
+
+
+def _over_common_denominator(values) -> tuple[list[int], int] | None:
+    """Integers n_i and one D > 0 with values[i] == n_i / D, D the lcm of the
+    denominators; None when a value is complex. Values are already lifted."""
+    if any(isinstance(v, complex) for v in values):
+        return None
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 @dataclass(frozen=True)
@@ -89,16 +106,40 @@ class Poly2:
     def deg_y(self) -> int:
         return len(self.coeffs[0]) - 1
 
+    @cached_property
+    def _int_rows(self) -> tuple[list[list[int]], int] | None:
+        """Coefficient rows as integers over one denominator (None if complex)."""
+        lifted = _over_common_denominator([c for row in self.coeffs for c in row])
+        if lifted is None:
+            return None
+        nums, den = lifted
+        w = len(self.coeffs[0])
+        return [nums[i:i + w] for i in range(0, len(nums), w)], den
+
     def eval(self, x, y):
         x = _lift(x)
         y = _lift(y)
+        if self._int_rows is None or isinstance(x, complex) or isinstance(y, complex):
+            total = 0
+            for row in reversed(self.coeffs):
+                inner = 0
+                for c in reversed(row):
+                    inner = inner * y + c
+                total = total * x + inner
+            return total
+        rows, den = self._int_rows
+        a, b = x.numerator, x.denominator
+        c, e = y.numerator, y.denominator
+        e_pows = [e ** k for k in range(self.deg_y + 1)]
+        b_pows = [b ** k for k in range(self.deg_x + 1)]
+        # homogeneous Horner: total = D b^M e^N p(x, y)
         total = 0
-        for row in reversed(self.coeffs):
+        for row, bw in zip(reversed(rows), b_pows):
             inner = 0
-            for c in reversed(row):
-                inner = inner * y + c
-            total = total * x + inner
-        return total
+            for n, ew in zip(reversed(row), e_pows):
+                inner = inner * c + n * ew
+            total = total * a + inner * bw
+        return Fraction(total, den * b_pows[-1] * e_pows[-1])
 
     def eval_float_grid(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Float evaluation on [0,1]^2 grids.
@@ -288,10 +329,20 @@ def bernstein2(g, degree: int) -> Poly2:
          for i in range(d + 1)]
     T = _bernstein_to_monomial(d)
     # two-pass conversion: A[m][l] = sum_k T[k][m] G[k][l]; C[m][n] = sum_l A[m][l] T[l][n]
-    A = [[sum(T[k][m] * G[k][loc] for k in range(d + 1)) for loc in range(d + 1)]
+    lifted = _over_common_denominator([v for row in G for v in row])
+    if lifted is None:  # complex samples have no exact lift
+        A = [[sum(T[k][m] * G[k][loc] for k in range(d + 1)) for loc in range(d + 1)]
+             for m in range(d + 1)]
+        C = [[sum(A[m][loc] * T[loc][n] for loc in range(d + 1)) for n in range(d + 1)]
+             for m in range(d + 1)]
+        return Poly2.from_rows(C)
+    nums, den = lifted
+    G = [nums[i * (d + 1):(i + 1) * (d + 1)] for i in range(d + 1)]
+    # T is upper triangular: T[k][m] == 0 for k > m
+    A = [[sum(T[k][m] * G[k][loc] for k in range(m + 1)) for loc in range(d + 1)]
          for m in range(d + 1)]
-    C = [[sum(A[m][loc] * T[loc][n] for loc in range(d + 1)) for n in range(d + 1)]
-         for m in range(d + 1)]
+    C = [[Fraction(sum(A[m][loc] * T[loc][n] for loc in range(n + 1)), den)
+          for n in range(d + 1)] for m in range(d + 1)]
     return Poly2.from_rows(C)
 
 
@@ -312,6 +363,8 @@ class C2Oracle:
 
     @staticmethod
     def from_poly(p: Poly2, name: str = "poly") -> "C2Oracle":
+        if p._int_rows is None:
+            raise ApproxError("the C2 pipeline needs real coefficients, got a complex one")
         px, py = p.dx(), p.dy()
         return C2Oracle(f=p.eval, fx=px.eval, fy=py.eval,
                         fxx=px.dx().eval, fxy=px.dy().eval, fyy=py.dy().eval,
@@ -378,21 +431,34 @@ class C2Report:
 
 def grid_lipschitz(values: np.ndarray, X: np.ndarray, Y: np.ndarray,
                    chunk: int = 256) -> float:
-    """Max |dv| / distance over all grid point pairs (flattened, chunked)."""
+    """Max |dv| / distance over all grid point pairs (flattened, chunked).
+
+    Each chunk of rows i is scanned against the columns j >= its first row
+    only: float subtraction is exactly antisymmetric, so the (j, i) ratio
+    equals the (i, j) one bit for bit. Both ends of a pair fold it into their
+    row maximum, and the result is the maximum over chunks of rows, where a
+    chunk meeting a NaN ratio is passed over (``max(best, nan)`` keeps
+    ``best``), as when every chunk scanned all columns.
+    """
     v = values.ravel()
     x = X.ravel()
     y = Y.ravel()
     n = len(v)
-    best = 0.0
+    row_max = np.zeros(n)
     for s in range(0, n, chunk):
         e = min(s + chunk, n)
-        dv = np.abs(v[s:e, None] - v[None, :])
-        dx = x[s:e, None] - x[None, :]
-        dy = y[s:e, None] - y[None, :]
+        dv = np.abs(v[s:e, None] - v[None, s:])
+        dx = x[s:e, None] - x[None, s:]
+        dy = y[s:e, None] - y[None, s:]
         dist = np.sqrt(dx * dx + dy * dy)
-        np.fill_diagonal(dist[:, s:e], np.inf)
+        np.fill_diagonal(dist, np.inf)
         ratio = dv / np.where(dist == 0, np.inf, dist)
-        best = max(best, float(ratio.max()))
+        # np.maximum propagates NaN, so a row that meets one stays NaN
+        np.maximum(row_max[s:e], ratio.max(axis=1), out=row_max[s:e])
+        np.maximum(row_max[s:], ratio.max(axis=0), out=row_max[s:])
+    best = 0.0
+    for s in range(0, n, chunk):
+        best = max(best, float(row_max[s:s + chunk].max()))
     return best
 
 

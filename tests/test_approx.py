@@ -6,16 +6,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planevar.geom import P, Rectangle
 from planevar.variation import SampledFunction, SearchConfig, var_search
 from planevar.ctpp import interpolate_grid
 from planevar.approx import (
+    ApproxError,
     C2Oracle,
     InconsistentOracle,
     OverlappingSquares,
     PointNotInDomain,
     Poly2,
+    _bernstein_to_monomial,
+    _lift,
     bernstein2,
     c2_to_poly,
     grid_lipschitz,
@@ -243,3 +248,135 @@ def test_auto_degree_doubles_until_target():
     assert rep.eps_meas <= 4e-2
     assert p.deg_x <= 18  # degree 16 inputs give a degree-18 polynomial
     assert rep.passed
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against their Fraction-arithmetic originals
+
+def _bernstein2_fraction(g, d):
+    G = [[_lift(g(Fraction(i, d), Fraction(j, d))) for j in range(d + 1)]
+         for i in range(d + 1)]
+    T = _bernstein_to_monomial(d)
+    A = [[sum(T[k][m] * G[k][loc] for k in range(d + 1)) for loc in range(d + 1)]
+         for m in range(d + 1)]
+    C = [[sum(A[m][loc] * T[loc][n] for loc in range(d + 1)) for n in range(d + 1)]
+         for m in range(d + 1)]
+    return Poly2.from_rows(C)
+
+
+def _eval_fraction(p, x, y):
+    x = _lift(x)
+    y = _lift(y)
+    total = 0
+    for row in reversed(p.coeffs):
+        inner = 0
+        for c in reversed(row):
+            inner = inner * y + c
+        total = total * x + inner
+    return total
+
+
+# ints, Fractions with unrelated denominators and finite floats (subnormals
+# included), each with negative and zero values
+exact_values = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**9)),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    st.just(0), st.just(Fraction(0)), st.just(-0.0),
+)
+points = st.one_of(
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 48)),
+    st.integers(-3, 3),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
+
+
+@st.composite
+def polys(draw):
+    dx = draw(st.integers(0, 24))
+    dy = draw(st.integers(0, 24))
+    cells = draw(st.lists(exact_values, min_size=(dx + 1) * (dy + 1),
+                          max_size=(dx + 1) * (dy + 1)))
+    return Poly2.from_rows([cells[m * (dy + 1):(m + 1) * (dy + 1)] for m in range(dx + 1)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 24), st.data())
+def test_bernstein2_equals_fraction_oracle(d, data):
+    samples = data.draw(st.lists(exact_values, min_size=(d + 1) ** 2,
+                                 max_size=(d + 1) ** 2))
+    table = {(Fraction(i, d), Fraction(j, d)): samples[i * (d + 1) + j]
+             for i in range(d + 1) for j in range(d + 1)}
+
+    def g(x, y):
+        return table[(x, y)]
+
+    assert bernstein2(g, d).coeffs == _bernstein2_fraction(g, d).coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(), points, points)
+def test_poly_eval_equals_fraction_oracle(p, x, y):
+    got = p.eval(x, y)
+    want = _eval_fraction(p, x, y)
+    assert type(got) is Fraction and got == want
+    assert float(got) == float(want)
+
+
+def test_complex_coefficients_keep_fraction_arithmetic():
+    p = Poly2.from_rows([[1, complex(0.5, 2)], [3, 0]])
+    for x, y in ((Fraction(1, 3), Fraction(2, 3)), (0.25, -1.5)):
+        assert p.eval(x, y) == _eval_fraction(p, x, y)
+    for d in (1, 3, 5):
+        assert bernstein2(p.eval, d) == _bernstein2_fraction(p.eval, d)
+
+
+def test_from_poly_refuses_complex_coefficients():
+    with pytest.raises(ApproxError, match="complex"):
+        C2Oracle.from_poly(Poly2.from_rows([[1, complex(0.5, 2)], [3, 0]]))
+
+
+def _grid_lipschitz_ordered_pairs(values, X, Y, chunk):
+    """Every ordered pair i != j: each chunk of rows against all columns,
+    keeping the running maximum when a chunk's maximum is NaN."""
+    v, x, y = values.ravel(), X.ravel(), Y.ravel()
+    best = 0.0
+    for s in range(0, len(v), chunk):
+        rows = slice(s, s + chunk)
+        dv = np.abs(v[rows, None] - v[None, :])
+        dist = np.sqrt((x[rows, None] - x[None, :]) ** 2 + (y[rows, None] - y[None, :]) ** 2)
+        np.fill_diagonal(dist[:, rows], np.inf)
+        best = max(best, float((dv / np.where(dist == 0, np.inf, dist)).max()))
+    return best
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 256])
+def test_grid_lipschitz_equals_ordered_pair_scan(chunk):
+    xs = np.linspace(0.0, 1.0, 13)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    zero = np.zeros((3, 11))
+    grids = [(np.zeros_like(X), X, Y), (zero, zero, zero)]   # all-zero values; one point
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        shape = (int(rng.integers(1, 20)), int(rng.integers(1, 20)))
+        grids.append((rng.normal(size=shape),
+                      rng.choice([0.0, 0.25, 0.5, 1.0], size=shape),   # repeated points
+                      rng.choice([0.0, 0.1, 0.3], size=shape)))
+    # a NaN or an infinity in the values or the points, first, inside and last
+    for at in ((0, 0), (6, 3), (12, 12)):
+        for bad in (np.nan, np.inf, -np.inf):
+            for which in range(3):
+                grid = [2 * X, X.copy(), Y.copy()]
+                grid[which][at] = bad
+                grids.append(tuple(grid))
+    big = np.linspace(0.0, 1.0, 30)
+    BX, BY = np.meshgrid(big, big, indexing="ij")
+    V = 2 * BX
+    V[20, 5] = np.nan
+    W = 2 * BX
+    W[0, 1] = W[29, 3] = np.inf
+    grids += [(V, BX, BY), (W, BX, BY)]
+    with np.errstate(invalid="ignore"):   # inf - inf
+        for V, X, Y in grids:
+            assert (grid_lipschitz(V, X, Y, chunk=chunk)
+                    == _grid_lipschitz_ordered_pairs(V, X, Y, chunk)), (V, X, Y)

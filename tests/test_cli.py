@@ -293,6 +293,34 @@ def test_approx_match_failed_sample_out_prints_nothing(tmp_path):
     assert out == ""
 
 
+COMPLEX_POLY = {"coeffs": [[1, [0.5, 2]], [3, 0]]}   # 1 + (0.5+2i) y + 3x
+
+
+def test_approx_c2_complex_coefficient_is_typed_error(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(COMPLEX_POLY))
+    code, out, err = run_cli("approx", "c2", "--poly", str(path), "--degree", "3")
+    assert_single_error(code, err, "ApproxError")
+    assert out == ""
+
+
+def test_approx_bernstein_complex_coefficient_output_is_pinned(tmp_path):
+    # complex samples keep the Fraction/complex sums, rounding noise included
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(COMPLEX_POLY))
+    code, out, err = run_cli("approx", "bernstein", "--poly", str(path), "--degree", "3")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"coeffs": [
+        [[1.0, 0.0], [0.5, 2.0], [0.0, 0.0], [0.0, 0.0]],
+        [[3.0, 0.0], [3.552713678800501e-15, 0.0], [-1.0658141036401503e-14, 0.0],
+         [7.105427357601002e-15, 0.0]],
+        [[0.0, 0.0], [-5.329070518200751e-15, 0.0], [1.5987211554602254e-14, 0.0],
+         [-1.0658141036401503e-14, 0.0]],
+        [[0.0, 0.0], [2.6645352591003757e-15, 3.3306690738754696e-16],
+         [-7.993605777301127e-15, 0.0], [5.329070518200751e-15, -3.3306690738754696e-16]],
+    ]}
+
+
 @pytest.mark.parametrize("grid", ["0", "1"])
 def test_approx_c2_degenerate_grid_is_typed_error(grid):
     code, out, err = run_cli("approx", "c2", "--builtin", "sin_exp", "--grid", grid)
