@@ -436,9 +436,9 @@ def grid_lipschitz(values: np.ndarray, X: np.ndarray, Y: np.ndarray,
     Each chunk of rows i is scanned against the columns j >= its first row
     only: float subtraction is exactly antisymmetric, so the (j, i) ratio
     equals the (i, j) one bit for bit. Both ends of a pair fold it into their
-    row maximum, and the result is the maximum over chunks of rows, where a
-    chunk meeting a NaN ratio is passed over (``max(best, nan)`` keeps
-    ``best``), as when every chunk scanned all columns.
+    row maximum. The result is NaN when any ratio is NaN: a NaN value or
+    coordinate, or an infinite value, whose own difference is inf - inf. It
+    does not depend on ``chunk``.
     """
     v = values.ravel()
     x = X.ravel()
@@ -456,10 +456,7 @@ def grid_lipschitz(values: np.ndarray, X: np.ndarray, Y: np.ndarray,
         # np.maximum propagates NaN, so a row that meets one stays NaN
         np.maximum(row_max[s:e], ratio.max(axis=1), out=row_max[s:e])
         np.maximum(row_max[s:], ratio.max(axis=0), out=row_max[s:])
-    best = 0.0
-    for s in range(0, n, chunk):
-        best = max(best, float(row_max[s:s + chunk].max()))
-    return best
+    return float(row_max.max(initial=0.0))
 
 
 def c2_to_poly(oracle: C2Oracle, degree: int, grid_n: int = 41,
@@ -469,7 +466,8 @@ def c2_to_poly(oracle: C2Oracle, degree: int, grid_n: int = 41,
     Builds Bernstein approximants of the three second partials, candidate
     first partials by antidifferentiation, and the final polynomial; measures
     all errors on a grid and checks the 2/3/4/sqrt(13) error chain against
-    the measured second-derivative error.
+    the measured second-derivative error. An oracle with a NaN or infinite
+    sample on that grid is refused with ApproxError.
     """
     if grid_n < 2:
         raise ApproxError(f"measurement grid needs at least 2 points per side, got {grid_n}")
@@ -491,16 +489,21 @@ def c2_to_poly(oracle: C2Oracle, degree: int, grid_n: int = 41,
     xs = np.linspace(0.0, 1.0, grid_n)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
 
-    def sample(fn):
-        return np.array([[float(fn(float(a), float(b))) for b in xs] for a in xs])
+    def sample(fn, what):
+        vals = np.array([[float(fn(float(a), float(b))) for b in xs] for a in xs])
+        bad = np.argwhere(~np.isfinite(vals))
+        if len(bad):
+            i, j = bad[0]
+            raise ApproxError(f"oracle {what} is not finite at ({xs[i]}, {xs[j]})")
+        return vals
 
-    F = sample(oracle.f)
-    FX = sample(oracle.fx)
-    FY = sample(oracle.fy)
+    F = sample(oracle.f, "f")
+    FX = sample(oracle.fx, "fx")
+    FY = sample(oracle.fy, "fy")
     eps = max(
-        float(np.max(np.abs(sample(oracle.fxx) - g_xx.eval_float_grid(X, Y)))),
-        float(np.max(np.abs(sample(oracle.fxy) - g_xy.eval_float_grid(X, Y)))),
-        float(np.max(np.abs(sample(oracle.fyy) - g_yy.eval_float_grid(X, Y)))),
+        float(np.max(np.abs(sample(oracle.fxx, "fxx") - g_xx.eval_float_grid(X, Y)))),
+        float(np.max(np.abs(sample(oracle.fxy, "fxy") - g_xy.eval_float_grid(X, Y)))),
+        float(np.max(np.abs(sample(oracle.fyy, "fyy") - g_yy.eval_float_grid(X, Y)))),
     )
     P_vals = p.eval_float_grid(X, Y)
     sup_err = float(np.max(np.abs(F - P_vals)))

@@ -7,10 +7,20 @@ evaluates such functions, classifies points by how many triangles contain
 them, interpolates samples on grid triangulations, extends a function beyond
 its polygon, bounds star-planar functions, and builds the standard bump
 constructions (plateau bump, its product, the pyramid).
+
+Point location. ``eval_ctpp`` takes the plane of the lowest-index triangle
+that contains the point and ``classify_point`` counts all of them. Both use
+the integer scan of ``Triangulation`` (see ``geom``): orientations there are
+the ``Fraction`` ones times the positive ``L**2 * D``, so the signs agree.
+``vertex_value`` reads the same lowest-index owner from a map built once per
+function. On exact values ``interpolate_grid`` writes each grid plane from two
+differences of its cell's corner values, over one common denominator, instead
+of solving it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -84,10 +94,22 @@ class CtppFunction:
         return eval_ctpp(self, p)
 
     def vertex_value(self, vid: int):
-        for t_idx, tri in enumerate(self.tri.triangles):
-            if vid in tri:
-                return self.coeffs[t_idx].eval(self.tri.vertices[vid])
-        raise CtppError(f"vertex {vid} belongs to no triangle")
+        """Value at a vertex from its lowest-index triangle."""
+        owner = self._first_owner().get(vid)
+        if owner is None:
+            raise CtppError(f"vertex {vid} belongs to no triangle")
+        return self.coeffs[owner].eval(self.tri.vertices[vid])
+
+    def _first_owner(self) -> dict[int, int]:
+        """Vertex id -> lowest index of a triangle that has it, built on first use."""
+        owners = self.__dict__.get("_owners")
+        if owners is None:
+            owners = {}
+            for t_idx, tri in enumerate(self.tri.triangles):
+                for vid in tri:
+                    owners.setdefault(vid, t_idx)
+            object.__setattr__(self, "_owners", owners)
+        return owners
 
     def sample(self, points) -> SampledFunction:
         pts = tuple(points)
@@ -134,11 +156,11 @@ def validate_ctpp(g: CtppFunction, tol: float = 1e-9) -> list[EdgeViolation]:
 
 
 def eval_ctpp(g: CtppFunction, p: Point2):
-    """Value at p via any containing triangle (well-defined when continuous)."""
-    for idx in range(len(g.tri.triangles)):
-        if g.tri.triangle(idx).contains(p):
-            return g.coeffs[idx].eval(p)
-    raise PointOutsidePolygon(f"{p} lies in no triangle")
+    """Value at p via its lowest-index containing triangle (well-defined when continuous)."""
+    idx = g.tri.first_containing(p)
+    if idx is None:
+        raise PointOutsidePolygon(f"{p} lies in no triangle")
+    return g.coeffs[idx].eval(p)
 
 
 @dataclass(frozen=True)
@@ -170,10 +192,34 @@ def interpolate_grid(oracle, rect: Rectangle, n: int) -> CtppFunction:
             if v not in oracle:
                 raise OracleMissingVertex(f"oracle missing vertex {v}")
             values.append(oracle[v])
+    if not all_exact(values):
+        coeffs = [solve_plane(tri.vertices[i], tri.vertices[j], tri.vertices[k],
+                              values[i], values[j], values[k])
+                  for i, j, k in tri.triangles]
+        return CtppFunction(tri=tri, coeffs=tuple(coeffs))
+    # Closed-form planes over one denominator. With z = zs/q, r the lcm of the
+    # rectangle's denominators, w = wi/(r*n) and h = hi/(r*n), cell (i, j) has
+    # corner (x0, y0) = (x, y)/(r*n) and values z00, z10, z11, z01. Its lower
+    # triangle (z00, z10, z11) has a = (z10 - z00)/w and b = (z11 - z10)/h, its
+    # upper triangle (z00, z11, z01) has a = (z11 - z01)/w and b = (z01 - z00)/h;
+    # both have c = z00 - a*x0 - b*y0. Each coefficient is one Fraction of ints.
+    q = math.lcm(*(z.denominator for z in values))
+    zs = [z.numerator * (q // z.denominator) for z in values]
+    r = math.lcm(*(c.denominator for c in (rect.x_min, rect.x_max, rect.y_min, rect.y_max)))
+    xm, ym = int(rect.x_min * r), int(rect.y_min * r)
+    wi, hi = int((rect.x_max - rect.x_min) * r), int((rect.y_max - rect.y_min) * r)
+    rn, a_den, b_den, c_den = r * n, q * wi, q * hi, q * wi * hi
     coeffs = []
-    for i, j, k in tri.triangles:
-        coeffs.append(solve_plane(tri.vertices[i], tri.vertices[j], tri.vertices[k],
-                                  values[i], values[j], values[k]))
+    for j in range(n):
+        y = ym * n + j * hi
+        for i in range(n):
+            x = xm * n + i * wi
+            v = j * (n + 1) + i
+            z00, z10 = zs[v], zs[v + 1]
+            z01, z11 = zs[v + n + 1], zs[v + n + 2]
+            for da, db in ((z10 - z00, z11 - z10), (z11 - z01, z01 - z00)):
+                c = Fraction(z00 * wi * hi - da * x * hi - db * y * wi, c_den)
+                coeffs.append(PlanarCoeffs(Fraction(da * rn, a_den), Fraction(db * rn, b_den), c))
     return CtppFunction(tri=tri, coeffs=tuple(coeffs))
 
 

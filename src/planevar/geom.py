@@ -4,6 +4,17 @@ Points carry rational coordinates and every predicate (side-of-line,
 orientation, in-triangle) is decided in exact integer/rational arithmetic.
 Crossing counts downstream are discontinuous in the inputs, so floating-point
 signs are not acceptable here.
+
+Point location. ``Triangulation.triangles_containing`` and
+``first_containing`` run the closed-triangle test of ``Triangle.contains``
+(three orientations all >= 0 or all <= 0) on plain integers. On first use the
+triangulation scales every vertex by ``L``, the lcm of all coordinate
+denominators, and keeps each triangle's integer edge vectors. A query point is
+scaled by ``D``, the lcm of its two denominators. Each orientation then equals
+the ``Fraction`` ``cross`` times ``L**2 * D``; that factor is positive, so the
+sign, and with it every answer, is the same. The scan keeps index order, so
+the first hit is the lowest-index containing triangle, and a degenerate
+triangle raises ``DegenerateTriangle`` where the ``Triangle`` scan would.
 """
 
 from __future__ import annotations
@@ -455,8 +466,68 @@ class Triangulation:
             total += abs(cross(self.vertices[i], self.vertices[j], self.vertices[k])) / 2
         return total
 
+    def _edge_table(self) -> tuple[list[tuple[int, ...]], int | None, int]:
+        """Integer edge functions of every triangle, built on first use.
+
+        Returns ``(rows, first_bad, scale)``. ``scale`` is the lcm of all
+        coordinate denominators; with every vertex scaled by it, row ``t``
+        holds for each directed edge (a, b) of triangle ``t`` the integers
+        ``ex, ey`` of ``scale*(b - a)`` and ``k = ex*ay - ey*ax`` (``a``
+        scaled too). ``first_bad`` is the index of the first degenerate
+        triangle, or None; the rows stop there.
+        """
+        table = self.__dict__.get("_edges")
+        if table is None:
+            coords = [c for v in self.vertices for c in (v.x, v.y)]
+            scale = math.lcm(*(c.denominator for c in coords))
+            ints = [c.numerator * (scale // c.denominator) for c in coords]
+            rows = []
+            first_bad = None
+            for idx, (i, j, k) in enumerate(self.triangles):
+                x0, y0 = ints[2 * i], ints[2 * i + 1]
+                x1, y1 = ints[2 * j], ints[2 * j + 1]
+                x2, y2 = ints[2 * k], ints[2 * k + 1]
+                ax, ay, bx, by, cx, cy = x1 - x0, y1 - y0, x2 - x1, y2 - y1, x0 - x2, y0 - y2
+                if ax * (y2 - y0) - ay * (x2 - x0) == 0:
+                    first_bad = idx
+                    break
+                rows.append((ax, ay, ax * y0 - ay * x0, bx, by, bx * y1 - by * x1,
+                             cx, cy, cx * y2 - cy * x2))
+            table = (rows, first_bad, scale)
+            object.__setattr__(self, "_edges", table)
+        return table
+
+    def _containing(self, p: Point2, first: bool) -> list[int]:
+        """Indices of the closed triangles containing p, in index order.
+
+        The scan raises the ``Triangle`` error at the first degenerate
+        triangle it reaches; with ``first`` it ends at the first hit.
+        """
+        rows, first_bad, scale = self._edge_table()
+        d = math.lcm(p.x.denominator, p.y.denominator)
+        qx = p.x.numerator * (d // p.x.denominator) * scale
+        qy = p.y.numerator * (d // p.y.denominator) * scale
+        hits = []
+        for idx, (ax, ay, ak, bx, by, bk, cx, cy, ck) in enumerate(rows):
+            s1 = ax * qy - ay * qx - ak * d
+            s2 = bx * qy - by * qx - bk * d
+            s3 = cx * qy - cy * qx - ck * d
+            if (s1 >= 0 and s2 >= 0 and s3 >= 0) or (s1 <= 0 and s2 <= 0 and s3 <= 0):
+                hits.append(idx)
+                if first:
+                    return hits
+        if first_bad is not None:
+            self.triangle(first_bad)  # raises DegenerateTriangle
+        return hits
+
     def triangles_containing(self, p: Point2) -> list[int]:
-        return [idx for idx in range(len(self.triangles)) if self.triangle(idx).contains(p)]
+        """Indices of every closed triangle containing p, in index order."""
+        return self._containing(p, first=False)
+
+    def first_containing(self, p: Point2) -> int | None:
+        """Lowest index of a closed triangle containing p, or None."""
+        hits = self._containing(p, first=True)
+        return hits[0] if hits else None
 
 
 def validate_triangulation(tri: Triangulation) -> None:

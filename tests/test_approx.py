@@ -337,8 +337,8 @@ def test_from_poly_refuses_complex_coefficients():
 
 
 def _grid_lipschitz_ordered_pairs(values, X, Y, chunk):
-    """Every ordered pair i != j: each chunk of rows against all columns,
-    keeping the running maximum when a chunk's maximum is NaN."""
+    """Every ordered pair i != j: each chunk of rows against all columns;
+    NaN as soon as a chunk's maximum is NaN."""
     v, x, y = values.ravel(), X.ravel(), Y.ravel()
     best = 0.0
     for s in range(0, len(v), chunk):
@@ -346,7 +346,10 @@ def _grid_lipschitz_ordered_pairs(values, X, Y, chunk):
         dv = np.abs(v[rows, None] - v[None, :])
         dist = np.sqrt((x[rows, None] - x[None, :]) ** 2 + (y[rows, None] - y[None, :]) ** 2)
         np.fill_diagonal(dist[:, rows], np.inf)
-        best = max(best, float((dv / np.where(dist == 0, np.inf, dist)).max()))
+        m = float((dv / np.where(dist == 0, np.inf, dist)).max())
+        if math.isnan(m):
+            return m
+        best = max(best, m)
     return best
 
 
@@ -378,5 +381,33 @@ def test_grid_lipschitz_equals_ordered_pair_scan(chunk):
     grids += [(V, BX, BY), (W, BX, BY)]
     with np.errstate(invalid="ignore"):   # inf - inf
         for V, X, Y in grids:
-            assert (grid_lipschitz(V, X, Y, chunk=chunk)
-                    == _grid_lipschitz_ordered_pairs(V, X, Y, chunk)), (V, X, Y)
+            got = grid_lipschitz(V, X, Y, chunk=chunk)
+            want = _grid_lipschitz_ordered_pairs(V, X, Y, chunk)
+            assert got == want or (math.isnan(got) and math.isnan(want)), (V, X, Y)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 256])
+def test_grid_lipschitz_nan_value_gives_nan(chunk):
+    xs = np.linspace(0.0, 1.0, 30)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    V = 2 * X
+    assert grid_lipschitz(V, X, Y, chunk=chunk) == pytest.approx(2.0)
+    V[20, 5] = np.nan
+    assert math.isnan(grid_lipschitz(V, X, Y, chunk=chunk))
+
+
+def test_c2_to_poly_refuses_non_finite_oracle_samples():
+    def zero(x, y):
+        return 0.0
+
+    for bad in (math.nan, math.inf):
+        def f(x, y):
+            return bad if (x, y) == (0.25, 0.5) else 2.0 * x
+
+        oracle = C2Oracle(f=f, fx=lambda x, y: 2.0, fy=zero, fxx=zero, fxy=zero, fyy=zero)
+        with pytest.raises(ApproxError, match=r"oracle f is not finite at \(0.25, 0.5\)"):
+            c2_to_poly(oracle, 4)
+    partial = C2Oracle(f=zero, fx=zero, fy=zero, fxx=zero, fxy=zero,
+                       fyy=lambda x, y: math.nan if x == 0.025 else 0.0)   # off the Bernstein nodes
+    with pytest.raises(ApproxError, match=r"oracle fyy is not finite at \(0.025, 0.0\)"):
+        c2_to_poly(partial, 4, skip_spot_check=True)

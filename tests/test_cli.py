@@ -1,6 +1,7 @@
 """Command-line front-end: subcommands, exit codes, determinism, round-trips."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -424,3 +425,71 @@ def test_suite_negative_seed_runs_nothing(tmp_path):
     assert_single_error(code, err, "BadInputFile")
     assert out == ""
     assert not target.exists()
+
+
+# a 2 x 2 grid on a rectangle with mixed denominators; INTERP_FLOAT replaces the
+# centre value by 0.25, so only the two triangles without the centre stay exact
+INTERP_POINTS = [[x, y] for y in ["1/3", "7/6", 2] for x in ["-1/2", "1/2", "3/2"]]
+INTERP_EXACT = [3, "-5/7", 0, "1/2", -2, "11/3", 4, "2/9", -1]
+INTERP_FLOAT = INTERP_EXACT[:4] + [0.25] + INTERP_EXACT[5:]
+INTERP_DOC = {
+    "vertices": [["-1/2", "1/3"], ["1/2", "1/3"], ["3/2", "1/3"], ["-1/2", "7/6"],
+                 ["1/2", "7/6"], ["3/2", "7/6"], ["-1/2", 2], ["1/2", 2], ["3/2", 2]],
+    "triangles": [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
+                  [3, 4, 7], [3, 7, 6], [4, 5, 8], [4, 8, 7]],
+}
+INTERP_EXACT_COEFFS = [
+    ["-26/7", "-54/35", "58/35"], ["-5/2", -3, "11/4"], ["5/7", "22/5", "-533/210"],
+    ["17/3", "-54/35", "-91/30"], ["-5/2", "8/3", "-139/36"], ["-34/9", "21/5", "-283/45"],
+    ["17/3", "-28/5", "17/10"], ["-11/9", "8/3", "-9/2"]]
+INTERP_FLOAT_COEFFS = [
+    [-3.7142857142857144, 1.1571428571428573, 0.7571428571428571],
+    [-0.25000000000000017, -3.0, 3.875],
+    ["5/7", "22/5", "-533/210"],
+    [3.4166666666666665, 1.157142857142857, -2.808333333333333],
+    [-0.25, -0.03333333333333335, 0.4138888888888889],
+    ["-34/9", "21/5", "-283/45"],
+    [3.4166666666666665, -5.599999999999999, 5.074999999999999],
+    [-1.2222222222222223, -0.03333333333333335, 0.9]]
+
+
+@pytest.mark.parametrize("values, coeffs", [(INTERP_EXACT, INTERP_EXACT_COEFFS),
+                                            (INTERP_FLOAT, INTERP_FLOAT_COEFFS)],
+                         ids=["exact", "float"])
+def test_ctpp_interp_output_is_pinned(tmp_path, capsys, values, coeffs):
+    src = tmp_path / "vals.json"
+    src.write_text(json.dumps({"points": INTERP_POINTS, "values": values}))
+    out = tmp_path / "g.json"
+    assert main(["ctpp", "interp", "--values", str(src), "--rect=-1/2,3/2,1/3,2",
+                 "--n", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "triangles: 8\n"
+    assert out.read_text() == json.dumps({**INTERP_DOC, "coeffs": coeffs}, indent=1)
+
+
+@pytest.mark.parametrize("point", ["1/4,1/4", "5,5"])
+def test_ctpp_classify_degenerate_triangle_is_typed_error(tmp_path, point):
+    # the point lies in triangle 0 or in none; the scan reaches triangle 1 either way
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [0, 1], [2, 2], [3, 3], [4, 4]],
+                                "triangles": [[0, 1, 2], [3, 4, 5]],
+                                "coeffs": [[0, 0, 0], [0, 0, 0]]}))
+    code, out, err = run_cli("ctpp", "classify", "--ctpp", str(path), "--point", point)
+    assert_single_error(code, err, "DegenerateTriangle")
+    assert err == "error:DegenerateTriangle:collinear vertices P(2, 2), P(3, 3), P(4, 4)\n"
+    assert out == ""
+
+
+def test_approx_c2_non_finite_oracle_is_typed_error(monkeypatch, capsys):
+    from planevar import approx
+
+    def f(x, y):
+        return math.nan if (x, y) == (0.25, 0.25) else 2.0 * x
+
+    zero = lambda x, y: 0.0  # noqa: E731
+    nan_oracle = approx.C2Oracle(f=f, fx=lambda x, y: 2.0, fy=zero,
+                                 fxx=zero, fxy=zero, fyy=zero, name="nan")
+    monkeypatch.setitem(approx.BUILTIN_ORACLES, "sin_cos", nan_oracle)
+    assert main(["approx", "c2", "--builtin", "sin_cos", "--degree", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error:ApproxError:oracle f is not finite at (0.25, 0.25)\n"

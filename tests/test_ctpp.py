@@ -1,12 +1,15 @@
 """Piecewise-planar validation, evaluation, interpolation, extension, bumps."""
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from planevar.geom import P, Polygon, Rectangle, Triangulation, inradius
+from planevar.geom import P, Polygon, Rectangle, Triangulation, grid_triangulation, inradius
 from planevar.variation import (
     PlanarCoeffs,
     SampledFunction,
@@ -18,6 +21,7 @@ from planevar.variation import (
 from planevar.ctpp import (
     BadSpec,
     BumpSpec,
+    CtppError,
     CtppFunction,
     CtppSum,
     NotStarPlanar,
@@ -322,3 +326,74 @@ def test_vector_space_closure_lazy_sum():
 def test_solve_plane_roundtrip():
     c = solve_plane(P(0, 0), P(1, 0), P(0, 1), Fraction(1), Fraction(0), Fraction(0))
     assert (c.a, c.b, c.c) == (-1, -1, 1)
+
+
+# --- closed-form grid planes and the first-owner map ----------------------------
+
+rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+exact_values = st.one_of(st.integers(-10**6, 10**6),
+                         st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**9)))
+
+
+@st.composite
+def grid_rectangles(draw):
+    x0, y0 = draw(rationals), draw(rationals)
+    width, height = (draw(st.builds(Fraction, st.integers(1, 40), st.integers(1, 12)))
+                     for _ in range(2))
+    return Rectangle(x0, x0 + width, y0, y0 + height)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_rectangles(), st.integers(1, 6), st.data())
+def test_exact_interpolate_grid_equals_solve_plane(rect, n, data):
+    values = data.draw(st.lists(exact_values, min_size=(n + 1) ** 2, max_size=(n + 1) ** 2))
+    v = grid_triangulation(rect, n).vertices
+    g = interpolate_grid(dict(zip(v, values)), rect, n)
+    assert g.tri.vertices == v
+    for t_idx, (i, j, k) in enumerate(g.tri.triangles):
+        want = solve_plane(v[i], v[j], v[k], values[i], values[j], values[k])
+        got = g.coeffs[t_idx]
+        assert (got.a, got.b, got.c) == (want.a, want.b, want.c)
+        assert all(type(c) is Fraction for c in (got.a, got.b, got.c))
+
+
+@functools.cache
+def _extension():
+    g = interpolate_grid(lambda v: v.x * v.y - v.y / 3, RECT01, 2)
+    return extend_to_polygon(g, Polygon((P(Fraction(-1, 3), Fraction(-2, 5)),
+                                         P(Fraction(7, 4), Fraction(-1, 2)),
+                                         P(2, Fraction(9, 7)),
+                                         P(Fraction(-1, 2), Fraction(5, 3)))))
+
+
+@pytest.mark.parametrize("make", [lambda: interpolate_grid(lambda v: v.x - v.y, RECT01, 3),
+                                  pyramid_ctpp, _extension],
+                         ids=["grid", "pyramid", "extension"])
+def test_first_owner_map_equals_the_triangle_scan(make):
+    g = make()
+    for vid in range(len(g.tri.vertices)):
+        owner = next(t for t, tri in enumerate(g.tri.triangles) if vid in tri)
+        assert g._first_owner()[vid] == owner
+        assert g.vertex_value(vid) == g.coeffs[owner].eval(g.tri.vertices[vid])
+
+
+def test_vertex_in_no_triangle_is_an_error():
+    tri = Triangulation((P(0, 0), P(1, 0), P(0, 1), P(5, 5)), ((0, 1, 2),))
+    g = CtppFunction(tri, (PlanarCoeffs(Fraction(1), Fraction(0), Fraction(0)),))
+    assert g.vertex_value(1) == 1
+    with pytest.raises(CtppError, match="vertex 3 belongs to no triangle"):
+        g.vertex_value(3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["pyramid", "extension"]), st.data())
+def test_eval_ctpp_uses_the_first_containing_triangle(name, data):
+    g = {"pyramid": pyramid_ctpp, "extension": _extension}[name]()
+    a, b, c = (g.tri.vertices[i] for i in data.draw(st.sampled_from(g.tri.triangles)))
+    w = [data.draw(st.integers(0, 6)) for _ in range(3)]   # vertices, edges and interiors
+    if sum(w) == 0:
+        w[0] = 1
+    p = P((w[0] * a.x + w[1] * b.x + w[2] * c.x) / sum(w),
+          (w[0] * a.y + w[1] * b.y + w[2] * c.y) / sum(w))
+    first = next(t for t in range(len(g.tri.triangles)) if g.tri.triangle(t).contains(p))
+    assert eval_ctpp(g, p) == g.coeffs[first].eval(p)

@@ -1,10 +1,13 @@
 """Geometry primitive tests: exact predicates, ear clipping, grid triangulations."""
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planevar.geom import (
     AffineMap,
@@ -14,6 +17,7 @@ from planevar.geom import (
     Line,
     NotSimple,
     P,
+    Point2,
     Polygon,
     Rectangle,
     Side,
@@ -248,3 +252,99 @@ def test_triangulation_rejects_overshared_edge():
 def test_triangulation_rejects_bad_index_triples(triangles):
     with pytest.raises(GeomError, match="three indices of the 3 vertices"):
         Triangulation((P(0, 0), P(1, 0), P(0, 1)), triangles)
+
+
+# --- point location: the integer scan against the Triangle.contains scan -------
+
+def _scan(tri, p):
+    return [idx for idx in range(len(tri.triangles)) if tri.triangle(idx).contains(p)]
+
+
+def _first_scan(tri, p):
+    for idx in range(len(tri.triangles)):
+        if tri.triangle(idx).contains(p):
+            return idx
+    return None
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except GeomError as exc:
+        return type(exc), str(exc)
+
+
+rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+lengths = st.builds(Fraction, st.integers(1, 40), st.integers(1, 12))
+
+
+@st.composite
+def grid_triangulations(draw):
+    x0, y0 = draw(rationals), draw(rationals)
+    rect = Rectangle(x0, x0 + draw(lengths), y0, y0 + draw(lengths))
+    return grid_triangulation(rect, draw(st.integers(1, 6)))
+
+
+@functools.cache
+def _fixed_triangulation(name):
+    from planevar.ctpp import extend_to_polygon, interpolate_grid, pyramid_ctpp
+    if name == "pyramid":
+        return pyramid_ctpp().tri
+    g = interpolate_grid(lambda v: v.x * v.y, Rectangle.of(0, 1, 0, 1), 2)
+    target = Polygon((P(Fraction(-1, 3), Fraction(-2, 5)), P(Fraction(7, 4), Fraction(-1, 2)),
+                      P(2, Fraction(9, 7)), P(Fraction(-1, 2), Fraction(5, 3))))
+    return extend_to_polygon(g, target).tri
+
+
+triangulations = st.one_of(grid_triangulations(),
+                           st.sampled_from(["pyramid", "extension"]).map(_fixed_triangulation))
+
+
+@st.composite
+def probes(draw, tri):
+    """A vertex, a point on an edge, an inner point of a triangle, or any point
+    of a box one unit wider than the triangulation."""
+    kind = draw(st.sampled_from(["vertex", "edge", "inside", "box"]))
+    if kind == "vertex":
+        return draw(st.sampled_from(tri.vertices))
+    a, b, c = (tri.vertices[i] for i in draw(st.sampled_from(tri.triangles)))
+    if kind == "edge":
+        t = Fraction(draw(st.integers(0, 12)), 12)
+        return Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+    if kind == "inside":
+        w = [draw(st.integers(1, 9)) for _ in range(3)]
+        return Point2((w[0] * a.x + w[1] * b.x + w[2] * c.x) / sum(w),
+                      (w[0] * a.y + w[1] * b.y + w[2] * c.y) / sum(w))
+
+    def coordinate(values):
+        lo, hi = math.floor(min(values)) - 1, math.ceil(max(values)) + 1
+        return Fraction(draw(st.integers(42 * lo, 42 * hi)), 42)
+
+    return Point2(coordinate([v.x for v in tri.vertices]), coordinate([v.y for v in tri.vertices]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(triangulations, st.data())
+def test_point_location_equals_contains_scan(tri, data):
+    for _ in range(8):
+        p = data.draw(probes(tri))
+        hits = _scan(tri, p)
+        assert tri.triangles_containing(p) == hits
+        assert tri.first_containing(p) == (hits[0] if hits else None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_triangulations(), st.data())
+def test_degenerate_triangle_raises_where_the_scan_does(base, data):
+    a = data.draw(st.sampled_from(base.vertices))
+    d = Point2(data.draw(rationals), data.draw(rationals))
+    t = data.draw(st.sampled_from([Fraction(1, 2), Fraction(2), Fraction(-1, 3)]))
+    collinear = (a, Point2(a.x + d.x, a.y + d.y), Point2(a.x + t * d.x, a.y + t * d.y))
+    n = len(base.vertices)
+    at = data.draw(st.integers(0, len(base.triangles)))
+    triangles = base.triangles[:at] + ((n, n + 1, n + 2),) + base.triangles[at:]
+    tri = Triangulation(base.vertices + collinear, triangles)
+    for _ in range(4):
+        p = data.draw(probes(base))
+        assert _outcome(tri.triangles_containing, p) == _outcome(_scan, tri, p)
+        assert _outcome(tri.first_containing, p) == _outcome(_first_scan, tri, p)
