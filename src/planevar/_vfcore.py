@@ -54,9 +54,9 @@ same vectorized code runs on object arrays of Python integers.
 
 Pair form
 ---------
-``_crossing_mask`` decides segment j of a list with signs s_0..s_{m-1} by
-rules 1-4, which exclude one another. Regroup the flags by the consecutive
-pair (s_p, s_{p+1}) they read:
+The crossing segments of a list with signs s_0..s_{m-1} are defined by
+rules 1-4 of ``_crossing_mask`` (after Ashton and Doust), which exclude one
+another. Regroup the flags by the consecutive pair (s_p, s_{p+1}) they read:
 
 * rule 1 on segment p is [s_p * s_{p+1} < 0];
 * rule 3 on segment p+1 (p+1 <= m-2) and rule 4 on segment m-2 (p = m-2)
@@ -69,9 +69,11 @@ and the count of a list is
     [s_0 = 0] + sum over p of E(s_p, s_{p+1}),  E(a, b) = |a| - [a * b > 0],
 
 which for m = 1 is the single-point convention. E(a, b) is 1 exactly when a
-is off the line and b is not strictly on a's side. A list's count vector
-over the L lines of a sign table is therefore one "first" row of L terms
-plus one pair row per consecutive pair:
+is off the line and b is not strictly on a's side. This sum is the only
+count: ``_counts_from_matrix`` takes it over a gathered sign matrix, and
+``_crossing_mask`` only lists segments for ``variation.vf_line``. A list's
+count vector over the L lines of a sign table is therefore one "first" row
+of L terms plus one pair row per consecutive pair:
 
 * ``vf_batch`` tabulates every pair row once per call, P^2 * L cells for P
   sample points; that stays small because its only caller,
@@ -261,6 +263,7 @@ def _crossing_mask(S: np.ndarray) -> np.ndarray:
       2. j = 0 and position 0 on the line,
       3. j > 0, position j on the line, position j-1 off it,
       4. j = m-2, position j off the line, position j+1 on it.
+    Only ``variation.vf_line`` calls this, to list segments; counts use the pair form.
     """
     A = S[..., :-1]
     B = S[..., 1:]
@@ -272,14 +275,19 @@ def _crossing_mask(S: np.ndarray) -> np.ndarray:
     return crossing
 
 
-def _counts_from_matrix(S: np.ndarray) -> np.ndarray:
-    """Crossing counts per row for sign matrix S of shape (..., m), m >= 1.
+def _pair_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """E(a, b) = |a| - [a * b > 0] of the pair form, as booleans (broadcasting)."""
+    e = a * b <= 0
+    e &= a != 0         # in place: one temporary fewer at the peak
+    return e
 
-    Single-point convention: for m = 1 the count is 1 iff the point is on the line.
+
+def _counts_from_matrix(S: np.ndarray) -> np.ndarray:
+    """Pair-form crossing counts per row of sign matrix S of shape (..., m), m >= 1.
+
+    For m = 1 the empty pair sum leaves the single-point convention [s_0 = 0].
     """
-    if S.shape[-1] == 1:
-        return (S[..., 0] == 0).astype(np.int32)
-    return _crossing_mask(S).sum(axis=-1, dtype=np.int32)
+    return (S[..., 0] == 0) + _pair_terms(S[..., :-1], S[..., 1:]).sum(axis=-1, dtype=np.int32)
 
 
 def vf_of_indices(table: SignTable, idx) -> tuple[int, int]:
@@ -288,11 +296,6 @@ def vf_of_indices(table: SignTable, idx) -> tuple[int, int]:
     counts = _counts_from_matrix(table.signs[:, idx])
     row = int(np.argmax(counts))  # first max = lex-smallest line (rows sorted)
     return int(counts[row]), row
-
-
-def _pair_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """E(a, b) = |a| - [a * b > 0] of the pair form, as booleans (broadcasting)."""
-    return (a != 0) & (a * b <= 0)
 
 
 def _count_dtype(max_len: int):
@@ -376,12 +379,7 @@ def vf_batch(table: SignTable, idx_batch: np.ndarray, chunk: int = 4096) -> np.n
     """
     n_lists, m = idx_batch.shape
     out = np.empty(n_lists, dtype=np.int32)
-    if n_lists == 0:
-        return out
     S = table.signs.T                                    # (P, L)
-    if m == 1:
-        out[:] = (S == 0).any(axis=1)[idx_batch[:, 0]]   # single-point convention
-        return out
     n_pts, n_rows = S.shape
     count_dtype = _count_dtype(m)
     first = (S == 0).astype(count_dtype)
@@ -400,6 +398,7 @@ def vf_batch(table: SignTable, idx_batch: np.ndarray, chunk: int = 4096) -> np.n
             prefix = np.take(prefix, grp[reps], axis=0) + np.take(pair, code, axis=0)
             grp = np.cumsum(new) - 1
         counts = np.take(prefix, grp, axis=0)
-        counts += np.take(pair, block[:, m - 2] * n_pts + block[:, m - 1], axis=0)
+        if m > 1:
+            counts += np.take(pair, block[:, m - 2] * n_pts + block[:, m - 1], axis=0)
         out[start:start + len(block)] = counts.max(axis=1)
     return out

@@ -20,6 +20,7 @@ no exact lift and keep the plain ``Fraction``/complex arithmetic.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -320,13 +321,20 @@ def bernstein2(g, degree: int) -> Poly2:
 
     Reproduces constants and affine functions exactly at every degree; for
     univariate-convex data the approximant decreases pointwise as the degree
-    grows. ``g`` is called at the rational nodes (i/d, j/d).
+    grows. ``g`` is called at the rational nodes (i/d, j/d); a NaN or
+    infinite value there is refused with ApproxError.
     """
     if degree < 1:
         raise ApproxError("degree must be >= 1")
     d = degree
-    G = [[_lift(g(Fraction(i, d), Fraction(j, d))) for j in range(d + 1)]
-         for i in range(d + 1)]
+
+    def node(x, y):
+        v = g(x, y)
+        if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+            raise ApproxError(f"oracle is not finite at Bernstein node ({x}, {y}): {v}")
+        return _lift(v)
+
+    G = [[node(Fraction(i, d), Fraction(j, d)) for j in range(d + 1)] for i in range(d + 1)]
     T = _bernstein_to_monomial(d)
     # two-pass conversion: A[m][l] = sum_k T[k][m] G[k][l]; C[m][n] = sum_l A[m][l] T[l][n]
     lifted = _over_common_denominator([v for row in G for v in row])
@@ -344,6 +352,28 @@ def bernstein2(g, degree: int) -> Poly2:
     C = [[Fraction(sum(A[m][loc] * T[loc][n] for loc in range(n + 1)), den)
           for n in range(d + 1)] for m in range(d + 1)]
     return Poly2.from_rows(C)
+
+
+def bernstein2_of_poly(p: Poly2, degree: int) -> Poly2:
+    """``bernstein2`` of the polynomial ``p``, exact for complex coefficients too.
+
+    Complex samples have no exact lift, but the real and imaginary parts of
+    ``p`` do, and the Bernstein operator is linear: a complex ``p`` gives the
+    approximant of its real part plus i times that of its imaginary part,
+    with every coefficient complex.
+    """
+    if not any(isinstance(c, complex) for row in p.coeffs for c in row):
+        return bernstein2(p.eval, degree)
+    re, im = (bernstein2(Poly2.from_rows([[getattr(c, part) for c in row]
+                                          for row in p.coeffs]).eval, degree)
+              for part in ("real", "imag"))
+
+    def coeff(q, m, n):
+        return q.coeffs[m][n] if m <= q.deg_x and n <= q.deg_y else 0
+
+    return Poly2.from_rows([[complex(coeff(re, m, n), coeff(im, m, n))
+                             for n in range(max(re.deg_y, im.deg_y) + 1)]
+                            for m in range(max(re.deg_x, im.deg_x) + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +497,7 @@ def c2_to_poly(oracle: C2Oracle, degree: int, grid_n: int = 41,
     first partials by antidifferentiation, and the final polynomial; measures
     all errors on a grid and checks the 2/3/4/sqrt(13) error chain against
     the measured second-derivative error. An oracle with a NaN or infinite
-    sample on that grid is refused with ApproxError.
+    sample on that grid or at a Bernstein node is refused with ApproxError.
     """
     if grid_n < 2:
         raise ApproxError(f"measurement grid needs at least 2 points per side, got {grid_n}")

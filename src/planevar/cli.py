@@ -33,7 +33,8 @@ from .variation import (
 from .onedim import (_EXAMPLE_KINDS, OnedimError, RealSample, ac_modulus, iota_extend,
                      make_example, var_1d)
 from .ctpp import CtppError, classify_point, extend_to_polygon, interpolate_grid, validate_ctpp
-from .approx import BUILTIN_ORACLES, ApproxError, C2Oracle, bernstein2, c2_to_poly, match_points
+from .approx import (BUILTIN_ORACLES, ApproxError, C2Oracle, bernstein2, bernstein2_of_poly,
+                     c2_to_poly, match_points)
 from .joins import ConvexCurve, JoinsError, SectorSpec, graph_fill, join_report, pasting_extend, sector_fill
 from .suite import CRITERIA, run_suite, suite_csv
 from .svg import ctpp_svg
@@ -198,13 +199,11 @@ def _cmd_ctpp_classify(args) -> int:
 
 def _cmd_approx_bernstein(args) -> int:
     if args.poly:
-        p = fileio.poly2_from_json(_read(args.poly))
-        target = p.eval
+        b = bernstein2_of_poly(fileio.poly2_from_json(_read(args.poly)), args.degree)
     elif args.builtin:
-        target = BUILTIN_ORACLES[args.builtin].f
+        b = bernstein2(BUILTIN_ORACLES[args.builtin].f, args.degree)
     else:
         raise BadInputFile("need --poly or --builtin")
-    b = bernstein2(lambda x, y: target(x, y), args.degree)
     _emit(args.out, fileio.poly2_to_json(b))
     return 0
 

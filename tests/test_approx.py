@@ -22,6 +22,7 @@ from planevar.approx import (
     _bernstein_to_monomial,
     _lift,
     bernstein2,
+    bernstein2_of_poly,
     c2_to_poly,
     grid_lipschitz,
     match_points,
@@ -411,3 +412,29 @@ def test_c2_to_poly_refuses_non_finite_oracle_samples():
                        fyy=lambda x, y: math.nan if x == 0.025 else 0.0)   # off the Bernstein nodes
     with pytest.raises(ApproxError, match=r"oracle fyy is not finite at \(0.025, 0.0\)"):
         c2_to_poly(partial, 4, skip_spot_check=True)
+    at_node = C2Oracle(f=zero, fx=zero, fy=zero, fxx=zero, fxy=zero,
+                       fyy=lambda x, y: math.nan if x == 1 else 0.0)    # NaN at the node (1, 0)
+    with pytest.raises(ApproxError, match=r"not finite at Bernstein node \(1, 0\)"):
+        c2_to_poly(at_node, 4, skip_spot_check=True)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0)])
+def test_bernstein2_refuses_non_finite_node_values(bad):
+    def g(x, y):
+        return bad if (x, y) == (1, Fraction(2, 3)) else 1.5
+
+    with pytest.raises(ApproxError, match=r"not finite at Bernstein node \(1, 2/3\)"):
+        bernstein2(g, 3)
+
+
+def test_bernstein2_of_poly_converts_real_and_imaginary_parts_exactly():
+    # B_d(x^2) = x^2 + x(1 - x)/d, and B_d reproduces affine functions
+    c = complex(0.25, -1.5)
+    p = Poly2.from_rows([[1, complex(0.5, 2)], [3, 0], [c, 0]])
+    for d in (2, 4, 8):
+        got = bernstein2_of_poly(p, d)
+        assert got == Poly2.from_rows([[1, complex(0.5, 2)], [3 + c / d, 0], [c * (1 - 1 / d), 0]])
+        assert all(isinstance(v, complex) for row in got.coeffs for v in row)
+    # a real polynomial takes bernstein2 itself
+    x2 = Poly2.from_rows([[0], [0], [1]])
+    assert bernstein2_of_poly(x2, 4).coeffs == bernstein2(x2.eval, 4).coeffs

@@ -405,14 +405,13 @@ def test_is_collinear():
     assert not is_collinear((P(0, 0), P(1, 1), P(2, 0)))
 
 
-def test_thread_cap_does_not_change_results(monkeypatch):
+def test_var_search_repeats_under_one_seed():
     cfg = SearchConfig(iters=300, restarts=4, seed=5)
-    serial = var_search(F_X, cfg)
-    monkeypatch.setenv("PLANEVAR_THREADS", "4")
-    threaded = var_search(F_X, cfg)
-    assert serial.value == threaded.value
-    assert serial.witness == threaded.witness
-    assert serial.stats["max_objective_seen"] == threaded.stats["max_objective_seen"]
+    first = var_search(F_X, cfg)
+    again = var_search(F_X, cfg)
+    assert first.value == again.value
+    assert first.witness == again.witness
+    assert first.stats["max_objective_seen"] == again.stats["max_objective_seen"]
 
 
 def test_var_collinear_requires_collinear():
@@ -544,13 +543,13 @@ coords = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
 
 @st.composite
-def point_lists_with_runs(draw):
-    """At most 10 points on a coarse grid: repeats and collinear runs are common."""
-    pts = draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=10))
+def point_lists_with_runs(draw, max_size=10):
+    """At most ``max_size`` points on a coarse grid: repeats and collinear runs are common."""
+    pts = draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=max_size))
     if len(pts) >= 2 and draw(st.booleans()):
         # a collinear run through the first point, in the direction of the second
         (x0, y0), (x1, y1) = pts[0], pts[1]
-        steps = draw(st.lists(st.integers(-2, 3), max_size=10 - len(pts)))
+        steps = draw(st.lists(st.integers(-2, 3), max_size=max_size - len(pts)))
         pts += [(x0 + t * (x1 - x0), y0 + t * (y1 - y0)) for t in steps]
     return tuple(P(x, y) for x, y in pts)
 
@@ -580,6 +579,19 @@ def test_distinct_table_keeps_the_first_row_of_each_pattern(pts, data):
     batch = np.array(data.draw(st.lists(st.lists(index, min_size=m, max_size=m),
                                         min_size=1, max_size=20)), dtype=np.intp)
     assert vf_batch(table, batch).tolist() == vf_batch(full, batch).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_lists_with_runs(max_size=8))
+@example((P(0, 0),))
+@example((P(0, 0), P(1, 0), P(0, 0), P(1, 0)))
+@example((P(-1, 0), P(0, 0), P(0, 0), P(1, 0), P(Fraction(1, 2), 0)))
+def test_vf_exact_matches_the_pattern_oracle(pts):
+    """The pair-form count over the candidate family against two independent
+    counts: the suite's pattern oracle and ``vf_line``'s segment rules."""
+    res = vf_exact(pts)
+    assert res.vf == vf_pattern_oracle(pts)
+    assert vf_line(pts, res.witness)[0] == res.vf
 
 
 def test_distinct_table_with_object_coefficients():
@@ -772,9 +784,19 @@ def test_var_exact_small_matches_the_pattern_oracle(pts, data):
 
 # --- prefix-shared batch kernel -----------------------------------------------
 
+def _segment_rule_counts(S):
+    """Counts per row of sign matrix S (..., m) by rules 1-4 of ``_crossing_mask``.
+
+    An oracle independent of the pair form that production code counts with.
+    """
+    if S.shape[-1] == 1:
+        return (S[..., 0] == 0).astype(np.int32)    # single-point convention
+    return _vfcore._crossing_mask(S).sum(axis=-1, dtype=np.int32)
+
+
 def _batch_oracle(table, seqs):
     """The gather-and-mask count: every list rebuilt from all of its segments."""
-    return _counts_from_matrix(table.signs[:, seqs]).max(axis=0)
+    return _segment_rule_counts(table.signs[:, seqs]).max(axis=0)
 
 
 def _sequences(k, m):
@@ -890,11 +912,13 @@ def _table_of_signs(signs: np.ndarray):
     st.lists(st.sampled_from([-1, 0, 1]), min_size=m, max_size=m), min_size=1, max_size=20)))
 def test_pair_form_equals_the_segment_rules(rows):
     S = np.array(rows, dtype=np.int8)
-    assert _counts_from_matrix(S).tolist() == [_pair_form_count(row.tolist()) for row in S]
+    expected = [_pair_form_count(row.tolist()) for row in S]
+    assert _segment_rule_counts(S).tolist() == expected
+    assert _counts_from_matrix(S).tolist() == expected
     # the same lists as index lists over a table whose columns are the positions
     m = S.shape[1]
     pairs = _vfcore.PairCounts(_table_of_signs(S), max_len=m)
-    assert pairs.full(list(range(m))).tolist() == _counts_from_matrix(S).tolist()
+    assert pairs.full(list(range(m))).tolist() == _segment_rule_counts(S).tolist()
 
 
 def _moves(cur: list[int], k: int):
@@ -921,14 +945,14 @@ def test_pair_counts_delta_after_every_move(name, cur):
     table = build_sign_table(KERNEL_SAMPLES[name]).distinct()
     pairs = _vfcore.PairCounts(table, max_len=len(cur) + 1)
     counts = pairs.full(cur)
-    assert counts.tolist() == _counts_from_matrix(table.signs[:, cur]).tolist()
+    assert counts.tolist() == _segment_rule_counts(table.signs[:, cur]).tolist()
     before = counts.copy()
     moves = [new for new in _moves(cur, 7) if new]
     # both ends of the list, the whole-list reverse and an unchanged list are among them
     assert cur[::-1] in moves and cur in moves
     for new in moves:
         got = pairs.delta(counts, cur, new)
-        assert got.tolist() == _counts_from_matrix(table.signs[:, new]).tolist(), new
+        assert got.tolist() == _segment_rule_counts(table.signs[:, new]).tolist(), new
         assert int(got.max()) == vf_of_indices(table, new)[0]
     assert counts.tolist() == before.tolist()
 
@@ -942,7 +966,7 @@ def test_pair_counts_delta_between_any_two_lists(old, new):
     table = build_sign_table(KERNEL_SAMPLES["lattice"][:4])
     pairs = _vfcore.PairCounts(table, max_len=12)
     got = pairs.delta(pairs.full(old), old, new)
-    assert got.tolist() == _counts_from_matrix(table.signs[:, new]).tolist()
+    assert got.tolist() == _segment_rule_counts(table.signs[:, new]).tolist()
 
 
 def test_pair_counts_follow_an_annealing_walk():
@@ -956,7 +980,7 @@ def test_pair_counts_follow_an_annealing_walk():
         cand = _propose(rng, cur, len(SEVEN), 12)
         if cand is not None:
             cur, counts = cand, pairs.delta(counts, cur, cand)
-            assert counts.tolist() == _counts_from_matrix(table.signs[:, cur]).tolist()
+            assert counts.tolist() == _segment_rule_counts(table.signs[:, cur]).tolist()
 
 
 @settings(max_examples=200, deadline=None)
