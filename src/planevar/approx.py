@@ -316,13 +316,14 @@ def _bernstein_to_monomial(d: int) -> list[list[int]]:
     return T
 
 
-def bernstein2(g, degree: int) -> Poly2:
+def bernstein2(g, degree: int, *, name: str = "oracle") -> Poly2:
     """Tensor Bernstein approximant of g on the unit square, monomial form.
 
     Reproduces constants and affine functions exactly at every degree; for
     univariate-convex data the approximant decreases pointwise as the degree
     grows. ``g`` is called at the rational nodes (i/d, j/d); a NaN or
-    infinite value there is refused with ApproxError.
+    infinite value there is refused with ApproxError, whose message calls
+    ``g`` by ``name``.
     """
     if degree < 1:
         raise ApproxError("degree must be >= 1")
@@ -331,7 +332,7 @@ def bernstein2(g, degree: int) -> Poly2:
     def node(x, y):
         v = g(x, y)
         if isinstance(v, (float, complex)) and not cmath.isfinite(v):
-            raise ApproxError(f"oracle is not finite at Bernstein node ({x}, {y}): {v}")
+            raise ApproxError(f"{name} is not finite at Bernstein node ({x}, {y}): {v}")
         return _lift(v)
 
     G = [[node(Fraction(i, d), Fraction(j, d)) for j in range(d + 1)] for i in range(d + 1)]
@@ -503,18 +504,9 @@ def c2_to_poly(oracle: C2Oracle, degree: int, grid_n: int = 41,
         raise ApproxError(f"measurement grid needs at least 2 points per side, got {grid_n}")
     if not skip_spot_check:
         oracle.spot_check()
-    g_xx = bernstein2(oracle.fxx, degree)
-    g_xy = bernstein2(oracle.fxy, degree)
-    g_yy = bernstein2(oracle.fyy, degree)
-
-    fx00 = _lift(oracle.fx(Fraction(0), Fraction(0)))
-    fy00 = _lift(oracle.fy(Fraction(0), Fraction(0)))
-    f00 = _lift(oracle.f(Fraction(0), Fraction(0)))
-
-    h_x = Poly2.constant(fx00) + g_xx.at_y(0).int_x() + g_xy.int_y()
-    h_y = Poly2.constant(fy00) + g_xy.int_x() + g_yy.at_x(0).int_y()
-    assert h_y.dx() == g_xy
-    p = Poly2.constant(f00) + h_x.at_y(0).int_x() + h_y.int_y()
+    g_xx = bernstein2(oracle.fxx, degree, name="oracle fxx")
+    g_xy = bernstein2(oracle.fxy, degree, name="oracle fxy")
+    g_yy = bernstein2(oracle.fyy, degree, name="oracle fyy")
 
     xs = np.linspace(0.0, 1.0, grid_n)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
@@ -527,9 +519,20 @@ def c2_to_poly(oracle: C2Oracle, degree: int, grid_n: int = 41,
             raise ApproxError(f"oracle {what} is not finite at ({xs[i]}, {xs[j]})")
         return vals
 
+    # the grid holds (0, 0), so these refuse a non-finite value there before it is lifted
     F = sample(oracle.f, "f")
     FX = sample(oracle.fx, "fx")
     FY = sample(oracle.fy, "fy")
+
+    fx00 = _lift(oracle.fx(Fraction(0), Fraction(0)))
+    fy00 = _lift(oracle.fy(Fraction(0), Fraction(0)))
+    f00 = _lift(oracle.f(Fraction(0), Fraction(0)))
+
+    h_x = Poly2.constant(fx00) + g_xx.at_y(0).int_x() + g_xy.int_y()
+    h_y = Poly2.constant(fy00) + g_xy.int_x() + g_yy.at_x(0).int_y()
+    assert h_y.dx() == g_xy
+    p = Poly2.constant(f00) + h_x.at_y(0).int_x() + h_y.int_y()
+
     eps = max(
         float(np.max(np.abs(sample(oracle.fxx, "fxx") - g_xx.eval_float_grid(X, Y)))),
         float(np.max(np.abs(sample(oracle.fxy, "fxy") - g_xy.eval_float_grid(X, Y)))),

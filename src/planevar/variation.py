@@ -374,18 +374,126 @@ class SearchConfig:
             raise VariationError(f"cooling must lie in (0, 1], got {self.cooling}")
 
 
+class _Draws:
+    """The draws of ``np.random.default_rng(seed)``, replayed from raw PCG64 words.
+
+    ``integers`` and ``random`` return what the same calls on the Generator
+    return, in the same order, for the 64-bit words of the same stream. The
+    words are pulled in blocks through ``random_raw`` and read as Python
+    ints, which saves the per-call overhead of the Generator methods.
+
+    - ``integers(low, high)`` is Lemire's bounded draw on 32-bit halves
+      (Lemire, "Fast random integer generation in an interval", ACM TOMACS
+      29, 2019), as ``random_bounded_uint64_fill`` runs it for a range below
+      2^32: a half u gives ``low + (u*n >> 32)`` unless the low 32 bits of
+      ``u*n`` lie below ``(2^32 - n) % n``, which draws again. A word
+      yields its low half first and keeps its high half for the next 32-bit
+      draw, as PCG64's ``has_uint32`` buffer does. A range of one consumes
+      nothing.
+    - ``random()`` is ``(u64 >> 11) * 2^-53`` of a whole word and leaves
+      the buffered half alone.
+
+    NEP 19 allows the Generator's streams to change between numpy versions;
+    ``test_draws_replay_the_generator`` compares the replay with
+    ``np.random.default_rng`` over a long mixed stream.
+    """
+
+    __slots__ = ("_bitgen", "_words", "_pos", "_half")
+    _BLOCK = 512
+
+    def __init__(self, seed):
+        self._bitgen = np.random.PCG64(seed)
+        self._words: list[int] = []
+        self._pos = 0
+        self._half: int | None = None
+
+    def _word(self) -> int:
+        if self._pos == len(self._words):
+            self._words = self._bitgen.random_raw(self._BLOCK).tolist()
+            self._pos = 0
+        word = self._words[self._pos]
+        self._pos += 1
+        return word
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        """An int in [low, high), or in [0, low) when ``high`` is None."""
+        if high is None:
+            low, high = 0, low
+        n = high - low
+        if n == 1:
+            return low
+        if not 0 < n < 1 << 32:
+            raise VariationError(f"draw range {n} outside [1, 2**32)")
+        m = self._uint32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = ((1 << 32) - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * n
+        return low + (m >> 32)
+
+    def random(self) -> float:
+        """A float in [0, 1)."""
+        return (self._word() >> 11) * (1.0 / (1 << 53))
+
+
+def _float_sum(terms: list) -> float:
+    """``float(np.array(terms).sum())`` bit for bit, for a list of floats.
+
+    numpy adds the pairwise sum of a float64 vector to the reduction's
+    initial 0.0. Under 8 terms that sum is a plain loop, and a loop that
+    starts at 0.0 gives the same bits. Up to 128 terms it runs 8 strided
+    accumulators, combines them as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and adds the
+    tail in order. Longer vectors are split in halves recursively; from 128
+    terms on this calls numpy itself, since ``SearchConfig.max_len`` has no
+    upper bound. ``test_float_sum_matches_numpy`` guards the replica.
+    """
+    n = len(terms)
+    if n < 8:
+        total = 0.0
+        for v in terms:
+            total += v
+        return total
+    if n >= 128:
+        return float(np.array(terms).sum())
+    r0, r1, r2, r3, r4, r5, r6, r7 = terms[:8]
+    stop = n - n % 8
+    for i in range(8, stop, 8):
+        r0 += terms[i]
+        r1 += terms[i + 1]
+        r2 += terms[i + 2]
+        r3 += terms[i + 3]
+        r4 += terms[i + 4]
+        r5 += terms[i + 5]
+        r6 += terms[i + 6]
+        r7 += terms[i + 7]
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for v in terms[stop:]:
+        total += v
+    return 0.0 + total
+
+
 def _anneal_once(pairs: _vfcore.PairCounts, diff, k, cfg: SearchConfig, seed_entropy) -> dict:
-    rng = np.random.default_rng(seed_entropy)
+    rng = _Draws(seed_entropy)
     t0 = float(diff.max())
     start = int(np.argmax(diff))
     cur = [start // k, start % k]
     if cur[0] == cur[1]:
         cur = [0, 1]
+    rows = diff.tolist()
 
     def objective(cand, counts):
         vf = int(counts.max())
-        idx = np.asarray(cand, dtype=np.intp)
-        cv = float(diff[idx[:-1], idx[1:]].sum())
+        cv = _float_sum([rows[a][b] for a, b in zip(cand, cand[1:])])
         return cv / max(vf, 1), vf
 
     cur_counts = pairs.full(cur)
@@ -495,6 +603,15 @@ def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEst
     is recomputed exactly. ``stats`` counts proposals and accepted moves over
     all restarts, and ``final_temperature`` is the warmest restart's last
     temperature.
+
+    A proposal makes no numpy call for its draws or its curve variation.
+    Each restart replays ``np.random.default_rng(seed)`` from raw PCG64 words
+    (``_Draws``), and sums the list's jumps in numpy's pairwise order
+    (``_float_sum``). Both give the same ints and float bits as the Generator
+    and ``ndarray.sum`` would. So the proposals, the accept decisions and
+    every output byte are those of the Generator-driven search. NEP 19 lets a
+    numpy upgrade change Generator streams; ``test_draws_replay_the_generator``
+    and ``test_float_sum_matches_numpy`` then fail and name the numpy version.
     """
     cfg = config or SearchConfig()
     k = len(f.points)

@@ -416,6 +416,25 @@ def test_c2_to_poly_refuses_non_finite_oracle_samples():
                        fyy=lambda x, y: math.nan if x == 1 else 0.0)    # NaN at the node (1, 0)
     with pytest.raises(ApproxError, match=r"not finite at Bernstein node \(1, 0\)"):
         c2_to_poly(at_node, 4, skip_spot_check=True)
+    # the refusal at a Bernstein node names the partial
+    for what, bad in (("fxx", math.nan), ("fxy", math.inf), ("fyy", math.nan)):
+        def partial_at_node(x, y, bad=bad):
+            return bad if (x, y) == (1, 0) else 0.0
+
+        oracle = C2Oracle(f=zero, fx=zero, fy=zero,
+                          **{**dict(fxx=zero, fxy=zero, fyy=zero), what: partial_at_node})
+        with pytest.raises(ApproxError) as info:
+            c2_to_poly(oracle, 4, skip_spot_check=True)
+        assert str(info.value) == f"oracle {what} is not finite at Bernstein node (1, 0): {bad}"
+    # f, fx and fy are read exactly at (0, 0), a grid point too
+    for what in ("f", "fx", "fy"):
+        def at_origin(x, y):
+            return math.nan if (x, y) == (0, 0) else 0.0
+
+        oracle = C2Oracle(**{**dict(f=zero, fx=zero, fy=zero), what: at_origin},
+                          fxx=zero, fxy=zero, fyy=zero)
+        with pytest.raises(ApproxError, match=rf"oracle {what} is not finite at \(0.0, 0.0\)"):
+            c2_to_poly(oracle, 4, skip_spot_check=True)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0)])

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planevar.geom import P, Polygon, Rectangle, grid_triangulation
 from planevar.variation import PlanarCoeffs, SampledFunction, var_planar_estimate
@@ -194,3 +196,46 @@ def test_shape_errors_are_bad_input(decode, text):
 def test_missing_field_message_is_kept():
     with pytest.raises(BadInputFile, match="missing field 'values'"):
         sampled_function_from_json('{"points": [[0, 0]]}')
+
+
+# --- Hypothesis round-trips ---------------------------------------------------
+
+rationals = st.fractions() | st.integers(-10**30, 10**30).map(Fraction)
+points = st.builds(P, rationals, rationals)
+exact_values = st.integers(-10**30, 10**30) | st.fractions()
+inexact_values = (st.floats(allow_nan=False, allow_infinity=False)
+                  | st.complex_numbers(allow_nan=False, allow_infinity=False))
+
+
+def _same_values(a, b) -> bool:
+    """Equal, and float or complex values keep their bits (the sign of zero too)."""
+    return a == b and all(repr(u) == repr(v) for u, v in zip(a, b)
+                          if isinstance(u, (float, complex)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(points, min_size=1, max_size=12, unique=True), st.data())
+def test_sampled_function_round_trip(pts, data):
+    values = data.draw(st.lists(exact_values | inexact_values,
+                                min_size=len(pts), max_size=len(pts)))
+    f = SampledFunction(tuple(pts), tuple(values))
+    back = sampled_function_from_json(sampled_function_to_json(f))
+    assert back == f
+    assert _same_values(back.values, f.values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(points, max_size=12))
+def test_point_list_round_trip(pts):
+    assert point_list_from_json(point_list_to_json(pts)) == tuple(pts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.lists(exact_values | inexact_values, min_size=width, max_size=width),
+    min_size=1, max_size=4)))
+def test_poly2_round_trip(rows):
+    p = Poly2.from_rows(rows)
+    back = poly2_from_json(poly2_to_json(p))
+    assert back == p
+    assert all(_same_values(a, b) for a, b in zip(back.coeffs, p.coeffs))

@@ -21,11 +21,21 @@ from planevar._vfcore import (
     vf_of_indices,
 )
 from planevar.ctpp import BumpSpec, CtppFunction, make_bumps, validate_ctpp
-from planevar.geom import AffineMap, Line, P, Rectangle, grid_triangulation, side_of
+from planevar.geom import (
+    AffineMap,
+    Line,
+    P,
+    Rectangle,
+    grid_triangulation,
+    side_of,
+    transform_line,
+)
 from planevar.suite import _crossing_count_reference, vf_pattern_oracle
 from planevar.variation import (
+    _Draws,
     _draw_skipping,
     _extend_sequences,
+    _float_sum,
     _propose,
     DomainTooSmall,
     InstanceTooLarge,
@@ -594,6 +604,45 @@ def test_vf_exact_matches_the_pattern_oracle(pts):
     assert vf_line(pts, res.witness)[0] == res.vf
 
 
+@settings(max_examples=150, deadline=None)
+@given(point_lists_with_runs(max_size=8), st.data())
+def test_vf_exact_does_not_drop_when_a_point_is_inserted(pts, data):
+    pos = data.draw(st.integers(0, len(pts)))
+    new = data.draw(st.sampled_from(pts) | st.builds(P, coords, coords))   # a repeat or not
+    longer = pts[:pos] + (new,) + pts[pos:]
+    assert vf_exact(longer).vf >= vf_exact(pts).vf
+
+
+# invertible maps with integer entries and translation
+int_affine_maps = st.tuples(*[st.integers(-3, 3)] * 6).filter(
+    lambda m: m[0] * m[3] - m[1] * m[2] != 0).map(lambda m: AffineMap.of(*m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_lists_with_runs(max_size=6), int_affine_maps)
+@example((P(0, 0), P(1, 0), P(0, 0), P(2, 0)), AffineMap.of(2, 1, 1, 1, 3, -1))
+def test_vf_exact_is_invariant_under_integer_affine_maps(pts, phi):
+    res = vf_exact(pts)
+    image = tuple(phi.apply(p) for p in pts)
+    assert vf_exact(image).vf == res.vf
+    assert vf_line(image, transform_line(res.witness, phi))[0] == res.vf
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_lists_with_runs(max_size=6), int_affine_maps, st.data())
+def test_var_exact_small_is_invariant_under_integer_affine_maps(pts, phi, data):
+    sample = tuple(dict.fromkeys(pts))     # distinct points; collinear runs survive
+    values = data.draw(st.lists(fractions, min_size=len(sample), max_size=len(sample)))
+    f = SampledFunction(sample, tuple(values))
+    g = affine_pushforward(f, phi)
+    max_len = data.draw(st.integers(1, 4))
+    est, moved = var_exact_small(f, max_len), var_exact_small(g, max_len)
+    assert moved.value == est.value
+    # the image of the witness attains the same value on the image sample
+    image = tuple(phi.apply(p) for p in est.witness)
+    assert cvar(g, image) / vf_exact(image).vf == est.value
+
+
 def test_distinct_table_with_object_coefficients():
     """Coordinates past the int64-safe bound take the object-array path."""
     big = 2 ** 40
@@ -993,6 +1042,83 @@ def test_draw_skipping_picks_the_allowed_list_entry(k_banned, seed):
     expected = allowed[int(ref.integers(len(allowed)))] if allowed else None
     assert _draw_skipping(rng, k, banned) == expected
     assert rng.random() == ref.random()       # the same number of draws
+
+
+# --- stream-exact annealing -----------------------------------------------------
+
+# NEP 19 lets np.random.Generator streams change between numpy versions, and
+# numpy may change its summation order; both replicas in ``variation`` follow
+# numpy 2.4 and must fail loudly when numpy stops matching them.
+_DRIFT = f"numpy {np.__version__} no longer matches the replay (streams may change, NEP 19)"
+
+
+@pytest.mark.parametrize("seed", [0, 2013, 2**63 + 5])
+def test_draws_replay_the_generator(seed):
+    """``_Draws`` against ``np.random.default_rng`` over 100,000 mixed draws."""
+    entropy = np.random.SeedSequence(seed)
+    gen, draws = np.random.default_rng(entropy), _Draws(entropy)
+    plan = random.Random(seed)
+    for step in range(100_000):
+        kind = plan.randrange(5)
+        if kind == 0:      # a range as the annealer draws it; one in 13 is a range of one
+            n = plan.randint(1, 13)
+            call, got, want = f"integers({n})", draws.integers(n), int(gen.integers(n))
+        elif kind == 1:    # wide ranges, where Lemire's rejection happens often
+            n = plan.randint(1, 3 * 10**9)
+            call, got, want = f"integers({n})", draws.integers(n), int(gen.integers(n))
+        elif kind == 2:
+            lo = plan.randint(-50, 50)
+            hi = lo + plan.randint(1, 3 * 10**9) if plan.random() < 0.5 else lo + 1
+            call, got, want = (f"integers({lo}, {hi})", draws.integers(lo, hi),
+                               int(gen.integers(lo, hi)))
+        else:              # random() takes a whole word, between buffered halves
+            call, got, want = "random()", draws.random(), gen.random()
+        assert got == want, f"{_DRIFT}: seed {seed}, draw {step} {call}: {got} != {want}"
+
+
+def test_draws_refuse_ranges_outside_32_bits():
+    draws = _Draws(np.random.SeedSequence(0))
+    for low, high in ((0, 2**32), (0, 2**40), (5, 5), (3, 1)):
+        with pytest.raises(VariationError, match="draw range"):
+            draws.integers(low, high)
+
+
+def _sum_cases(rng, n: int, rows: int) -> np.ndarray:
+    """``rows`` float vectors of length n: jumps as the annealer sums them,
+    signed values over many orders of magnitude, cancelling values, and zeros."""
+    kind = n % 5
+    if kind == 0:
+        out = rng.random((rows, n)) * 10.0 ** rng.integers(-6, 7, (rows, 1))
+    elif kind == 1:
+        out = rng.standard_normal((rows, n)) * np.exp(20 * rng.standard_normal((rows, n)))
+    elif kind == 2:
+        out = rng.choice([1e16, -1e16, 1.0, -0.5, 3.3, 1e-300, 0.0, -0.0], (rows, n))
+    else:
+        out = rng.random((rows, n))
+    out[: rows // 20] = 0.0                       # all-zero vectors, of both signs
+    out[rows // 20: rows // 10] = -0.0
+    return out
+
+
+def test_float_sum_matches_numpy():
+    """``_float_sum`` against ``ndarray.sum``, bit for bit, on 100,100 vectors."""
+    rng = np.random.default_rng(19)
+    for n in range(1, 131):
+        block = _sum_cases(rng, n, 770)
+        for row, got in zip(block, map(_float_sum, block.tolist())):
+            want = float(row.sum())
+            assert got.hex() == want.hex(), f"{_DRIFT}: sum of {row.tolist()}: {got} != {want}"
+
+
+def test_propose_makes_the_same_moves_from_either_source():
+    entropy = np.random.SeedSequence(7)
+    gen, draws = np.random.default_rng(entropy), _Draws(entropy)
+    cur = [0, 1]
+    for _ in range(5000):
+        cand = _propose(gen, cur, 9, 12)
+        assert _propose(draws, cur, 9, 12) == cand
+        assert draws.random() == gen.random()
+        cur = cand or cur
 
 
 def _pyramid():
