@@ -70,7 +70,8 @@ and the count of a list is
 
 which for m = 1 is the single-point convention. E(a, b) is 1 exactly when a
 is off the line and b is not strictly on a's side. This sum is the only
-count: ``_counts_from_matrix`` takes it over a gathered sign matrix, and
+count: ``_counts_from_matrix`` takes it over a gathered sign matrix,
+``vf_sweep`` takes it in interval form over one list (below), and
 ``_crossing_mask`` only lists segments for ``variation.vf_line``. A list's
 count vector over the L lines of a sign table is therefore one "first" row
 of L terms plus one pair row per consecutive pair:
@@ -88,6 +89,39 @@ of L terms plus one pair row per consecutive pair:
   ones minus the pair rows of the old middle plus those of the new middle:
   one to four rows for insert, delete and replace, at most two per list
   position for swap and reverse.
+
+One list: per-direction sweep
+-----------------------------
+``vf_sweep`` counts a single list over the whole family without a sign
+table. Fix a normal n and write u_p = n . q_p, so s_p = sign(u_p - t) for
+the line at offset t. E(s_p, s_{p+1}) is 1 exactly when t != u_p and t lies
+in the closed interval between u_p and u_{p+1}:
+
+* u_p < u_{p+1}: E is 1 for t in (u_p, u_{p+1}];
+* u_p > u_{p+1}: E is 1 for t in [u_{p+1}, u_p);
+* u_p = u_{p+1}: E is never 1;
+
+and the first term [s_0 = 0] is 1 at the single offset t = u_0.
+
+The candidate offsets of n are its distinct projections v_0 < ... < v_{d-1}
+and the gap midpoints. Give v_i the position 2i and the midpoint of gap i
+the position 2i + 1. With r_p the rank of u_p among the v_i, pair p is 1
+exactly on the positions 2r_p + 1 .. 2r_{p+1} (rising) or 2r_{p+1} ..
+2r_p - 1 (falling), one contiguous run. So one difference array over
+(direction, position), filled by ``np.bincount`` and summed along the
+positions, plus 1 at position 2r_0, gives the count of every candidate line
+in O(N (k + m)) cells for N directions, k distinct points and m list
+entries, instead of the ~2k^3 * m signs of the table. Positions past 2d - 2
+hold no run and count 0, below the vf >= 1 of any list.
+
+Each cell is a line of the family: position 2i is (a, b, v_i) and 2i + 1 is
+(2a, 2b, v_i + v_{i+1}); both are (2a, 2b, v_lo + v_hi) with lo = hi on a
+projection. ``_canonical_rows`` puts cells in the form ``candidate_lines``
+keeps, and distinct cells are distinct lines, since canonical normals are
+distinct directions. So the maximal cells are exactly the maximal rows of
+the table. The table's rows are sorted lexicographically and
+``vf_of_indices`` takes the first maximal row, so the lex-smallest canonical
+maximal cell is the same witness. Only the maximal cells are canonicalised.
 """
 
 from __future__ import annotations
@@ -176,6 +210,20 @@ def _coeff_dtype(int_points: list[tuple[int, int]]):
     return np.int64 if 32 * m * m <= _INT64_MAX else object
 
 
+def _canonical_rows(rows: np.ndarray) -> np.ndarray:
+    """Line rows (a, b, c) in canonical form, in place: divide by the gcd, then
+    make the leading coefficient positive (as ``geom.Line.from_coeffs`` does)."""
+    rows //= np.gcd(np.gcd(rows[:, 0], rows[:, 1]), rows[:, 2])[:, None]
+    lead = np.where(rows[:, 0] != 0, rows[:, 0], rows[:, 1])
+    rows[lead < 0] *= -1
+    return rows
+
+
+def _lex_order(rows: np.ndarray) -> np.ndarray:
+    """Indices that sort line rows (a, b, c) lexicographically."""
+    return np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))
+
+
 def candidate_lines(int_points: list[tuple[int, int]]) -> np.ndarray:
     """Complete candidate family: unique integer rows (a, b, c), sorted lexicographically.
 
@@ -189,12 +237,8 @@ def candidate_lines(int_points: list[tuple[int, int]]) -> np.ndarray:
     on_point = np.column_stack([np.repeat(normals, len(pts), axis=0), proj.ravel()])
     r, j = np.nonzero(proj[:, 1:] != proj[:, :-1])
     mid_gap = np.column_stack([2 * normals[r], proj[r, j] + proj[r, j + 1]])
-    rows = np.concatenate([on_point, mid_gap])
-    # canonical form: divide by the gcd, then make the leading coefficient positive
-    rows //= np.gcd(np.gcd(rows[:, 0], rows[:, 1]), rows[:, 2])[:, None]
-    lead = np.where(rows[:, 0] != 0, rows[:, 0], rows[:, 1])
-    rows[lead < 0] *= -1
-    rows = rows[np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))]
+    rows = _canonical_rows(np.concatenate([on_point, mid_gap]))
+    rows = rows[_lex_order(rows)]
     keep = np.ones(len(rows), dtype=bool)
     keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     return rows[keep]
@@ -236,15 +280,19 @@ class SignTable:
 _MAX_CANDIDATE_LINES = 2_000_000
 
 
-def build_sign_table(points: tuple[Point2, ...]) -> SignTable:
-    int_pts, scale = scale_to_ints(points)
-    distinct = len(set(int_pts))
+def _refuse_large_family(distinct: int) -> None:
+    """Raise InstanceTooLarge when the candidate family of ``distinct`` points is past the cap."""
     # ~(2 pairs + bisectors) * (2 offsets per projection) candidate lines
     est = (distinct * (distinct - 1) + 2) * (2 * distinct)
     if est > _MAX_CANDIDATE_LINES:
         raise InstanceTooLarge(
             f"candidate family for {distinct} distinct points would hold ~{est} "
             f"lines; the exact machinery is meant for desk-scale samples")
+
+
+def build_sign_table(points: tuple[Point2, ...]) -> SignTable:
+    int_pts, scale = scale_to_ints(points)
+    _refuse_large_family(len(set(int_pts)))
     lines = candidate_lines(int_pts)
     # residual a*x + b*y - c of every line at every point, one block of rows at a time
     pts_mat = np.array([[x, y, -1] for x, y in int_pts], dtype=lines.dtype).T
@@ -253,6 +301,53 @@ def build_sign_table(points: tuple[Point2, ...]) -> SignTable:
         block = slice(start, start + _SIGN_BLOCK)
         signs[block] = np.sign(lines[block] @ pts_mat)
     return SignTable(points=points, scale=scale, lines=lines, signs=signs)
+
+
+def vf_sweep(points: tuple[Point2, ...]) -> tuple[int, Line]:
+    """(variation factor, lex-smallest canonical witness line) of one list.
+
+    The same answer as ``vf_of_indices`` on ``build_sign_table(points)`` for
+    the whole list, without the table ("One list: per-direction sweep" in the
+    module docstring).
+    """
+    int_pts, scale = scale_to_ints(points)
+    uniq = sorted(set(int_pts))
+    _refuse_large_family(len(uniq))
+    dtype = _coeff_dtype(int_pts)
+    normals = np.array(candidate_normals(int_pts), dtype=dtype)            # (N, 2)
+    proj = normals @ np.array(uniq, dtype=dtype).T                          # (N, k)
+    n_dirs, k = proj.shape
+    # dense rank of every projection among the distinct values of its direction
+    row = np.arange(n_dirs)[:, None]
+    order = np.argsort(proj, axis=1)      # ties share a rank, so any order serves
+    ranked = proj[row, order]
+    new = np.ones(proj.shape, dtype=bool)
+    new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    rank = np.empty(proj.shape, dtype=np.intp)
+    rank[row, order] = np.cumsum(new, axis=1) - 1
+    at = {q: i for i, q in enumerate(uniq)}
+    r = rank[:, [at[q] for q in int_pts]]                                   # (N, m)
+    # pair p adds 1 on the positions [start, stop); empty when r_p = r_{p+1}
+    here, after = r[:, :-1], r[:, 1:]
+    up = here < after
+    start = np.where(up, 2 * here + 1, 2 * after)
+    stop = np.where(up, 2 * after + 1, 2 * here)
+    width = 2 * k                        # positions 0..2k-2, and one past the last
+    base = row * width
+    diff = (np.bincount((start + base).ravel(), minlength=n_dirs * width)
+            - np.bincount((stop + base).ravel(), minlength=n_dirs * width))
+    counts = np.cumsum(diff.reshape(n_dirs, width), axis=1)
+    counts[row[:, 0], 2 * r[:, 0]] += 1                                     # [s_0 = 0]
+    vf = int(counts.max())
+    # the maximal cells as lines (2a, 2b, v_lo + v_hi); lo = hi on a projection
+    d, pos = np.nonzero(counts == vf)
+    vals = ranked[new]                   # each direction's distinct values, in order
+    per_dir = new.sum(axis=1)
+    first = np.cumsum(per_dir) - per_dir
+    offsets = vals[first[d] + pos // 2] + vals[first[d] + (pos + 1) // 2]
+    rows = _canonical_rows(np.column_stack([2 * normals[d], offsets]))
+    a, b, c = (int(v) for v in rows[_lex_order(rows)[0]])
+    return vf, Line.from_coeffs(a, b, Fraction(c, scale))
 
 
 def _crossing_mask(S: np.ndarray) -> np.ndarray:

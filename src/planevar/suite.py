@@ -48,6 +48,7 @@ from .variation import (
     var_exact_small,
     var_planar,
     var_search,
+    vf_exact,
 )
 from .onedim import (
     RealFunction1D,
@@ -195,8 +196,7 @@ def criterion_02(rng, registry) -> tuple[bool, str]:
     for _ in range(lists):
         n = int(rng.integers(1, 9))
         pts = tuple(_rand_point(rng, span=4, den=4) for _ in range(n + 1))
-        table = _vfcore.build_sign_table(pts)
-        vf_prod, _ = _vfcore.vf_of_indices(table, np.arange(len(pts)))
+        vf_prod = vf_exact(pts).vf
         if vf_prod != vf_pattern_oracle(pts):
             mismatches += 1
             continue

@@ -204,15 +204,16 @@ class VfResult:
 def vf_exact(S) -> VfResult:
     """Maximum crossing count over all lines, via the complete candidate family.
 
-    Ties are broken toward the lexicographically smallest canonical candidate
-    line. For a single-point list the count is 1 (a line through the point).
+    ``_vfcore.vf_sweep`` counts the family one direction at a time, without a
+    sign table. Ties are broken toward the lexicographically smallest
+    canonical candidate line. For a single-point list the count is 1 (a line
+    through the point).
     """
     pts = tuple(S)
     if not pts:
         raise VariationError("empty point list")
-    table = _vfcore.build_sign_table(pts)
-    count, row = _vfcore.vf_of_indices(table, np.arange(len(pts)))
-    return VfResult(vf=count, witness=table.line_at(row))
+    count, witness = _vfcore.vf_sweep(pts)
+    return VfResult(vf=count, witness=witness)
 
 
 def is_collinear(points) -> bool:

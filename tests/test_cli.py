@@ -249,6 +249,7 @@ def test_vf_too_many_points_is_typed_error(tmp_path):
     path.write_text(json.dumps({"list": [[i, i * i % 97] for i in range(120)]}))
     code, out, err = run_cli("vf", "--list", str(path))
     assert_single_error(code, err, "InstanceTooLarge")
+    assert out == ""
 
 
 def test_var_zero_restarts_is_typed_error(square_fx):

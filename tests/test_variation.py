@@ -449,6 +449,19 @@ def test_sign_table_size_refusal_is_typed():
         build_sign_table(pts)
 
 
+def test_vf_exact_refuses_the_same_sets_with_the_same_text():
+    pts = tuple(P(i, i * i % 97) for i in range(120))
+    with pytest.raises(InstanceTooLarge) as table_refusal:
+        build_sign_table(pts)
+    with pytest.raises(InstanceTooLarge) as sweep_refusal:
+        vf_exact(pts)
+    assert str(sweep_refusal.value) == str(table_refusal.value)
+    assert str(sweep_refusal.value).startswith("candidate family for 120 distinct points")
+    _vfcore._refuse_large_family(100)
+    with pytest.raises(InstanceTooLarge):
+        _vfcore._refuse_large_family(101)
+
+
 @pytest.mark.parametrize("bad", [dict(restarts=0), dict(iters=-1), dict(max_len=1),
                                  dict(cooling=0.0), dict(cooling=1.5)])
 def test_search_config_rejects_bad_values(bad):
@@ -602,6 +615,23 @@ def test_vf_exact_matches_the_pattern_oracle(pts):
     res = vf_exact(pts)
     assert res.vf == vf_pattern_oracle(pts)
     assert vf_line(pts, res.witness)[0] == res.vf
+
+
+BIG = 2 ** 40     # scaled |coordinate| far past INT64_M: object coefficients
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_lists_with_runs(max_size=12))
+@example((P(0, 0),))
+@example((P(1, 2),) * 5)
+@example(tuple(P(3 * t, 1 - 2 * t) for t in (0, 2, -1, 1, 2, 5, 0, 3)))
+@example((P(0, 0), P(BIG, 1), P(1, BIG), P(BIG, BIG), P(BIG // 2, BIG // 2), P(0, 0)))
+def test_vf_exact_matches_the_sign_table(pts):
+    """The per-direction sweep against the full table read for the whole list."""
+    table = build_sign_table(pts)
+    count, row = vf_of_indices(table, np.arange(len(pts)))
+    res = vf_exact(pts)
+    assert (res.vf, res.witness) == (count, table.line_at(row))
 
 
 @settings(max_examples=150, deadline=None)
