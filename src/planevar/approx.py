@@ -390,18 +390,16 @@ class C2Oracle:
     fxx: object
     fxy: object
     fyy: object
-    name: str = "oracle"
 
     @staticmethod
-    def from_poly(p: Poly2, name: str = "poly") -> "C2Oracle":
+    def from_poly(p: Poly2) -> "C2Oracle":
         if p._int_rows is None:
             raise ApproxError("the C2 pipeline needs real coefficients, got a complex one")
         px, py = p.dx(), p.dy()
         return C2Oracle(f=p.eval, fx=px.eval, fy=py.eval,
-                        fxx=px.dx().eval, fxy=px.dy().eval, fyy=py.dy().eval,
-                        name=name)
+                        fxx=px.dx().eval, fxy=px.dy().eval, fyy=py.dy().eval)
 
-    def spot_check(self, tol: float = 1e-4) -> None:
+    def spot_check(self) -> None:
         h = 1e-5
         for i in range(9):
             for j in range(9):
@@ -409,8 +407,8 @@ class C2Oracle:
                 y = 0.05 + 0.9 * j / 8
                 dfx = (float(self.f(x + h, y)) - float(self.f(x - h, y))) / (2 * h)
                 dfy = (float(self.f(x, y + h)) - float(self.f(x, y - h))) / (2 * h)
-                if abs(dfx - float(self.fx(x, y))) > tol or \
-                   abs(dfy - float(self.fy(x, y))) > tol:
+                if abs(dfx - float(self.fx(x, y))) > 1e-4 or \
+                   abs(dfy - float(self.fy(x, y))) > 1e-4:
                     raise InconsistentOracle(
                         f"finite differences disagree with partials at ({x}, {y})")
 
@@ -423,16 +421,14 @@ BUILTIN_ORACLES = {
         fy=lambda x, y: math.sin(float(x)) * math.exp(float(y)),
         fxx=lambda x, y: -math.sin(float(x)) * math.exp(float(y)),
         fxy=lambda x, y: math.cos(float(x)) * math.exp(float(y)),
-        fyy=lambda x, y: math.sin(float(x)) * math.exp(float(y)),
-        name="sin_exp"),
+        fyy=lambda x, y: math.sin(float(x)) * math.exp(float(y))),
     "sin_cos": C2Oracle(
         f=lambda x, y: math.sin(float(x)) * math.cos(float(y)),
         fx=lambda x, y: math.cos(float(x)) * math.cos(float(y)),
         fy=lambda x, y: -math.sin(float(x)) * math.sin(float(y)),
         fxx=lambda x, y: -math.sin(float(x)) * math.cos(float(y)),
         fxy=lambda x, y: -math.cos(float(x)) * math.sin(float(y)),
-        fyy=lambda x, y: -math.sin(float(x)) * math.cos(float(y)),
-        name="sin_cos"),
+        fyy=lambda x, y: -math.sin(float(x)) * math.cos(float(y))),
 }
 
 

@@ -139,7 +139,7 @@ def _cmd_iota(args) -> int:
         grid = fileio.function_1d_from_json(_read(args.grid)).sample
     else:
         raise BadInputFile("need --at or --grid")
-    ext = iota_extend(f, None, grid)
+    ext = iota_extend(f, grid)
     _emit(args.out, fileio.function_1d_to_json(ext))
     print(f"var: {fmt_number(var_1d(ext))}", file=sys.stderr)
     return 0
@@ -147,10 +147,10 @@ def _cmd_iota(args) -> int:
 
 def _cmd_acmod(args) -> int:
     f = fileio.function_1d_from_json(_read(args.fn))
-    res = ac_modulus(f, None, dec_coord(args.delta), mode=args.mode)
+    res = ac_modulus(f, dec_coord(args.delta), mode=args.mode)
     print(fmt_number(res.value))
     wit = ";".join(f"({fmt_number(s)},{fmt_number(t)})" for s, t in res.witness)
-    print(f"exact: {'true' if res.exact else 'false'}")
+    print(f"exact: {fmt_number(res.exact)}")
     print(f"witness: {wit if wit else '-'}")
     return 0
 
@@ -233,7 +233,7 @@ def _cmd_approx_match(args) -> int:
         _write(args.sample_out, fileio.sampled_function_to_json(g.sample(f.points)))
     print(f"matched: {rep.n_points}")
     print(f"interp_max_err: {rep.interp_max_err:.3e}")
-    print(f"bound_ok: {'true' if rep.bound_ok else 'false'}")
+    print(f"bound_ok: {fmt_number(rep.bound_ok)}")
     return 0
 
 

@@ -137,11 +137,11 @@ class EdgeViolation:
     values: tuple  # (va_t1, va_t2, vb_t1, vb_t2)
 
 
-def validate_ctpp(g: CtppFunction, tol: float = 1e-9) -> list[EdgeViolation]:
+def validate_ctpp(g: CtppFunction) -> list[EdgeViolation]:
     """Endpoint-agreement check on every shared edge; empty list means valid.
 
-    Exact comparison when coefficients are rational, |difference| <= tol
-    otherwise.
+    Exact comparison when coefficients are rational, |difference| <=
+    ``FLOAT_TOL`` otherwise (``values_agree``).
     """
     out = []
     for (i, j), t1, t2 in g.tri.shared_edges():
@@ -149,7 +149,7 @@ def validate_ctpp(g: CtppFunction, tol: float = 1e-9) -> list[EdgeViolation]:
         c1, c2 = g.coeffs[t1], g.coeffs[t2]
         va1, va2 = c1.eval(pa), c2.eval(pa)
         vb1, vb2 = c1.eval(pb), c2.eval(pb)
-        if not (values_agree(va1, va2, tol) and values_agree(vb1, vb2, tol)):
+        if not (values_agree(va1, va2) and values_agree(vb1, vb2)):
             out.append(EdgeViolation(edge=(i, j), triangles=(t1, t2),
                                      values=(va1, va2, vb1, vb2)))
     return out
@@ -499,12 +499,13 @@ def _ccw_sorted(rays: list[Point2]) -> bool:
 
 
 def star_planar_bound(f: SampledFunction, centre: Point2, rays: list[Point2],
-                      sector_coeffs: list[PlanarCoeffs], tol: float = 1e-9):
+                      sector_coeffs: list[PlanarCoeffs]):
     """2 n max|f(x) - f(w)| upper bound for a function planar on each ray sector.
 
     ``rays`` are direction vectors in counter-clockwise order; sector i spans
     rays[i] to rays[i+1]. Sampled values must match the sector coefficients
-    (exactly for rational data) or NotStarPlanar is raised.
+    (exactly for rational data, within ``FLOAT_TOL`` otherwise) or
+    NotStarPlanar is raised.
     """
     n = len(rays)
     if n < 2:
@@ -530,7 +531,7 @@ def star_planar_bound(f: SampledFunction, centre: Point2, rays: list[Point2],
         if not sectors:
             raise NotStarPlanar(f"{p} lies in no sector")
         for i in sectors:
-            if not values_agree(sector_coeffs[i].eval(p), f.value(p), tol):
+            if not values_agree(sector_coeffs[i].eval(p), f.value(p)):
                 raise NotStarPlanar(f"value at {p} does not match sector {i}")
 
     return 2 * n * spread(f.values)

@@ -258,7 +258,7 @@ VAR_CSV_HEADER = "value,exact,method,vf,witness_len,seed"
 def var_estimate_csv_row(est: VarEstimate) -> str:
     return ",".join([
         fmt_number(est.value),
-        "true" if est.exact else "false",
+        fmt_number(est.exact),
         est.method,
         str(est.witness_vf),
         str(len(est.witness)),
@@ -272,13 +272,13 @@ JOIN_CSV_HEADER = "instance,joins_convexly,var1,var2,var_union,lower_ok,upper_ok
 def join_report_csv_row(r) -> str:
     return ",".join([
         r.instance,
-        "true" if r.joins_convexly else "false",
+        fmt_number(r.joins_convexly),
         fmt_number(r.var1),
         fmt_number(r.var2),
         fmt_number(r.var_union),
-        "true" if r.lower_ok else "false",
-        "" if r.upper_ok is None else ("true" if r.upper_ok else "false"),
-        "true" if r.exact else "false",
+        fmt_number(r.lower_ok),
+        fmt_number(r.upper_ok),
+        fmt_number(r.exact),
     ])
 
 
@@ -291,7 +291,7 @@ def c2_report_csv_row(rep) -> str:
         fmt_number(rep.sup_err),
         fmt_number(rep.lip_err),
         fmt_number(rep.bound),
-        "true" if rep.passed else "false",
+        fmt_number(rep.passed),
     ])
 
 

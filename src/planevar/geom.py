@@ -198,7 +198,7 @@ class AffineMap:
 # ---------------------------------------------------------------------------
 # square roots with certified rational bounds (inradius involves sqrt)
 
-def sqrt_bounds(value: Fraction, bits: int = 48) -> tuple[Fraction, Fraction]:
+def sqrt_bounds(value: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     """Rational lo <= sqrt(value) <= hi with hi - lo <= sqrt(value)/2^bits + 2^-bits."""
     if value < 0:
         raise GeomError("sqrt of negative value")
@@ -284,13 +284,14 @@ class Triangle:
         return (s1 > 0 and s2 > 0 and s3 > 0) or (s1 < 0 and s2 < 0 and s3 < 0)
 
 
-def inradius(t: Triangle, bits: int = 48) -> ScalarBounds:
+def inradius(t: Triangle) -> ScalarBounds:
     """Inscribed-circle radius, area/semiperimeter.
 
     Exact Fraction when all side lengths are rational, otherwise a certified
-    interval of width < 1e-12 (the default 48 bits gives ~3e-15 at unit scale;
-    widened automatically for large triangles). Downstream bounds should use
-    ``lo`` (or ``hi`` when the radius appears in a denominator).
+    interval of width < 1e-12 (the first pass at 48 bits gives ~3e-15 at unit
+    scale; large triangles take further passes, 16 bits finer each).
+    Downstream bounds should use ``lo`` (or ``hi`` when the radius appears in
+    a denominator).
     """
     area = t.area()
     sides_sq = [dist_sq(t.v0, t.v1), dist_sq(t.v1, t.v2), dist_sq(t.v2, t.v0)]
@@ -299,6 +300,7 @@ def inradius(t: Triangle, bits: int = 48) -> ScalarBounds:
         s = sum(exact_sides) / 2
         r = area / s
         return ScalarBounds(r, r, exact=r)
+    bits = 48
     while True:
         lo_sum = Fraction(0)
         hi_sum = Fraction(0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geom import AffineMap, Point2, Rectangle, cross, dot, to_fraction
-from .onedim import RealFunction1D, RealSample, iota_extend, var_1d
+from .onedim import RealFunction1D, _iota_value, var_1d
 from .variation import (
     _EXACT_MAX_POINTS,
     SampledFunction,
@@ -131,8 +131,7 @@ def _clamped_value(fhat: RealFunction1D, x: Fraction):
         return fhat.values[0]
     if x >= pts[-1]:
         return fhat.values[-1]
-    ext = iota_extend(fhat, None, RealSample((x,)))
-    return ext.at(x)
+    return _iota_value(fhat, x)
 
 
 def graph_fill(f: SampledFunction, curve: ConvexCurve, rect: Rectangle,

@@ -9,6 +9,7 @@ Cantor-function levels, one-over-n samples) with exact rational data.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,48 +81,40 @@ class RealFunction1D:
         return self.values[idx]
 
 
-def var_1d(f: RealFunction1D, sigma: RealSample | None = None):
+def var_1d(f: RealFunction1D):
     """Variation over the sample: the full increasing list dominates, so the
     value is the plain sum of consecutive |value jumps| (exact when rational)."""
-    if sigma is not None and sigma != f.sample:
-        f = restrict_1d(f, sigma)
     return jump_sum(f.values)
-
-
-def restrict_1d(f: RealFunction1D, sigma: RealSample) -> RealFunction1D:
-    return RealFunction1D(sigma, tuple(f.at(x) for x in sigma.points))
 
 
 def bv_norm_1d(f: RealFunction1D):
     return max(magnitudes(f.values)) + var_1d(f)
 
 
-def iota_extend(f: RealFunction1D, sigma: RealSample | None, grid: RealSample) -> RealFunction1D:
+def _iota_value(f: RealFunction1D, x: Fraction):
+    """f at a sample point; inside a gap (a, b), the value on the segment
+    between f(a) and f(b). ``x`` must lie in [lo, hi]."""
+    pts = f.sample.points
+    i = bisect_left(pts, x)
+    if pts[i] == x:
+        return f.values[i]
+    a, b = pts[i - 1], pts[i]
+    fa, fb = f.values[i - 1], f.values[i]
+    return fa + (fb - fa) * ((x - a) / (b - a))
+
+
+def iota_extend(f: RealFunction1D, grid: RealSample) -> RealFunction1D:
     """Extend by linear interpolation across sample gaps onto sample ∪ grid.
 
     The extension is an isometry for the variation: interpolated values lie on
     the segment between the gap endpoints, so the jump sums telescope.
     """
-    sample = sigma or f.sample
-    if sigma is not None and sigma != f.sample:
-        f = restrict_1d(f, sigma)
+    sample = f.sample
     for x in grid.points:
         if not (sample.lo <= x <= sample.hi):
             raise GridOutsideJ(f"grid point {x} outside [{sample.lo}, {sample.hi}]")
     merged = sorted(set(sample.points) | set(grid.points))
-    out_vals = []
-    pts = sample.points
-    for x in merged:
-        if x in f.sample.points:
-            out_vals.append(f.at(x))
-            continue
-        # locate the gap (a, b) containing x
-        lo_i = max(i for i, a in enumerate(pts) if a < x)
-        a, b = pts[lo_i], pts[lo_i + 1]
-        fa, fb = f.values[lo_i], f.values[lo_i + 1]
-        t = (x - a) / (b - a)
-        out_vals.append(fa + (fb - fa) * t)
-    return RealFunction1D(RealSample(tuple(merged)), tuple(out_vals))
+    return RealFunction1D(RealSample(tuple(merged)), tuple(_iota_value(f, x) for x in merged))
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +136,7 @@ class AcModulus:
 _AC_EXACT_CAP = 24
 
 
-def ac_modulus(f: RealFunction1D, sigma: RealSample | None, delta,
-               mode: str = "auto") -> AcModulus:
+def ac_modulus(f: RealFunction1D, delta, mode: str = "auto") -> AcModulus:
     """Maximize sum |f(t)-f(s)| over families of non-overlapping (s, t) with
     endpoints in the sample and total length <= delta.
 
@@ -156,8 +148,6 @@ def ac_modulus(f: RealFunction1D, sigma: RealSample | None, delta,
     delta = to_fraction(delta)
     if delta <= 0:
         raise OnedimError("delta must be positive")
-    if sigma is not None and sigma != f.sample:
-        f = restrict_1d(f, sigma)
     ts = f.sample.points
     n = len(ts)
     rational = all_exact(f.values)

@@ -98,13 +98,12 @@ def _rand_fraction(rng, span: int = 8, den: int = 8) -> Fraction:
     return Fraction(int(rng.integers(-span * den, span * den + 1)), den)
 
 
-def _rand_point(rng, span: int = 8, den: int = 8) -> Point2:
+def _rand_point(rng, span: int, den: int) -> Point2:
     return P(_rand_fraction(rng, span, den), _rand_fraction(rng, span, den))
 
 
-def _rand_values(rng, k: int, den: int = 16) -> tuple:
-    return tuple(Fraction(int(rng.integers(-4 * den, 4 * den + 1)), den)
-                 for _ in range(k))
+def _rand_values(rng, k: int) -> tuple:
+    return tuple(Fraction(int(rng.integers(-64, 65)), 16) for _ in range(k))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +314,7 @@ def criterion_05(rng, registry) -> tuple[bool, str]:
         lo, hi = xs[0], xs[-1]
         grid = sorted({lo + (hi - lo) * Fraction(int(rng.integers(0, 17)), 16)
                        for _ in range(5)})
-        ext = iota_extend(f, None, RealSample(tuple(grid)))
+        ext = iota_extend(f, RealSample(tuple(grid)))
         if var_1d(ext) != var_1d(f):
             bad += 1
     return bad == 0, f"instances=200 mismatches={bad}"
@@ -501,7 +500,7 @@ def criterion_12(rng, registry) -> tuple[bool, str]:
     for k in range(2, 7):
         ck = cantor_level(k)
         budget = Fraction(2, 3) ** k
-        r = ac_modulus(ck, None, budget)
+        r = ac_modulus(ck, budget)
         ok = ok and r.value >= Fraction(1, 2)
         details.append(f"k={k}:delta={fmt(budget)}:mod={fmt(r.value)}")
     return ok, " ".join(details)

@@ -17,8 +17,10 @@ def _heat(t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def ctpp_svg(g: CtppFunction, violations: list[EdgeViolation] | None = None,
-             size: int = 480) -> str:
+_SIZE = 480  # width and height in pixels
+
+
+def ctpp_svg(g: CtppFunction, violations: list[EdgeViolation]) -> str:
     """One polygon per triangle, shaded by the piece value at the centroid;
     violating edges drawn on top in red."""
     xs = [float(p.x) for p in g.tri.vertices]
@@ -27,13 +29,13 @@ def ctpp_svg(g: CtppFunction, violations: list[EdgeViolation] | None = None,
     y0, y1 = min(ys), max(ys)
     span = max(x1 - x0, y1 - y0) or 1.0
     pad = 0.05 * span
-    scale = size / (span + 2 * pad)
+    scale = _SIZE / (span + 2 * pad)
 
     def sx(x: float) -> float:
         return (x - x0 + pad) * scale
 
     def sy(y: float) -> float:
-        return size - (y - y0 + pad) * scale  # flip so +y is up
+        return _SIZE - (y - y0 + pad) * scale  # flip so +y is up
 
     centro = []
     for idx, (i, j, k) in enumerate(g.tri.triangles):
@@ -46,15 +48,15 @@ def ctpp_svg(g: CtppFunction, violations: list[EdgeViolation] | None = None,
     rng = (hi - lo) or 1.0
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
+        f'viewBox="0 0 {_SIZE} {_SIZE}">',
     ]
     for idx, (i, j, k) in enumerate(g.tri.triangles):
         pts = " ".join(f"{sx(xs[v]):.2f},{sy(ys[v]):.2f}" for v in (i, j, k))
         fill = _heat((centro[idx] - lo) / rng)
         parts.append(f'<polygon points="{pts}" fill="{fill}" stroke="#555" '
                      f'stroke-width="0.6"/>')
-    for v in violations or []:
+    for v in violations:
         i, j = v.edge
         parts.append(
             f'<line x1="{sx(xs[i]):.2f}" y1="{sy(ys[i]):.2f}" '

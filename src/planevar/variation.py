@@ -80,11 +80,14 @@ def spread(values):
     return max(abs(a - b) for a in cvals for b in cvals)
 
 
-def values_agree(a, b, tol: float) -> bool:
-    """a == b when both are exact, otherwise |a - b| <= tol."""
+FLOAT_TOL = 1e-9  # how far two values may differ when either is a float
+
+
+def values_agree(a, b) -> bool:
+    """a == b when both are exact, otherwise |a - b| <= FLOAT_TOL."""
     if is_exact_number(a) and is_exact_number(b):
         return a == b
-    return abs(complex(a) - complex(b)) <= tol
+    return abs(complex(a) - complex(b)) <= FLOAT_TOL
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command-line front-end: subcommands, exit codes, determinism, round-trips."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -483,9 +484,106 @@ def test_approx_c2_non_finite_oracle_is_typed_error(monkeypatch, capsys):
 
     zero = lambda x, y: 0.0  # noqa: E731
     nan_oracle = approx.C2Oracle(f=f, fx=lambda x, y: 2.0, fy=zero,
-                                 fxx=zero, fxy=zero, fyy=zero, name="nan")
+                                 fxx=zero, fxy=zero, fyy=zero)
     monkeypatch.setitem(approx.BUILTIN_ORACLES, "sin_cos", nan_oracle)
     assert main(["approx", "c2", "--builtin", "sin_cos", "--degree", "4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error:ApproxError:oracle f is not finite at (0.25, 0.25)\n"
+
+
+# --- byte pins for the 1-D extension, the fills and the float tolerance -----
+
+def test_iota_output_is_pinned(tmp_path, capsys):
+    # float, complex and exact values; 1/3 and 1/2 fall in the gap (1/4, 1)
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"points": [[0, 0], ["1/4", 0], [1, 0], [2, 0]],
+                              "values": [0.1, [1.5, -0.25], 2, "-1/3"]}))
+    assert main(["iota", "--fn", str(fn), "--at", "1/3,1/2"]) == 0
+    captured = capsys.readouterr()
+    doc = {"points": [[0, 0], ["1/4", 0], ["1/3", 0], ["1/2", 0], [1, 0], [2, 0]],
+           "values": [0.1, [1.5, -0.25], [1.5555555555555556, -0.2222222222222222],
+                      [1.6666666666666667, -0.16666666666666669], 2, "-1/3"]}
+    assert captured.out == json.dumps(doc, indent=1) + "\n"
+    assert captured.err == "var: 4.31449659304\n"
+
+
+ACMOD_GREEDY = ("77521/212520\nexact: false\n"
+                "witness: (1/24,1/23);(1/23,1/22);(1/22,1/21);(1/21,1/20)\n")
+
+
+@pytest.mark.parametrize("mode, code, out, err", [
+    ("auto", 0, ACMOD_GREEDY, ""),
+    ("exact", 2, "", "error:InstanceTooLarge:25 points > 24 for exact mode\n"),
+    ("greedy", 0, ACMOD_GREEDY, ""),
+])
+def test_acmod_output_is_pinned(tmp_path, capsys, mode, code, out, err):
+    # 25 points: one past the exact cap, so auto takes the greedy family
+    fn = tmp_path / "r.json"
+    assert main(["example", "--kind", "reciprocal-alternating", "--n", "24",
+                 "--out", str(fn)]) == 0
+    assert main(["acmod", "--fn", str(fn), "--delta", "1/100", "--mode", mode]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
+
+
+def test_join_graphfill_output_is_pinned(tmp_path, capsys):
+    # x = -2 and 3 are clamped, -1/3 and 4/3 interpolated across the knot gaps
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"points": [[-1, 1], [0, 0], [2, 4]],
+                              "values": [0.3, [1, 2], "5/3"]}))
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"list": [[-1, 1], [0, 0], [2, 4]]}))
+    out = tmp_path / "g.json"
+    assert main(["join", "graphfill", "--fn", str(fn), "--curve", str(curve),
+                 "--rect=-2,3,-1,5", "--n", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "sampled: 19\n"
+    ys = [-1, 1, 3, 5]
+    mid1, mid2 = [0.7666666666666666, 1.3333333333333333], [1.4444444444444444, 0.6666666666666667]
+    doc = {"points": [[-2, y] for y in ys] + [[-1, 1]] + [["-1/3", y] for y in ys] + [[0, 0]]
+           + [["4/3", y] for y in ys] + [[2, 4]] + [[3, y] for y in ys],
+           "values": [0.3] * 5 + [mid1] * 4 + [[1.0, 2.0]] + [mid2] * 4 + ["5/3"] * 5}
+    assert out.read_text() == json.dumps(doc, indent=1)
+
+
+def test_join_paste_output_is_pinned(tmp_path):
+    # 1/3 and 3/4 are interpolated on the band [0, 1]; -1 and 2 take its edge values
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({
+        "points": [[-1, 0], [0, 0], ["1/2", 0], [1, 0], [2, 0], ["1/3", 1], ["3/4", -1],
+                   [-1, 1], [2, 1]],
+        "values": [-1, 0.25, [0.5, -1], "7/3", 2, 9, 9, 9, 9]}))
+    out = tmp_path / "h.json"
+    assert main(["join", "paste", "--fn", str(fn), "--band", "0,1", "--out", str(out)]) == 0
+    doc = {"points": [[-1, 0], [0, 0], ["1/2", 0], [1, 0], [2, 0], ["1/3", 1], ["3/4", -1],
+                      [-1, 1], [2, 1]],
+           "values": [0.25, 0.25, [0.5, -1.0], "7/3", "7/3",
+                      [0.41666666666666663, -0.6666666666666666], [1.4166666666666667, -0.5],
+                      0.25, "7/3"]}
+    assert out.read_text() == json.dumps(doc, indent=1)
+
+
+def _two_piece_ctpp(path, a):
+    """Two float pieces on the unit square that differ by (a - 1) * x along the diagonal."""
+    path.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [0, 1], [1, 1]],
+                                "triangles": [[0, 1, 3], [0, 3, 2]],
+                                "coeffs": [[1.0, 2.0, 0.5], [a, 2.0, 0.5]]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("a, out", [
+    (1.0000000005, "valid\n"),
+    (1.000000002, "violations: 1\nedge (0, 3) triangles (0, 1) values 0.5 0.5 3.5 3.500000002\n"),
+])
+def test_ctpp_check_float_tolerance_is_pinned(tmp_path, capsys, a, out):
+    # the pieces agree at (0, 0) and differ by 5e-10 or 2e-9 at (1, 1)
+    assert main(["ctpp", "check", _two_piece_ctpp(tmp_path / "g.json", a)]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_plot_svg_is_pinned(tmp_path):
+    svg = tmp_path / "g.svg"
+    assert main(["plot", "--ctpp", _two_piece_ctpp(tmp_path / "g.json", 1.000000002),
+                 "--svg", str(svg)]) == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == \
+        "87ebfd8ae2f7b8c89e8fa46f7c0cbf7bad2b427dfe54953fd6963e1b774377d2"

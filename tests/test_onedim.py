@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planevar.geom import P
 from planevar.onedim import (
@@ -69,18 +71,18 @@ class TestVar1d:
 class TestIota:
     def test_midpoint(self):
         f = f_of([(0, Fraction(0)), (1, Fraction(1))])
-        ext = iota_extend(f, None, RealSample.of([Fraction(1, 2)]))
+        ext = iota_extend(f, RealSample.of([Fraction(1, 2)]))
         assert ext.at(Fraction(1, 2)) == Fraction(1, 2)
 
     def test_constant(self):
         f = f_of([(0, Fraction(3)), (1, Fraction(3))])
-        ext = iota_extend(f, None, RealSample.of([Fraction(1, 3), Fraction(2, 3)]))
+        ext = iota_extend(f, RealSample.of([Fraction(1, 3), Fraction(2, 3)]))
         assert set(ext.values) == {Fraction(3)}
 
     def test_cantor_isometry_on_dyadic_grid(self):
         f = cantor_level(2)
         grid = RealSample.of([Fraction(k, 16) for k in range(17)])
-        ext = iota_extend(f, None, grid)
+        ext = iota_extend(f, grid)
         assert var_1d(ext) == var_1d(f) == 1
 
     def test_isometry_random(self):
@@ -93,17 +95,41 @@ class TestIota:
             grid = RealSample.of(
                 [xs[0] + (xs[-1] - xs[0]) * Fraction(rng.randint(0, 12), 12)
                  for _ in range(4)])
-            assert var_1d(iota_extend(f, None, grid)) == var_1d(f)
+            assert var_1d(iota_extend(f, grid)) == var_1d(f)
 
     def test_complex_isometry(self):
         f = f_of([(0, 0j), (1, 1 + 1j)])
-        ext = iota_extend(f, None, RealSample.of([Fraction(1, 4), Fraction(3, 4)]))
+        ext = iota_extend(f, RealSample.of([Fraction(1, 4), Fraction(3, 4)]))
         assert var_1d(ext) == pytest.approx(var_1d(f))
 
     def test_grid_outside_raises(self):
         f = f_of([(0, Fraction(0)), (1, Fraction(1))])
         with pytest.raises(GridOutsideJ):
-            iota_extend(f, None, RealSample.of([2]))
+            iota_extend(f, RealSample.of([2]))
+
+
+_VALUES = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_VALUES, min_size=2, max_size=8, unique=True), st.data())
+def test_iota_extend_is_the_segment_rule(xs, data):
+    xs = sorted(xs)
+    vals = data.draw(st.lists(_VALUES, min_size=len(xs), max_size=len(xs)))
+    f = RealFunction1D(RealSample(tuple(xs)), tuple(vals))
+    grid = data.draw(st.lists(st.fractions(min_value=xs[0], max_value=xs[-1],
+                                           max_denominator=24), min_size=1, max_size=6))
+    ext = iota_extend(f, RealSample.of(grid))
+    assert ext.sample.points == tuple(sorted(set(xs) | set(grid)))
+    known = dict(zip(xs, vals))
+    for x, v in zip(ext.sample.points, ext.values):
+        if x in known:
+            assert v == known[x]
+            continue
+        i = next(i for i, p in enumerate(xs) if p > x)
+        a, b, fa, fb = xs[i - 1], xs[i], vals[i - 1], vals[i]
+        assert v == (fa * (b - x) + fb * (x - a)) / (b - a)
+    assert var_1d(ext) == var_1d(f)
 
 
 def brute_force_modulus(f: RealFunction1D, delta: Fraction):
@@ -138,13 +164,13 @@ def brute_force_modulus(f: RealFunction1D, delta: Fraction):
 class TestAcModulus:
     def test_budget_too_small(self):
         f = f_of([(0, Fraction(0)), (1, Fraction(1))])
-        res = ac_modulus(f, None, Fraction(1, 2))
+        res = ac_modulus(f, Fraction(1, 2))
         assert res.value == 0 and res.witness == ()
 
     def test_three_points(self):
         f = f_of([(0, Fraction(0)), (Fraction(2, 5), Fraction(2, 5)),
                   (1, Fraction(1))])
-        res = ac_modulus(f, None, Fraction(1, 2))
+        res = ac_modulus(f, Fraction(1, 2))
         assert res.value == Fraction(2, 5)
         assert res.witness == ((Fraction(0), Fraction(2, 5)),)
 
@@ -156,7 +182,7 @@ class TestAcModulus:
                 continue
             f = f_of([(x, Fraction(rng.randint(-8, 8), 4)) for x in xs])
             delta = Fraction(rng.randint(1, 12), 8)
-            res = ac_modulus(f, None, delta)
+            res = ac_modulus(f, delta)
             assert res.exact
             assert res.value == brute_force_modulus(f, delta)
 
@@ -164,10 +190,10 @@ class TestAcModulus:
         # a single level-k interval fits in budget 3^-k and yields 2^-k
         for k in (2, 3):
             f = cantor_level(k)
-            res = ac_modulus(f, None, Fraction(1, 3 ** k))
+            res = ac_modulus(f, Fraction(1, 3 ** k))
             assert res.exact and res.value == Fraction(1, 2 ** k)
         f4 = cantor_level(4)
-        res4 = ac_modulus(f4, None, Fraction(1, 81))
+        res4 = ac_modulus(f4, Fraction(1, 81))
         assert not res4.exact and res4.value >= Fraction(1, 16)
 
     def test_monotone_in_delta_and_capped_by_var(self):
@@ -179,7 +205,7 @@ class TestAcModulus:
             f = f_of([(x, Fraction(rng.randint(-6, 6), 2)) for x in xs])
             prev = Fraction(0)
             for delta in (Fraction(1, 4), Fraction(1), Fraction(3), Fraction(10)):
-                val = ac_modulus(f, None, delta).value
+                val = ac_modulus(f, delta).value
                 assert val >= prev
                 assert val <= var_1d(f)
                 prev = val
@@ -187,13 +213,13 @@ class TestAcModulus:
     def test_identity_capped_by_delta(self):
         f = f_of([(Fraction(k, 8), Fraction(k, 8)) for k in range(9)])
         for delta in (Fraction(1, 8), Fraction(3, 8), Fraction(5, 8)):
-            assert ac_modulus(f, None, delta).value <= delta
+            assert ac_modulus(f, delta).value <= delta
 
     def test_exact_mode_cap(self):
         f = cantor_level(4)  # 32 points
         with pytest.raises(InstanceTooLarge):
-            ac_modulus(f, None, Fraction(1, 3), mode="exact")
-        res = ac_modulus(f, None, Fraction(1, 3), mode="greedy")
+            ac_modulus(f, Fraction(1, 3), mode="exact")
+        res = ac_modulus(f, Fraction(1, 3), mode="greedy")
         assert isinstance(res, AcModulus) and not res.exact
 
 
