@@ -491,6 +491,7 @@ def _bits(values) -> list[str]:
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(fractions, min_size=1, max_size=12))
+@example([Fraction(0), Fraction(1, 10**12)])
 def test_reductions_on_fractions_match_plain_expressions(vals):
     assert all_exact(vals)
     jumps = [abs(b - a) for a, b in zip(vals, vals[1:])]
@@ -515,6 +516,14 @@ def test_reductions_on_floats_are_bit_identical_to_the_old_expressions(vals):
     assert _bits([spread(vals)]) == _bits([old_spread])
     a, b = vals[0], vals[-1]
     assert values_agree(a, b) == (abs(complex(a) - complex(b)) <= 1e-9)
+
+
+def test_exact_values_agree_only_when_equal():
+    # exact values are compared for equality, not within FLOAT_TOL
+    assert not values_agree(Fraction(0), Fraction(1, 10**12))
+    assert values_agree(Fraction(1, 3), Fraction(2, 6))
+    assert values_agree(0.0, 1e-12)
+    assert values_agree(Fraction(0), 1e-12)
 
 
 def test_single_value_jump_sum_keeps_its_type():
