@@ -73,8 +73,8 @@ is off the line and b is not strictly on a's side. This sum is the only
 count: ``_counts_from_matrix`` takes it over a gathered sign matrix,
 ``vf_sweep`` takes it in interval form over one list (below), and
 ``_crossing_mask`` only lists segments for ``variation.vf_line``. A list's
-count vector over the L lines of a sign table is therefore one "first" row
-of L terms plus one pair row per consecutive pair:
+count vector over the L distinct sign patterns of a sign table is therefore
+one "first" row of L terms plus one pair row per consecutive pair:
 
 * ``vf_batch`` tabulates every pair row once per call, P^2 * L cells for P
   sample points; that stays small because its only caller,
@@ -117,11 +117,14 @@ hold no run and count 0, below the vf >= 1 of any list.
 Each cell is a line of the family: position 2i is (a, b, v_i) and 2i + 1 is
 (2a, 2b, v_i + v_{i+1}); both are (2a, 2b, v_lo + v_hi) with lo = hi on a
 projection. ``_canonical_rows`` puts cells in the form ``candidate_lines``
-keeps, and distinct cells are distinct lines, since canonical normals are
-distinct directions. So the maximal cells are exactly the maximal rows of
-the table. The table's rows are sorted lexicographically and
-``vf_of_indices`` takes the first maximal row, so the lex-smallest canonical
-maximal cell is the same witness. Only the maximal cells are canonicalised.
+lists, and distinct cells are distinct lines, since canonical normals are
+distinct directions. So the witness, the lex-smallest canonical maximal
+cell, is the first maximal row of ``candidate_lines``; only the maximal
+cells are canonicalised. ``build_sign_table`` reads the many-list
+estimators' table off the same ranks (``_dense_ranks``): point p has sign
+sign(2 r_p - pos) on the cell at position pos, negated when the normal has
+a < 0, the one case in which ``_canonical_rows`` negates a canonical
+normal's row (b > 0, or b = 0 < a).
 """
 
 from __future__ import annotations
@@ -136,7 +139,7 @@ import numpy as np
 from .geom import Line, Point2
 
 _INT64_MAX = (1 << 63) - 1
-_SIGN_BLOCK = 4096     # rows of the residual matrix held at once
+_SIGN_BLOCK = 4096     # sign-table rows filled at once
 
 
 # Defined here so that the sign-table size cap can raise a typed error;
@@ -224,6 +227,9 @@ def _lex_order(rows: np.ndarray) -> np.ndarray:
     return np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))
 
 
+# No production path calls candidate_lines: the tests use it as the vectorised
+# oracle of the family, and perfbench/tracer.py looks up candidate_lines,
+# build_sign_table and vf_of_indices by name when it installs its spans.
 def candidate_lines(int_points: list[tuple[int, int]]) -> np.ndarray:
     """Complete candidate family: unique integer rows (a, b, c), sorted lexicographically.
 
@@ -246,35 +252,10 @@ def candidate_lines(int_points: list[tuple[int, int]]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SignTable:
-    """Exact signs of every candidate line against every point of a sample."""
+    """The distinct sign patterns of a sample's candidate family; counts read nothing else."""
 
-    points: tuple[Point2, ...]
-    scale: int
-    lines: np.ndarray      # (L, 3) int64 or object; rows sorted lexicographically
-    signs: np.ndarray      # (L, P) int8; sign(a*x + b*y - c)
-
-    def line_at(self, row: int) -> Line:
-        a, b, c = (int(v) for v in self.lines[row])
-        # scaled coordinates: a*X + b*Y = c with X = scale*x, so divide c by scale
-        return Line.from_coeffs(a, b, Fraction(c, self.scale))
-
-    @property
-    def n_lines(self) -> int:
-        return self.signs.shape[0]
-
-    def distinct(self) -> "SignTable":
-        """The first row of each sign pattern, kept in lexicographic line order.
-
-        A crossing count depends only on a row's sign pattern, and the first
-        maximal row of the full table is the first row of its pattern, so
-        ``vf_of_indices`` returns the same count and the same witness line on
-        both tables, and ``vf_batch`` the same counts.
-        """
-        rows = np.ascontiguousarray(self.signs)
-        keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-        keep = np.sort(np.unique(keys, return_index=True)[1])
-        return SignTable(points=self.points, scale=self.scale,
-                         lines=self.lines[keep], signs=rows[keep])
+    signs: np.ndarray      # (L, P) int8; one distinct row of sign(a*x + b*y - c) per pattern
+    n_lines: int           # lines in the candidate family, before deduplication
 
 
 _MAX_CANDIDATE_LINES = 2_000_000
@@ -290,35 +271,17 @@ def _refuse_large_family(distinct: int) -> None:
             f"lines; the exact machinery is meant for desk-scale samples")
 
 
-def build_sign_table(points: tuple[Point2, ...]) -> SignTable:
-    int_pts, scale = scale_to_ints(points)
-    _refuse_large_family(len(set(int_pts)))
-    lines = candidate_lines(int_pts)
-    # residual a*x + b*y - c of every line at every point, one block of rows at a time
-    pts_mat = np.array([[x, y, -1] for x, y in int_pts], dtype=lines.dtype).T
-    signs = np.empty((len(lines), len(int_pts)), dtype=np.int8)
-    for start in range(0, len(lines), _SIGN_BLOCK):
-        block = slice(start, start + _SIGN_BLOCK)
-        signs[block] = np.sign(lines[block] @ pts_mat)
-    return SignTable(points=points, scale=scale, lines=lines, signs=signs)
-
-
-def vf_sweep(points: tuple[Point2, ...]) -> tuple[int, Line]:
-    """(variation factor, lex-smallest canonical witness line) of one list.
-
-    The same answer as ``vf_of_indices`` on ``build_sign_table(points)`` for
-    the whole list, without the table ("One list: per-direction sweep" in the
-    module docstring).
-    """
+def _dense_ranks(points: tuple[Point2, ...]):
+    """(scale, normals (N, 2), each direction's distinct projections in order
+    (flat), their count per direction (N,), dense rank of each point's
+    projection among them (N, P)) over the N candidate normals."""
     int_pts, scale = scale_to_ints(points)
     uniq = sorted(set(int_pts))
     _refuse_large_family(len(uniq))
     dtype = _coeff_dtype(int_pts)
     normals = np.array(candidate_normals(int_pts), dtype=dtype)            # (N, 2)
     proj = normals @ np.array(uniq, dtype=dtype).T                          # (N, k)
-    n_dirs, k = proj.shape
-    # dense rank of every projection among the distinct values of its direction
-    row = np.arange(n_dirs)[:, None]
+    row = np.arange(len(proj))[:, None]
     order = np.argsort(proj, axis=1)      # ties share a rank, so any order serves
     ranked = proj[row, order]
     new = np.ones(proj.shape, dtype=bool)
@@ -326,13 +289,42 @@ def vf_sweep(points: tuple[Point2, ...]) -> tuple[int, Line]:
     rank = np.empty(proj.shape, dtype=np.intp)
     rank[row, order] = np.cumsum(new, axis=1) - 1
     at = {q: i for i, q in enumerate(uniq)}
-    r = rank[:, [at[q] for q in int_pts]]                                   # (N, m)
+    return scale, normals, ranked[new], new.sum(axis=1), rank[:, [at[q] for q in int_pts]]
+
+
+def build_sign_table(points: tuple[Point2, ...]) -> SignTable:
+    """The distinct sign patterns of the candidate family on ``points``, off the ranks."""
+    _, normals, _, per_dir, rank = _dense_ranks(points)
+    cells = 2 * per_dir - 1                              # positions 0..2d-2 per direction
+    line_dir = np.repeat(np.arange(len(cells)), cells)
+    line_pos = np.arange(len(line_dir)) - np.repeat(np.cumsum(cells) - cells, cells)
+    twice = 2 * rank
+    flip = np.where(normals[:, 0] < 0, -1, 1)[:, None]
+    signs = np.empty((len(line_dir), rank.shape[1]), dtype=np.int8)
+    for start in range(0, len(line_dir), _SIGN_BLOCK):
+        block = slice(start, start + _SIGN_BLOCK)
+        d = line_dir[block]
+        signs[block] = np.sign(twice[d] - line_pos[block, None]) * flip[d]
+    # one row per pattern: sort the rows as byte strings, keep each run's first
+    keys = np.sort(signs.view(np.dtype((np.void, signs.shape[1]))).ravel())
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    distinct = keys[new].view(np.int8).reshape(-1, signs.shape[1])
+    return SignTable(signs=distinct, n_lines=len(line_dir))
+
+
+def vf_sweep(points: tuple[Point2, ...]) -> tuple[int, Line]:
+    """(variation factor, lex-smallest canonical witness line) of one list, without
+    a table ("One list: per-direction sweep" in the module docstring)."""
+    scale, normals, vals, per_dir, r = _dense_ranks(points)
+    n_dirs = len(per_dir)
+    row = np.arange(n_dirs)[:, None]
     # pair p adds 1 on the positions [start, stop); empty when r_p = r_{p+1}
     here, after = r[:, :-1], r[:, 1:]
     up = here < after
     start = np.where(up, 2 * here + 1, 2 * after)
     stop = np.where(up, 2 * after + 1, 2 * here)
-    width = 2 * k                        # positions 0..2k-2, and one past the last
+    width = 2 * int(per_dir.max())       # positions 0..2d-2, and one past the last
     base = row * width
     diff = (np.bincount((start + base).ravel(), minlength=n_dirs * width)
             - np.bincount((stop + base).ravel(), minlength=n_dirs * width))
@@ -341,8 +333,6 @@ def vf_sweep(points: tuple[Point2, ...]) -> tuple[int, Line]:
     vf = int(counts.max())
     # the maximal cells as lines (2a, 2b, v_lo + v_hi); lo = hi on a projection
     d, pos = np.nonzero(counts == vf)
-    vals = ranked[new]                   # each direction's distinct values, in order
-    per_dir = new.sum(axis=1)
     first = np.cumsum(per_dir) - per_dir
     offsets = vals[first[d] + pos // 2] + vals[first[d] + (pos + 1) // 2]
     rows = _canonical_rows(np.column_stack([2 * normals[d], offsets]))
@@ -385,12 +375,9 @@ def _counts_from_matrix(S: np.ndarray) -> np.ndarray:
     return (S[..., 0] == 0) + _pair_terms(S[..., :-1], S[..., 1:]).sum(axis=-1, dtype=np.int32)
 
 
-def vf_of_indices(table: SignTable, idx) -> tuple[int, int]:
-    """(variation factor, row of a lex-smallest witness line) for one index list."""
-    idx = np.asarray(idx, dtype=np.intp)
-    counts = _counts_from_matrix(table.signs[:, idx])
-    row = int(np.argmax(counts))  # first max = lex-smallest line (rows sorted)
-    return int(counts[row]), row
+def vf_of_indices(table: SignTable, idx) -> int:
+    """Variation factor of one index list: its largest count over the table's patterns."""
+    return int(_counts_from_matrix(table.signs[:, np.asarray(idx, dtype=np.intp)]).max())
 
 
 def _count_dtype(max_len: int):

@@ -213,8 +213,10 @@ def poly2_to_json(p) -> str:
 
 def poly2_from_json(text: str):
     from .approx import Poly2
-    return Poly2.from_rows([[dec_value(c) for c in _array(row, "coefficient row")]
-                            for row in _field(_load(text), "coeffs")])
+    rows = [_array(row, "coefficient row") for row in _field(_load(text), "coeffs")]
+    if not rows or not all(rows):
+        raise BadInputFile("field 'coeffs': empty coefficient array or row")
+    return Poly2.from_rows([[dec_value(c) for c in row] for row in rows])
 
 
 # --- rectangles ---------------------------------------------------------------

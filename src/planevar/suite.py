@@ -175,8 +175,8 @@ def criterion_01(rng, registry) -> tuple[bool, str]:
         plus = pts[:pos] + (w,) + pts[pos:]
         table = _vfcore.build_sign_table(plus)
         idx_s = [k for k in range(len(plus)) if k != pos]
-        vf_s, _ = _vfcore.vf_of_indices(table, np.array(idx_s))
-        vf_p, _ = _vfcore.vf_of_indices(table, np.arange(len(plus)))
+        vf_s = _vfcore.vf_of_indices(table, idx_s)
+        vf_p = _vfcore.vf_of_indices(table, np.arange(len(plus)))
         if vf_s > vf_p:
             violations += 1
         if not (1 <= vf_s <= max(n, 1)) or not (1 <= vf_p <= n + 1):

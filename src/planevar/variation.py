@@ -54,12 +54,20 @@ def all_exact(values) -> bool:
     return all(is_exact_number(v) for v in values)
 
 
+def _on_floats(reduce, values):
+    """``reduce`` of the values as complex floats; past the float range, VariationError."""
+    try:
+        return reduce([complex(v) for v in values])
+    except OverflowError as exc:
+        raise VariationError(f"values overflow floating point: {exc}") from None
+
+
 def magnitudes(values) -> list:
     """|v| per value."""
     vals = list(values)
     if all_exact(vals):
         return [abs(v) for v in vals]
-    return [abs(complex(v)) for v in vals]
+    return _on_floats(lambda c: [abs(v) for v in c], vals)
 
 
 def jump_sum(values):
@@ -67,8 +75,7 @@ def jump_sum(values):
     vals = list(values)
     if all_exact(vals):
         return sum((abs(vals[i] - vals[i - 1]) for i in range(1, len(vals))), Fraction(0))
-    cvals = [complex(v) for v in vals]
-    return float(sum(abs(cvals[i] - cvals[i - 1]) for i in range(1, len(cvals))))
+    return _on_floats(lambda c: float(sum(abs(c[i] - c[i - 1]) for i in range(1, len(c)))), vals)
 
 
 def spread(values):
@@ -76,8 +83,7 @@ def spread(values):
     vals = list(values)
     if all_exact(vals):
         return max(vals) - min(vals)
-    cvals = [complex(v) for v in vals]
-    return max(abs(a - b) for a in cvals for b in cvals)
+    return _on_floats(lambda c: max(abs(a - b) for a in c for b in c), vals)
 
 
 FLOAT_TOL = 1e-9  # how far two values may differ when either is a float
@@ -87,7 +93,7 @@ def values_agree(a, b) -> bool:
     """a == b when both are exact, otherwise |a - b| <= FLOAT_TOL."""
     if is_exact_number(a) and is_exact_number(b):
         return a == b
-    return abs(complex(a) - complex(b)) <= FLOAT_TOL
+    return _on_floats(lambda c: abs(c[0] - c[1]) <= FLOAT_TOL, (a, b))
 
 
 @dataclass(frozen=True)
@@ -293,7 +299,7 @@ def _extend_sequences(prev: np.ndarray, k: int) -> np.ndarray:
 
 def _diff_matrix(f: SampledFunction) -> np.ndarray:
     """Floating |f_i - f_j| for every pair of sample indices."""
-    vals_c = np.array([complex(v) for v in f.values])
+    vals_c = _on_floats(np.array, f.values)
     return np.abs(vals_c[:, None] - vals_c[None, :])
 
 
@@ -323,8 +329,7 @@ def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
     if max_len < 1:
         raise VariationError("max_len must be >= 1")
 
-    full = _vfcore.build_sign_table(f.points)
-    table = full.distinct()
+    table = _vfcore.build_sign_table(f.points)
     diff = _diff_matrix(f)
 
     per_len: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -351,11 +356,14 @@ def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
     _, value, seq, vf = min(candidates)
     return VarEstimate(value=value, witness=tuple(f.points[i] for i in seq), witness_vf=vf,
                        exact=True, method="exhaustive_small",
-                       stats={"table_rows": full.n_lines, "distinct_rows": table.n_lines})
+                       stats={"table_rows": table.n_lines, "distinct_rows": len(table.signs)})
 
 
 # ---------------------------------------------------------------------------
 # simulated annealing search
+
+MAX_RESTARTS = 100_000   # restarts of one search; each runs a whole annealing schedule
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -370,6 +378,8 @@ class SearchConfig:
             raise VariationError(f"seed must be >= 0, got {self.seed}")
         if self.restarts < 1:
             raise VariationError(f"restarts must be >= 1, got {self.restarts}")
+        if self.restarts > MAX_RESTARTS:
+            raise VariationError(f"restarts must be <= {MAX_RESTARTS}, got {self.restarts}")
         if self.iters < 0:
             raise VariationError(f"iters must be >= 0, got {self.iters}")
         if self.max_len < 2:
@@ -622,8 +632,7 @@ def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEst
     if k == 1:
         return VarEstimate(value=cvar(f, f.points), witness=(f.points[0],), witness_vf=1,
                            exact=False, method="anneal", seed=cfg.seed)
-    full = _vfcore.build_sign_table(f.points)
-    table = full.distinct()
+    table = _vfcore.build_sign_table(f.points)
     diff = _diff_matrix(f)
     pairs = _vfcore.PairCounts(table, cfg.max_len)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
@@ -638,8 +647,8 @@ def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEst
         "accepted": int(sum(r["accepted"] for r in results)),
         "final_temperature": float(max(r["temperature"] for r in results)),
         "restarts": cfg.restarts,
-        "table_rows": full.n_lines,
-        "distinct_rows": table.n_lines,
+        "table_rows": table.n_lines,
+        "distinct_rows": len(table.signs),
     }
     return VarEstimate(value=value, witness=witness, witness_vf=vf,
                        exact=False, method="anneal", seed=cfg.seed, stats=stats)

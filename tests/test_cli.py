@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from planevar import cli
 from planevar.cli import main
 
 
@@ -256,6 +257,52 @@ def test_vf_too_many_points_is_typed_error(tmp_path):
 def test_var_zero_restarts_is_typed_error(square_fx):
     code, out, err = run_cli("var", "--fn", square_fx, "--restarts", "0")
     assert_single_error(code, err, "VariationError")
+
+
+def test_var_huge_restart_count_is_refused_before_the_search(square_fx, monkeypatch, capsys):
+    """The count is refused when SearchConfig is built: no seed is spawned, no search runs."""
+    def never(*args, **kwargs):
+        raise AssertionError("var_search ran")
+
+    monkeypatch.setattr(cli, "var_search", never)
+    code = main(["var", "--fn", square_fx, "--mode", "search",
+                 "--restarts", "99999999999999999999"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == ("error:VariationError:restarts must be <= 100000, "
+                            "got 99999999999999999999\n")
+
+
+@pytest.mark.parametrize("text", ['{"coeffs": []}', '{"coeffs": [[]]}'])
+def test_approx_bernstein_empty_poly_is_typed_error(tmp_path, text):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    code, out, err = run_cli("approx", "bernstein", "--poly", str(path), "--degree", "3")
+    assert_single_error(code, err, "BadInputFile")
+    assert (out, err) == ("", "error:BadInputFile:field 'coeffs': empty coefficient array or row\n")
+
+
+@pytest.mark.parametrize("command", [["cvar", "--list", None], ["var", "--mode", "exact"],
+                                     ["var", "--mode", "search", "--iters", "10"]])
+def test_huge_integer_among_complex_values_is_typed_error(tmp_path, zigzag, command):
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"points": [[0, 0], [1, 0]], "values": [[1.5, 2], 10**400]}))
+    args = [zigzag if a is None else a for a in command]
+    code, out, err = run_cli(*args, "--fn", str(fn))
+    assert_single_error(code, err, "VariationError")
+    assert (out, err) == ("", "error:VariationError:values overflow floating point: "
+                              "int too large to convert to float\n")
+
+
+def test_ctpp_check_huge_integer_beside_a_float_piece_is_typed_error(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [0, 1], [1, 1]],
+                                "triangles": [[0, 1, 2], [1, 3, 2]],
+                                "coeffs": [[10**400, 0, 0], [0.5, 0, 0]]}))
+    code, out, err = run_cli("ctpp", "check", str(path))
+    assert_single_error(code, err, "VariationError")
+    assert (out, err) == ("", "error:VariationError:values overflow floating point: "
+                              "integer division result too large for a float\n")
 
 
 def test_var_out_into_missing_dir_is_typed_error(square_fx, tmp_path):

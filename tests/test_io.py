@@ -4,12 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from planevar.geom import P, Polygon, Rectangle, grid_triangulation
+from planevar.geom import GeomError, P, Polygon, Rectangle, Triangulation, grid_triangulation
 from planevar.variation import PlanarCoeffs, SampledFunction, var_planar_estimate
-from planevar.onedim import cantor_level
+from planevar.onedim import RealFunction1D, cantor_level
 from planevar.ctpp import CtppFunction, interpolate_grid
 from planevar.approx import Poly2
 from planevar import fileio
@@ -187,6 +187,9 @@ _TRIANGLE = '"vertices": [[0, 0], [1, 0], [0, 1]]'
     (ctpp_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, 2]], "coeffs": [3]}'),
     (poly2_from_json, '{"coeffs": 3}'),
     (poly2_from_json, '{"coeffs": [3]}'),
+    (poly2_from_json, '{"coeffs": []}'),
+    (poly2_from_json, '{"coeffs": [[]]}'),
+    (poly2_from_json, '{"coeffs": [[1], []]}'),
 ])
 def test_shape_errors_are_bad_input(decode, text):
     with pytest.raises(BadInputFile):
@@ -239,3 +242,70 @@ def test_poly2_round_trip(rows):
     back = poly2_from_json(poly2_to_json(p))
     assert back == p
     assert all(_same_values(a, b) for a, b in zip(back.coeffs, p.coeffs))
+
+
+# primitive integer directions in angle order, for star-shaped polygons
+_DIRECTIONS = sorted({(a // math.gcd(a, b), b // math.gcd(a, b))
+                      for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)},
+                     key=lambda d: math.atan2(d[1], d[0]))
+
+
+@st.composite
+def polygons(draw) -> Polygon:
+    """A polygon with vertices at increasing angles around a centre: simple when
+    the construction succeeds, which the rare collinear or crossing draw does not."""
+    dirs = sorted(draw(st.lists(st.integers(0, len(_DIRECTIONS) - 1),
+                                min_size=3, max_size=8, unique=True)))
+    radii = draw(st.lists(st.fractions(min_value=Fraction(1, 8), max_value=8),
+                          min_size=len(dirs), max_size=len(dirs)))
+    cx, cy = draw(rationals), draw(rationals)
+    pts = tuple(P(cx + r * _DIRECTIONS[d][0], cy + r * _DIRECTIONS[d][1])
+                for d, r in zip(dirs, radii))
+    try:
+        return Polygon(pts)
+    except GeomError:
+        assume(False)
+
+
+@st.composite
+def triangulations(draw) -> Triangulation:
+    """A fan over 3-10 vertices, each triangle's indices and the triangle order shuffled."""
+    verts = tuple(draw(st.lists(points, min_size=3, max_size=10)))
+    fan = [draw(st.permutations((0, i, i + 1))) for i in range(1, len(verts) - 1)]
+    return Triangulation(verts, tuple(tuple(t) for t in draw(st.permutations(fan))))
+
+
+values = exact_values | inexact_values
+
+
+@settings(max_examples=100, deadline=None)
+@given(polygons())
+def test_polygon_round_trip(poly):
+    assert polygon_from_json(polygon_to_json(poly)) == poly
+
+
+@settings(max_examples=100, deadline=None)
+@given(triangulations())
+def test_triangulation_round_trip(tri):
+    assert triangulation_from_json(triangulation_to_json(tri)) == tri
+
+
+@settings(max_examples=100, deadline=None)
+@given(triangulations(), st.data())
+def test_ctpp_round_trip(tri, data):
+    flat = data.draw(st.lists(values, min_size=3 * len(tri.triangles),
+                              max_size=3 * len(tri.triangles)))
+    g = CtppFunction(tri, tuple(PlanarCoeffs(*flat[i:i + 3]) for i in range(0, len(flat), 3)))
+    back = ctpp_from_json(ctpp_to_json(g))
+    assert back == g
+    assert _same_values(flat, [v for c in back.coeffs for v in (c.a, c.b, c.c)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=12, unique=True), st.data())
+def test_function_1d_round_trip(xs, data):
+    vals = data.draw(st.lists(values, min_size=len(xs), max_size=len(xs)))
+    f = RealFunction1D.from_pairs(zip(xs, vals))
+    back = function_1d_from_json(function_1d_to_json(f))
+    assert back == f
+    assert _same_values(back.values, f.values)

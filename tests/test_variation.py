@@ -32,6 +32,7 @@ from planevar.geom import (
 )
 from planevar.suite import _crossing_count_reference, vf_pattern_oracle
 from planevar.variation import (
+    MAX_RESTARTS,
     _Draws,
     _draw_skipping,
     _extend_sequences,
@@ -469,6 +470,30 @@ def test_search_config_rejects_bad_values(bad):
         SearchConfig(**bad)
 
 
+def test_search_config_refuses_restarts_past_the_cap():
+    """Refused when the config is built, before any seed is spawned; no search runs here."""
+    SearchConfig(restarts=MAX_RESTARTS)
+    for restarts in (MAX_RESTARTS + 1, 99999999999999999999):
+        with pytest.raises(VariationError, match=f"restarts must be <= {MAX_RESTARTS}, got"):
+            SearchConfig(restarts=restarts)
+
+
+@pytest.mark.parametrize("vals", [[1.5 + 2j, 10**400], [Fraction(10**400, 3), 0.5],
+                                  [1.7e308 + 1.7e308j, 0]])
+def test_float_reductions_refuse_values_past_the_float_range(vals):
+    for reduce in (magnitudes, jump_sum, spread, lambda v: values_agree(*v)):
+        with pytest.raises(VariationError, match="values overflow floating point"):
+            reduce(vals)
+
+
+def test_estimates_refuse_an_exact_value_past_the_float_range():
+    f = SampledFunction((P(0, 0), P(1, 0), P(0, 1)), (1.5 + 2j, 10**400, 0))
+    with pytest.raises(VariationError, match="values overflow floating point"):
+        var_exact_small(f, 2)
+    with pytest.raises(VariationError, match="values overflow floating point"):
+        var_search(f, SearchConfig(iters=10, restarts=1))
+
+
 def test_is_exact_number():
     assert is_exact_number(3) and is_exact_number(Fraction(1, 3))
     assert not is_exact_number(True)
@@ -586,31 +611,66 @@ def point_lists_with_runs(draw, max_size=10):
     return tuple(P(x, y) for x, y in pts)
 
 
+def _line_of(row, scale: int) -> Line:
+    """The line of a ``candidate_lines`` row over coordinates scaled by ``scale``."""
+    a, b, c = (int(v) for v in row)
+    return Line.from_coeffs(a, b, Fraction(c, scale))
+
+
+def _reference_table(pts):
+    """(lines, signs): every ``candidate_lines`` row as a Line, and the (L, P)
+    signs of the sample's exact residuals on them, duplicate patterns included."""
+    int_pts, scale = _vfcore.scale_to_ints(pts)
+    rows = candidate_lines(int_pts).astype(object)
+    residuals = rows @ np.array([[x, y, -1] for x, y in int_pts], dtype=object).T
+    signs = (residuals > 0).astype(np.int8) - (residuals < 0).astype(np.int8)
+    return [_line_of(row, scale) for row in rows], signs
+
+
+def _sides(lines, pts) -> list[list[int]]:
+    """``side_of`` every point of ``pts`` on every line."""
+    return [[side_of(line, p).value for p in pts] for line in lines]
+
+
+def _patterns(signs) -> set[tuple[int, ...]]:
+    return {tuple(row) for row in np.asarray(signs).tolist()}
+
+
+def _assert_table_holds(table, lines, signs):
+    """The table has one row per distinct pattern of ``signs`` and counts every line."""
+    assert table.signs.dtype == np.int8
+    assert table.n_lines == len(lines)
+    assert len(table.signs) == len(_patterns(table.signs))
+    assert _patterns(table.signs) == _patterns(signs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_lists_with_runs())
+@example((P(0, 0),))
+@example((P(1, 2),) * 3 + (P(3, 3),))
+def test_sign_table_holds_the_patterns_of_the_reference_family(pts):
+    """The table read off the ranks against the per-line enumerator in Python integers."""
+    int_pts, scale = _vfcore.scale_to_ints(pts)
+    lines = [_line_of(row, scale) for row in _candidate_lines_reference(int_pts)]
+    _assert_table_holds(build_sign_table(pts), lines, _sides(lines, pts))
+
+
 @settings(max_examples=80, deadline=None)
 @given(point_lists_with_runs(), st.data())
-def test_distinct_table_keeps_the_first_row_of_each_pattern(pts, data):
-    full = build_sign_table(pts)
-    table = full.distinct()
-    first: dict[bytes, int] = {}
-    for i, row in enumerate(full.signs):
-        first.setdefault(row.tobytes(), i)
-    kept = sorted(first.values())
-    assert table.lines.tolist() == full.lines[kept].tolist()
-    assert table.signs.tolist() == full.signs[kept].tolist()
-    assert len({row.tobytes() for row in table.signs}) == table.n_lines
-    assert (table.points, table.scale) == (full.points, full.scale)
+def test_distinct_table_counts_as_the_full_table(pts, data):
+    """Every list and batch counts the same on the distinct patterns as on all lines."""
+    lines, signs = _reference_table(pts)
+    table = build_sign_table(pts)
+    _assert_table_holds(table, lines, signs)
 
     index = st.integers(0, len(pts) - 1)
     for idx in data.draw(st.lists(st.lists(index, min_size=1, max_size=8),
                                   min_size=1, max_size=5)):
-        count, row = vf_of_indices(full, idx)
-        d_count, d_row = vf_of_indices(table, idx)
-        assert d_count == count
-        assert table.line_at(d_row) == full.line_at(row)
+        assert vf_of_indices(table, idx) == int(_segment_rule_counts(signs[:, idx]).max())
     m = data.draw(st.integers(1, 6))
     batch = np.array(data.draw(st.lists(st.lists(index, min_size=m, max_size=m),
                                         min_size=1, max_size=20)), dtype=np.intp)
-    assert vf_batch(table, batch).tolist() == vf_batch(full, batch).tolist()
+    assert vf_batch(table, batch).tolist() == _batch_oracle(_table_of_signs(signs), batch).tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -636,11 +696,14 @@ BIG = 2 ** 40     # scaled |coordinate| far past INT64_M: object coefficients
 @example(tuple(P(3 * t, 1 - 2 * t) for t in (0, 2, -1, 1, 2, 5, 0, 3)))
 @example((P(0, 0), P(BIG, 1), P(1, BIG), P(BIG, BIG), P(BIG // 2, BIG // 2), P(0, 0)))
 def test_vf_exact_matches_the_sign_table(pts):
-    """The per-direction sweep against the full table read for the whole list."""
-    table = build_sign_table(pts)
-    count, row = vf_of_indices(table, np.arange(len(pts)))
+    """The per-direction sweep against every candidate line read for the whole list:
+    the witness is the first maximal ``candidate_lines`` row."""
+    lines, signs = _reference_table(pts)
+    counts = _segment_rule_counts(signs)
+    row = int(np.argmax(counts))
     res = vf_exact(pts)
-    assert (res.vf, res.witness) == (count, table.line_at(row))
+    assert (res.vf, res.witness) == (int(counts[row]), lines[row])
+    assert vf_of_indices(build_sign_table(pts), np.arange(len(pts))) == res.vf
 
 
 @settings(max_examples=150, deadline=None)
@@ -686,14 +749,15 @@ def test_distinct_table_with_object_coefficients():
     """Coordinates past the int64-safe bound take the object-array path."""
     big = 2 ** 40
     pts = (P(0, 0), P(big, 1), P(1, big), P(big, big), P(big // 2, big // 2), P(0, 0))
-    full = build_sign_table(pts)
-    assert full.lines.dtype == object
-    table = full.distinct()
-    assert table.n_lines < full.n_lines
+    int_pts, _ = _vfcore.scale_to_ints(pts)
+    assert candidate_lines(int_pts).dtype == object
+    lines, signs = _reference_table(pts)
+    assert signs.tolist() == _sides(lines, pts)
+    table = build_sign_table(pts)
+    _assert_table_holds(table, lines, signs)
+    assert len(table.signs) < table.n_lines
     idx = np.arange(len(pts))
-    count, row = vf_of_indices(full, idx)
-    d_count, d_row = vf_of_indices(table, idx)
-    assert (d_count, table.line_at(d_row)) == (count, full.line_at(row))
+    assert vf_of_indices(table, idx) == int(_segment_rule_counts(signs).max())
 
 
 # --- candidate family and sign table ------------------------------------------
@@ -760,12 +824,12 @@ def test_sign_table_dtype_switch_is_exact_on_both_sides(m, dtype):
     """Just below the bound int64 residuals reach past 2^62; just above, Python integers."""
     pts = (P(-m + 1, m), P(-(m // 2), m // 2), P(-1, -m + 1), P(-m, -m), P(m - 1, m),
            P(-m, -m))
-    table = build_sign_table(pts)
-    assert table.lines.dtype == dtype
-    lines = [table.line_at(r) for r in range(table.n_lines)]
+    int_pts, _ = _vfcore.scale_to_ints(pts)
+    assert candidate_lines(int_pts).dtype == dtype
+    lines, signs = _reference_table(pts)
     assert max(abs(line.residual(p)) for line in lines for p in pts) > 2 ** 62
-    for row, line in zip(table.signs, lines):
-        assert row.tolist() == [side_of(line, p).value for p in pts]
+    assert signs.tolist() == _sides(lines, pts)
+    _assert_table_holds(build_sign_table(pts), lines, signs)
 
 
 def test_sign_table_peak_memory_stays_near_its_size():
@@ -788,7 +852,8 @@ def test_sign_table_peak_memory_stays_near_its_size():
     finally:
         tracemalloc.stop()
     assert table.n_lines > 100_000
-    assert peak < 3 * (table.signs.nbytes + table.lines.nbytes)
+    # n_lines * (P + 24) bytes: the family as int8 signs plus int64 (a, b, c) rows
+    assert peak < 3 * table.n_lines * (len(pts) + 24)
 
 
 # Values recorded from the code before sign tables were deduplicated: the
@@ -917,9 +982,8 @@ KERNEL_SAMPLES = {
 def test_vf_batch_matches_the_gather_oracle_up_to_the_caps(name, distinct):
     """Every index list of up to 6 points over the first k <= 7 sample points."""
     for k in range(1, 8):
-        table = build_sign_table(KERNEL_SAMPLES[name][:k])
-        if distinct:
-            table = table.distinct()
+        pts = KERNEL_SAMPLES[name][:k]
+        table = build_sign_table(pts) if distinct else _table_of_signs(_reference_table(pts)[1])
         for m in range(1, 7):
             seqs = _sequences(k, m)
             if len(seqs):
@@ -954,14 +1018,15 @@ def test_vf_batch_on_an_empty_batch(m):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(coords, coords), min_size=1, max_size=7, unique=True), st.data())
 def test_vf_batch_matches_the_gather_oracle_on_random_samples(pts, data):
-    full = build_sign_table(tuple(P(x, y) for x, y in pts))
+    sample = tuple(P(x, y) for x, y in pts)
+    full = _table_of_signs(_reference_table(sample)[1])
     index = st.integers(0, len(pts) - 1)
     m = data.draw(st.integers(1, 6))
     batch = np.array(data.draw(st.lists(st.lists(index, min_size=m, max_size=m),
                                         min_size=1, max_size=60)), dtype=np.intp)
     ordered = batch[np.lexsort(batch.T[::-1])]
     chunk = data.draw(st.sampled_from([1, 3, 4096]))
-    for table in (full, full.distinct()):
+    for table in (full, build_sign_table(sample)):
         for b in (batch, ordered):
             assert vf_batch(table, b, chunk=chunk).tolist() == _batch_oracle(table, b).tolist()
 
@@ -990,9 +1055,8 @@ def _pair_form_count(signs) -> int:
 
 
 def _table_of_signs(signs: np.ndarray):
-    """A sign table over the given (L, P) signs; its lines are never read."""
-    return _vfcore.SignTable(points=(), scale=1, lines=np.zeros((len(signs), 3), dtype=np.int64),
-                             signs=np.asarray(signs, dtype=np.int8))
+    """A sign table over the given (L, P) signs, one line per row."""
+    return _vfcore.SignTable(signs=np.asarray(signs, dtype=np.int8), n_lines=len(signs))
 
 
 @settings(max_examples=200, deadline=None)
@@ -1030,7 +1094,7 @@ def _moves(cur: list[int], k: int):
 @pytest.mark.parametrize("name", KERNEL_SAMPLES)
 @pytest.mark.parametrize("cur", [[0, 1], [3, 0, 4, 0, 6, 2], [6, 5, 4, 3, 2, 1, 0]])
 def test_pair_counts_delta_after_every_move(name, cur):
-    table = build_sign_table(KERNEL_SAMPLES[name]).distinct()
+    table = build_sign_table(KERNEL_SAMPLES[name])
     pairs = _vfcore.PairCounts(table, max_len=len(cur) + 1)
     counts = pairs.full(cur)
     assert counts.tolist() == _segment_rule_counts(table.signs[:, cur]).tolist()
@@ -1041,7 +1105,7 @@ def test_pair_counts_delta_after_every_move(name, cur):
     for new in moves:
         got = pairs.delta(counts, cur, new)
         assert got.tolist() == _segment_rule_counts(table.signs[:, new]).tolist(), new
-        assert int(got.max()) == vf_of_indices(table, new)[0]
+        assert int(got.max()) == vf_of_indices(table, new)
     assert counts.tolist() == before.tolist()
 
 
@@ -1059,7 +1123,7 @@ def test_pair_counts_delta_between_any_two_lists(old, new):
 
 def test_pair_counts_follow_an_annealing_walk():
     """Counts carried from proposal to proposal stay exact over a long walk."""
-    table = build_sign_table(SEVEN).distinct()
+    table = build_sign_table(SEVEN)
     pairs = _vfcore.PairCounts(table, max_len=12)
     rng = np.random.default_rng(3)
     cur = [0, 1]
