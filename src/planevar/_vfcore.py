@@ -35,6 +35,23 @@ family in its interior, so one family serves all sublists.
 Coordinates are scaled to integers once per point set; all candidate lines
 then have integer coefficients and every sign is an exact integer sign.
 
+Angle order
+-----------
+The interior directions need the distinct pair normals in angular order.
+Canonical normals are coprime with angle in [0, pi) (b > 0, or b = 0 < a), so
+two of them are equal exactly when their cross product u x v = u_a v_b -
+u_b v_a is 0, and u comes before v exactly when u x v > 0. ``_by_angle``
+sorts the normals by the float key ``arctan2(b, a)``, ties broken by (a, b),
+and then checks every adjacent cross product exactly (int64, or Python
+integers on object arrays). A 0 is a repeat of the previous normal and is
+dropped; if every product is >= 0, the remaining chain of products > 0
+proves the order, whatever rounding the key took. Otherwise it falls back to
+an exact comparison sort (``cmp_to_key(_angle_cmp)``). That happens only
+when the float key misorders two normals, or when a component does not fit
+a float at all. The first needs scaled coordinates in the millions: two
+distinct pair normals with components <= 2M differ in angle by at least
+1/(8M^2), far above the key's rounding error of a few 1e-16 for smaller M.
+
 Integer range
 -------------
 Let M be the largest |x| or |y| over the scaled points. Then
@@ -54,9 +71,16 @@ same vectorized code runs on object arrays of Python integers.
 
 Pair form
 ---------
-The crossing segments of a list with signs s_0..s_{m-1} are defined by
-rules 1-4 of ``_crossing_mask`` (after Ashton and Doust), which exclude one
-another. Regroup the flags by the consecutive pair (s_p, s_{p+1}) they read:
+The crossing segments of a list with signs s_0..s_{m-1}, m >= 2, are
+defined by four rules (after Ashton and Doust), which exclude one another.
+Segment j runs from position j to j+1, and it is a crossing segment when
+
+1. s_j * s_{j+1} < 0 (strictly opposite signs);
+2. j = 0 and s_0 = 0;
+3. j > 0, s_j = 0 and s_{j-1} != 0;
+4. j = m-2, s_{m-2} != 0 and s_{m-1} = 0.
+
+Regroup the flags by the consecutive pair (s_p, s_{p+1}) they read:
 
 * rule 1 on segment p is [s_p * s_{p+1} < 0];
 * rule 3 on segment p+1 (p+1 <= m-2) and rule 4 on segment m-2 (p = m-2)
@@ -72,7 +96,7 @@ which for m = 1 is the single-point convention. E(a, b) is 1 exactly when a
 is off the line and b is not strictly on a's side. This sum is the only
 count: ``_counts_from_matrix`` takes it over a gathered sign matrix,
 ``vf_sweep`` takes it in interval form over one list (below), and
-``_crossing_mask`` only lists segments for ``variation.vf_line``. A list's
+``variation.vf_line`` lists the segment each term flags. A list's
 count vector over the L distinct sign patterns of a sign table is therefore
 one "first" row of L terms plus one pair row per consecutive pair:
 
@@ -157,17 +181,9 @@ def scale_to_ints(points: tuple[Point2, ...]) -> tuple[list[tuple[int, int]], in
     scale = 1
     for p in points:
         scale = math.lcm(scale, p.x.denominator, p.y.denominator)
-    ints = [(int(p.x * scale), int(p.y * scale)) for p in points]
+    ints = [(p.x.numerator * (scale // p.x.denominator),
+             p.y.numerator * (scale // p.y.denominator)) for p in points]
     return ints, scale
-
-
-def _canon_normal(a: int, b: int) -> tuple[int, int]:
-    """Reduce to coprime and normalize into the upper half-plane (angle in [0, pi))."""
-    g = math.gcd(abs(a), abs(b))
-    a, b = a // g, b // g
-    if b < 0 or (b == 0 and a < 0):
-        a, b = -a, -b
-    return a, b
 
 
 def _angle_cmp(u: tuple[int, int], v: tuple[int, int]) -> int:
@@ -175,30 +191,53 @@ def _angle_cmp(u: tuple[int, int], v: tuple[int, int]) -> int:
     return 0 if c == 0 else (1 if c < 0 else -1)
 
 
-def candidate_normals(int_points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Pair normals plus one strictly-interior direction per angular arc."""
-    distinct = sorted(set(int_points))
-    normals: set[tuple[int, int]] = set()
-    for i in range(len(distinct)):
-        xi, yi = distinct[i]
-        for j in range(i + 1, len(distinct)):
-            xj, yj = distinct[j]
-            normals.add(_canon_normal(-(yj - yi), xj - xi))
-    if not normals:
-        return [(0, 1)]
-    ordered = sorted(normals, key=cmp_to_key(_angle_cmp))
-    extra: set[tuple[int, int]] = set()
+_ROT = np.array([-1, 1])   # (y, x) * _ROT = (-y, x): a quarter turn
+
+
+def _by_angle(normals: np.ndarray) -> np.ndarray:
+    """The distinct rows of canonical ``normals`` in increasing angle ("Angle order"
+    in the module docstring)."""
+    try:
+        f = normals.astype(np.float64)
+    except OverflowError:          # a component past the float range
+        f = None
+    if f is not None:
+        o = normals[np.lexsort((normals[:, 1], normals[:, 0], np.arctan2(f[:, 1], f[:, 0])))]
+        cross = o[:-1, 0] * o[1:, 1] - o[:-1, 1] * o[1:, 0]
+        if (cross >= 0).all():
+            keep = np.ones(len(o), dtype=bool)
+            keep[1:] = cross > 0       # cross = 0: the same canonical normal again
+            return o[keep]
+    exact = sorted(set(map(tuple, normals.tolist())), key=cmp_to_key(_angle_cmp))
+    return np.array(exact, dtype=normals.dtype)
+
+
+def candidate_normals(int_points: list[tuple[int, int]]) -> np.ndarray:
+    """Pair normals plus one strictly-interior direction per angular arc.
+
+    Rows (a, b) are coprime with angle in [0, pi) (b > 0, or b = 0 < a), sorted
+    lexicographically, in an (N, 2) array of ``_coeff_dtype``'s dtype.
+    """
+    dtype = _coeff_dtype(int_points)
+    # by x, then by y downwards: q_j - q_i for i < j turns to (-dy, dx) in [0, pi)
+    pts = np.array(sorted(set(int_points), key=lambda q: (q[0], -q[1])), dtype=dtype)
+    if len(pts) < 2:
+        return np.array([[0, 1]], dtype=dtype)
+    rot = pts[:, ::-1] * _ROT
+    idx = np.arange(len(pts))
+    normals = (rot - rot[:, None])[idx[:, None] < idx]
+    normals //= np.gcd(normals[:, 0], normals[:, 1])[:, None]
+    ordered = _by_angle(normals)
     if len(ordered) == 1:
-        a, b = ordered[0]
-        extra.add(_canon_normal(-b, a))
+        extra = ordered[:, ::-1] * _ROT                      # the perpendicular
     else:
-        for u, v in zip(ordered, ordered[1:]):
-            extra.add(_canon_normal(u[0] + v[0], u[1] + v[1]))
-        last, first = ordered[-1], ordered[0]
-        wa, wb = last[0] - first[0], last[1] - first[1]
-        if (wa, wb) != (0, 0):
-            extra.add(_canon_normal(wa, wb))
-    return sorted(normals | extra)
+        # the sum of neighbours, and last - first for the arc through angle pi
+        extra = np.concatenate([ordered[:-1] + ordered[1:], ordered[-1:] - ordered[:1]])
+    extra //= np.gcd(extra[:, 0], extra[:, 1])[:, None]
+    if extra[-1, 1] < 0 or (extra[-1, 1] == 0 and extra[-1, 0] < 0):
+        extra[-1] *= -1            # a sum of neighbours never points below the axis
+    out = np.concatenate([ordered, extra])     # disjoint: each extra is inside its own arc
+    return out[np.lexsort((out[:, 1], out[:, 0]))]
 
 
 def _coeff_dtype(int_points: list[tuple[int, int]]):
@@ -235,9 +274,8 @@ def candidate_lines(int_points: list[tuple[int, int]]) -> np.ndarray:
 
     The array is int64 or object (Python integers), as ``_coeff_dtype`` decides.
     """
-    dtype = _coeff_dtype(int_points)
-    normals = np.array(candidate_normals(int_points), dtype=dtype)            # (N, 2)
-    pts = np.array(sorted(set(int_points)), dtype=dtype).reshape(-1, 2)       # (k, 2)
+    normals = candidate_normals(int_points)                                   # (N, 2)
+    pts = np.array(sorted(set(int_points)), dtype=normals.dtype).reshape(-1, 2)  # (k, 2)
     proj = np.sort(normals @ pts.T, axis=1)                                   # (N, k)
     # offsets at the projections, then at the midpoints of the open gaps
     on_point = np.column_stack([np.repeat(normals, len(pts), axis=0), proj.ravel()])
@@ -278,9 +316,8 @@ def _dense_ranks(points: tuple[Point2, ...]):
     int_pts, scale = scale_to_ints(points)
     uniq = sorted(set(int_pts))
     _refuse_large_family(len(uniq))
-    dtype = _coeff_dtype(int_pts)
-    normals = np.array(candidate_normals(int_pts), dtype=dtype)            # (N, 2)
-    proj = normals @ np.array(uniq, dtype=dtype).T                          # (N, k)
+    normals = candidate_normals(int_pts)                                    # (N, 2)
+    proj = normals @ np.array(uniq, dtype=normals.dtype).T                  # (N, k)
     row = np.arange(len(proj))[:, None]
     order = np.argsort(proj, axis=1)      # ties share a rank, so any order serves
     ranked = proj[row, order]
@@ -338,26 +375,6 @@ def vf_sweep(points: tuple[Point2, ...]) -> tuple[int, Line]:
     rows = _canonical_rows(np.column_stack([2 * normals[d], offsets]))
     a, b, c = (int(v) for v in rows[_lex_order(rows)[0]])
     return vf, Line.from_coeffs(a, b, Fraction(c, scale))
-
-
-def _crossing_mask(S: np.ndarray) -> np.ndarray:
-    """Crossing segments of sign matrix S of shape (..., m), m >= 2: shape (..., m-1).
-
-    Segment j (from position j to j+1) is a crossing segment when one of:
-      1. strictly opposite signs,
-      2. j = 0 and position 0 on the line,
-      3. j > 0, position j on the line, position j-1 off it,
-      4. j = m-2, position j off the line, position j+1 on it.
-    Only ``variation.vf_line`` calls this, to list segments; counts use the pair form.
-    """
-    A = S[..., :-1]
-    B = S[..., 1:]
-    crossing = (A * B) < 0
-    crossing[..., 0] |= S[..., 0] == 0
-    if S.shape[-1] > 2:
-        crossing[..., 1:] |= (S[..., 1:-1] == 0) & (S[..., :-2] != 0)
-    crossing[..., -1] |= (S[..., -2] != 0) & (S[..., -1] == 0)
-    return crossing
 
 
 def _pair_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:

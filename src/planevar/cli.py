@@ -140,8 +140,9 @@ def _cmd_iota(args) -> int:
     else:
         raise BadInputFile("need --at or --grid")
     ext = iota_extend(f, grid)
+    var = fmt_number(var_1d(ext))       # before any output: it can refuse the values
     _emit(args.out, fileio.function_1d_to_json(ext))
-    print(f"var: {fmt_number(var_1d(ext))}", file=sys.stderr)
+    print(f"var: {var}", file=sys.stderr)
     return 0
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geom import P, to_fraction
-from .variation import InstanceTooLarge, SampledFunction, VariationError, all_exact, jump_sum, magnitudes
+from .variation import (InstanceTooLarge, SampledFunction, VariationError, _on_floats, all_exact,
+                        jump_sum, magnitudes)
 
 
 class OnedimError(ValueError):
@@ -100,7 +101,12 @@ def _iota_value(f: RealFunction1D, x: Fraction):
         return f.values[i]
     a, b = pts[i - 1], pts[i]
     fa, fb = f.values[i - 1], f.values[i]
-    return fa + (fb - fa) * ((x - a) / (b - a))
+    t = (x - a) / (b - a)
+    if all_exact((fa, fb)):
+        return fa + (fb - fa) * t
+    v = _on_floats(lambda c: c[0] + (c[1] - c[0]) * t, (fa, fb))
+    # the same bits as the float expression; a float when neither end is complex
+    return v if isinstance(fa, complex) or isinstance(fb, complex) else v.real
 
 
 def iota_extend(f: RealFunction1D, grid: RealSample) -> RealFunction1D:
@@ -151,7 +157,7 @@ def ac_modulus(f: RealFunction1D, delta, mode: str = "auto") -> AcModulus:
     ts = f.sample.points
     n = len(ts)
     rational = all_exact(f.values)
-    vals = f.values if rational else tuple(complex(v) for v in f.values)
+    vals = f.values if rational else _on_floats(tuple, f.values)
 
     def jump(i: int, j: int):
         return abs(vals[j] - vals[i])

@@ -200,7 +200,12 @@ def vf_line(S, line: Line) -> tuple[int, list[int]]:
     signs = np.array([side_of(line, p).value for p in pts], dtype=np.int8)
     if len(pts) == 1:
         return int(_vfcore._counts_from_matrix(signs)), []
-    idx = np.flatnonzero(_vfcore._crossing_mask(signs)).tolist()
+    # the pair form's terms, each on its segment ("Pair form" in _vfcore): pair p
+    # marks segment p, or p + 1 when it lands on the line (p + 1 <= m - 2), and
+    # [s_0 = 0] marks segment 0
+    pair = np.arange(len(pts) - 1)
+    segment = np.where(signs[1:] == 0, np.minimum(pair + 1, len(pts) - 2), pair)
+    idx = [0] * int(signs[0] == 0) + segment[_vfcore._pair_terms(signs[:-1], signs[1:])].tolist()
     return len(idx), idx
 
 
@@ -687,14 +692,15 @@ def lipschitz_ratio_sq(f: SampledFunction):
         raise DomainTooSmall("need at least two sample points")
     rational = f.is_rational_real
     best = Fraction(0) if rational else 0.0
+    vals = f.values if rational else _on_floats(tuple, f.values)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             d2 = dist_sq(pts[i], pts[j])
             if rational:
-                num = (f.values[i] - f.values[j]) ** 2
+                num = (vals[i] - vals[j]) ** 2
                 ratio = Fraction(num) / d2
             else:
-                num = abs(complex(f.values[i]) - complex(f.values[j])) ** 2
+                num = abs(vals[i] - vals[j]) ** 2
                 ratio = num / float(d2)
             if ratio > best:
                 best = ratio

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +32,42 @@ def square_fx(tmp_path):
     path.write_text(json.dumps({"points": [[0, 0], [1, 0], [1, 1], [0, 1]],
                                 "values": [0, 1, 1, 0]}))
     return str(path)
+
+
+def _vf_pin_list(k: int, offset: int = 0) -> list:
+    """k distinct points on a 1/32 lattice: a collinear run of k // 4 in the middle,
+    the rest from a fixed congruence, k // 5 repeats; moved by (offset, -offset)."""
+    den = 32
+    run = [(Fraction(t, den), Fraction(2 * t, den) - 1) for t in range(k // 4)]
+    others: list = []
+    i = 0
+    while len(run) + len(others) < k:
+        p = (Fraction((37 * i) % 257 - 128, den), Fraction((13 * i * i + 5 * i) % 263 - 131, den))
+        if p not in run and p not in others:
+            others.append(p)
+        i += 1
+    half = len(others) // 2
+    lst = others[:half] + run + others[half:]
+    for j in range(k // 5):
+        lst.insert((7 * j) % len(lst), lst[(11 * j) % len(lst)])
+    return [[str(x + offset), str(y - offset)] for x, y in lst]
+
+
+# Recorded before the candidate normals were built in numpy. The 2^40 offset
+# takes the scaled coordinates past the int64 bound, onto Python integers.
+@pytest.mark.parametrize("k, offset, out", [
+    (20, 0, "11\nwitness: 16x + 64y = -55\n"),
+    (45, 0, "25\nwitness: 16x + 80y = -69\n"),
+    (100, 0, "60\nwitness: 8x + 16y = -1\n"),
+    (20, 2**40, "11\nwitness: 16x + 64y = -52776558133303\n"),
+])
+def test_vf_output_on_large_lists_is_pinned(tmp_path, capsys, k, offset, out):
+    path = tmp_path / "list.json"
+    pts = _vf_pin_list(k, offset)
+    assert len({tuple(p) for p in pts}) == k and len(pts) == k + k // 5
+    path.write_text(json.dumps({"list": pts}))
+    assert main(["vf", "--list", str(path)]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_vf_zigzag(zigzag):
@@ -289,6 +326,18 @@ def test_huge_integer_among_complex_values_is_typed_error(tmp_path, zigzag, comm
     fn.write_text(json.dumps({"points": [[0, 0], [1, 0]], "values": [[1.5, 2], 10**400]}))
     args = [zigzag if a is None else a for a in command]
     code, out, err = run_cli(*args, "--fn", str(fn))
+    assert_single_error(code, err, "VariationError")
+    assert (out, err) == ("", "error:VariationError:values overflow floating point: "
+                              "int too large to convert to float\n")
+
+
+@pytest.mark.parametrize("command", [["iota", "--at", "1/2"], ["iota", "--at", "0"],
+                                     ["acmod", "--delta", "1"]])
+def test_huge_integer_beside_a_complex_value_in_1d_is_typed_error(tmp_path, command):
+    # --at 1/2 interpolates across the gap; --at 0 adds no point, and the jump sum refuses
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"points": [[0, 0], [1, 0]], "values": [[1.5, 2], 10**400]}))
+    code, out, err = run_cli(command[0], "--fn", str(fn), *command[1:])
     assert_single_error(code, err, "VariationError")
     assert (out, err) == ("", "error:VariationError:values overflow floating point: "
                               "int too large to convert to float\n")

@@ -1,5 +1,6 @@
 """Curve variation, variation factors, and the 2-D variation estimates."""
 
+import functools
 import itertools
 import math
 import random
@@ -121,6 +122,18 @@ class TestVfLine:
     def test_touch_and_leave(self):
         count, idx = vf_line([P(0, 0), P(1, 1), P(2, 0)], Line.from_coeffs(0, 1, 0))
         assert (count, idx) == (2, [0, 1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=2, max_size=10))
+    @example([0, 0])
+    @example([1, 0])
+    @example([1, 0, -1, 0, 0, 1, 0])
+    def test_segments_follow_the_four_rules(self, signs):
+        """Each pair-form term names its segment as ``_crossing_mask`` flags it."""
+        pts = [P(i, s) for i, s in enumerate(signs)]          # side of y = 0 is sign(s)
+        mask = _crossing_mask(np.array(signs, dtype=np.int8))
+        assert vf_line(pts, Line.from_coeffs(0, 1, 0)) == (int(mask.sum()),
+                                                          np.flatnonzero(mask).tolist())
 
     def test_single_point_convention(self):
         assert vf_line([P(0, 5)], Line.from_coeffs(1, 0, 0)) == (1, [])
@@ -492,6 +505,8 @@ def test_estimates_refuse_an_exact_value_past_the_float_range():
         var_exact_small(f, 2)
     with pytest.raises(VariationError, match="values overflow floating point"):
         var_search(f, SearchConfig(iters=10, restarts=1))
+    with pytest.raises(VariationError, match="values overflow floating point"):
+        lipschitz_constant(f)
 
 
 def test_is_exact_number():
@@ -772,10 +787,48 @@ def _canon_line_reference(a: int, b: int, c: int) -> tuple[int, int, int]:
     return a, b, c
 
 
+def _canon_normal(a: int, b: int) -> tuple[int, int]:
+    """Reduce to coprime and normalize into the upper half-plane (angle in [0, pi))."""
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    if b < 0 or (b == 0 and a < 0):
+        a, b = -a, -b
+    return a, b
+
+
+def _candidate_normals_reference(int_points) -> list[tuple[int, int]]:
+    """Pair normals and arc directions in Python integers: a set per pair, a comparison sort."""
+    distinct = sorted(set(int_points))
+    normals: set[tuple[int, int]] = set()
+    for i in range(len(distinct)):
+        xi, yi = distinct[i]
+        for j in range(i + 1, len(distinct)):
+            xj, yj = distinct[j]
+            normals.add(_canon_normal(-(yj - yi), xj - xi))
+    if not normals:
+        return [(0, 1)]
+
+    def by_angle(u, v):
+        c = u[0] * v[1] - u[1] * v[0]
+        return 0 if c == 0 else (1 if c < 0 else -1)
+
+    ordered = sorted(normals, key=functools.cmp_to_key(by_angle))
+    extra: set[tuple[int, int]] = set()
+    if len(ordered) == 1:
+        a, b = ordered[0]
+        extra.add(_canon_normal(-b, a))
+    else:
+        for u, v in zip(ordered, ordered[1:]):
+            extra.add(_canon_normal(u[0] + v[0], u[1] + v[1]))
+        last, first = ordered[-1], ordered[0]
+        extra.add(_canon_normal(last[0] - first[0], last[1] - first[1]))
+    return sorted(normals | extra)
+
+
 def _candidate_lines_reference(int_points) -> list[tuple[int, int, int]]:
     """The per-line enumerator in Python integers: one canonical triple per offset, a set, a sort."""
     lines: set[tuple[int, int, int]] = set()
-    for a, b in candidate_normals(int_points):
+    for a, b in candidate_normals(int_points).tolist():
         projections = sorted({a * x + b * y for x, y in set(int_points)})
         for t in projections:
             lines.add(_canon_line_reference(a, b, t))
@@ -817,6 +870,48 @@ def test_candidate_lines_match_the_reference_enumerator(pts):
     assert lines.tolist() == [list(row) for row in _candidate_lines_reference(pts)]
     m = max(max(abs(x), abs(y)) for x, y in pts)
     assert lines.dtype == (np.int64 if m <= INT64_M else object)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_point_lists(), st.sampled_from([None, INT64_M, INT64_M + 1, 10**400]))
+def test_candidate_normals_match_the_reference(pts, m):
+    """The numpy pass against the Python one, as drawn or mirrored so that the
+    largest |coordinate| is exactly m: the int64 bound, one past it, or no float."""
+    if m is not None:
+        lo_x, lo_y = min(x for x, _ in pts), min(y for _, y in pts)
+        pts = [(m - (x - lo_x), m - (y - lo_y)) for x, y in pts]
+    normals = candidate_normals(pts)
+    assert normals.tolist() == [list(row) for row in _candidate_normals_reference(pts)]
+    top = max(max(abs(x), abs(y)) for x, y in pts)
+    assert normals.dtype == (np.int64 if top <= INT64_M else object)
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Replace ``module.name`` with a wrapper that appends to the returned list per call."""
+    calls, inner = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("pts, exact_sort", [
+    # normals (1, 0), (10^20, 1) and (10^20 + 1, 1): the last two have one float
+    # angle, and the tie-break by a puts them in the wrong order
+    ([(0, 0), (1, -10**20), (1, -10**20 - 1)], True),
+    # normals with components of 10^400 do not fit a float
+    ([(0, 0), (10**400, 1), (1, 10**400), (10**400, 10**400), (0, 0)], True),
+    # ordinary points: the float order passes its exact check
+    ([(0, 0), (3, 1), (1, 4), (5, 2), (2, 6), (3, 1), (4, 2)], False),
+])
+def test_candidate_normals_fall_back_to_the_exact_sort(monkeypatch, pts, exact_sort):
+    calls = _count_calls(monkeypatch, _vfcore, "_angle_cmp")
+    normals = candidate_normals(pts)
+    assert normals.tolist() == [list(row) for row in _candidate_normals_reference(pts)]
+    assert bool(calls) == exact_sort
 
 
 @pytest.mark.parametrize("m, dtype", [(INT64_M, np.int64), (INT64_M + 1, object)])
@@ -937,6 +1032,25 @@ def test_var_exact_small_matches_the_pattern_oracle(pts, data):
 
 # --- prefix-shared batch kernel -----------------------------------------------
 
+def _crossing_mask(S: np.ndarray) -> np.ndarray:
+    """Crossing segments of sign matrix S of shape (..., m), m >= 2: shape (..., m-1).
+
+    Segment j (from position j to j+1) is a crossing segment when one of:
+      1. strictly opposite signs,
+      2. j = 0 and position 0 on the line,
+      3. j > 0, position j on the line, position j-1 off it,
+      4. j = m-2, position j off the line, position j+1 on it.
+    """
+    A = S[..., :-1]
+    B = S[..., 1:]
+    crossing = (A * B) < 0
+    crossing[..., 0] |= S[..., 0] == 0
+    if S.shape[-1] > 2:
+        crossing[..., 1:] |= (S[..., 1:-1] == 0) & (S[..., :-2] != 0)
+    crossing[..., -1] |= (S[..., -2] != 0) & (S[..., -1] == 0)
+    return crossing
+
+
 def _segment_rule_counts(S):
     """Counts per row of sign matrix S (..., m) by rules 1-4 of ``_crossing_mask``.
 
@@ -944,7 +1058,7 @@ def _segment_rule_counts(S):
     """
     if S.shape[-1] == 1:
         return (S[..., 0] == 0).astype(np.int32)    # single-point convention
-    return _vfcore._crossing_mask(S).sum(axis=-1, dtype=np.int32)
+    return _crossing_mask(S).sum(axis=-1, dtype=np.int32)
 
 
 def _batch_oracle(table, seqs):
