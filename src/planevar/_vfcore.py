@@ -32,8 +32,8 @@ only refines this argument: its critical directions and offsets are a subset
 of the set's, and every open arc/gap for S contains a candidate of the full
 family in its interior, so one family serves all sublists.
 
-Coordinates are scaled to integers once per point set; all candidate lines
-then have integer coefficients and every sign is an exact integer sign.
+Coordinates are lifted to integers once per point set (``geom``'s integer
+lift); all candidate lines then have integer coefficients and exact signs.
 
 Angle order
 -----------
@@ -153,14 +153,13 @@ normal's row (b > 0, or b = 0 < a).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
 import numpy as np
 
-from .geom import Line, Point2
+from .geom import Line, Point2, common_denominator
 
 _INT64_MAX = (1 << 63) - 1
 _SIGN_BLOCK = 4096     # sign-table rows filled at once
@@ -177,13 +176,9 @@ class InstanceTooLarge(VariationError):
 
 
 def scale_to_ints(points: tuple[Point2, ...]) -> tuple[list[tuple[int, int]], int]:
-    """Common-denominator integer coordinates (exact)."""
-    scale = 1
-    for p in points:
-        scale = math.lcm(scale, p.x.denominator, p.y.denominator)
-    ints = [(p.x.numerator * (scale // p.x.denominator),
-             p.y.numerator * (scale // p.y.denominator)) for p in points]
-    return ints, scale
+    """(integer points, scale): the coordinates lifted over one denominator."""
+    flat, scale = common_denominator([c for p in points for c in (p.x, p.y)])
+    return list(zip(flat[::2], flat[1::2])), scale
 
 
 def _angle_cmp(u: tuple[int, int], v: tuple[int, int]) -> int:
@@ -212,17 +207,17 @@ def _by_angle(normals: np.ndarray) -> np.ndarray:
     return np.array(exact, dtype=normals.dtype)
 
 
-def candidate_normals(int_points: list[tuple[int, int]]) -> np.ndarray:
-    """Pair normals plus one strictly-interior direction per angular arc.
+def candidate_normals(pts: np.ndarray) -> np.ndarray:
+    """Pair normals plus one strictly-interior direction per angular arc of the
+    distinct points ``pts``, a (k, 2) array as ``_distinct_points`` builds it.
 
     Rows (a, b) are coprime with angle in [0, pi) (b > 0, or b = 0 < a), sorted
-    lexicographically, in an (N, 2) array of ``_coeff_dtype``'s dtype.
+    lexicographically, in an (N, 2) array of the dtype of ``pts``.
     """
-    dtype = _coeff_dtype(int_points)
-    # by x, then by y downwards: q_j - q_i for i < j turns to (-dy, dx) in [0, pi)
-    pts = np.array(sorted(set(int_points), key=lambda q: (q[0], -q[1])), dtype=dtype)
     if len(pts) < 2:
-        return np.array([[0, 1]], dtype=dtype)
+        return np.array([[0, 1]], dtype=pts.dtype)
+    # by x, then by y downwards: q_j - q_i for i < j turns to (-dy, dx) in [0, pi)
+    pts = pts[np.lexsort((-pts[:, 1], pts[:, 0]))]
     rot = pts[:, ::-1] * _ROT
     idx = np.arange(len(pts))
     normals = (rot - rot[:, None])[idx[:, None] < idx]
@@ -252,6 +247,13 @@ def _coeff_dtype(int_points: list[tuple[int, int]]):
     return np.int64 if 32 * m * m <= _INT64_MAX else object
 
 
+def _distinct_points(int_points: list[tuple[int, int]]) -> tuple[list, np.ndarray]:
+    """The distinct points in sorted order, as a list of tuples and as one
+    (k, 2) array in ``_coeff_dtype``'s dtype."""
+    uniq = sorted(set(int_points))
+    return uniq, np.array(uniq, dtype=_coeff_dtype(uniq)).reshape(-1, 2)
+
+
 def _canonical_rows(rows: np.ndarray) -> np.ndarray:
     """Line rows (a, b, c) in canonical form, in place: divide by the gcd, then
     make the leading coefficient positive (as ``geom.Line.from_coeffs`` does)."""
@@ -274,8 +276,8 @@ def candidate_lines(int_points: list[tuple[int, int]]) -> np.ndarray:
 
     The array is int64 or object (Python integers), as ``_coeff_dtype`` decides.
     """
-    normals = candidate_normals(int_points)                                   # (N, 2)
-    pts = np.array(sorted(set(int_points)), dtype=normals.dtype).reshape(-1, 2)  # (k, 2)
+    _, pts = _distinct_points(int_points)                                     # (k, 2)
+    normals = candidate_normals(pts)                                          # (N, 2)
     proj = np.sort(normals @ pts.T, axis=1)                                   # (N, k)
     # offsets at the projections, then at the midpoints of the open gaps
     on_point = np.column_stack([np.repeat(normals, len(pts), axis=0), proj.ravel()])
@@ -314,10 +316,10 @@ def _dense_ranks(points: tuple[Point2, ...]):
     (flat), their count per direction (N,), dense rank of each point's
     projection among them (N, P)) over the N candidate normals."""
     int_pts, scale = scale_to_ints(points)
-    uniq = sorted(set(int_pts))
+    uniq, pts = _distinct_points(int_pts)                                   # (k, 2)
     _refuse_large_family(len(uniq))
-    normals = candidate_normals(int_pts)                                    # (N, 2)
-    proj = normals @ np.array(uniq, dtype=normals.dtype).T                  # (N, k)
+    normals = candidate_normals(pts)                                        # (N, 2)
+    proj = normals @ pts.T                                                  # (N, k)
     row = np.arange(len(proj))[:, None]
     order = np.argsort(proj, axis=1)      # ties share a rank, so any order serves
     ranked = proj[row, order]

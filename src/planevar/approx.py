@@ -8,14 +8,14 @@ error (constants 2, 3, 4 and sqrt(13), hence 4 + sqrt(13) for the full norm).
 
 Bernstein-to-monomial conversion is exact because the conversion matrix
 amplifies rounding by roughly 3^degree in floating point. The exact kernels
-``bernstein2`` and ``Poly2.eval`` share one rule: lift the values exactly (a
-float to its dyadic rational), write them as integers over the lcm of their
-denominators, run every sum in plain ``int`` and divide once at the end. A ``Fraction`` sum renormalises with a gcd after
-each operation; the integer sum skips that and, being exact too, gives the
-same values bit for bit. ``Poly2.eval`` evaluates homogeneously: at
-x = a/b, y = c/e it sums N_mn a^m b^(M-m) c^n e^(N-n) over the integer
-coefficients and divides by D b^M e^N. Complex samples or coefficients have
-no exact lift and keep the plain ``Fraction``/complex arithmetic.
+``bernstein2`` and ``Poly2.eval`` lift the values exactly (a float to its
+dyadic rational), put them over one denominator (``geom``'s integer lift), run
+every sum in plain ``int`` and divide once at the end, which gives the same
+values as a ``Fraction`` sum bit for bit. ``Poly2.eval`` evaluates
+homogeneously: at x = a/b, y = c/e it sums N_mn a^m b^(M-m) c^n e^(N-n) over
+the integer coefficients and divides by D b^M e^N. Complex samples or
+coefficients have no exact lift and keep the plain ``Fraction``/complex
+arithmetic.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from math import comb
 
 import numpy as np
 
-from .geom import Point2, to_fraction
+from .geom import Point2, common_denominator, to_fraction
 from .variation import SampledFunction, all_exact, magnitudes, spread
 from .ctpp import CtppFunction, CtppSum, ScaledBump, solve_plane
 
@@ -55,15 +55,6 @@ def _lift(v):
     if isinstance(v, complex):
         return v
     return to_fraction(v)
-
-
-def _over_common_denominator(values) -> tuple[list[int], int] | None:
-    """Integers n_i and one D > 0 with values[i] == n_i / D, D the lcm of the
-    denominators; None when a value is complex. Values are already lifted."""
-    if any(isinstance(v, complex) for v in values):
-        return None
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 @dataclass(frozen=True)
@@ -110,10 +101,10 @@ class Poly2:
     @cached_property
     def _int_rows(self) -> tuple[list[list[int]], int] | None:
         """Coefficient rows as integers over one denominator (None if complex)."""
-        lifted = _over_common_denominator([c for row in self.coeffs for c in row])
-        if lifted is None:
+        flat = [c for row in self.coeffs for c in row]
+        if any(isinstance(c, complex) for c in flat):
             return None
-        nums, den = lifted
+        nums, den = common_denominator(flat)
         w = len(self.coeffs[0])
         return [nums[i:i + w] for i in range(0, len(nums), w)], den
 
@@ -338,14 +329,14 @@ def bernstein2(g, degree: int, *, name: str = "oracle") -> Poly2:
     G = [[node(Fraction(i, d), Fraction(j, d)) for j in range(d + 1)] for i in range(d + 1)]
     T = _bernstein_to_monomial(d)
     # two-pass conversion: A[m][l] = sum_k T[k][m] G[k][l]; C[m][n] = sum_l A[m][l] T[l][n]
-    lifted = _over_common_denominator([v for row in G for v in row])
-    if lifted is None:  # complex samples have no exact lift
+    flat = [v for row in G for v in row]
+    if any(isinstance(v, complex) for v in flat):  # complex samples have no exact lift
         A = [[sum(T[k][m] * G[k][loc] for k in range(d + 1)) for loc in range(d + 1)]
              for m in range(d + 1)]
         C = [[sum(A[m][loc] * T[loc][n] for loc in range(d + 1)) for n in range(d + 1)]
              for m in range(d + 1)]
         return Poly2.from_rows(C)
-    nums, den = lifted
+    nums, den = common_denominator(flat)
     G = [nums[i * (d + 1):(i + 1) * (d + 1)] for i in range(d + 1)]
     # T is upper triangular: T[k][m] == 0 for k > m
     A = [[sum(T[k][m] * G[k][loc] for k in range(m + 1)) for loc in range(d + 1)]

@@ -25,6 +25,7 @@ from .variation import (
     SearchConfig,
     VariationError,
     cvar,
+    float_overflow,
     var_exact_small,
     var_search,
     vf_exact,
@@ -471,7 +472,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (BadInputFile, GeomError, VariationError, OnedimError, CtppError,
-            ApproxError, JoinsError) as exc:
+            ApproxError, JoinsError, OverflowError) as exc:
+        if isinstance(exc, OverflowError):     # a path outside variation._on_floats
+            exc = float_overflow(exc)
         print(f"error:{type(exc).__name__}:{exc}", file=sys.stderr)
         return 2
 

@@ -10,17 +10,15 @@ constructions (plateau bump, its product, the pyramid).
 
 Point location. ``eval_ctpp`` takes the plane of the lowest-index triangle
 that contains the point and ``classify_point`` counts all of them. Both use
-the integer scan of ``Triangulation`` (see ``geom``): orientations there are
-the ``Fraction`` ones times the positive ``L**2 * D``, so the signs agree.
+the integer scan of ``Triangulation`` ("Point location" in ``geom``).
 ``vertex_value`` reads the same lowest-index owner from a map built once per
 function. On exact values ``interpolate_grid`` writes each grid plane from two
-differences of its cell's corner values, over one common denominator, instead
-of solving it.
+differences of its cell's corner values, lifted over one common denominator
+("Integer lift" in ``geom``), instead of solving it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +30,7 @@ from .geom import (
     Polygon,
     Rectangle,
     Triangulation,
+    common_denominator,
     cross,
     grid_triangulation,
     inradius,
@@ -197,17 +196,15 @@ def interpolate_grid(oracle, rect: Rectangle, n: int) -> CtppFunction:
                               values[i], values[j], values[k])
                   for i, j, k in tri.triangles]
         return CtppFunction(tri=tri, coeffs=tuple(coeffs))
-    # Closed-form planes over one denominator. With z = zs/q, r the lcm of the
-    # rectangle's denominators, w = wi/(r*n) and h = hi/(r*n), cell (i, j) has
-    # corner (x0, y0) = (x, y)/(r*n) and values z00, z10, z11, z01. Its lower
+    # Closed-form planes over one denominator. With z = zs/q, the rectangle
+    # (xm, ym, xm + wi, ym + hi)/r, w = wi/(r*n) and h = hi/(r*n), cell (i, j)
+    # has corner (x0, y0) = (x, y)/(r*n) and values z00, z10, z11, z01. Its lower
     # triangle (z00, z10, z11) has a = (z10 - z00)/w and b = (z11 - z10)/h, its
     # upper triangle (z00, z11, z01) has a = (z11 - z01)/w and b = (z01 - z00)/h;
     # both have c = z00 - a*x0 - b*y0. Each coefficient is one Fraction of ints.
-    q = math.lcm(*(z.denominator for z in values))
-    zs = [z.numerator * (q // z.denominator) for z in values]
-    r = math.lcm(*(c.denominator for c in (rect.x_min, rect.x_max, rect.y_min, rect.y_max)))
-    xm, ym = int(rect.x_min * r), int(rect.y_min * r)
-    wi, hi = int((rect.x_max - rect.x_min) * r), int((rect.y_max - rect.y_min) * r)
+    zs, q = common_denominator(values)
+    (xm, ym, x1, y1), r = common_denominator((rect.x_min, rect.y_min, rect.x_max, rect.y_max))
+    wi, hi = x1 - xm, y1 - ym
     rn, a_den, b_den, c_den = r * n, q * wi, q * hi, q * wi * hi
     coeffs = []
     for j in range(n):

@@ -5,15 +5,19 @@ orientation, in-triangle) is decided in exact integer/rational arithmetic.
 Crossing counts downstream are discontinuous in the inputs, so floating-point
 signs are not acceptable here.
 
+Integer lift. The exact kernels here and in ``_vfcore``, ``ctpp`` and
+``approx`` write rationals as integers over one denominator and run in plain
+``int``, which skips the gcd a ``Fraction`` takes after every operation.
+``common_denominator`` is the one implementation of that step. Scaling by a
+positive factor leaves every sign unchanged, so a sign decided on the lifted
+integers is the one the rationals give.
+
 Point location. ``Triangulation.triangles_containing`` and
 ``first_containing`` run the closed-triangle test of ``Triangle.contains``
-(three orientations all >= 0 or all <= 0) on plain integers. On first use the
-triangulation scales every vertex by ``L``, the lcm of all coordinate
-denominators, and keeps each triangle's integer edge vectors. A query point is
-scaled by ``D``, the lcm of its two denominators. Each orientation then equals
-the ``Fraction`` ``cross`` times ``L**2 * D``; that factor is positive, so the
-sign, and with it every answer, is the same. The scan keeps index order, so
-the first hit is the lowest-index containing triangle, and a degenerate
+(three orientations all >= 0 or all <= 0) on plain integers: the vertices are
+lifted once over ``L``, a query point over its own ``D``, and each orientation
+is the ``Fraction`` ``cross`` times ``L**2 * D``. The scan keeps index order,
+so the first hit is the lowest-index containing triangle, and a degenerate
 triangle raises ``DegenerateTriangle`` where the ``Triangle`` scan would.
 """
 
@@ -70,6 +74,13 @@ class Point2:
         return f"P({self.x}, {self.y})"
 
 
+def common_denominator(values) -> tuple[list[int], int]:
+    """(ints, D) with D > 0 the lcm of the denominators of the exact rationals
+    ``values`` (int or Fraction) and ``ints[i] == values[i] * D``."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def P(x, y) -> Point2:
     """Shorthand constructor coercing coordinates to Fractions."""
     return Point2(to_fraction(x), to_fraction(y))
@@ -115,8 +126,7 @@ class Line:
         af, bf, cf = to_fraction(a), to_fraction(b), to_fraction(c)
         if af == 0 and bf == 0:
             raise GeomError("degenerate line: a = b = 0")
-        scale = math.lcm(af.denominator, bf.denominator, cf.denominator)
-        ai, bi, ci = int(af * scale), int(bf * scale), int(cf * scale)
+        (ai, bi, ci), _ = common_denominator((af, bf, cf))
         g = math.gcd(ai, bi, ci)
         ai, bi, ci = ai // g, bi // g, ci // g
         lead = ai if ai != 0 else bi
@@ -471,18 +481,16 @@ class Triangulation:
     def _edge_table(self) -> tuple[list[tuple[int, ...]], int | None, int]:
         """Integer edge functions of every triangle, built on first use.
 
-        Returns ``(rows, first_bad, scale)``. ``scale`` is the lcm of all
-        coordinate denominators; with every vertex scaled by it, row ``t``
-        holds for each directed edge (a, b) of triangle ``t`` the integers
-        ``ex, ey`` of ``scale*(b - a)`` and ``k = ex*ay - ey*ax`` (``a``
-        scaled too). ``first_bad`` is the index of the first degenerate
-        triangle, or None; the rows stop there.
+        Returns ``(rows, first_bad, scale)``. ``scale`` is the common
+        denominator of all vertex coordinates; with every vertex lifted by it,
+        row ``t`` holds for each directed edge (a, b) of triangle ``t`` the
+        integers ``ex, ey`` of ``scale*(b - a)`` and ``k = ex*ay - ey*ax``
+        (``a`` lifted too). ``first_bad`` is the index of the first
+        degenerate triangle, or None; the rows stop there.
         """
         table = self.__dict__.get("_edges")
         if table is None:
-            coords = [c for v in self.vertices for c in (v.x, v.y)]
-            scale = math.lcm(*(c.denominator for c in coords))
-            ints = [c.numerator * (scale // c.denominator) for c in coords]
+            ints, scale = common_denominator([c for v in self.vertices for c in (v.x, v.y)])
             rows = []
             first_bad = None
             for idx, (i, j, k) in enumerate(self.triangles):
@@ -506,9 +514,9 @@ class Triangulation:
         triangle it reaches; with ``first`` it ends at the first hit.
         """
         rows, first_bad, scale = self._edge_table()
-        d = math.lcm(p.x.denominator, p.y.denominator)
-        qx = p.x.numerator * (d // p.x.denominator) * scale
-        qy = p.y.numerator * (d // p.y.denominator) * scale
+        (qx, qy), d = common_denominator((p.x, p.y))
+        qx *= scale
+        qy *= scale
         hits = []
         for idx, (ax, ay, ak, bx, by, bk, cx, cy, ck) in enumerate(rows):
             s1 = ax * qy - ay * qx - ak * d

@@ -54,12 +54,17 @@ def all_exact(values) -> bool:
     return all(is_exact_number(v) for v in values)
 
 
+def float_overflow(exc: OverflowError) -> VariationError:
+    """The typed error for a value past the float range."""
+    return VariationError(f"values overflow floating point: {exc}")
+
+
 def _on_floats(reduce, values):
     """``reduce`` of the values as complex floats; past the float range, VariationError."""
     try:
         return reduce([complex(v) for v in values])
     except OverflowError as exc:
-        raise VariationError(f"values overflow floating point: {exc}") from None
+        raise float_overflow(exc) from None
 
 
 def magnitudes(values) -> list:
@@ -262,25 +267,20 @@ def var_collinear(f: SampledFunction) -> VarEstimate:
     """Exact variation for samples lying on one line (one-dimensional reduction).
 
     On a line the variation equals the one-dimensional variation of the values
-    in projection order; the monotone list has variation factor 1.
+    in projection order. That monotone list of distinct points has variation
+    factor 1: the carrier line counts [s_0 = 0] = 1, and any other line meets
+    the carrier at most once, so the signs along the list change at most once
+    and give at most one crossing term.
     """
-    if not is_collinear(f.points):
+    pts = f.points
+    if not is_collinear(pts):
         raise VariationError("sample is not collinear")
-    pts = list(f.points)
-    if len(pts) == 1:
-        return VarEstimate(value=cvar(f, pts), witness=(pts[0],), witness_vf=1,
-                           exact=True, method="onedim")
     p0 = pts[0]
-    ref = next((p for p in pts[1:] if p != p0), None)
-    if ref is None:
-        raise VariationError("degenerate sample")
+    ref = pts[1] if len(pts) > 1 else p0     # sample points are distinct
     dx, dy = ref.x - p0.x, ref.y - p0.y
-    ordered = sorted(pts, key=lambda p: dx * (p.x - p0.x) + dy * (p.y - p0.y))
-    witness = tuple(ordered)
-    value = cvar(f, witness)
-    vf = vf_exact(witness).vf
-    return VarEstimate(value=value / vf, witness=witness,
-                       witness_vf=vf, exact=True, method="onedim")
+    witness = tuple(sorted(pts, key=lambda p: dx * (p.x - p0.x) + dy * (p.y - p0.y)))
+    return VarEstimate(value=cvar(f, witness), witness=witness,
+                       witness_vf=1, exact=True, method="onedim")
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +368,7 @@ def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
 # simulated annealing search
 
 MAX_RESTARTS = 100_000   # restarts of one search; each runs a whole annealing schedule
+COOLING = 0.995          # the temperature's factor per proposal
 
 
 @dataclass(frozen=True)
@@ -376,7 +377,6 @@ class SearchConfig:
     restarts: int = 8
     seed: int = 0
     max_len: int = 12
-    cooling: float = 0.995
 
     def __post_init__(self):
         if self.seed < 0:
@@ -389,8 +389,6 @@ class SearchConfig:
             raise VariationError(f"iters must be >= 0, got {self.iters}")
         if self.max_len < 2:
             raise VariationError(f"max_len must be >= 2, got {self.max_len}")
-        if not 0 < self.cooling <= 1:
-            raise VariationError(f"cooling must lie in (0, 1], got {self.cooling}")
 
 
 class _Draws:
@@ -539,7 +537,7 @@ def _anneal_once(pairs: _vfcore.PairCounts, diff, k, cfg: SearchConfig, seed_ent
             accepted += 1
         if obj > best["obj"]:
             best = {"obj": obj, "idx": cand, "vf": vf}
-        temp *= cfg.cooling
+        temp *= COOLING
     best["max_seen"] = max_seen
     best["proposals"] = proposals
     best["accepted"] = accepted
@@ -701,7 +699,7 @@ def lipschitz_ratio_sq(f: SampledFunction):
                 ratio = Fraction(num) / d2
             else:
                 num = abs(vals[i] - vals[j]) ** 2
-                ratio = num / float(d2)
+                ratio = num / _on_floats(lambda c: c[0].real, (d2,))
             if ratio > best:
                 best = ratio
     return best

@@ -354,6 +354,48 @@ def test_ctpp_check_huge_integer_beside_a_float_piece_is_typed_error(tmp_path):
                               "integer division result too large for a float\n")
 
 
+_HUGE = 10**400
+# inputs in which a float meets the exact integer 10^400 (the "exact" piece meets fn's 0.5)
+_HUGE_BESIDE_A_FLOAT = {
+    "g": {"vertices": [[0, 0], [1, 0], [0, 1], [1, 1]], "triangles": [[0, 1, 2], [1, 3, 2]],
+          "coeffs": [[1.5, 0, _HUGE], [1.5, 0, _HUGE]]},
+    "piece": {"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, 2]],
+              "coeffs": [[1.5, 0, _HUGE]]},
+    "exact": {"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, 2]],
+              "coeffs": [[0, 0, _HUGE]]},
+    "poly": {"vertices": [[0, 0], [2, 0], [0, 2]]},
+    "values": {"points": [[0, 0], [1, 0], [0, 1], [1, 1]], "values": [1.5, 2, _HUGE, 3]},
+    "fn": {"points": [[0.25, 0.25], [1, 0]], "values": [_HUGE, 0.5]},
+    "pts": {"list": [[0.25, 0.25]]},
+}
+_INT_TO_FLOAT = "int too large to convert to float"
+
+
+@pytest.mark.parametrize("command, reason", [
+    (["ctpp", "check", "g"], _INT_TO_FLOAT),                                # PlanarCoeffs.eval
+    (["ctpp", "extend", "--ctpp", "g", "--poly", "poly"], _INT_TO_FLOAT),   # PlanarCoeffs.eval
+    (["ctpp", "interp", "--values", "values", "--rect", "0,1,0,1", "--n", "1"],
+     _INT_TO_FLOAT),                                                        # solve_plane
+    (["approx", "match", "--fn", "fn", "--ctpp", "exact", "--points", "pts", "--delta", "1/8"],
+     "integer division result too large for a float"),       # the interpolation error
+    (["plot", "--ctpp", "piece", "--svg", "out.svg"], _INT_TO_FLOAT),       # svg.ctpp_svg
+])
+def test_huge_integer_beside_a_float_outside_the_value_rule_is_typed_error(tmp_path, command,
+                                                                           reason):
+    """Paths that meet the float range without ``variation._on_floats`` give its error too."""
+    args = []
+    for arg in command:
+        if arg in _HUGE_BESIDE_A_FLOAT:
+            (tmp_path / f"{arg}.json").write_text(json.dumps(_HUGE_BESIDE_A_FLOAT[arg]))
+            arg = str(tmp_path / f"{arg}.json")
+        elif arg.endswith(".svg"):
+            arg = str(tmp_path / arg)
+        args.append(arg)
+    code, out, err = run_cli(*args)
+    assert_single_error(code, err, "VariationError")
+    assert (out, err) == ("", f"error:VariationError:values overflow floating point: {reason}\n")
+
+
 def test_var_out_into_missing_dir_is_typed_error(square_fx, tmp_path):
     target = tmp_path / "missing" / "x.csv"
     code, out, err = run_cli("var", "--fn", square_fx, "--mode", "exact", "--out", str(target))

@@ -2,7 +2,8 @@
 
 A parameter with a default that no call in ``src/planevar`` passes is an
 option with one value in use: it doubles the configurations to test and
-should be a constant. Calls are matched to definitions by bare name, so a
+should be a constant. A dataclass field with a default is a parameter of
+the class's constructor. Calls are matched to definitions by bare name, so a
 call to any function of the same name counts as a caller.
 """
 
@@ -39,12 +40,34 @@ def _defaulted(fn: ast.FunctionDef, is_method: bool) -> list[tuple[str, int | No
     return out
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    decorators = (d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list)
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+
+def _has_default(value: ast.expr | None) -> bool:
+    """True for a field's ``= default``; ``field(...)`` counts when it gives one."""
+    if isinstance(value, ast.Call) and _callee(value) == "field":
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return value is not None
+
+
+def _defaulted_fields(cls: ast.ClassDef) -> list[tuple[str, int]]:
+    """(name, positional index) of each dataclass field that has a default."""
+    fields = [item for item in cls.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    return [(f.target.id, i) for i, f in enumerate(fields) if _has_default(f.value)]
+
+
 def _definitions(tree: ast.Module, module: str):
-    """(qualified name, bare name, defaulted parameters) for functions and methods."""
+    """(qualified name, bare name, defaulted parameters) for functions, methods
+    and dataclass constructors."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             yield f"{module}.{node.name}", node.name, _defaulted(node, False)
         elif isinstance(node, ast.ClassDef):
+            if _is_dataclass(node):
+                yield f"{module}.{node.name}", node.name, _defaulted_fields(node)
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
                     yield (f"{module}.{node.name}.{item.name}", item.name,

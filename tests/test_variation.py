@@ -443,6 +443,41 @@ def test_var_collinear_requires_collinear():
         var_collinear(F_X)
 
 
+@st.composite
+def collinear_samples(draw):
+    """1-30 distinct points on one line, in any order, with small integer values."""
+    base = (draw(st.integers(-5, 5)), draw(st.integers(-5, 5)))
+    step = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda d: d != (0, 0)))
+    ts = draw(st.lists(st.fractions(-10, 10, max_denominator=4), min_size=1, max_size=30,
+                       unique=True))
+    pts = tuple(P(base[0] + t * step[0], base[1] + t * step[1]) for t in ts)
+    vals = tuple(draw(st.lists(st.integers(-3, 3), min_size=len(pts), max_size=len(pts))))
+    return SampledFunction(pts, vals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(collinear_samples())
+def test_var_collinear_witness_has_variation_factor_one(f):
+    """The sweep confirms the factor that ``var_collinear`` states without it."""
+    est = var_collinear(f)
+    assert est.witness_vf == 1 == vf_exact(est.witness).vf
+    assert sorted(est.witness, key=lambda p: (p.x, p.y)) in (list(est.witness),
+                                                             list(est.witness)[::-1])
+    assert est.value == cvar(f, est.witness)
+
+
+def test_var_collinear_takes_samples_past_the_sweep_cap():
+    """150 points on y = 2x: more distinct points than the candidate family allows."""
+    pts = tuple(P(i, 2 * i) for i in range(150))
+    f = SampledFunction(pts[::-1], tuple(i % 3 for i in range(150)))
+    with pytest.raises(InstanceTooLarge):
+        vf_exact(pts)
+    est = var_collinear(f)
+    assert est.witness_vf == 1 and est.exact
+    assert est.witness in (pts, pts[::-1])
+    assert est.value == cvar(f, pts) == 198   # 49 cycles of jumps 1, 1, 2, then 1, 1
+
+
 @pytest.mark.parametrize("m", range(1, 10))
 def test_counts_from_matrix_matches_reference(m):
     """The production crossing kernel against the suite's scalar oracle."""
@@ -476,8 +511,7 @@ def test_vf_exact_refuses_the_same_sets_with_the_same_text():
         _vfcore._refuse_large_family(101)
 
 
-@pytest.mark.parametrize("bad", [dict(restarts=0), dict(iters=-1), dict(max_len=1),
-                                 dict(cooling=0.0), dict(cooling=1.5)])
+@pytest.mark.parametrize("bad", [dict(restarts=0), dict(iters=-1), dict(max_len=1)])
 def test_search_config_rejects_bad_values(bad):
     with pytest.raises(VariationError):
         SearchConfig(**bad)
@@ -507,6 +541,10 @@ def test_estimates_refuse_an_exact_value_past_the_float_range():
         var_search(f, SearchConfig(iters=10, restarts=1))
     with pytest.raises(VariationError, match="values overflow floating point"):
         lipschitz_constant(f)
+    # float values, exact points whose squared distance is past the float range
+    far = SampledFunction((P(0, 0), P(10**200, 0)), (0.5, 1.5))
+    with pytest.raises(VariationError, match="values overflow floating point"):
+        lipschitz_constant(far)
 
 
 def test_is_exact_number():
@@ -825,10 +863,15 @@ def _candidate_normals_reference(int_points) -> list[tuple[int, int]]:
     return sorted(normals | extra)
 
 
+def _normals(int_points) -> np.ndarray:
+    """``candidate_normals`` of the distinct points, prepared as ``_dense_ranks`` prepares them."""
+    return candidate_normals(_vfcore._distinct_points(int_points)[1])
+
+
 def _candidate_lines_reference(int_points) -> list[tuple[int, int, int]]:
     """The per-line enumerator in Python integers: one canonical triple per offset, a set, a sort."""
     lines: set[tuple[int, int, int]] = set()
-    for a, b in candidate_normals(int_points).tolist():
+    for a, b in _normals(int_points).tolist():
         projections = sorted({a * x + b * y for x, y in set(int_points)})
         for t in projections:
             lines.add(_canon_line_reference(a, b, t))
@@ -880,7 +923,7 @@ def test_candidate_normals_match_the_reference(pts, m):
     if m is not None:
         lo_x, lo_y = min(x for x, _ in pts), min(y for _, y in pts)
         pts = [(m - (x - lo_x), m - (y - lo_y)) for x, y in pts]
-    normals = candidate_normals(pts)
+    normals = _normals(pts)
     assert normals.tolist() == [list(row) for row in _candidate_normals_reference(pts)]
     top = max(max(abs(x), abs(y)) for x, y in pts)
     assert normals.dtype == (np.int64 if top <= INT64_M else object)
@@ -909,7 +952,7 @@ def _count_calls(monkeypatch, module, name) -> list:
 ])
 def test_candidate_normals_fall_back_to_the_exact_sort(monkeypatch, pts, exact_sort):
     calls = _count_calls(monkeypatch, _vfcore, "_angle_cmp")
-    normals = candidate_normals(pts)
+    normals = _normals(pts)
     assert normals.tolist() == [list(row) for row in _candidate_normals_reference(pts)]
     assert bool(calls) == exact_sort
 
@@ -1398,8 +1441,9 @@ def test_var_search_reports_acceptances_and_final_temperature():
     assert est.stats["final_temperature"] == temp
     # a constant function: every move has objective 0 and is accepted
     flat = SampledFunction(SQUARE, (1, 1, 1, 1))
-    cfg = SearchConfig(iters=50, restarts=3, seed=4, cooling=0.5)
+    cfg = SearchConfig(iters=50, restarts=3, seed=4)
     est = var_search(flat, cfg)
     assert est.stats["accepted"] == est.stats["proposals"] == 150
-    assert est.stats["final_temperature"] == 0.5 ** 50
+    # one factor per proposal, multiplied in turn (0.995 ** 50 rounds one ulp apart)
+    assert est.stats["final_temperature"] == math.prod([0.995] * 50)
     assert var_search(F_X, SearchConfig(iters=0, restarts=2)).stats["final_temperature"] == 1.0
