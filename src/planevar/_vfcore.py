@@ -107,12 +107,27 @@ one "first" row of L terms plus one pair row per consecutive pair:
   lexicographic order lists the extensions of each prefix next to each
   other, so every distinct prefix is counted once and each list then costs
   one gather-add-max over its L rows.
-* ``PairCounts`` serves ``variation.var_search``, where P can reach ~100, so
-  it computes a pair row on first use and keeps it. An annealing move keeps
-  a prefix and a suffix of the current list, so the new counts are the old
-  ones minus the pair rows of the old middle plus those of the new middle:
-  one to four rows for insert, delete and replace, at most two per list
-  position for swap and reverse.
+* ``PackedCounts`` serves ``variation.var_search``, where P can reach ~100,
+  so it computes a pair row on first use and keeps it. An annealing move
+  keeps a prefix and a suffix of the current list, so the new counts are the
+  old ones minus the pair rows of the old middle plus those of the new
+  middle: one to four rows for insert, delete and replace, at most two per
+  list position for swap and reverse. Its rows are not arrays but Python
+  ints, one field of w = ``max_len.bit_length() + 1`` bits per pattern
+  (SIMD within a register; Lamport, "Multiple byte processing with
+  full-word instructions", CACM 18(8), 1975). Point p keeps two masks,
+  pos_p and neg_p, with a 1 at bit w*i where pattern i gives p the sign +1
+  or -1; so E(a, b) = (pos_a & ~pos_b) | (neg_a & ~neg_b), the first row of
+  p is the mask of its zero signs, and adding or removing a row is one
+  integer + or -. Integers are exact, so the fields of a list's counts are
+  its counts, each in [0, max_len] < 2^(w-1), and no borrow crosses a field.
+  The largest field is found by probing: with ONES the mask of every field's
+  bit 0 and HIGH that of its top bit, some field is >= t (1 <= t <=
+  2^(w-1)) exactly when (X + (2^(w-1) - t) * ONES) & HIGH != 0, since no
+  field then carries out. The probe steps t up or down from a hint, the
+  count of the list one move before, so a proposal usually costs two
+  probes. The constants are kept for the t probed, never for every t up to
+  ``max_len``, which has no upper bound.
 
 One list: per-direction sweep
 -----------------------------
@@ -410,44 +425,59 @@ def _count_dtype(max_len: int):
     return np.int64
 
 
-class PairCounts:
-    """Crossing counts of index lists of at most ``max_len`` points, in pair form.
+class PackedCounts:
+    """Crossing counts of index lists of at most ``max_len`` points, packed into one int.
 
-    ``full`` counts a list; ``delta`` turns the counts of one list into those
-    of another through the pairs in which the two differ ("Pair form" in the
-    module docstring). Pair rows are computed on first use and kept, so one
-    instance should serve every list drawn from its table. At most P^2 rows
-    of L cells are kept; with L ~ 2P^2 distinct patterns that is about the
-    2P^4 cells of the full sign table the table was deduplicated from.
+    A count vector over the table's L patterns is the Python int whose field i,
+    bits w*i .. w*i + w - 1 with w = ``max_len.bit_length() + 1``, holds the
+    count on pattern i ("Pair form" in the module docstring). ``full`` counts
+    a list; ``delta`` turns the counts of one list into those of another
+    through the pairs in which the two differ; ``vf`` reads the largest field.
+    Pair rows are computed on first use and kept, so one instance should
+    serve every list drawn from its table.
     """
 
     def __init__(self, table: SignTable, max_len: int):
-        self._signs = np.ascontiguousarray(table.signs.T)     # (P, L)
-        self._dtype = _count_dtype(max_len)
-        self._first = (self._signs == 0).astype(self._dtype)   # [s_0 = 0] per point
-        self._n_pts = self._signs.shape[0]
-        self._pairs: dict[int, np.ndarray] = {}
+        n_rows, self._n_pts = table.signs.shape
+        w = max_len.bit_length() + 1
+        fields = np.zeros((n_rows, w), dtype=bool)
 
-    def _pair(self, a: int, b: int) -> np.ndarray:
+        def mask(column) -> int:                # bit w*i set where column[i] holds
+            fields[:, 0] = column
+            return int.from_bytes(np.packbits(fields, bitorder="little").tobytes(), "little")
+
+        self._pos = [mask(col > 0) for col in table.signs.T]
+        self._neg = [mask(col < 0) for col in table.signs.T]
+        ones = mask(True)
+        self._first = [ones ^ pos ^ neg for pos, neg in zip(self._pos, self._neg)]
+        self._ones = ones
+        self._half = 1 << (w - 1)
+        self._high = ones << (w - 1)            # each field's top bit
+        self._pairs: dict[int, int] = {}
+        self._offsets: dict[int, int] = {}      # t -> (2^(w-1) - t) * ones, for probed t only
+
+    def _pair(self, a: int, b: int) -> int:
+        """E(a, b) over every pattern: 1 where a is off the line and b not on its side."""
         key = a * self._n_pts + b
         row = self._pairs.get(key)
         if row is None:
-            row = _pair_terms(self._signs[a], self._signs[b]).astype(self._dtype)
+            pos, neg = self._pos, self._neg
+            row = (pos[a] & ~pos[b]) | (neg[a] & ~neg[b])
             self._pairs[key] = row
         return row
 
-    def full(self, idx) -> np.ndarray:
-        """Count vector (L,) of one index list, as ``_counts_from_matrix`` gives it."""
-        counts = self._first[idx[0]].copy()
+    def full(self, idx) -> int:
+        """Packed count vector of one index list, as ``_counts_from_matrix`` gives it."""
+        counts = self._first[idx[0]]
         for p in range(len(idx) - 1):
             counts += self._pair(idx[p], idx[p + 1])
         return counts
 
-    def delta(self, counts: np.ndarray, old, new) -> np.ndarray:
-        """Count vector of list ``new``, given ``counts`` of list ``old`` (not modified).
+    def delta(self, counts: int, old, new) -> int:
+        """Packed count vector of list ``new``, given ``counts`` of list ``old``.
 
-        The old terms go out before the new ones come in, so every partial
-        sum is a count of part of one list and fits the count dtype.
+        The sums are exact integers, so every field of the result is the new
+        count, in [0, ``max_len``], and no borrow between fields survives.
         """
         n, m = len(old), len(new)
         top = min(n, m)
@@ -457,17 +487,35 @@ class PairCounts:
         d = 0                                # common suffix, disjoint from the prefix
         while d < top - c and old[n - 1 - d] == new[m - 1 - d]:
             d += 1
-        out = counts.copy()
         lo = max(c - 1, 0)
         if c == 0:
-            out -= self._first[old[0]]
+            counts += self._first[new[0]] - self._first[old[0]]
         for p in range(lo, min(n - d, n - 1)):
-            out -= self._pair(old[p], old[p + 1])
-        if c == 0:
-            out += self._first[new[0]]
+            counts -= self._pair(old[p], old[p + 1])
         for p in range(lo, min(m - d, m - 1)):
-            out += self._pair(new[p], new[p + 1])
-        return out
+            counts += self._pair(new[p], new[p + 1])
+        return counts
+
+    def _reaches(self, counts: int, t: int) -> bool:
+        """Whether some field of ``counts`` is >= t, for 1 <= t <= 2^(w-1) (the
+        probe of "Pair form" in the module docstring)."""
+        offset = self._offsets.get(t)
+        if offset is None:
+            offset = self._offsets[t] = (self._half - t) * self._ones
+        return ((counts + offset) & self._high) != 0
+
+    def vf(self, counts: int, hint: int) -> int:
+        """The largest field of ``counts``, probed up or down from ``hint`` in
+        [0, ``max_len``], such as the count of a list one move away."""
+        t = hint
+        if t > 0 and not self._reaches(counts, t):
+            t -= 1
+            while t > 0 and not self._reaches(counts, t):
+                t -= 1
+            return t
+        while self._reaches(counts, t + 1):
+            t += 1
+        return t
 
 
 def vf_batch(table: SignTable, idx_batch: np.ndarray, chunk: int = 4096) -> np.ndarray:

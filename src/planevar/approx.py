@@ -30,7 +30,7 @@ from math import comb
 import numpy as np
 
 from .geom import Point2, common_denominator, to_fraction
-from .variation import SampledFunction, all_exact, magnitudes, spread
+from .variation import SampledFunction, _on_floats, all_exact, magnitudes, spread
 from .ctpp import CtppFunction, CtppSum, ScaledBump, solve_plane
 
 
@@ -631,7 +631,8 @@ def match_points(f: SampledFunction, g0: CtppFunction, pts, delta) -> tuple[Ctpp
     n = len(pts)
     eps = (4 * n + 2) * max_coef
     target = Fraction(4 * n + 1, 4 * n + 2) * eps if exact else (4 * n + 1) / (4 * n + 2) * eps
-    interp_err = max(abs(complex(g.eval(p)) - complex(f.value(p))) for p in pts)
+    interp_err = max(_on_floats(lambda c: abs(c[0] - c[1]), (g.eval(p), f.value(p)))
+                     for p in pts)
     report = MatchReport(n_points=n, coefs=coefs, max_coef=max_coef,
                          sup_h_bound=sup_h, var_h_bound=var_h, eps=eps,
                          target=target, bound_ok=sup_h + var_h <= target,

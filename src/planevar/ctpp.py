@@ -38,8 +38,8 @@ from .geom import (
     to_fraction,
     _ear_clip_indices,
 )
-from .variation import (PlanarCoeffs, SampledFunction, all_exact, is_exact_number, magnitudes,
-                        spread, values_agree)
+from .variation import (PlanarCoeffs, SampledFunction, all_exact, float_overflow, is_exact_number,
+                        magnitudes, spread, values_agree)
 
 
 class CtppError(ValueError):
@@ -71,10 +71,13 @@ def solve_plane(v0: Point2, v1: Point2, v2: Point2, z0, z1, z2) -> PlanarCoeffs:
     det = cross(v0, v1, v2)
     if det == 0:
         raise CtppError("degenerate triangle in plane solve")
-    dz1, dz2 = z1 - z0, z2 - z0
-    a = (dz1 * (v2.y - v0.y) - dz2 * (v1.y - v0.y)) / det
-    b = ((v1.x - v0.x) * dz2 - (v2.x - v0.x) * dz1) / det
-    c = z0 - a * v0.x - b * v0.y
+    try:
+        dz1, dz2 = z1 - z0, z2 - z0
+        a = (dz1 * (v2.y - v0.y) - dz2 * (v1.y - v0.y)) / det
+        b = ((v1.x - v0.x) * dz2 - (v2.x - v0.x) * dz1) / det
+        c = z0 - a * v0.x - b * v0.y
+    except OverflowError as exc:        # a float beside an exact value past its range
+        raise float_overflow(exc) from None
     return PlanarCoeffs(a, b, c)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .ctpp import CtppFunction, EdgeViolation
+from .variation import _on_floats
 
 
 _LOW = (33, 102, 172)    # cool
@@ -42,7 +43,7 @@ def ctpp_svg(g: CtppFunction, violations: list[EdgeViolation]) -> str:
         vx = (xs[i] + xs[j] + xs[k]) / 3
         vy = (ys[i] + ys[j] + ys[k]) / 3
         c = g.coeffs[idx]
-        centro.append(abs(complex(c.a) * vx + complex(c.b) * vy + complex(c.c)))
+        centro.append(_on_floats(lambda v: abs(v[0] * vx + v[1] * vy + v[2]), (c.a, c.b, c.c)))
     lo = min(centro) if centro else 0.0
     hi = max(centro) if centro else 1.0
     rng = (hi - lo) or 1.0

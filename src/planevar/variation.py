@@ -166,7 +166,10 @@ class PlanarCoeffs:
     c: object
 
     def eval(self, p: Point2):
-        return self.a * p.x + self.b * p.y + self.c
+        try:
+            return self.a * p.x + self.b * p.y + self.c
+        except OverflowError as exc:    # a float beside an exact value past its range
+            raise float_overflow(exc) from None
 
     @property
     def is_real(self) -> bool:
@@ -499,7 +502,7 @@ def _float_sum(terms: list) -> float:
     return 0.0 + total
 
 
-def _anneal_once(pairs: _vfcore.PairCounts, diff, k, cfg: SearchConfig, seed_entropy) -> dict:
+def _anneal_once(pairs: _vfcore.PackedCounts, diff, k, cfg: SearchConfig, seed_entropy) -> dict:
     rng = _Draws(seed_entropy)
     t0 = float(diff.max())
     start = int(np.argmax(diff))
@@ -508,13 +511,13 @@ def _anneal_once(pairs: _vfcore.PairCounts, diff, k, cfg: SearchConfig, seed_ent
         cur = [0, 1]
     rows = diff.tolist()
 
-    def objective(cand, counts):
-        vf = int(counts.max())
+    def objective(cand, counts, hint):
+        vf = pairs.vf(counts, hint)
         cv = _float_sum([rows[a][b] for a, b in zip(cand, cand[1:])])
         return cv / max(vf, 1), vf
 
     cur_counts = pairs.full(cur)
-    cur_obj, cur_vf = objective(cur, cur_counts)
+    cur_obj, cur_vf = objective(cur, cur_counts, 0)
     best = {"obj": cur_obj, "idx": list(cur), "vf": cur_vf}
     max_seen = cur_obj
     temp = t0 if t0 > 0 else 1.0
@@ -527,13 +530,13 @@ def _anneal_once(pairs: _vfcore.PairCounts, diff, k, cfg: SearchConfig, seed_ent
         if cand is None:
             continue
         counts = pairs.delta(cur_counts, cur, cand)
-        obj, vf = objective(cand, counts)
+        obj, vf = objective(cand, counts, cur_vf)
         proposals += 1
         if obj > max_seen:
             max_seen = obj
         delta = obj - cur_obj
         if delta >= 0 or (temp > 1e-300 and rng.random() < math.exp(delta / temp)):
-            cur, cur_obj, cur_counts = cand, obj, counts
+            cur, cur_obj, cur_counts, cur_vf = cand, obj, counts, vf
             accepted += 1
         if obj > best["obj"]:
             best = {"obj": obj, "idx": cand, "vf": vf}
@@ -621,7 +624,10 @@ def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEst
     all restarts, and ``final_temperature`` is the warmest restart's last
     temperature.
 
-    A proposal makes no numpy call for its draws or its curve variation.
+    A proposal makes no numpy call at all, unless its list has 128 points or
+    more (``_float_sum``); ``_Draws`` refills its words once per 512. The
+    counts are ``_vfcore.PackedCounts`` ints, updated by the pair rows a move
+    changes, and the variation factor is probed from the current list's.
     Each restart replays ``np.random.default_rng(seed)`` from raw PCG64 words
     (``_Draws``), and sums the list's jumps in numpy's pairwise order
     (``_float_sum``). Both give the same ints and float bits as the Generator
@@ -637,7 +643,7 @@ def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEst
                            exact=False, method="anneal", seed=cfg.seed)
     table = _vfcore.build_sign_table(f.points)
     diff = _diff_matrix(f)
-    pairs = _vfcore.PairCounts(table, cfg.max_len)
+    pairs = _vfcore.PackedCounts(table, cfg.max_len)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     results = [_anneal_once(pairs, diff, k, cfg, s) for s in children]
     best = min(results, key=lambda r: _witness_key(f, r["obj"], r["idx"]))

@@ -14,6 +14,7 @@ from planevar.variation import (
     PlanarCoeffs,
     SampledFunction,
     SearchConfig,
+    VariationError,
     lipschitz_constant,
     var_exact_small,
     var_search,
@@ -38,7 +39,9 @@ from planevar.ctpp import (
     triangle_lipschitz_report,
     validate_ctpp,
 )
+from planevar.approx import match_points
 from planevar.onedim import bv_norm_1d
+from planevar.svg import ctpp_svg
 
 RECT01 = Rectangle.of(0, 1, 0, 1)
 
@@ -397,3 +400,36 @@ def test_eval_ctpp_uses_the_first_containing_triangle(name, data):
           (w[0] * a.y + w[1] * b.y + w[2] * c.y) / sum(w))
     first = next(t for t in range(len(g.tri.triangles)) if g.tri.triangle(t).contains(p))
     assert eval_ctpp(g, p) == g.coeffs[first].eval(p)
+
+
+_HUGE = 10**400     # an exact integer past the float range
+
+
+def _huge_beside_a_float(n_pieces: int, coeffs: PlanarCoeffs) -> CtppFunction:
+    vertices = (P(0, 0), P(1, 0), P(0, 1), P(1, 1))
+    triangles = ((0, 1, 2), (1, 3, 2))[:n_pieces]
+    return CtppFunction(Triangulation(vertices, triangles), (coeffs,) * n_pieces)
+
+
+_FLOAT_PIECE = PlanarCoeffs(1.5, 0, _HUGE)
+_OVERFLOW_CALLS = {
+    "eval_ctpp": lambda: eval_ctpp(_huge_beside_a_float(2, _FLOAT_PIECE), P(0, 0)),
+    "validate_ctpp": lambda: validate_ctpp(_huge_beside_a_float(2, _FLOAT_PIECE)),
+    "extend_to_polygon": lambda: extend_to_polygon(_huge_beside_a_float(2, _FLOAT_PIECE),
+                                                   Polygon((P(0, 0), P(2, 0), P(0, 2)))),
+    "solve_plane": lambda: interpolate_grid(
+        dict(zip((P(0, 0), P(1, 0), P(0, 1), P(1, 1)), (1.5, 2, _HUGE, 3))), RECT01, 1),
+    "match_points": lambda: match_points(
+        SampledFunction((P(Fraction(1, 4), Fraction(1, 4)), P(1, 0)), (_HUGE, 0.5)),
+        _huge_beside_a_float(1, PlanarCoeffs(0, 0, _HUGE)),
+        (P(Fraction(1, 4), Fraction(1, 4)),), Fraction(1, 8)),
+    "ctpp_svg": lambda: ctpp_svg(_huge_beside_a_float(1, _FLOAT_PIECE), []),
+}
+
+
+@pytest.mark.parametrize("name", _OVERFLOW_CALLS)
+def test_huge_integer_beside_a_float_is_a_typed_error_for_library_callers(name):
+    """A float meeting an exact value past the float range raises VariationError, as
+    ``variation._on_floats`` does, not a bare OverflowError."""
+    with pytest.raises(VariationError, match="^values overflow floating point: "):
+        _OVERFLOW_CALLS[name]()

@@ -1216,6 +1216,18 @@ def _table_of_signs(signs: np.ndarray):
     return _vfcore.SignTable(signs=np.asarray(signs, dtype=np.int8), n_lines=len(signs))
 
 
+def _fields(packed: int, max_len: int, n_rows: int) -> list[int]:
+    """The counts held in a packed vector: field i is bits w*i .. w*i + w - 1."""
+    w = max_len.bit_length() + 1
+    return [(packed >> (w * i)) & ((1 << w) - 1) for i in range(n_rows)]
+
+
+def _packed(fields: list[int], max_len: int) -> int:
+    """The packed vector holding ``fields``, as ``_fields`` reads it."""
+    w = max_len.bit_length() + 1
+    return sum(f << (w * i) for i, f in enumerate(fields))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 12).flatmap(lambda m: st.lists(
     st.lists(st.sampled_from([-1, 0, 1]), min_size=m, max_size=m), min_size=1, max_size=20)))
@@ -1226,8 +1238,8 @@ def test_pair_form_equals_the_segment_rules(rows):
     assert _counts_from_matrix(S).tolist() == expected
     # the same lists as index lists over a table whose columns are the positions
     m = S.shape[1]
-    pairs = _vfcore.PairCounts(_table_of_signs(S), max_len=m)
-    assert pairs.full(list(range(m))).tolist() == _segment_rule_counts(S).tolist()
+    pairs = _vfcore.PackedCounts(_table_of_signs(S), max_len=m)
+    assert _fields(pairs.full(list(range(m))), m, len(S)) == _segment_rule_counts(S).tolist()
 
 
 def _moves(cur: list[int], k: int):
@@ -1252,18 +1264,20 @@ def _moves(cur: list[int], k: int):
 @pytest.mark.parametrize("cur", [[0, 1], [3, 0, 4, 0, 6, 2], [6, 5, 4, 3, 2, 1, 0]])
 def test_pair_counts_delta_after_every_move(name, cur):
     table = build_sign_table(KERNEL_SAMPLES[name])
-    pairs = _vfcore.PairCounts(table, max_len=len(cur) + 1)
+    max_len, n_rows = len(cur) + 1, len(table.signs)
+    pairs = _vfcore.PackedCounts(table, max_len=max_len)
     counts = pairs.full(cur)
-    assert counts.tolist() == _segment_rule_counts(table.signs[:, cur]).tolist()
-    before = counts.copy()
+    expected = _segment_rule_counts(table.signs[:, cur]).tolist()
+    assert _fields(counts, max_len, n_rows) == expected
     moves = [new for new in _moves(cur, 7) if new]
     # both ends of the list, the whole-list reverse and an unchanged list are among them
     assert cur[::-1] in moves and cur in moves
     for new in moves:
         got = pairs.delta(counts, cur, new)
-        assert got.tolist() == _segment_rule_counts(table.signs[:, new]).tolist(), new
-        assert int(got.max()) == vf_of_indices(table, new)
-    assert counts.tolist() == before.tolist()
+        assert _fields(got, max_len, n_rows) == _segment_rule_counts(
+            table.signs[:, new]).tolist(), new
+        assert pairs.vf(got, max(expected)) == vf_of_indices(table, new)
+    assert _fields(counts, max_len, n_rows) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -1273,23 +1287,55 @@ def test_pair_counts_delta_after_every_move(name, cur):
 @example([2, 1, 2], [2])
 def test_pair_counts_delta_between_any_two_lists(old, new):
     table = build_sign_table(KERNEL_SAMPLES["lattice"][:4])
-    pairs = _vfcore.PairCounts(table, max_len=12)
+    pairs = _vfcore.PackedCounts(table, max_len=12)
     got = pairs.delta(pairs.full(old), old, new)
-    assert got.tolist() == _segment_rule_counts(table.signs[:, new]).tolist()
+    assert _fields(got, 12, len(table.signs)) == _segment_rule_counts(table.signs[:, new]).tolist()
 
 
 def test_pair_counts_follow_an_annealing_walk():
     """Counts carried from proposal to proposal stay exact over a long walk."""
     table = build_sign_table(SEVEN)
-    pairs = _vfcore.PairCounts(table, max_len=12)
+    pairs = _vfcore.PackedCounts(table, max_len=12)
     rng = np.random.default_rng(3)
     cur = [0, 1]
     counts = pairs.full(cur)
+    vf = pairs.vf(counts, 0)
     for _ in range(2000):
         cand = _propose(rng, cur, len(SEVEN), 12)
         if cand is not None:
             cur, counts = cand, pairs.delta(counts, cur, cand)
-            assert counts.tolist() == _segment_rule_counts(table.signs[:, cur]).tolist()
+            expected = _segment_rule_counts(table.signs[:, cur])
+            assert _fields(counts, 12, len(table.signs)) == expected.tolist()
+            vf = pairs.vf(counts, vf)
+            assert vf == int(expected.max())
+
+
+@pytest.mark.parametrize("max_len", [2, 3, 7, 8, 15, 16, 127, 128])
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_vf_probe_finds_the_largest_field_from_every_hint(max_len, data):
+    """w = max_len.bit_length() + 1 steps up after 3, 7, 15 and 127."""
+    n = data.draw(st.integers(1, 20))
+    fields = data.draw(st.lists(st.integers(0, max_len), min_size=n, max_size=n))
+    pairs = _vfcore.PackedCounts(_table_of_signs(np.zeros((n, 1))), max_len=max_len)
+    for vec in (fields, [0] * n, [max_len] * n, fields[:-1] + [max_len]):
+        packed = _packed(vec, max_len)
+        assert _fields(packed, max_len, n) == vec
+        for hint in range(max_len + 1):
+            assert pairs.vf(packed, hint) == max(vec), (vec, hint)
+
+
+def test_var_search_with_an_unbounded_max_len_keeps_no_table_per_count():
+    """``max_len`` has no upper bound, so the kernel keeps nothing per possible count."""
+    f = SampledFunction(SEVEN[:5], SEVEN_VALUES[:5])
+    tracemalloc.start()
+    try:
+        est = var_search(f, SearchConfig(max_len=10**6, iters=200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    verify_estimate(f, est)
+    assert peak < 4 * 2**20
 
 
 @settings(max_examples=200, deadline=None)
