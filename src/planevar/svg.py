@@ -24,8 +24,8 @@ _SIZE = 480  # width and height in pixels
 def ctpp_svg(g: CtppFunction, violations: list[EdgeViolation]) -> str:
     """One polygon per triangle, shaded by the piece value at the centroid;
     violating edges drawn on top in red."""
-    xs = [float(p.x) for p in g.tri.vertices]
-    ys = [float(p.y) for p in g.tri.vertices]
+    xs = _on_floats(lambda c: [v.real for v in c], [p.x for p in g.tri.vertices])
+    ys = _on_floats(lambda c: [v.real for v in c], [p.y for p in g.tri.vertices])
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     span = max(x1 - x0, y1 - y0) or 1.0

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _vfcore
 from ._vfcore import InstanceTooLarge, VariationError
-from .geom import AffineMap, Line, Point2, cross, dist_sq, side_of
+from .geom import AffineMap, Line, Point2, common_denominator, cross, dist_sq, side_of
 
 
 class PointOutsideDomain(VariationError):
@@ -293,16 +293,22 @@ _EXACT_MAX_POINTS = 7
 _EXACT_MAX_LEN = 6
 
 
-def _extend_sequences(prev: np.ndarray, k: int) -> np.ndarray:
-    """Each row of ``prev`` followed by every index in range(k) other than its last.
+def _extensions(last: np.ndarray, k: int) -> np.ndarray:
+    """(parent row, index) of every list one index longer than the lists whose last
+    indices are ``last``: each list followed by every index in range(k) other
+    than its last, in lexicographic order when the lists are. A last index of
+    k (the empty list) excludes none."""
+    return np.argwhere(np.arange(k) != last[:, None])
 
-    Rows come out in lexicographic order when ``prev``'s rows are.
-    """
-    n = prev.shape[0]
-    rep = np.repeat(prev, k - 1, axis=0)
-    last = np.tile(np.arange(k - 1, dtype=np.intp), n)
-    last += last >= rep[:, -1]  # skip the row's own last index
-    return np.concatenate([rep, last[:, None]], axis=1)
+
+def _lists(steps: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """The index lists at ``rows`` of the level that ``steps[-1]`` made, rebuilt
+    along the parent rows, as a (len(rows), len(steps)) array."""
+    out = np.empty((len(rows), len(steps)), dtype=np.intp)
+    for col in range(len(steps) - 1, -1, -1):
+        out[:, col] = steps[col][rows, 1]
+        rows = steps[col][rows, 0]
+    return out
 
 
 def _diff_matrix(f: SampledFunction) -> np.ndarray:
@@ -320,14 +326,20 @@ def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
     """Exact maximum of cvar/vf over all lists of at most ``max_len`` points.
 
     The value is exact with respect to the length cap (a certified lower
-    bound for the full supremum). A vectorized floating pass scores the
-    lists level by level: each list of length m is a list of length m - 1
-    plus one index (``_extend_sequences`` extends every row k - 1 ways, in
-    order), so its curve variation is its prefix's plus one jump, the same
-    left-to-right sum as adding all m - 1 jumps. Every list within a 1e-9
-    relative window of the float maximum is then rechecked through
-    ``jump_sum`` in exact arithmetic, which is sound because the float
-    evaluation error of these short sums is ~1e-15 relative.
+    bound for the full supremum). The lists are built level by level from
+    the empty list: a list of length m is a list of length m - 1 plus one
+    index (``_extensions``, in lexicographic order), and a level is only the
+    (parent row, index) pairs. ``_vfcore.vf_batch`` carries the counts from
+    each level to the next, and a float pass extends each parent's curve
+    variation by one jump, the same left-to-right sum as adding all m - 1
+    jumps. Every list within a 1e-9 relative window of the float maximum is
+    then rebuilt along its parent rows and rechecked, which is sound because
+    the float evaluation error of these short sums is ~1e-15 relative. On
+    rational values the recheck is exact and on integers: with the values
+    lifted to z_i over one denominator D, a list's value is
+    Fraction(sum of |z_i - z_{i-1}|, D * vf). ``stats`` names the
+    ``exact_path`` (``rational`` or ``float``) and counts the ``rechecked``
+    lists.
     """
     k = len(f.points)
     if k > _EXACT_MAX_POINTS:
@@ -338,33 +350,46 @@ def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
         raise VariationError("max_len must be >= 1")
 
     table = _vfcore.build_sign_table(f.points)
-    diff = _diff_matrix(f)
-
-    per_len: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     top = 1 if k == 1 else max_len
-    seqs = np.arange(k, dtype=np.intp).reshape(-1, 1)
-    cv = np.zeros(k)
-    for m in range(1, top + 1):
-        if m > 1:
-            seqs = _extend_sequences(seqs, k)
-            cv = np.repeat(cv, k - 1) + diff[seqs[:, -2], seqs[:, -1]]
-        vf = _vfcore.vf_batch(table, seqs)
-        per_len.append((seqs, vf, cv / np.maximum(vf, 1)))
-    best_float = max(float(obj.max()) for _, _, obj in per_len)
+    # row k: the jump from the empty list, 0
+    jumps = np.concatenate([_diff_matrix(f), np.zeros((1, k))]).ravel()
+
+    steps: list[np.ndarray] = []
+    per_len: list[tuple[np.ndarray, np.ndarray]] = []
+    level = _vfcore.empty_level(table, top)
+    cv = np.zeros(1)
+    for _ in range(top):
+        step = _extensions(level.last, k)
+        parent = step[:, 0]
+        cv = np.take(cv, parent) + np.take(jumps, np.take(level.last, parent) * k + step[:, 1])
+        level = _vfcore.vf_batch(level, step)
+        steps.append(step)
+        per_len.append((level.vf, cv / np.maximum(level.vf, 1)))
+    best_float = max(float(obj.max()) for _, obj in per_len)
 
     threshold = best_float - 1e-9 * (1.0 + abs(best_float))
     rational = f.is_rational_real
-    candidates = []
-    for seqs, vf, obj in per_len:
-        for row in np.nonzero(obj >= threshold)[0]:
-            seq = tuple(int(v) for v in seqs[row])
-            v = int(vf[row])
-            val = jump_sum(f.values[i] for i in seq) / v if rational else float(obj[row])
-            candidates.append((_witness_key(f, val, seq), val, seq, v))
-    _, value, seq, vf = min(candidates)
+    if rational:
+        z, den = common_denominator(f.values)
+    candidates = []             # (value, list, vf), shortest lists first
+    for m, (vf, obj) in enumerate(per_len, 1):
+        rows = np.flatnonzero(obj >= threshold)
+        seqs = _lists(steps[:m], rows).tolist()
+        vfs = vf[rows].tolist()
+        if rational:
+            values = [Fraction(sum(abs(z[b] - z[a]) for a, b in zip(seq, seq[1:])), den * v)
+                      for seq, v in zip(seqs, vfs)]
+        else:
+            values = obj[rows].tolist()
+        candidates += zip(values, seqs, vfs)
+    # witness order among the lists of the largest value: fewest points, then coordinates
+    best = max(value for value, _, _ in candidates)
+    value, seq, vf = min((c for c in candidates if c[0] == best),
+                         key=lambda c: _witness_key(f, c[0], c[1]))
+    stats = {"table_rows": table.n_lines, "distinct_rows": len(table.signs),
+             "exact_path": "rational" if rational else "float", "rechecked": len(candidates)}
     return VarEstimate(value=value, witness=tuple(f.points[i] for i in seq), witness_vf=vf,
-                       exact=True, method="exhaustive_small",
-                       stats={"table_rows": table.n_lines, "distinct_rows": len(table.signs)})
+                       exact=True, method="exhaustive_small", stats=stats)
 
 
 # ---------------------------------------------------------------------------

@@ -424,6 +424,9 @@ _OVERFLOW_CALLS = {
         _huge_beside_a_float(1, PlanarCoeffs(0, 0, _HUGE)),
         (P(Fraction(1, 4), Fraction(1, 4)),), Fraction(1, 8)),
     "ctpp_svg": lambda: ctpp_svg(_huge_beside_a_float(1, _FLOAT_PIECE), []),
+    "ctpp_svg_vertex": lambda: ctpp_svg(CtppFunction(
+        Triangulation((P(0, 0), P(_HUGE, 0), P(0, 1)), ((0, 1, 2),)), (PlanarCoeffs(0, 0, 1),)),
+        []),
 }
 
 

@@ -23,7 +23,6 @@ ALLOWED = {
     "geom.AffineMap.of(t0)": "a linear map is the common case; tests give translations",
     "geom.AffineMap.of(t1)": "a linear map is the common case; tests give translations",
     "cli.main(argv)": "None reads sys.argv; tests pass argument lists",
-    "_vfcore.vf_batch(chunk)": "test seam: tests force small chunks to cross chunk edges",
     "approx.grid_lipschitz(chunk)": "test seam: tests force small chunks to cross chunk edges",
 }
 

@@ -18,6 +18,7 @@ from planevar._vfcore import (
     build_sign_table,
     candidate_lines,
     candidate_normals,
+    empty_level,
     vf_batch,
     vf_of_indices,
 )
@@ -36,8 +37,9 @@ from planevar.variation import (
     MAX_RESTARTS,
     _Draws,
     _draw_skipping,
-    _extend_sequences,
+    _extensions,
     _float_sum,
+    _lists,
     _propose,
     DomainTooSmall,
     InstanceTooLarge,
@@ -723,7 +725,8 @@ def test_distinct_table_counts_as_the_full_table(pts, data):
     m = data.draw(st.integers(1, 6))
     batch = np.array(data.draw(st.lists(st.lists(index, min_size=m, max_size=m),
                                         min_size=1, max_size=20)), dtype=np.intp)
-    assert vf_batch(table, batch).tolist() == _batch_oracle(_table_of_signs(signs), batch).tolist()
+    assert _vf_of_lists(table, batch).tolist() == \
+        _batch_oracle(_table_of_signs(signs), batch).tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -1046,20 +1049,71 @@ def test_var_exact_small_float_path_on_seven_points_is_unchanged(max_len, value,
     assert est.witness_vf == 2
 
 
+# The window counts equal the number of lists the code before the level-carried
+# kernel rechecked on the same samples.
+@pytest.mark.parametrize("values, path, rechecked", [
+    (SEVEN_VALUES, "rational", {5: 2, 6: 2}),
+    (SEVEN_COMPLEX, "float", {5: 2, 6: 2}),
+    (tuple(2 * p.x - p.y + 1 for p in SEVEN), "rational", {5: 150, 6: 650}),
+], ids=["rational", "complex", "planar"])
+def test_var_exact_small_stats_name_the_exact_path(values, path, rechecked):
+    for max_len, n in rechecked.items():
+        stats = var_exact_small(SampledFunction(SEVEN, values), max_len).stats
+        assert (stats["exact_path"], stats["rechecked"]) == (path, n)
+
+
+@functools.lru_cache(maxsize=4096)    # every list of one five-point sample
+def _oracle_vf(pts) -> int:
+    return vf_pattern_oracle(pts)
+
+
+def _fraction_cvar(values) -> Fraction:
+    """Sum of |jumps| in Fractions, written out apart from ``jump_sum``."""
+    return sum((abs(Fraction(b) - Fraction(a)) for a, b in zip(values, values[1:])), Fraction(0))
+
+
 def _var_exact_small_oracle(f, max_len):
-    """(value, witness, witness_vf) by scoring every list with the pattern oracle."""
+    """(value, witness, witness_vf) by scoring every list with the pattern oracle
+    and the lex-smallest tie-break: largest value, fewest points, smallest
+    coordinates."""
     best = None
     for m in range(1, max_len + 1):
         for seq in itertools.product(range(len(f.points)), repeat=m):
             if any(a == b for a, b in zip(seq, seq[1:])):
                 continue
             pts = tuple(f.points[i] for i in seq)
-            vf = vf_pattern_oracle(pts)
-            value = cvar(f, pts) / vf
+            vf = _oracle_vf(pts)
+            value = _fraction_cvar([f.values[i] for i in seq]) / vf
             key = (-value, m, tuple((p.x, p.y) for p in pts))
             if best is None or key < best[0]:
                 best = (key, value, pts, vf)
     return best[1:]
+
+
+ORACLE_SAMPLES = {
+    "general": SEVEN[:5],
+    "collinear": (P(0, 0), P(2, 2), P(1, 1), P(3, 1), P(-1, -1)),   # four on y = x
+    "lattice": (P(0, 0), P(1, 0), P(2, 0), P(0, 1), P(1, 1)),
+}
+
+
+@pytest.mark.parametrize("values", ["planar", "random"])
+@pytest.mark.parametrize("name", ORACLE_SAMPLES)
+def test_var_exact_small_matches_a_brute_force_oracle(name, values):
+    """Every length cap up to 5 on the first k <= 5 points; planar values tie
+    across many lists, so the tie-break decides the witness."""
+    rng = random.Random(f"{name}/{values}")
+    for k in range(1, 6):
+        pts = ORACLE_SAMPLES[name][:k]
+        if values == "planar":
+            a, b, c = (Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3))
+            vals = tuple(a * p.x + b * p.y + c for p in pts)
+        else:
+            vals = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in pts)
+        f = SampledFunction(pts, vals)
+        for max_len in range(1, 6):
+            est = var_exact_small(f, max_len)
+            assert (est.value, est.witness, est.witness_vf) == _var_exact_small_oracle(f, max_len)
 
 
 @settings(max_examples=25, deadline=None)
@@ -1109,22 +1163,44 @@ def _batch_oracle(table, seqs):
     return _segment_rule_counts(table.signs[:, seqs]).max(axis=0)
 
 
-def _sequences(k, m):
-    seqs = np.arange(k, dtype=np.intp).reshape(-1, 1)
-    for _ in range(m - 1):
-        seqs = _extend_sequences(seqs, k)
-    return seqs
+def _vf_of_lists(table, batch):
+    """vf_batch along the levels that spell out the rows of ``batch``: row i of
+    level j is the first j + 1 entries of row i."""
+    n, m = batch.shape
+    level = empty_level(table, m)
+    for j in range(m):
+        parent = np.arange(n) if j else np.zeros(n, dtype=np.intp)
+        level = vf_batch(level, np.column_stack([parent, batch[:, j]]))
+    return level.vf
 
 
-def test_extend_sequences_lists_every_sequence_in_lex_order():
+def _lex_levels(k, max_len):
+    """(step, lists) per length: every list of range(k) without equal neighbours,
+    in lexicographic order, enumerated in Python, with its parent row."""
+    lists = [()]
+    for _ in range(max_len):
+        step = [(r, i) for r, seq in enumerate(lists) for i in range(k) if not seq or seq[-1] != i]
+        lists = [lists[r] + (i,) for r, i in step]
+        yield np.array(step, dtype=np.intp).reshape(-1, 2), lists
+
+
+def test_levels_rebuild_every_sequence_once_in_lex_order():
+    """Levels of (parent row, index) from ``_extensions``, rebuilt by ``_lists``."""
     for k in range(1, 6):
+        steps = []
+        last = np.array([k])                  # the empty list
         for m in range(1, 6):
-            seqs = _sequences(k, m)
+            step = _extensions(last, k)
+            steps.append(step)
+            last = step[:, 1]
             expected = [list(s) for s in itertools.product(range(k), repeat=m)
                         if all(a != b for a, b in zip(s, s[1:]))]
-            assert seqs.dtype == np.intp
+            seqs = _lists(steps, np.arange(len(step)))
+            assert step.dtype == np.intp and seqs.dtype == np.intp
             assert seqs.shape == (len(expected), m)
             assert seqs.tolist() == expected
+            rows = np.arange(len(step))[::-3]       # any rows, in any order
+            assert _lists(steps, rows).tolist() == [expected[r] for r in rows]
 
 
 KERNEL_SAMPLES = {
@@ -1137,38 +1213,46 @@ KERNEL_SAMPLES = {
 @pytest.mark.parametrize("distinct", [False, True])
 @pytest.mark.parametrize("name", KERNEL_SAMPLES)
 def test_vf_batch_matches_the_gather_oracle_up_to_the_caps(name, distinct):
-    """Every index list of up to 6 points over the first k <= 7 sample points."""
+    """Every index list of up to 6 points over the first k <= 7 sample points,
+    one level step per length."""
     for k in range(1, 8):
         pts = KERNEL_SAMPLES[name][:k]
         table = build_sign_table(pts) if distinct else _table_of_signs(_reference_table(pts)[1])
-        for m in range(1, 7):
-            seqs = _sequences(k, m)
-            if len(seqs):
-                assert vf_batch(table, seqs).tolist() == _batch_oracle(table, seqs).tolist()
+        level = empty_level(table, 6)
+        for m, (step, lists) in enumerate(_lex_levels(k, 6), 1):
+            level = vf_batch(level, step)
+            assert level.length == m
+            if lists:
+                seqs = np.array(lists, dtype=np.intp)
+                assert level.vf.tolist() == _batch_oracle(table, seqs).tolist()
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 4096])
+@pytest.mark.parametrize("seed", [1, 7, 4096])
 @pytest.mark.parametrize("name", KERNEL_SAMPLES)
-def test_vf_batch_on_shuffled_and_repeating_batches(name, chunk):
+def test_vf_batch_on_shuffled_and_repeating_batches(name, seed):
+    """Parents in any order and repeated, and equal neighbours (E(a, a) is the
+    zero row), carried over six levels."""
     table = build_sign_table(KERNEL_SAMPLES[name])
-    rng = np.random.default_rng(chunk)
+    rng = np.random.default_rng(seed)
+    level = empty_level(table, 6)
+    lists = np.empty((1, 0), dtype=np.intp)
     for m in range(1, 7):
-        seqs = _sequences(7, m)
-        shuffled = seqs[rng.permutation(len(seqs))[:400]]
-        # few distinct indices: equal adjacent indices, repeated rows, and
-        # (after the sort) long runs of equal prefixes
-        repeating = rng.integers(0, 3, size=(400, m)).astype(np.intp)
-        ordered = repeating[np.lexsort(repeating.T[::-1])]
-        for batch in (shuffled, repeating, ordered):
-            got = vf_batch(table, batch, chunk=chunk)
-            assert got.dtype == np.int32
-            assert got.tolist() == _batch_oracle(table, batch).tolist()
+        few = 3 if m % 2 else 7
+        step = np.column_stack([rng.integers(0, len(lists), size=400),
+                                rng.integers(0, few, size=400)]).astype(np.intp)
+        level = vf_batch(level, step)
+        lists = np.column_stack([lists[step[:, 0]], step[:, 1]])
+        assert level.vf.dtype == np.int32
+        assert level.vf.tolist() == _batch_oracle(table, lists).tolist()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 6])
 def test_vf_batch_on_an_empty_batch(m):
     table = build_sign_table(SEVEN)
-    got = vf_batch(table, np.empty((0, m), dtype=np.intp))
+    level = empty_level(table, 6)
+    for step, _ in _lex_levels(7, m - 1):
+        level = vf_batch(level, step)
+    got = vf_batch(level, np.empty((0, 2), dtype=np.intp)).vf
     assert got.dtype == np.int32 and got.shape == (0,)
 
 
@@ -1181,27 +1265,33 @@ def test_vf_batch_matches_the_gather_oracle_on_random_samples(pts, data):
     m = data.draw(st.integers(1, 6))
     batch = np.array(data.draw(st.lists(st.lists(index, min_size=m, max_size=m),
                                         min_size=1, max_size=60)), dtype=np.intp)
-    ordered = batch[np.lexsort(batch.T[::-1])]
-    chunk = data.draw(st.sampled_from([1, 3, 4096]))
     for table in (full, build_sign_table(sample)):
-        for b in (batch, ordered):
-            assert vf_batch(table, b, chunk=chunk).tolist() == _batch_oracle(table, b).tolist()
+        assert _vf_of_lists(table, batch).tolist() == _batch_oracle(table, batch).tolist()
+        depth = min(m, 4)          # every lex list; deeper levels are the caps test's
+        level = empty_level(table, depth)
+        for step, lists in _lex_levels(len(pts), depth):
+            level = vf_batch(level, step)
+        if lists:
+            seqs = np.array(lists, dtype=np.intp)
+            assert level.vf.tolist() == _batch_oracle(table, seqs).tolist()
 
 
 def test_var_exact_small_calls_vf_batch_once_per_length(monkeypatch):
-    """The benchmark reads vf_batch's second argument as the batch of lists."""
-    shapes = []
+    """The benchmark reads vf_batch's second argument as the level's lists, on axis 0."""
+    calls = []
     kernel = _vfcore.vf_batch
 
-    def spy(table, idx_batch, *args, **kwargs):
-        shapes.append((idx_batch.shape, idx_batch.dtype))
-        return kernel(table, idx_batch, *args, **kwargs)
+    def spy(prev, step, *args, **kwargs):
+        level = kernel(prev, step, *args, **kwargs)
+        calls.append((step.shape[0], step.dtype, level.length))
+        return level
 
     monkeypatch.setattr(_vfcore, "vf_batch", spy)
     var_exact_small(SampledFunction(SEVEN, SEVEN_VALUES), max_len=6)
-    assert [shape[1] for shape, _ in shapes] == [1, 2, 3, 4, 5, 6]
-    assert all(dtype == np.intp for _, dtype in shapes)
-    assert sum(shape[0] for shape, _ in shapes) == 65_317
+    assert [length for _, _, length in calls] == [1, 2, 3, 4, 5, 6]
+    assert [n for n, _, _ in calls] == [7, 42, 252, 1512, 9072, 54432]
+    assert all(dtype == np.intp for _, dtype, _ in calls)
+    assert sum(n for n, _, _ in calls) == 65_317
 
 
 # --- pair form and incremental annealing counts -------------------------------
