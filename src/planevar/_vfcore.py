@@ -117,7 +117,10 @@ one "first" row of L terms plus one pair row per consecutive pair:
   each parent's bit mask of maximal patterns (``top``, in ceil(L / 64)
   uint64 words) with the bit mask of the row, and adds up the counts, to
   find the children's own masks, only on levels that a longer level
-  extends.
+  extends. A step's parent rows need not cover the level before:
+  ``var_exact_small`` steps only the parents its branch and bound keeps,
+  each still indexed by its row in the full level, so a child's counts and
+  vf are those of full enumeration and only the dropped subtrees go unbuilt.
 * ``PackedCounts`` serves ``variation.var_search``, where P can reach ~100,
   so it computes a pair row on first use and keeps it. An annealing move
   keeps a prefix and a suffix of the current list, so the new counts are the

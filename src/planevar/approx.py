@@ -477,6 +477,12 @@ def grid_lipschitz(values: np.ndarray, X: np.ndarray, Y: np.ndarray,
     return float(row_max.max(initial=0.0))
 
 
+# The grid Lipschitz scan compares all pairs of the grid_n^2 points, 256 rows at
+# a time: at this cap each of its temporaries holds 256 * 128^2 floats (32 MiB),
+# and one scan takes a few seconds.
+MAX_GRID_N = 128
+
+
 def c2_to_poly(oracle: C2Oracle, degree: int, grid_n: int = 41,
                skip_spot_check: bool = False) -> tuple[Poly2, C2Report]:
     """Polynomial with certified-by-measurement uniform/Lipschitz error.
@@ -485,10 +491,15 @@ def c2_to_poly(oracle: C2Oracle, degree: int, grid_n: int = 41,
     first partials by antidifferentiation, and the final polynomial; measures
     all errors on a grid and checks the 2/3/4/sqrt(13) error chain against
     the measured second-derivative error. An oracle with a NaN or infinite
-    sample on that grid or at a Bernstein node is refused with ApproxError.
+    sample on that grid or at a Bernstein node is refused with ApproxError,
+    and so is a grid of fewer than 2 or more than ``MAX_GRID_N`` points per
+    side, before any oracle call.
     """
     if grid_n < 2:
         raise ApproxError(f"measurement grid needs at least 2 points per side, got {grid_n}")
+    if grid_n > MAX_GRID_N:
+        raise ApproxError(f"measurement grid takes at most {MAX_GRID_N} points per side, "
+                          f"got {grid_n}")
     if not skip_spot_check:
         oracle.spot_check()
     g_xx = bernstein2(oracle.fxx, degree, name="oracle fxx")

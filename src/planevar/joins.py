@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geom import AffineMap, Point2, Rectangle, cross, dot, to_fraction
+from .geom import AffineMap, Point2, Rectangle, common_denominator, cross, to_fraction
 from .onedim import RealFunction1D, _iota_value, var_1d
 from .variation import (
     _EXACT_MAX_POINTS,
@@ -301,23 +301,27 @@ def joins_convexly_on_sample(sigma1, sigma2) -> bool:
 
     A negative answer on finite samples is 'not verified on the sample'; the
     underlying compacts may still join convexly.
+
+    The test runs on Python integers: every coordinate of sigma1 | sigma2 is
+    lifted over one common denominator. One positive scale keeps the signs of
+    ``cross`` and ``dot`` and the test 0 <= t <= |a|^2 as they are.
     """
     s1, s2 = set(sigma1), set(sigma2)
-    inter = s1 & s2
+    pts = list(s1 | s2)
+    ints, _ = common_denominator([c for p in pts for c in (p.x, p.y)])
+    lift = {p: (ints[2 * i], ints[2 * i + 1]) for i, p in enumerate(pts)}
+    inter = [lift[p] for p in s1 & s2]
     for x in s1:
+        ox, oy = lift[x]
         for y in s2:
-            if x == y:
-                if x not in inter:
-                    return False
+            if x == y:              # a shared point joins itself
                 continue
-            found = False
-            for w in inter:
-                if cross(x, y, w) == 0:
-                    t = dot(x, y, w)
-                    if 0 <= t <= dot(x, y, y):
-                        found = True
-                        break
-            if not found:
+            yx, yy = lift[y]
+            ax, ay = yx - ox, yy - oy
+            norm_sq = ax * ax + ay * ay
+            if not any(ax * (wy - oy) == ay * (wx - ox)
+                       and 0 <= ax * (wx - ox) + ay * (wy - oy) <= norm_sq
+                       for wx, wy in inter):
                 return False
     return True
 

@@ -332,14 +332,37 @@ def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
     (parent row, index) pairs. ``_vfcore.vf_batch`` carries the counts from
     each level to the next, and a float pass extends each parent's curve
     variation by one jump, the same left-to-right sum as adding all m - 1
-    jumps. Every list within a 1e-9 relative window of the float maximum is
-    then rebuilt along its parent rows and rechecked, which is sound because
-    the float evaluation error of these short sums is ~1e-15 relative. On
-    rational values the recheck is exact and on integers: with the values
+    jumps. Every list within a 1e-9 relative window of the float maximum,
+    at or above ``best - 1e-9 * (1 + |best|)``, is then rebuilt along its
+    parent rows and rechecked, which is sound because the float evaluation
+    error of these short sums is ~1e-15 relative.
+
+    Branch and bound (Land and Doig, 1960): before a level is stepped, a
+    parent with float curve variation J, vf v and r levels left is dropped
+    when
+
+        (J + reach[last] + (r - 1) * J_max) / max(v, 1) * (1 + 1e-12)
+
+    lies below the window floor of the levels finished so far, where
+    ``reach[i]`` is the largest jump from point i and J_max the largest jump
+    of all. A descendant's curve variation is at most the numerator (its
+    first new jump starts at the parent's last point), and its vf is at
+    least v, since appending a point never lowers vf. The 1e-12 slack
+    covers the float rounding of both sides, a few ulps for six terms. The
+    floor only rises as levels finish, so no dropped list could have
+    entered the final window: the window, the rechecked lists, the value
+    and the witness are the ones full enumeration gives. A level that no
+    parent survives into is not stepped.
+
+    On rational values the recheck is exact and on integers: with the values
     lifted to z_i over one denominator D, a list's value is
-    Fraction(sum of |z_i - z_{i-1}|, D * vf). ``stats`` names the
-    ``exact_path`` (``rational`` or ``float``) and counts the ``rechecked``
-    lists.
+    (sum of |z_i - z_{i-1}|) / (D * vf). The window's lists are compared as
+    (jump sum, vf) pairs by cross-multiplying, and only the winner becomes a
+    Fraction. Ties go to the fewest points, then the smallest sequence of point
+    ranks in (x, y) order, which is ``_witness_key``'s order since sample
+    points are distinct. ``stats`` names the ``exact_path`` (``rational`` or
+    ``float``), counts the ``rechecked`` lists and gives the ``lists``
+    stepped at each level after pruning.
     """
     k = len(f.points)
     if k > _EXACT_MAX_POINTS:
@@ -352,42 +375,66 @@ def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
     table = _vfcore.build_sign_table(f.points)
     top = 1 if k == 1 else max_len
     # row k: the jump from the empty list, 0
-    jumps = np.concatenate([_diff_matrix(f), np.zeros((1, k))]).ravel()
+    jumps = np.concatenate([_diff_matrix(f), np.zeros((1, k))])
+    reach = jumps.max(axis=1)
+    j_max = float(reach.max())
+    jumps = jumps.ravel()
 
     steps: list[np.ndarray] = []
     per_len: list[tuple[np.ndarray, np.ndarray]] = []
     level = _vfcore.empty_level(table, top)
     cv = np.zeros(1)
-    for _ in range(top):
-        step = _extensions(level.last, k)
+    best_float = threshold = None
+    for left in range(top, 0, -1):
+        parents = np.arange(len(cv))
+        if threshold is not None:
+            bound = ((cv + np.take(reach, level.last) + (left - 1) * j_max)
+                     / np.maximum(level.vf, 1) * (1 + 1e-12))
+            parents = parents[~(bound < threshold)]
+            if not len(parents):
+                break
+        step = _extensions(np.take(level.last, parents), k)
+        step[:, 0] = np.take(parents, step[:, 0])
         parent = step[:, 0]
         cv = np.take(cv, parent) + np.take(jumps, np.take(level.last, parent) * k + step[:, 1])
         level = _vfcore.vf_batch(level, step)
         steps.append(step)
-        per_len.append((level.vf, cv / np.maximum(level.vf, 1)))
-    best_float = max(float(obj.max()) for _, obj in per_len)
+        obj = cv / np.maximum(level.vf, 1)
+        per_len.append((level.vf, obj))
+        level_best = float(obj.max())
+        best_float = level_best if best_float is None else max(best_float, level_best)
+        threshold = best_float - 1e-9 * (1.0 + abs(best_float))
 
-    threshold = best_float - 1e-9 * (1.0 + abs(best_float))
     rational = f.is_rational_real
     if rational:
         z, den = common_denominator(f.values)
-    candidates = []             # (value, list, vf), shortest lists first
+        zjump = [[abs(b - a) for b in z] for a in z]
+    rank = [0] * k
+    for r, i in enumerate(sorted(range(k), key=lambda i: (f.points[i].x, f.points[i].y))):
+        rank[i] = r
+
+    window = []                 # (score, q, list, vf): the list's value is score / q
     for m, (vf, obj) in enumerate(per_len, 1):
         rows = np.flatnonzero(obj >= threshold)
-        seqs = _lists(steps[:m], rows).tolist()
-        vfs = vf[rows].tolist()
+        if not len(rows):
+            continue
+        seqs, vfs = _lists(steps[:m], rows).tolist(), vf[rows].tolist()
         if rational:
-            values = [Fraction(sum(abs(z[b] - z[a]) for a, b in zip(seq, seq[1:])), den * v)
-                      for seq, v in zip(seqs, vfs)]
+            window += [(sum(zjump[a][b] for a, b in zip(seq, seq[1:])), v, seq, v)
+                       for seq, v in zip(seqs, vfs)]
         else:
-            values = obj[rows].tolist()
-        candidates += zip(values, seqs, vfs)
-    # witness order among the lists of the largest value: fewest points, then coordinates
-    best = max(value for value, _, _ in candidates)
-    value, seq, vf = min((c for c in candidates if c[0] == best),
-                         key=lambda c: _witness_key(f, c[0], c[1]))
+            window += [(o, 1, seq, v) for seq, v, o in zip(seqs, vfs, obj[rows].tolist())]
+    top, top_q = window[0][:2]
+    for score, q, _, _ in window:
+        if score * top_q > top * q:
+            top, top_q = score, q
+    # among the lists of the largest value: fewest points, then smallest point ranks
+    score, q, seq, vf = min((c for c in window if c[0] * top_q == top * c[1]),
+                            key=lambda c: (len(c[2]), [rank[i] for i in c[2]]))
+    value = Fraction(score, den * q) if rational else score
     stats = {"table_rows": table.n_lines, "distinct_rows": len(table.signs),
-             "exact_path": "rational" if rational else "float", "rechecked": len(candidates)}
+             "exact_path": "rational" if rational else "float", "rechecked": len(window),
+             "lists": tuple(len(step) for step in steps)}
     return VarEstimate(value=value, witness=tuple(f.points[i] for i in seq), witness_vf=vf,
                        exact=True, method="exhaustive_small", stats=stats)
 

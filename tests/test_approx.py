@@ -13,6 +13,7 @@ from planevar.geom import P, Rectangle
 from planevar.variation import SampledFunction, SearchConfig, var_search
 from planevar.ctpp import interpolate_grid
 from planevar.approx import (
+    MAX_GRID_N,
     ApproxError,
     C2Oracle,
     InconsistentOracle,
@@ -435,6 +436,17 @@ def test_c2_to_poly_refuses_non_finite_oracle_samples():
                           fxx=zero, fxy=zero, fyy=zero)
         with pytest.raises(ApproxError, match=rf"oracle {what} is not finite at \(0.0, 0.0\)"):
             c2_to_poly(oracle, 4, skip_spot_check=True)
+
+
+def test_c2_to_poly_refuses_a_grid_past_the_cap_before_any_oracle_call():
+    def untouched(x, y):
+        raise AssertionError("the oracle was called")
+
+    oracle = C2Oracle(f=untouched, fx=untouched, fy=untouched,
+                      fxx=untouched, fxy=untouched, fyy=untouched)
+    assert MAX_GRID_N == 128
+    with pytest.raises(ApproxError, match="at most 128 points per side, got 129"):
+        c2_to_poly(oracle, 4, grid_n=MAX_GRID_N + 1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0)])

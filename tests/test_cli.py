@@ -464,6 +464,15 @@ def test_approx_c2_degenerate_grid_is_typed_error(grid):
     assert out == ""
 
 
+def test_approx_c2_grid_past_the_cap_is_typed_error():
+    # one past approx.MAX_GRID_N; a grid of 2^63 once ended in an IndexError traceback
+    code, out, err = run_cli("approx", "c2", "--builtin", "sin_exp", "--grid", "129")
+    assert_single_error(code, err, "ApproxError")
+    assert err.splitlines() == ["error:ApproxError:measurement grid takes at most 128 "
+                                "points per side, got 129"]
+    assert out == ""
+
+
 def test_join_fills_refuse_zero_subdivision(tmp_path):
     fn = tmp_path / "f.json"
     fn.write_text(json.dumps({"points": [[-1, 1], [0, 0], [1, 1]], "values": [1, 0, 1]}))

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from planevar.geom import P, Rectangle
+from planevar.geom import P, Rectangle, cross, dot
 from planevar.variation import (
     SampledFunction,
     SearchConfig,
@@ -296,3 +298,50 @@ class TestJoinReport:
         r = join_report(f, s1, s2)
         assert not r.joins_convexly  # vacuously fails on disjoint samples
         assert r.lower_ok            # restriction monotonicity always holds
+
+
+def _joins_convexly_fraction_oracle(sigma1, sigma2) -> bool:
+    """``joins_convexly_on_sample`` as geom's Fraction ``cross`` and ``dot`` on the
+    points as given, with no integer lift."""
+    s1, s2 = set(sigma1), set(sigma2)
+    inter = s1 & s2
+    for x in s1:
+        for y in s2:
+            if x == y:
+                if x not in inter:
+                    return False
+                continue
+            found = False
+            for w in inter:
+                if cross(x, y, w) == 0:
+                    t = dot(x, y, w)
+                    if 0 <= t <= dot(x, y, y):
+                        found = True
+                        break
+            if not found:
+                return False
+    return True
+
+
+join_coords = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+# (x, y, side): the point goes to sigma1 (0), sigma2 (1) or both (2)
+join_members = st.lists(st.tuples(join_coords, join_coords, st.integers(0, 2)),
+                        min_size=1, max_size=8, unique_by=lambda m: m[:2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(join_members, st.booleans())
+# a collinear split sharing its middle point, which joins
+@example([(-2, 0, 0), (-1, 0, 0), (0, 0, 2), (1, 0, 1), (2, 0, 1)], False)
+# the same split with the middle point in sigma1 only, which does not
+@example([(-2, 0, 0), (-1, 0, 0), (0, 0, 0), (1, 0, 1), (2, 0, 1)], False)
+# a shared chord with one point on either side of it, which does not
+@example([(0, 0, 2), (3, 3, 2), (1, 2, 0), (2, 1, 1)], False)
+def test_joins_convexly_on_sample_matches_the_fraction_oracle(members, on_line):
+    """on_line moves every point to y = x/3 + 1/2, where splits join."""
+    placed = {}
+    for x, y, side in members:
+        placed.setdefault(P(x, Fraction(x) / 3 + Fraction(1, 2)) if on_line else P(x, y), side)
+    s1 = [p for p, side in placed.items() if side != 1]
+    s2 = [p for p, side in placed.items() if side != 0]
+    assert joins_convexly_on_sample(s1, s2) == _joins_convexly_fraction_oracle(s1, s2)

@@ -1072,7 +1072,12 @@ def _fraction_cvar(values) -> Fraction:
     return sum((abs(Fraction(b) - Fraction(a)) for a, b in zip(values, values[1:])), Fraction(0))
 
 
-def _var_exact_small_oracle(f, max_len):
+def _float_cvar(values) -> float:
+    """Sum of |jumps| as complex floats, left to right, the order of the float pass."""
+    return sum(abs(complex(b) - complex(a)) for a, b in zip(values, values[1:]))
+
+
+def _var_exact_small_oracle(f, max_len, jump_total=_fraction_cvar):
     """(value, witness, witness_vf) by scoring every list with the pattern oracle
     and the lex-smallest tie-break: largest value, fewest points, smallest
     coordinates."""
@@ -1083,7 +1088,7 @@ def _var_exact_small_oracle(f, max_len):
                 continue
             pts = tuple(f.points[i] for i in seq)
             vf = _oracle_vf(pts)
-            value = _fraction_cvar([f.values[i] for i in seq]) / vf
+            value = jump_total([f.values[i] for i in seq]) / vf
             key = (-value, m, tuple((p.x, p.y) for p in pts))
             if best is None or key < best[0]:
                 best = (key, value, pts, vf)
@@ -1125,6 +1130,49 @@ def test_var_exact_small_matches_the_pattern_oracle(pts, data):
     max_len = data.draw(st.integers(1, 4))
     est = var_exact_small(f, max_len)
     assert (est.value, est.witness, est.witness_vf) == _var_exact_small_oracle(f, max_len)
+
+
+# Branch and bound drops a parent against the window of the levels finished so
+# far. Equal values leave J_max = 0, two values tie across many lists, complex
+# values take the float path, and the lists pin how much each sample prunes.
+@pytest.mark.parametrize("values, jump_total, lists", [
+    ((Fraction(3, 2),) * 6, _fraction_cvar, (6, 30, 150, 750)),
+    ((0, 1, 1, 0, 1, 0), _fraction_cvar, (6, 30, 150, 630)),
+    (SEVEN_COMPLEX[:6], _float_cvar, (6, 30, 150, 320)),
+    (SEVEN_VALUES[:6], _fraction_cvar, (6, 30, 150, 255)),
+], ids=["all-equal", "two-valued", "complex", "rational"])
+def test_var_exact_small_pruning_matches_the_oracle(values, jump_total, lists):
+    f = SampledFunction(SEVEN[:6], values)
+    est = var_exact_small(f, max_len=4)
+    assert (est.value, est.witness, est.witness_vf) == _var_exact_small_oracle(f, 4, jump_total)
+    assert est.stats["lists"] == lists
+
+
+def _unpruned_maximum(f, max_len):
+    """(value, witness, witness_vf) over every list of the lex levels, each list's
+    vf stepped by ``vf_batch`` with no pruning and its value in Fractions."""
+    table = build_sign_table(f.points)
+    level = empty_level(table, max_len)
+    best = None
+    for step, lists in _lex_levels(len(f.points), max_len):
+        level = vf_batch(level, step)
+        for seq, vf in zip(lists, level.vf.tolist()):
+            value = _fraction_cvar([f.values[i] for i in seq]) / vf
+            key = (-value, len(seq), tuple((f.points[i].x, f.points[i].y) for i in seq))
+            if best is None or key < best[0]:
+                best = (key, value, tuple(f.points[i] for i in seq), vf)
+    return best[1:]
+
+
+def test_var_exact_small_skips_a_level_that_no_parent_survives_into():
+    """Four collinear points carry the maximum at vf 1. Every five-point parent's
+    bound lies below the window, so the six-point level is never stepped."""
+    pts = (P(2, -2), P(-3, 1), P(1, 1), P(3, -3), P(-3, 3), P(-2, 2))
+    f = SampledFunction(pts, (50, -5, -5, -2, 2, -50))
+    est = var_exact_small(f, max_len=6)
+    assert est.stats["lists"] == (6, 30, 150, 550, 20)
+    assert (est.value, est.witness, est.witness_vf) == _unpruned_maximum(f, 6)
+    assert (est.value, est.witness_vf) == (204, 1)
 
 
 # --- prefix-shared batch kernel -----------------------------------------------
@@ -1287,11 +1335,13 @@ def test_var_exact_small_calls_vf_batch_once_per_length(monkeypatch):
         return level
 
     monkeypatch.setattr(_vfcore, "vf_batch", spy)
-    var_exact_small(SampledFunction(SEVEN, SEVEN_VALUES), max_len=6)
+    est = var_exact_small(SampledFunction(SEVEN, SEVEN_VALUES), max_len=6)
     assert [length for _, _, length in calls] == [1, 2, 3, 4, 5, 6]
-    assert [n for n, _, _ in calls] == [7, 42, 252, 1512, 9072, 54432]
+    # branch and bound: full enumeration steps [7, 42, 252, 1512, 9072, 54432]
+    assert [n for n, _, _ in calls] == [7, 42, 252, 1512, 2148, 468]
+    assert tuple(n for n, _, _ in calls) == est.stats["lists"]
     assert all(dtype == np.intp for _, dtype, _ in calls)
-    assert sum(n for n, _, _ in calls) == 65_317
+    assert sum(n for n, _, _ in calls) == 4_429
 
 
 # --- pair form and incremental annealing counts -------------------------------
