@@ -104,23 +104,13 @@ one "first" row of L terms plus one pair row per consecutive pair:
   ``_EXACT_MAX_POINTS = 7``, so ``empty_level`` tabulates every pair row and
   every first row once per table, (P + 1) * P * L cells. A call steps from
   one level of lists to the next: a list of length m is a list of length
-  m - 1, its parent, plus one index, so its count vector is the parent's c
-  plus one 0/1 row e (the first row when the parent is the empty list, whose
-  counts are all 0). Its vf then follows from the parent's, v = max c, by
-  one bit:
-
-      vf(child) = v + [e_i = 1 for some pattern i with c_i = v].
-
-  Proof: an entry c_i + e_i is v + 1 exactly when c_i = v and e_i = 1, and
-  never more. Otherwise every entry is at most v (c_i < v gives c_i + e_i
-  <= v), and a pattern with c_i = v still holds v. So a level step ANDs
-  each parent's bit mask of maximal patterns (``top``, in ceil(L / 64)
-  uint64 words) with the bit mask of the row, and adds up the counts, to
-  find the children's own masks, only on levels that a longer level
-  extends. A step's parent rows need not cover the level before:
-  ``var_exact_small`` steps only the parents its branch and bound keeps,
-  each still indexed by its row in the full level, so a child's counts and
-  vf are those of full enumeration and only the dropped subtrees go unbuilt.
+  m - 1, its parent, plus one index, so its count vector is the parent's
+  plus one 0/1 row (the first row when the parent is the empty list, whose
+  counts are all 0), and its vf is the largest entry of that sum. A step's
+  parent rows need not cover the level before: ``var_exact_small`` steps
+  only the parents its branch and bound keeps, each still indexed by its
+  row in the full level, so a child's counts and vf are those of full
+  enumeration and only the dropped subtrees go unbuilt.
 * ``PackedCounts`` serves ``variation.var_search``, where P can reach ~100,
   so it computes a pair row on first use and keeps it. An annealing move
   keeps a prefix and a suffix of the current list, so the new counts are the
@@ -532,78 +522,49 @@ class PackedCounts:
         return t
 
 
-def _words(mask: np.ndarray) -> np.ndarray:
-    """(W, N) uint64 bit words of an (N, L) boolean mask, W = ceil(L / 64): word w of
-    row i holds mask[i, 64w .. 64w + 63]. Only ANDs and tests for zero read
-    them, so the byte order inside a word does not matter."""
-    n, n_bits = mask.shape
-    padded = np.zeros((n, -(-n_bits // 64) * 64), dtype=bool)
-    padded[:, :n_bits] = mask
-    return np.ascontiguousarray(np.packbits(padded, axis=1).view(np.uint64).T)
-
-
 @dataclass(frozen=True)
 class _LevelRows:
     """The rows a level step adds: row a * P + b is E(a, b) over the table's
     patterns, and row P * P + b is [s_b = 0], the step from the empty list."""
 
     dense: np.ndarray      # ((P + 1) * P, L) in ``_count_dtype(max_len)``
-    words: np.ndarray      # the same rows as ``_words``
     n_pts: int
-    max_len: int
 
 
 @dataclass(frozen=True)
 class Level:
-    """Index lists of one length, each a list of the level before plus one index.
-
-    ``counts`` and ``top`` are kept only while a longer level can follow: each
-    list's count on every pattern, and the ``_words`` of the patterns on which
-    that count is the list's vf.
-    """
+    """Index lists of one length, each a list of the level before plus one index,
+    with each list's count on every pattern and its vf, the largest of them."""
 
     rows: _LevelRows
     length: int
     last: np.ndarray             # (N,) each list's last index; P for the empty list
     vf: np.ndarray               # (N,) int32
-    counts: np.ndarray | None    # (N, L)
-    top: np.ndarray | None       # (W, N) uint64
+    counts: np.ndarray           # (N, L)
 
 
 def empty_level(table: SignTable, max_len: int) -> Level:
-    """The level of the empty list, the root of lists of at most ``max_len`` points:
-    count 0 on every pattern, so every pattern is at its vf, 0."""
+    """The level of the empty list, the root of lists of at most ``max_len`` points,
+    with count 0 on every pattern; ``max_len`` picks the counts' dtype."""
     S = table.signs.T                                    # (P, L)
     n_pts, n_rows = S.shape
     terms = np.concatenate([_pair_terms(S[:, None, :], S[None, :, :]).reshape(-1, n_rows),
                             S == 0])
-    rows = _LevelRows(dense=terms.astype(_count_dtype(max_len)), words=_words(terms),
-                      n_pts=n_pts, max_len=max_len)
-    counts = np.zeros((1, n_rows), dtype=rows.dense.dtype)
+    rows = _LevelRows(dense=terms.astype(_count_dtype(max_len)), n_pts=n_pts)
     return Level(rows=rows, length=0, last=np.array([n_pts]), vf=np.zeros(1, dtype=np.int32),
-                 counts=counts, top=_words(counts == 0))
+                 counts=np.zeros((1, n_rows), dtype=rows.dense.dtype))
 
 
 def vf_batch(prev: Level, step: np.ndarray) -> Level:
     """The level one index longer than ``prev``: list i is list ``step[i, 0]`` of
     ``prev`` followed by index ``step[i, 1]``; ``step`` is an (N, 2) intp array.
 
-    A list's counts are its parent's plus one 0/1 row, so its vf is the
-    parent's plus 1 exactly when the row has a 1 on a pattern where the
-    parent's count is the parent's vf ("Pair form" in the module docstring):
-    one AND of bit words per list. Counts are added up only on levels
-    shorter than ``max_len``, whose lists a longer level extends.
+    A list's counts are its parent's plus one 0/1 row, and its vf is their
+    largest entry ("Pair form" in the module docstring).
     """
     parent, index = step[:, 0], step[:, 1]
     rows = prev.rows
     code = np.take(prev.last, parent) * rows.n_pts + index
-    hit = np.zeros(len(step), dtype=np.uint64)
-    for top, row in zip(prev.top, rows.words):
-        hit |= np.take(top, parent) & np.take(row, code)
-    vf = np.take(prev.vf, parent) + (hit != 0)
-    length = prev.length + 1
-    if length == rows.max_len:
-        return Level(rows=rows, length=length, last=index, vf=vf, counts=None, top=None)
     counts = np.take(prev.counts, parent, axis=0) + np.take(rows.dense, code, axis=0)
-    return Level(rows=rows, length=length, last=index, vf=vf, counts=counts,
-                 top=_words(counts == vf[:, None]))
+    return Level(rows=rows, length=prev.length + 1, last=index,
+                 vf=counts.max(axis=1).astype(np.int32), counts=counts)

@@ -307,6 +307,17 @@ def _bernstein_to_monomial(d: int) -> list[list[int]]:
     return T
 
 
+# The degree at which c2_to_poly_auto stops doubling. The exact node grid and
+# conversion matrix hold (degree + 1)^2 rationals each, and c2_to_poly on the
+# sin_exp oracle at this degree took 16 s on a 2-core VM.
+MAX_DEGREE = 64
+
+
+def _refuse_large_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ApproxError(f"degree must be <= {MAX_DEGREE}, got {degree}")
+
+
 def bernstein2(g, degree: int, *, name: str = "oracle") -> Poly2:
     """Tensor Bernstein approximant of g on the unit square, monomial form.
 
@@ -314,10 +325,12 @@ def bernstein2(g, degree: int, *, name: str = "oracle") -> Poly2:
     univariate-convex data the approximant decreases pointwise as the degree
     grows. ``g`` is called at the rational nodes (i/d, j/d); a NaN or
     infinite value there is refused with ApproxError, whose message calls
-    ``g`` by ``name``.
+    ``g`` by ``name``, and so is a degree above ``MAX_DEGREE``, before ``g``
+    is called.
     """
     if degree < 1:
         raise ApproxError("degree must be >= 1")
+    _refuse_large_degree(degree)
     d = degree
 
     def node(x, y):
@@ -493,8 +506,9 @@ def c2_to_poly(oracle: C2Oracle, degree: int, grid_n: int = 41,
     the measured second-derivative error. An oracle with a NaN or infinite
     sample on that grid or at a Bernstein node is refused with ApproxError,
     and so is a grid of fewer than 2 or more than ``MAX_GRID_N`` points per
-    side, before any oracle call.
+    side, or a degree above ``MAX_DEGREE``, before any oracle call.
     """
+    _refuse_large_degree(degree)
     if grid_n < 2:
         raise ApproxError(f"measurement grid needs at least 2 points per side, got {grid_n}")
     if grid_n > MAX_GRID_N:
@@ -559,7 +573,7 @@ def c2_to_poly(oracle: C2Oracle, degree: int, grid_n: int = 41,
 
 
 def c2_to_poly_auto(oracle: C2Oracle, eps_target: float = 1e-3,
-                    max_degree: int = 64, grid_n: int = 41) -> tuple[Poly2, C2Report]:
+                    max_degree: int = MAX_DEGREE, grid_n: int = 41) -> tuple[Poly2, C2Report]:
     """Default degree policy: double from 4 until the measured
     second-derivative error reaches the target or the degree cap."""
     oracle.spot_check()

@@ -443,6 +443,7 @@ def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
 # simulated annealing search
 
 MAX_RESTARTS = 100_000   # restarts of one search; each runs a whole annealing schedule
+MAX_ITERS = 10_000_000   # proposals of one restart
 COOLING = 0.995          # the temperature's factor per proposal
 
 
@@ -462,6 +463,8 @@ class SearchConfig:
             raise VariationError(f"restarts must be <= {MAX_RESTARTS}, got {self.restarts}")
         if self.iters < 0:
             raise VariationError(f"iters must be >= 0, got {self.iters}")
+        if self.iters > MAX_ITERS:
+            raise VariationError(f"iters must be <= {MAX_ITERS}, got {self.iters}")
         if self.max_len < 2:
             raise VariationError(f"max_len must be >= 2, got {self.max_len}")
 

@@ -13,6 +13,7 @@ from planevar.geom import P, Rectangle
 from planevar.variation import SampledFunction, SearchConfig, var_search
 from planevar.ctpp import interpolate_grid
 from planevar.approx import (
+    MAX_DEGREE,
     MAX_GRID_N,
     ApproxError,
     C2Oracle,
@@ -447,6 +448,19 @@ def test_c2_to_poly_refuses_a_grid_past_the_cap_before_any_oracle_call():
     assert MAX_GRID_N == 128
     with pytest.raises(ApproxError, match="at most 128 points per side, got 129"):
         c2_to_poly(oracle, 4, grid_n=MAX_GRID_N + 1)
+
+
+def test_degree_past_the_cap_is_refused_before_any_oracle_call():
+    def untouched(x, y):
+        raise AssertionError("the oracle was called")
+
+    oracle = C2Oracle(f=untouched, fx=untouched, fy=untouched,
+                      fxx=untouched, fxy=untouched, fyy=untouched)
+    assert MAX_DEGREE == 64
+    with pytest.raises(ApproxError, match="degree must be <= 64, got 65"):
+        bernstein2(untouched, MAX_DEGREE + 1)
+    with pytest.raises(ApproxError, match="degree must be <= 64, got 65"):
+        c2_to_poly(oracle, MAX_DEGREE + 1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0)])

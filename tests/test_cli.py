@@ -310,6 +310,28 @@ def test_var_huge_restart_count_is_refused_before_the_search(square_fx, monkeypa
                             "got 99999999999999999999\n")
 
 
+def test_var_iters_past_the_cap_is_refused_before_the_search(square_fx, monkeypatch, capsys):
+    """One past variation.MAX_ITERS is refused when SearchConfig is built."""
+    def never(*args, **kwargs):
+        raise AssertionError("var_search ran")
+
+    monkeypatch.setattr(cli, "var_search", never)
+    code = main(["var", "--fn", square_fx, "--mode", "search", "--iters", "10000001"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error:VariationError:iters must be <= 10000000, got 10000001\n"
+
+
+@pytest.mark.parametrize("cmd", [["approx", "bernstein"], ["approx", "c2"]])
+def test_approx_degree_past_the_cap_is_typed_error(cmd, capsys):
+    # one past approx.MAX_DEGREE; a degree of 2^63 once ran with no end in sight
+    code = main(cmd + ["--builtin", "sin_exp", "--degree", "65"])
+    captured = capsys.readouterr()
+    assert_single_error(code, captured.err, "ApproxError")
+    assert captured.err == "error:ApproxError:degree must be <= 64, got 65\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("text", ['{"coeffs": []}', '{"coeffs": [[]]}'])
 def test_approx_bernstein_empty_poly_is_typed_error(tmp_path, text):
     path = tmp_path / "p.json"

@@ -34,6 +34,7 @@ from planevar.geom import (
 )
 from planevar.suite import _crossing_count_reference, vf_pattern_oracle
 from planevar.variation import (
+    MAX_ITERS,
     MAX_RESTARTS,
     _Draws,
     _draw_skipping,
@@ -513,7 +514,8 @@ def test_vf_exact_refuses_the_same_sets_with_the_same_text():
         _vfcore._refuse_large_family(101)
 
 
-@pytest.mark.parametrize("bad", [dict(restarts=0), dict(iters=-1), dict(max_len=1)])
+@pytest.mark.parametrize("bad", [dict(restarts=0), dict(iters=-1), dict(iters=MAX_ITERS + 1),
+                                 dict(max_len=1)])
 def test_search_config_rejects_bad_values(bad):
     with pytest.raises(VariationError):
         SearchConfig(**bad)
@@ -1279,7 +1281,7 @@ def test_vf_batch_matches_the_gather_oracle_up_to_the_caps(name, distinct):
 @pytest.mark.parametrize("name", KERNEL_SAMPLES)
 def test_vf_batch_on_shuffled_and_repeating_batches(name, seed):
     """Parents in any order and repeated, and equal neighbours (E(a, a) is the
-    zero row), carried over six levels."""
+    zero row), carried over six levels, counts and vf alike."""
     table = build_sign_table(KERNEL_SAMPLES[name])
     rng = np.random.default_rng(seed)
     level = empty_level(table, 6)
@@ -1292,6 +1294,8 @@ def test_vf_batch_on_shuffled_and_repeating_batches(name, seed):
         lists = np.column_stack([lists[step[:, 0]], step[:, 1]])
         assert level.vf.dtype == np.int32
         assert level.vf.tolist() == _batch_oracle(table, lists).tolist()
+        # counts carry every level's vf, the last one's included
+        assert level.counts.tolist() == _segment_rule_counts(table.signs[:, lists]).T.tolist()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 6])
