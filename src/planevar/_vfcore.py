@@ -113,25 +113,28 @@ one "first" row of L terms plus one pair row per consecutive pair:
   enumeration and only the dropped subtrees go unbuilt.
 * ``PackedCounts`` serves ``variation.var_search``, where P can reach ~100,
   so it computes a pair row on first use and keeps it. An annealing move
-  keeps a prefix and a suffix of the current list, so the new counts are the
-  old ones minus the pair rows of the old middle plus those of the new
-  middle: one to four rows for insert, delete and replace, at most two per
-  list position for swap and reverse. Its rows are not arrays but Python
-  ints, one field of w = ``max_len.bit_length() + 1`` bits per pattern
-  (SIMD within a register; Lamport, "Multiple byte processing with
-  full-word instructions", CACM 18(8), 1975). Point p keeps two masks,
+  keeps a prefix of c and a suffix of d entries of the current list, and
+  ``variation._propose`` returns that span with the new list, so ``delta``
+  scans nothing: the new counts are the old ones minus the pair rows of the
+  old middle plus those of the new middle, one to four rows for insert,
+  delete and replace, at most two per list position for swap and reverse.
+  Its rows are not arrays but Python ints, one field of w =
+  ``max_len.bit_length() + 1`` bits per pattern (SIMD within a register;
+  Lamport, "Multiple byte processing with full-word instructions", CACM
+  18(8), 1975). Point p keeps two masks,
   pos_p and neg_p, with a 1 at bit w*i where pattern i gives p the sign +1
-  or -1; so E(a, b) = (pos_a & ~pos_b) | (neg_a & ~neg_b), the first row of
-  p is the mask of its zero signs, and adding or removing a row is one
-  integer + or -. Integers are exact, so the fields of a list's counts are
-  its counts, each in [0, max_len] < 2^(w-1), and no borrow crosses a field.
-  The largest field is found by probing: with ONES the mask of every field's
-  bit 0 and HIGH that of its top bit, some field is >= t (1 <= t <=
-  2^(w-1)) exactly when (X + (2^(w-1) - t) * ONES) & HIGH != 0, since no
-  field then carries out. The probe steps t up or down from a hint, the
-  count of the list one move before, so a proposal usually costs two
-  probes. The constants are kept for the t probed, never for every t up to
-  ``max_len``, which has no upper bound.
+  or -1, and their complements within the fields; so E(a, b) = (pos_a &
+  ~pos_b) | (neg_a & ~neg_b), the first row of p is the mask of its zero
+  signs, and adding or removing a row is one integer + or -. Integers are
+  exact, so the fields of a list's counts are its counts, each in [0,
+  max_len] < 2^(w-1), no borrow crosses a field, and any valid span gives
+  the same int. The largest field is found by probing: with ONES the mask
+  of every field's bit 0 and HIGH that of its top bit, some field is >= t
+  (1 <= t <= 2^(w-1)) exactly when (X + (2^(w-1) - t) * ONES) & HIGH != 0,
+  since no field then carries out. The probe steps t up or down from a
+  hint, the count of the list one move before, so a proposal usually costs
+  two probes. The constants are kept for the t probed, never for every t
+  up to ``max_len``, which has no upper bound.
 
 One list: per-direction sweep
 -----------------------------
@@ -351,13 +354,19 @@ def _dense_ranks(points: tuple[Point2, ...]):
 
 
 def build_sign_table(points: tuple[Point2, ...]) -> SignTable:
-    """The distinct sign patterns of the candidate family on ``points``, off the ranks."""
+    """The distinct sign patterns of the candidate family on ``points``, off the ranks.
+
+    The signs are filled in int16: ``_refuse_large_family`` keeps the distinct
+    points k to about 100, so a rank r_p and a position pos lie below 2k <= 200
+    and 2 r_p - pos lies in (-200, 200), well inside int16's range.
+    """
     _, normals, _, per_dir, rank = _dense_ranks(points)
     cells = 2 * per_dir - 1                              # positions 0..2d-2 per direction
     line_dir = np.repeat(np.arange(len(cells)), cells)
-    line_pos = np.arange(len(line_dir)) - np.repeat(np.cumsum(cells) - cells, cells)
-    twice = 2 * rank
-    flip = np.where(normals[:, 0] < 0, -1, 1)[:, None]
+    line_pos = (np.arange(len(line_dir))
+                - np.repeat(np.cumsum(cells) - cells, cells)).astype(np.int16)
+    twice = (2 * rank).astype(np.int16)
+    flip = np.where(normals[:, 0] < 0, np.int16(-1), np.int16(1))[:, None]
     signs = np.empty((len(line_dir), rank.shape[1]), dtype=np.int8)
     for start in range(0, len(line_dir), _SIGN_BLOCK):
         block = slice(start, start + _SIGN_BLOCK)
@@ -442,32 +451,35 @@ class PackedCounts:
     """
 
     def __init__(self, table: SignTable, max_len: int):
-        n_rows, self._n_pts = table.signs.shape
+        S = table.signs.T                                   # (P, L)
+        self._n_pts, n_rows = S.shape
         w = max_len.bit_length() + 1
-        fields = np.zeros((n_rows, w), dtype=bool)
 
-        def mask(column) -> int:                # bit w*i set where column[i] holds
-            fields[:, 0] = column
-            return int.from_bytes(np.packbits(fields, bitorder="little").tobytes(), "little")
+        def masks(cond: np.ndarray) -> list[int]:
+            """Per point, the int with bit w*i set where ``cond[point, i]`` holds."""
+            fields = np.zeros((len(cond), n_rows, w), dtype=bool)
+            fields[:, :, 0] = cond
+            packed = np.packbits(fields.reshape(len(cond), -1), axis=1, bitorder="little")
+            return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
-        self._pos = [mask(col > 0) for col in table.signs.T]
-        self._neg = [mask(col < 0) for col in table.signs.T]
-        ones = mask(True)
+        self._pos, self._neg = masks(S > 0), masks(S < 0)
+        ones = masks(np.ones((1, n_rows), dtype=bool))[0]
+        # E(a, b) = (pos_a & ~pos_b) | (neg_a & ~neg_b) reads the complements as
+        # non-negative masks: & with a negative int costs about twice as much
+        self._not_pos = [ones ^ pos for pos in self._pos]
+        self._not_neg = [ones ^ neg for neg in self._neg]
         self._first = [ones ^ pos ^ neg for pos, neg in zip(self._pos, self._neg)]
-        self._ones = ones
-        self._half = 1 << (w - 1)
         self._high = ones << (w - 1)            # each field's top bit
-        self._pairs: dict[int, int] = {}
-        self._offsets: dict[int, int] = {}      # t -> (2^(w-1) - t) * ones, for probed t only
+        self._pairs: dict[int, int] = {}        # a * P + b -> E(a, b), for the pairs met
+        self._offsets = _Offsets(1 << (w - 1), ones)    # for the t probed only
 
     def _pair(self, a: int, b: int) -> int:
         """E(a, b) over every pattern: 1 where a is off the line and b not on its side."""
         key = a * self._n_pts + b
         row = self._pairs.get(key)
         if row is None:
-            pos, neg = self._pos, self._neg
-            row = (pos[a] & ~pos[b]) | (neg[a] & ~neg[b])
-            self._pairs[key] = row
+            row = self._pairs[key] = ((self._pos[a] & self._not_pos[b])
+                                      | (self._neg[a] & self._not_neg[b]))
         return row
 
     def full(self, idx) -> int:
@@ -477,49 +489,68 @@ class PackedCounts:
             counts += self._pair(idx[p], idx[p + 1])
         return counts
 
-    def delta(self, counts: int, old, new) -> int:
-        """Packed count vector of list ``new``, given ``counts`` of list ``old``.
+    def delta(self, counts: int, old, new, c: int, d: int) -> int:
+        """Packed count vector of list ``new``, given ``counts`` of list ``old``,
+        where the two lists share their first ``c`` and their last ``d`` entries
+        and c + d <= min(len(old), len(new)), as the move that made ``new`` says.
 
-        The sums are exact integers, so every field of the result is the new
-        count, in [0, ``max_len``], and no borrow between fields survives.
+        Only the pairs that touch the middles change. The sums are exact
+        integers, so every field of the result is the new count, in [0,
+        ``max_len``], no borrow between fields survives, and every valid span,
+        (0, 0) included, gives the same int.
         """
-        n, m = len(old), len(new)
-        top = min(n, m)
-        c = 0                                # common prefix
-        while c < top and old[c] == new[c]:
-            c += 1
-        d = 0                                # common suffix, disjoint from the prefix
-        while d < top - c and old[n - 1 - d] == new[m - 1 - d]:
-            d += 1
-        lo = max(c - 1, 0)
-        if c == 0:
+        n_pts, pairs = self._n_pts, self._pairs
+        if c:
+            lo = c - 1
+        else:
+            lo = 0
             counts += self._first[new[0]] - self._first[old[0]]
-        for p in range(lo, min(n - d, n - 1)):
-            counts -= self._pair(old[p], old[p + 1])
-        for p in range(lo, min(m - d, m - 1)):
-            counts += self._pair(new[p], new[p + 1])
+        # the pairs (lst[p], lst[p + 1]) for p from lo up to the suffix's first entry
+        a = old[lo]
+        for b in old[lo + 1:len(old) + 1 - d]:
+            try:
+                counts -= pairs[a * n_pts + b]
+            except KeyError:
+                counts -= self._pair(a, b)
+            a = b
+        a = new[lo]
+        for b in new[lo + 1:len(new) + 1 - d]:
+            try:
+                counts += pairs[a * n_pts + b]
+            except KeyError:
+                counts += self._pair(a, b)
+            a = b
         return counts
-
-    def _reaches(self, counts: int, t: int) -> bool:
-        """Whether some field of ``counts`` is >= t, for 1 <= t <= 2^(w-1) (the
-        probe of "Pair form" in the module docstring)."""
-        offset = self._offsets.get(t)
-        if offset is None:
-            offset = self._offsets[t] = (self._half - t) * self._ones
-        return ((counts + offset) & self._high) != 0
 
     def vf(self, counts: int, hint: int) -> int:
         """The largest field of ``counts``, probed up or down from ``hint`` in
-        [0, ``max_len``], such as the count of a list one move away."""
+        [0, ``max_len``], such as the count of a list one move away.
+
+        Some field is >= t exactly when ``(counts + offsets[t]) & high`` is
+        nonzero ("Pair form" in the module docstring).
+        """
+        offsets, high = self._offsets, self._high
         t = hint
-        if t > 0 and not self._reaches(counts, t):
+        if t > 0 and not (counts + offsets[t]) & high:
             t -= 1
-            while t > 0 and not self._reaches(counts, t):
+            while t > 0 and not (counts + offsets[t]) & high:
                 t -= 1
             return t
-        while self._reaches(counts, t + 1):
+        while (counts + offsets[t + 1]) & high:
             t += 1
         return t
+
+
+class _Offsets(dict):
+    """t -> (2^(w-1) - t) * ONES, the probe constant of t, made on first use."""
+
+    def __init__(self, half: int, ones: int):
+        super().__init__()
+        self._half, self._ones = half, ones
+
+    def __missing__(self, t: int) -> int:
+        offset = self[t] = (self._half - t) * self._ones
+        return offset
 
 
 @dataclass(frozen=True)

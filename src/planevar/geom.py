@@ -645,10 +645,19 @@ def _ear_clip_indices(vertices: list[Point2], ring: list[int]) -> Triangulation:
     return Triangulation(tuple(vertices), tuple(triangles))
 
 
+MAX_GRID_SUBDIVISION = 256   # cells per side: (n + 1)^2 vertices and 2n^2 triangles
+
+
 def grid_triangulation(rect: Rectangle, n: int) -> Triangulation:
-    """2n^2 right triangles on an n x n cell grid, diagonals lower-left to upper-right."""
+    """2n^2 right triangles on an n x n cell grid, diagonals lower-left to upper-right.
+
+    ``n`` runs from 1 to ``MAX_GRID_SUBDIVISION``; any other value is refused
+    with GeomError before a vertex is made.
+    """
     if n < 1:
         raise GeomError("grid subdivision must be >= 1")
+    if n > MAX_GRID_SUBDIVISION:
+        raise GeomError(f"grid subdivision must be <= {MAX_GRID_SUBDIVISION}, got {n}")
     w = (rect.x_max - rect.x_min) / n
     h = (rect.y_max - rect.y_min) / n
     vertices = []

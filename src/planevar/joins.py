@@ -119,9 +119,15 @@ def pullback_certificate(f: SampledFunction, curve: ConvexCurve,
                                graph_estimate=est)
 
 
+MAX_FILL_SUBDIVISION = 256   # cells per side of the grids graph_fill and sector_fill fill
+
+
 def _fraction_linspace(lo: Fraction, hi: Fraction, n: int) -> list[Fraction]:
+    """n + 1 equally spaced points from lo to hi, for 1 <= n <= ``MAX_FILL_SUBDIVISION``."""
     if n < 1:
         raise JoinsError(f"grid subdivision must be >= 1, got {n}")
+    if n > MAX_FILL_SUBDIVISION:
+        raise JoinsError(f"grid subdivision must be <= {MAX_FILL_SUBDIVISION}, got {n}")
     return [lo + (hi - lo) * Fraction(i, n) for i in range(n + 1)]
 
 

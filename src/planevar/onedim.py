@@ -285,12 +285,19 @@ _EXAMPLE_KINDS = {
 }
 
 
+MAX_EXAMPLE_N = 100_000      # the size argument of make_example, for every kind
+
+
 def make_example(kind: str, n: int) -> RealFunction1D:
+    """The example ``kind`` of size ``n``; n above ``MAX_EXAMPLE_N`` is refused
+    with OnedimError before any sample point is made."""
     try:
         gen = _EXAMPLE_KINDS[kind]
     except KeyError:
         raise OnedimError(f"unknown example kind {kind!r}; "
                           f"choose from {sorted(_EXAMPLE_KINDS)}") from None
+    if n > MAX_EXAMPLE_N:
+        raise OnedimError(f"example size must be <= {MAX_EXAMPLE_N}, got {n}")
     return gen(n)
 
 

@@ -499,25 +499,13 @@ class _Draws:
     def __init__(self, seed):
         self._bitgen = np.random.PCG64(seed)
         self._words: list[int] = []
-        self._pos = 0
+        self._pos = self._BLOCK         # the first draw reads the first block
         self._half: int | None = None
 
-    def _word(self) -> int:
-        if self._pos == len(self._words):
-            self._words = self._bitgen.random_raw(self._BLOCK).tolist()
-            self._pos = 0
-        word = self._words[self._pos]
-        self._pos += 1
-        return word
-
-    def _uint32(self) -> int:
-        half = self._half
-        if half is not None:
-            self._half = None
-            return half
-        word = self._word()
-        self._half = word >> 32
-        return word & 0xFFFFFFFF
+    def _refill(self) -> int:
+        """Read the next block of words; the position of its first word, 0."""
+        self._words = self._bitgen.random_raw(self._BLOCK).tolist()
+        return 0
 
     def integers(self, low: int, high: int | None = None) -> int:
         """An int in [low, high), or in [0, low) when ``high`` is None."""
@@ -528,16 +516,30 @@ class _Draws:
             return low
         if not 0 < n < 1 << 32:
             raise VariationError(f"draw range {n} outside [1, 2**32)")
-        m = self._uint32() * n
-        if m & 0xFFFFFFFF < n:
-            threshold = ((1 << 32) - n) % n
-            while m & 0xFFFFFFFF < threshold:
-                m = self._uint32() * n
-        return low + (m >> 32)
+        while True:
+            u = self._half
+            if u is None:
+                pos = self._pos
+                if pos == self._BLOCK:
+                    pos = self._refill()
+                word = self._words[pos]
+                self._pos = pos + 1
+                self._half = word >> 32
+                u = word & 0xFFFFFFFF
+            else:
+                self._half = None
+            m = u * n
+            # Lemire's threshold (2^32 - n) % n is below n: only a low part below n needs it
+            if m & 0xFFFFFFFF >= n or m & 0xFFFFFFFF >= ((1 << 32) - n) % n:
+                return low + (m >> 32)
 
     def random(self) -> float:
         """A float in [0, 1)."""
-        return (self._word() >> 11) * (1.0 / (1 << 53))
+        pos = self._pos
+        if pos == self._BLOCK:
+            pos = self._refill()
+        self._pos = pos + 1
+        return (self._words[pos] >> 11) * (1.0 / (1 << 53))
 
 
 def _float_sum(terms: list) -> float:
@@ -585,42 +587,41 @@ def _anneal_once(pairs: _vfcore.PackedCounts, diff, k, cfg: SearchConfig, seed_e
     if cur[0] == cur[1]:
         cur = [0, 1]
     rows = diff.tolist()
-
-    def objective(cand, counts, hint):
-        vf = pairs.vf(counts, hint)
-        cv = _float_sum([rows[a][b] for a, b in zip(cand, cand[1:])])
-        return cv / max(vf, 1), vf
+    # the hot loop reads only locals; a list's objective is its float jump sum
+    # over max(vf, 1), written out at both places
+    propose, delta, vf_of, float_sum = _propose, pairs.delta, pairs.vf, _float_sum
+    random, exp, cooling = rng.random, math.exp, COOLING
+    iters, max_len = cfg.iters, cfg.max_len
 
     cur_counts = pairs.full(cur)
-    cur_obj, cur_vf = objective(cur, cur_counts, 0)
-    best = {"obj": cur_obj, "idx": list(cur), "vf": cur_vf}
+    cur_vf = vf_of(cur_counts, 0)
+    cur_obj = float_sum([rows[a][b] for a, b in zip(cur, cur[1:])]) / max(cur_vf, 1)
+    best_obj, best_idx, best_vf = cur_obj, list(cur), cur_vf
     max_seen = cur_obj
     temp = t0 if t0 > 0 else 1.0
-    proposals = 0
-    accepted = 0
-    attempts = 0
-    while proposals < cfg.iters and attempts < 3 * cfg.iters:
+    proposals = accepted = attempts = 0
+    while proposals < iters and attempts < 3 * iters:
         attempts += 1
-        cand = _propose(rng, cur, k, cfg.max_len)
-        if cand is None:
+        move = propose(rng, cur, k, max_len)
+        if move is None:
             continue
-        counts = pairs.delta(cur_counts, cur, cand)
-        obj, vf = objective(cand, counts, cur_vf)
+        cand, c, d = move
+        counts = delta(cur_counts, cur, cand, c, d)
+        vf = vf_of(counts, cur_vf)
+        obj = float_sum([rows[a][b] for a, b in zip(cand, cand[1:])]) / max(vf, 1)
         proposals += 1
         if obj > max_seen:
             max_seen = obj
-        delta = obj - cur_obj
-        if delta >= 0 or (temp > 1e-300 and rng.random() < math.exp(delta / temp)):
+        change = obj - cur_obj
+        if change >= 0 or (temp > 1e-300 and random() < exp(change / temp)):
             cur, cur_obj, cur_counts, cur_vf = cand, obj, counts, vf
             accepted += 1
-        if obj > best["obj"]:
-            best = {"obj": obj, "idx": cand, "vf": vf}
-        temp *= COOLING
-    best["max_seen"] = max_seen
-    best["proposals"] = proposals
-    best["accepted"] = accepted
-    best["temperature"] = temp
-    return best
+        if obj > best_obj:
+            best_obj, best_idx, best_vf = obj, cand, vf
+        temp *= cooling
+    return {"obj": best_obj, "idx": best_idx, "vf": best_vf, "max_seen": max_seen,
+            "proposals": proposals, "accepted": accepted, "attempts": attempts,
+            "temperature": temp}
 
 
 def _draw_skipping(rng, k: int, banned: set[int]) -> int | None:
@@ -640,35 +641,43 @@ def _draw_skipping(rng, k: int, banned: set[int]) -> int | None:
     return value
 
 
+# the moves _propose draws from, by (len(cur) < max_len) + 2 * (len(cur) > 2)
+_MOVES = (("replace", "swap", "reverse"),
+          ("replace", "swap", "reverse", "insert"),
+          ("replace", "swap", "reverse", "delete"),
+          ("replace", "swap", "reverse", "insert", "delete"))
+
+
 def _propose(rng, cur: list[int], k: int, max_len: int):
-    moves = ["replace", "swap", "reverse"]
-    if len(cur) < max_len:
-        moves.append("insert")
-    if len(cur) > 2:
-        moves.append("delete")
+    """A random move of ``cur``: (the new list, c, d), or None for a move that
+    would repeat an index next to itself or has nothing to act on.
+
+    The new list keeps the first c and the last d entries of ``cur``, with
+    c + d <= the length of either list: (pos, n - pos) for an insert at pos,
+    (pos, n - 1 - pos) for a delete or replace at pos, and (i, n - 1 - j)
+    for a swap or reverse of i < j, where n = len(cur).
+    """
+    n = len(cur)
+    moves = _MOVES[(n < max_len) + 2 * (n > 2)]
     move = moves[int(rng.integers(len(moves)))]
-    out = list(cur)
-    n = len(out)
     if move == "insert":
         pos = int(rng.integers(n + 1))
-        value = _draw_skipping(rng, k, set(out[max(pos - 1, 0):pos + 1]))
+        value = _draw_skipping(rng, k, set(cur[max(pos - 1, 0):pos + 1]))
         if value is None:
             return None
-        out.insert(pos, value)
-        return out
+        return cur[:pos] + [value] + cur[pos:], pos, n - pos
     if move == "delete":
         pos = int(rng.integers(n))
-        if 0 < pos < n - 1 and out[pos - 1] == out[pos + 1]:
+        if 0 < pos < n - 1 and cur[pos - 1] == cur[pos + 1]:
             return None
-        del out[pos]
-        return out
+        return cur[:pos] + cur[pos + 1:], pos, n - 1 - pos
     if move == "replace":
         pos = int(rng.integers(n))
-        value = _draw_skipping(rng, k, set(out[max(pos - 1, 0):pos + 2]))
+        value = _draw_skipping(rng, k, set(cur[max(pos - 1, 0):pos + 2]))
         if value is None:
             return None
-        out[pos] = value
-        return out
+        return cur[:pos] + [value] + cur[pos + 1:], pos, n - 1 - pos
+    out = list(cur)
     if move == "swap":
         if n < 2:
             return None
@@ -676,6 +685,8 @@ def _propose(rng, cur: list[int], k: int, max_len: int):
         j = int(rng.integers(n))
         if i == j:
             return None
+        if i > j:
+            i, j = j, i
         out[i], out[j] = out[j], out[i]
     else:  # reverse
         if n < 3:
@@ -686,7 +697,7 @@ def _propose(rng, cur: list[int], k: int, max_len: int):
     for a, b in zip(out, out[1:]):
         if a == b:
             return None
-    return out
+    return out, i, n - 1 - j
 
 
 def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEstimate:
@@ -696,13 +707,17 @@ def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEst
     uses the r-th spawn of the root seed sequence, and the best result is the
     first in witness order (objective, length, coordinates). The witness value
     is recomputed exactly. ``stats`` counts proposals and accepted moves over
-    all restarts, and ``final_temperature`` is the warmest restart's last
-    temperature.
+    all restarts, and ``attempts``, the ``_propose`` calls, of which
+    1 - proposals / attempts proposed nothing; ``final_temperature`` is the
+    warmest restart's last temperature.
 
     A proposal makes no numpy call at all, unless its list has 128 points or
     more (``_float_sum``); ``_Draws`` refills its words once per 512. The
-    counts are ``_vfcore.PackedCounts`` ints, updated by the pair rows a move
-    changes, and the variation factor is probed from the current list's.
+    counts are ``_vfcore.PackedCounts`` ints: ``_propose`` returns the prefix
+    and suffix its move keeps, ``delta`` adds and removes the pair rows
+    between them, and the variation factor is probed from the current
+    list's. The loop holds every method it calls in a local and writes the
+    objective out inline.
     Each restart replays ``np.random.default_rng(seed)`` from raw PCG64 words
     (``_Draws``), and sums the list's jumps in numpy's pairwise order
     (``_float_sum``). Both give the same ints and float bits as the Generator
@@ -729,6 +744,7 @@ def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEst
         "proposals": int(sum(r["proposals"] for r in results)),
         "max_objective_seen": float(max(r["max_seen"] for r in results)),
         "accepted": int(sum(r["accepted"] for r in results)),
+        "attempts": int(sum(r["attempts"] for r in results)),
         "final_temperature": float(max(r["temperature"] for r in results)),
         "restarts": cfg.restarts,
         "table_rows": table.n_lines,

@@ -756,3 +756,30 @@ def test_plot_svg_is_pinned(tmp_path):
                  "--svg", str(svg)]) == 0
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == \
         "87ebfd8ae2f7b8c89e8fa46f7c0cbf7bad2b427dfe54953fd6963e1b774377d2"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["ctpp", "interp", "--values", "{fn}", "--rect", "0,1,0,1", "--n", "257"],
+     "error:GeomError:grid subdivision must be <= 256, got 257"),
+    (["join", "graphfill", "--fn", "{fn}", "--curve", "{curve}", "--rect=-1,1,-1,1",
+      "--n", "257"], "error:JoinsError:grid subdivision must be <= 256, got 257"),
+    (["join", "sector", "--fn", "{sector}", "--rect=-1,1,-1,1", "--ray1", "1,0",
+      "--ray2", "0,1", "--n", "257"], "error:JoinsError:grid subdivision must be <= 256, got 257"),
+    (["example", "--kind", "reciprocal-alternating", "--n", "100001"],
+     "error:OnedimError:example size must be <= 100000, got 100001"),
+    (["example", "--kind", "cantor", "--n", "100001"],
+     "error:OnedimError:example size must be <= 100000, got 100001"),
+])
+def test_grid_and_example_sizes_past_the_cap_are_typed_errors(tmp_path, capsys, argv, line):
+    # one past geom.MAX_GRID_SUBDIVISION, joins.MAX_FILL_SUBDIVISION and
+    # onedim.MAX_EXAMPLE_N; none of the three had an upper bound before
+    files = {"fn": [[-1, 1], [0, 0], [1, 1]], "sector": [[1, 0], [0, 0], [0, 1]]}
+    for name, pts in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({"points": pts, "values": [1, 0, 1]}))
+    (tmp_path / "curve.json").write_text(json.dumps({"list": files["fn"]}))
+    code = main([arg.format(**{n: str(tmp_path / f"{n}.json") for n in ("fn", "curve", "sector")})
+                 for arg in argv])
+    captured = capsys.readouterr()
+    assert_single_error(code, captured.err, line.split(":")[1])
+    assert captured.err.splitlines() == [line]
+    assert captured.out == ""

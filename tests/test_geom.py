@@ -348,3 +348,15 @@ def test_degenerate_triangle_raises_where_the_scan_does(base, data):
         p = data.draw(probes(base))
         assert _outcome(tri.triangles_containing, p) == _outcome(_scan, tri, p)
         assert _outcome(tri.first_containing, p) == _outcome(_first_scan, tri, p)
+
+
+def test_grid_subdivision_past_the_cap_is_refused_before_any_vertex(monkeypatch):
+    from planevar import geom
+
+    def no_vertex(*args):
+        raise AssertionError("a grid vertex was made")
+
+    assert geom.MAX_GRID_SUBDIVISION == 256
+    monkeypatch.setattr(geom, "Point2", no_vertex)
+    with pytest.raises(GeomError, match="grid subdivision must be <= 256, got 257"):
+        grid_triangulation(Rectangle.of(0, 1, 0, 1), geom.MAX_GRID_SUBDIVISION + 1)

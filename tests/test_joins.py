@@ -345,3 +345,20 @@ def test_joins_convexly_on_sample_matches_the_fraction_oracle(members, on_line):
     s1 = [p for p, side in placed.items() if side != 1]
     s2 = [p for p, side in placed.items() if side != 0]
     assert joins_convexly_on_sample(s1, s2) == _joins_convexly_fraction_oracle(s1, s2)
+
+
+def test_fills_refuse_a_subdivision_past_the_cap_before_any_grid_value(monkeypatch):
+    from planevar import joins
+
+    def no_value(*args):
+        raise AssertionError("a grid value was computed")
+
+    assert joins.MAX_FILL_SUBDIVISION == 256
+    monkeypatch.setattr(joins, "_clamped_value", no_value)
+    curve, f = tent_instance()
+    with pytest.raises(JoinsError, match="grid subdivision must be <= 256, got 257"):
+        graph_fill(f, curve, Rectangle.of(-1, 1, -1, 1), n=joins.MAX_FILL_SUBDIVISION + 1)
+    spec = SectorSpec(Rectangle.of(-1, 1, -1, 1), P(0, 0), P(1, 1), P(-1, 1))
+    g = SampledFunction((P(0, 0), P(1, 1), P(-1, 1)), (Fraction(2),) * 3)
+    with pytest.raises(JoinsError, match="grid subdivision must be <= 256, got 257"):
+        sector_fill(g, spec, n=joins.MAX_FILL_SUBDIVISION + 1)

@@ -13,6 +13,7 @@ from planevar.geom import P
 from planevar.onedim import (
     AcModulus,
     GridOutsideJ,
+    OnedimError,
     RealFunction1D,
     RealSample,
     ac_modulus,
@@ -266,3 +267,17 @@ class TestGenerators:
 def test_bv_norm_1d():
     f = f_of([(0, Fraction(1)), (1, Fraction(-2))])
     assert bv_norm_1d(f) == 2 + 3
+
+
+@pytest.mark.parametrize("kind", ["reciprocal-alternating", "reciprocal-odd",
+                                  "reciprocal-even", "cantor", "one-over-n"])
+def test_make_example_refuses_a_size_past_the_cap_before_any_point(monkeypatch, kind):
+    from planevar import onedim
+
+    def no_points(n):
+        raise AssertionError("the generator ran")
+
+    assert onedim.MAX_EXAMPLE_N == 100_000
+    monkeypatch.setitem(onedim._EXAMPLE_KINDS, kind, no_points)
+    with pytest.raises(OnedimError, match="example size must be <= 100000, got 100001"):
+        make_example(kind, onedim.MAX_EXAMPLE_N + 1)

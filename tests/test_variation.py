@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from planevar import _vfcore
+from planevar import _vfcore, variation
 from planevar._vfcore import (
     _counts_from_matrix,
     build_sign_table,
@@ -1387,21 +1387,44 @@ def test_pair_form_equals_the_segment_rules(rows):
 
 
 def _moves(cur: list[int], k: int):
-    """Every insert, delete, replace, swap and reverse of ``cur``, repeats allowed."""
+    """Every insert, delete, replace, swap and reverse of ``cur``, repeats allowed,
+    each as (new list, c, d) with the span the move keeps (``_propose``'s rule)."""
     n = len(cur)
     for pos in range(n + 1):
         for v in range(k):
-            yield cur[:pos] + [v] + cur[pos:]
+            yield cur[:pos] + [v] + cur[pos:], pos, n - pos
     for pos in range(n):
-        yield cur[:pos] + cur[pos + 1:]
+        yield cur[:pos] + cur[pos + 1:], pos, n - 1 - pos
         for v in range(k):
-            yield cur[:pos] + [v] + cur[pos + 1:]
+            yield cur[:pos] + [v] + cur[pos + 1:], pos, n - 1 - pos
     for i in range(n):
         for j in range(i + 1, n):
             swapped = list(cur)
             swapped[i], swapped[j] = swapped[j], swapped[i]
-            yield swapped
-            yield cur[:i] + cur[i:j + 1][::-1] + cur[j + 1:]
+            yield swapped, i, n - 1 - j
+            yield cur[:i] + cur[i:j + 1][::-1] + cur[j + 1:], i, n - 1 - j
+
+
+def _is_span(old: list[int], new: list[int], c: int, d: int) -> bool:
+    """Whether ``new`` keeps the first c and the last d entries of ``old``, disjointly."""
+    n, m = len(old), len(new)
+    return (c >= 0 and d >= 0 and c + d <= min(n, m)
+            and old[:c] == new[:c] and old[n - d:] == new[m - d:])
+
+
+def _spans(old: list[int], new: list[int]):
+    """Every span that ``PackedCounts.delta`` may be given for ``old`` -> ``new``:
+    (0, 0), the longest common prefix and suffix, and every span between them."""
+    top = min(len(old), len(new))
+    return [(c, d) for c in range(top + 1) for d in range(top + 1 - c)
+            if _is_span(old, new, c, d)]
+
+
+def _check_every_span(pairs, counts, old, new, want):
+    spans = _spans(old, new)
+    assert (0, 0) in spans
+    for c, d in spans:
+        assert pairs.delta(counts, old, new, c, d) == want, (old, new, c, d)
 
 
 @pytest.mark.parametrize("name", KERNEL_SAMPLES)
@@ -1413,14 +1436,18 @@ def test_pair_counts_delta_after_every_move(name, cur):
     counts = pairs.full(cur)
     expected = _segment_rule_counts(table.signs[:, cur]).tolist()
     assert _fields(counts, max_len, n_rows) == expected
-    moves = [new for new in _moves(cur, 7) if new]
+    moves = [move for move in _moves(cur, 7) if move[0]]
+    news = [new for new, _, _ in moves]
     # both ends of the list, the whole-list reverse and an unchanged list are among them
-    assert cur[::-1] in moves and cur in moves
-    for new in moves:
-        got = pairs.delta(counts, cur, new)
-        assert _fields(got, max_len, n_rows) == _segment_rule_counts(
-            table.signs[:, new]).tolist(), new
+    assert cur[::-1] in news and cur in news
+    for new, c, d in moves:
+        assert _is_span(cur, new, c, d), (new, c, d)
+        want = _packed(_segment_rule_counts(table.signs[:, new]).tolist(), max_len)
+        got = pairs.delta(counts, cur, new, c, d)
+        assert got == want, new
         assert pairs.vf(got, max(expected)) == vf_of_indices(table, new)
+        # every valid span, from none at all to the widest, gives the same int
+        _check_every_span(pairs, counts, cur, new, want)
     assert _fields(counts, max_len, n_rows) == expected
 
 
@@ -1429,11 +1456,12 @@ def test_pair_counts_delta_after_every_move(name, cur):
        st.lists(st.integers(0, 3), min_size=1, max_size=12))
 @example([0, 1, 0, 1], [0, 1, 0, 1, 0, 1])     # prefix and suffix of one overlap
 @example([2, 1, 2], [2])
+@example([1, 2, 3], [1, 2, 3])                  # equal lists: every split of the list
 def test_pair_counts_delta_between_any_two_lists(old, new):
     table = build_sign_table(KERNEL_SAMPLES["lattice"][:4])
     pairs = _vfcore.PackedCounts(table, max_len=12)
-    got = pairs.delta(pairs.full(old), old, new)
-    assert _fields(got, 12, len(table.signs)) == _segment_rule_counts(table.signs[:, new]).tolist()
+    want = _packed(_segment_rule_counts(table.signs[:, new]).tolist(), 12)
+    _check_every_span(pairs, pairs.full(old), old, new, want)
 
 
 def test_pair_counts_follow_an_annealing_walk():
@@ -1445,13 +1473,36 @@ def test_pair_counts_follow_an_annealing_walk():
     counts = pairs.full(cur)
     vf = pairs.vf(counts, 0)
     for _ in range(2000):
-        cand = _propose(rng, cur, len(SEVEN), 12)
-        if cand is not None:
-            cur, counts = cand, pairs.delta(counts, cur, cand)
+        move = _propose(rng, cur, len(SEVEN), 12)
+        if move is not None:
+            cand, c, d = move
+            cur, counts = cand, pairs.delta(counts, cur, cand, c, d)
             expected = _segment_rule_counts(table.signs[:, cur])
             assert _fields(counts, 12, len(table.signs)) == expected.tolist()
             vf = pairs.vf(counts, vf)
             assert vf == int(expected.max())
+
+
+@pytest.mark.parametrize("source", [np.random.default_rng, _Draws])
+@pytest.mark.parametrize("seed, k, max_len", [(0, 2, 4), (1, 3, 3), (5, 9, 12), (8, 25, 12),
+                                              (13, 7, 40)])
+def test_propose_returns_a_span_the_move_keeps(source, seed, k, max_len):
+    """Every span of a walk keeps a prefix and a suffix of the current list,
+    disjointly; the walk grows, shrinks and keeps its length, and no list
+    repeats an index next to itself."""
+    rng = source(np.random.SeedSequence(seed))
+    cur, seen = [0, 1], set()
+    for _ in range(3000):
+        move = _propose(rng, cur, k, max_len)
+        if move is None:
+            continue
+        cand, c, d = move
+        n, m = len(cur), len(cand)
+        assert cur[:c] == cand[:c] and cur[n - d:] == cand[m - d:] and c + d <= min(n, m)
+        assert 2 <= m <= max_len and all(a != b for a, b in zip(cand, cand[1:]))
+        seen.add(m - n)
+        cur = cand
+    assert seen == {-1, 0, 1}
 
 
 @pytest.mark.parametrize("max_len", [2, 3, 7, 8, 15, 16, 127, 128])
@@ -1565,10 +1616,10 @@ def test_propose_makes_the_same_moves_from_either_source():
     gen, draws = np.random.default_rng(entropy), _Draws(entropy)
     cur = [0, 1]
     for _ in range(5000):
-        cand = _propose(gen, cur, 9, 12)
-        assert _propose(draws, cur, 9, 12) == cand
+        move = _propose(gen, cur, 9, 12)
+        assert _propose(draws, cur, 9, 12) == move
         assert draws.random() == gen.random()
-        cur = cand or cur
+        cur = move[0] if move else cur
 
 
 def _pyramid():
@@ -1637,3 +1688,19 @@ def test_var_search_reports_acceptances_and_final_temperature():
     # one factor per proposal, multiplied in turn (0.995 ** 50 rounds one ulp apart)
     assert est.stats["final_temperature"] == math.prod([0.995] * 50)
     assert var_search(F_X, SearchConfig(iters=0, restarts=2)).stats["final_temperature"] == 1.0
+
+
+def test_var_search_counts_its_attempts(monkeypatch):
+    """``attempts`` counts the ``_propose`` calls of every restart, so the share
+    of calls that proposed nothing is 1 - proposals / attempts."""
+    calls = []
+    real = variation._propose
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(variation, "_propose", counted)
+    est = var_search(_pyramid(), SearchConfig(iters=400, restarts=2, seed=0))
+    assert (est.stats["proposals"], est.stats["attempts"]) == (800, 870)
+    assert len(calls) == 870
