@@ -476,14 +476,23 @@ def grid_lipschitz(values: np.ndarray, X: np.ndarray, Y: np.ndarray,
     y = Y.ravel()
     n = len(v)
     row_max = np.zeros(n)
+    # three scratch buffers, viewed per chunk as (rows, columns) arrays
+    size = min(chunk, n) * n
+    bufs = [np.empty(size) for _ in range(3)]
     for s in range(0, n, chunk):
         e = min(s + chunk, n)
-        dv = np.abs(v[s:e, None] - v[None, s:])
-        dx = x[s:e, None] - x[None, s:]
-        dy = y[s:e, None] - y[None, s:]
-        dist = np.sqrt(dx * dx + dy * dy)
+        ratio, dist, dy = (b[:(e - s) * (n - s)].reshape(e - s, n - s) for b in bufs)
+        np.subtract(v[s:e, None], v[None, s:], out=ratio)
+        np.abs(ratio, out=ratio)
+        np.subtract(x[s:e, None], x[None, s:], out=dist)
+        np.multiply(dist, dist, out=dist)
+        np.subtract(y[s:e, None], y[None, s:], out=dy)
+        np.multiply(dy, dy, out=dy)
+        np.add(dist, dy, out=dist)
+        np.sqrt(dist, out=dist)
         np.fill_diagonal(dist, np.inf)
-        ratio = dv / np.where(dist == 0, np.inf, dist)
+        dist[dist == 0] = np.inf
+        np.divide(ratio, dist, out=ratio)
         # np.maximum propagates NaN, so a row that meets one stays NaN
         np.maximum(row_max[s:e], ratio.max(axis=1), out=row_max[s:e])
         np.maximum(row_max[s:], ratio.max(axis=0), out=row_max[s:])

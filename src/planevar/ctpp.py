@@ -12,9 +12,16 @@ Point location. ``eval_ctpp`` takes the plane of the lowest-index triangle
 that contains the point and ``classify_point`` counts all of them. Both use
 the integer scan of ``Triangulation`` ("Point location" in ``geom``).
 ``vertex_value`` reads the same lowest-index owner from a map built once per
-function. On exact values ``interpolate_grid`` writes each grid plane from two
-differences of its cell's corner values, lifted over one common denominator
-("Integer lift" in ``geom``), instead of solving it.
+function.
+
+Integer lift ("Integer lift" in ``geom``). On exact values
+``interpolate_grid`` writes each grid plane from two differences of its
+cell's corner values, lifted over one common denominator, instead of solving
+it, on the vertices ``grid_triangulation`` writes over the rectangle's lift.
+On exact coefficients ``validate_ctpp`` tests every shared edge in plain ints
+on one lift of the coefficients and the triangulation's cached vertex lift
+(``Triangulation.vertex_lift``), and builds ``Fraction`` values for a
+violating edge only.
 """
 
 from __future__ import annotations
@@ -143,12 +150,29 @@ def validate_ctpp(g: CtppFunction) -> list[EdgeViolation]:
     """Endpoint-agreement check on every shared edge; empty list means valid.
 
     Exact comparison when coefficients are rational, |difference| <=
-    ``FLOAT_TOL`` otherwise (``values_agree``).
+    ``FLOAT_TOL`` otherwise (``values_agree``). With every coefficient exact
+    the check runs on integers: coefficients lifted to ``k`` over ``D`` and
+    vertices to ``(X, Y)`` over ``L``, two pieces agree at a vertex exactly
+    when ``da*X + db*Y + dc*L == 0``, (da, db, dc) the difference of their
+    lifted coefficients, since that is the difference of values times D*L.
+    Only a violating edge evaluates its four values.
     """
+    tri, coeffs = g.tri, g.coeffs
+    flat = [v for c in coeffs for v in (c.a, c.b, c.c)]
+    lifted = all_exact(flat)
+    if lifted:
+        k, _ = common_denominator(flat)
+        xy, scale = tri.vertex_lift()
     out = []
-    for (i, j), t1, t2 in g.tri.shared_edges():
-        pa, pb = g.tri.vertices[i], g.tri.vertices[j]
-        c1, c2 = g.coeffs[t1], g.coeffs[t2]
+    for (i, j), t1, t2 in tri.shared_edges():
+        if lifted:
+            u, w = 3 * t1, 3 * t2
+            da, db, dc = k[u] - k[w], k[u + 1] - k[w + 1], (k[u + 2] - k[w + 2]) * scale
+            if not (da * xy[2 * i] + db * xy[2 * i + 1] + dc or
+                    da * xy[2 * j] + db * xy[2 * j + 1] + dc):
+                continue                # the pieces agree at both endpoints
+        pa, pb = tri.vertices[i], tri.vertices[j]
+        c1, c2 = coeffs[t1], coeffs[t2]
         va1, va2 = c1.eval(pa), c2.eval(pa)
         vb1, vb2 = c1.eval(pb), c2.eval(pb)
         if not (values_agree(va1, va2) and values_agree(vb1, vb2)):

@@ -3,12 +3,21 @@
 Rationals serialize as "p/q" strings (integers as plain numbers) so files
 round-trip exactly; complex values as [re, im] pairs. CSV cells print
 rationals as p/q and complex values as re+imi with 12 significant digits.
+
+Exact fast path. ``dec_coord`` reads a string of the plain form
+``-?[0-9]+(/[0-9]+)?`` through ``int()`` and ``Fraction(n, d)``; every other
+string (whitespace, ``+``, ``_``, non-ASCII digits, decimals, exponents)
+falls back to ``Fraction(str)``, so the two accept the same strings and give
+equal values. A zero denominator, or a number past ``int``'s digit limit,
+raises the same ``bad rational`` error on either path. ``enc_coord`` wraps
+its argument in ``Fraction`` only when it is not one already.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 
 from .geom import GeomError, Point2, Polygon, Rectangle, Triangulation, to_fraction
@@ -22,14 +31,23 @@ class BadInputFile(ValueError):
 
 
 def enc_coord(v: Fraction):
-    v = Fraction(v)
+    if not isinstance(v, Fraction):
+        v = Fraction(v)
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def dec_coord(v) -> Fraction:
     if isinstance(v, bool):
         raise BadInputFile(f"bad coordinate {v!r}")
     try:
+        if isinstance(v, str):
+            m = _PLAIN_RATIONAL.fullmatch(v)
+            if m is not None:
+                num, den = m.groups()
+                return Fraction(int(num), int(den)) if den else Fraction(int(num))
         return to_fraction(v)
     except GeomError as exc:
         raise BadInputFile(str(exc)) from exc

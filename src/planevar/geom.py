@@ -10,7 +10,10 @@ Integer lift. The exact kernels here and in ``_vfcore``, ``ctpp`` and
 ``int``, which skips the gcd a ``Fraction`` takes after every operation.
 ``common_denominator`` is the one implementation of that step. Scaling by a
 positive factor leaves every sign unchanged, so a sign decided on the lifted
-integers is the one the rationals give.
+integers is the one the rationals give, and so is a test for zero.
+``Triangulation.vertex_lift`` keeps one lift of the vertices, which point
+location and ``ctpp.validate_ctpp`` share; ``grid_triangulation`` writes each
+grid line as one ``Fraction`` over the rectangle's lift.
 
 Point location. ``Triangulation.triangles_containing`` and
 ``first_containing`` run the closed-triangle test of ``Triangle.contains``
@@ -440,14 +443,20 @@ class Triangulation:
 
     def __post_init__(self):
         n = len(self.vertices)
-        for t in self.triangles:
-            if len(t) != 3 or not all(0 <= i < n for i in t):
-                raise GeomError(f"triangle {tuple(t)} needs three indices of the {n} vertices")
         adjacency: dict[tuple[int, int], list[int]] = {}
-        for t_idx, (i, j, k) in enumerate(self.triangles):
-            for e in ((i, j), (j, k), (k, i)):
-                key = (min(e), max(e))
-                adjacency.setdefault(key, []).append(t_idx)
+        get = adjacency.get
+        for t_idx, t in enumerate(self.triangles):
+            if len(t) != 3 or not (0 <= t[0] < n and 0 <= t[1] < n and 0 <= t[2] < n):
+                raise GeomError(f"triangle {tuple(t)} needs three indices of the {n} vertices")
+            i, j, k = t
+            # edge keys (low, high) in the order (i, j), (j, k), (k, i)
+            for key in ((i, j) if i < j else (j, i), (j, k) if j < k else (k, j),
+                        (k, i) if k < i else (i, k)):
+                owners = get(key)
+                if owners is None:
+                    adjacency[key] = [t_idx]
+                else:
+                    owners.append(t_idx)
         for edge, owners in adjacency.items():
             if len(owners) > 2:
                 raise GeomError(f"edge {edge} shared by {len(owners)} triangles")
@@ -478,6 +487,15 @@ class Triangulation:
             total += abs(cross(self.vertices[i], self.vertices[j], self.vertices[k])) / 2
         return total
 
+    def vertex_lift(self) -> tuple[list[int], int]:
+        """``common_denominator`` of the flattened vertex coordinates
+        (x0, y0, x1, y1, ...), built on first use and kept."""
+        lift = self.__dict__.get("_lift")
+        if lift is None:
+            lift = common_denominator([c for v in self.vertices for c in (v.x, v.y)])
+            object.__setattr__(self, "_lift", lift)
+        return lift
+
     def _edge_table(self) -> tuple[list[tuple[int, ...]], int | None, int]:
         """Integer edge functions of every triangle, built on first use.
 
@@ -490,7 +508,7 @@ class Triangulation:
         """
         table = self.__dict__.get("_edges")
         if table is None:
-            ints, scale = common_denominator([c for v in self.vertices for c in (v.x, v.y)])
+            ints, scale = self.vertex_lift()
             rows = []
             first_bad = None
             for idx, (i, j, k) in enumerate(self.triangles):
@@ -658,22 +676,21 @@ def grid_triangulation(rect: Rectangle, n: int) -> Triangulation:
         raise GeomError("grid subdivision must be >= 1")
     if n > MAX_GRID_SUBDIVISION:
         raise GeomError(f"grid subdivision must be <= {MAX_GRID_SUBDIVISION}, got {n}")
-    w = (rect.x_max - rect.x_min) / n
-    h = (rect.y_max - rect.y_min) / n
-    vertices = []
-    for j in range(n + 1):
-        for i in range(n + 1):
-            vertices.append(Point2(rect.x_min + i * w, rect.y_min + j * h))
-
-    def vid(i: int, j: int) -> int:
-        return j * (n + 1) + i
+    # x_min + i*(x_max - x_min)/n is (xm*n + i*(x1 - xm))/(r*n) over the lift
+    # (xm, ym, x1, y1)/r of the rectangle: one Fraction per grid line
+    (xm, ym, x1, y1), r = common_denominator(
+        [to_fraction(v) for v in (rect.x_min, rect.y_min, rect.x_max, rect.y_max)])
+    xs = [Fraction(xm * n + i * (x1 - xm), r * n) for i in range(n + 1)]
+    ys = [Fraction(ym * n + j * (y1 - ym), r * n) for j in range(n + 1)]
+    vertices = [Point2(x, y) for y in ys for x in xs]
 
     triangles = []
     for j in range(n):
         for i in range(n):
-            # diagonal from (i, j) to (i+1, j+1)
-            triangles.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
-            triangles.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
+            # vertex (i, j) is v = j*(n + 1) + i; diagonal from (i, j) to (i+1, j+1)
+            v = j * (n + 1) + i
+            triangles.append((v, v + 1, v + n + 2))
+            triangles.append((v, v + n + 2, v + n + 1))
     return Triangulation(tuple(vertices), tuple(triangles))
 
 

@@ -289,9 +289,10 @@ def sector_fill(f: SampledFunction, spec: SectorSpec, n: int = 8) -> SampledFunc
     r1 = Rectangle(min(xs), max(xs), min(ys), max(ys))
 
     pairs = {p: f.value(p) for p in f.points}
+    y_grid = _fraction_linspace(r1.y_min, r1.y_max, n)
     for x in _fraction_linspace(r1.x_min, r1.x_max, n):
         vx = _clamped_value(fhat, x)
-        for y in _fraction_linspace(r1.y_min, r1.y_max, n):
+        for y in y_grid:
             back = inv.apply(Point2(x, y))
             if spec.rect.contains(back):
                 pairs.setdefault(back, vx)

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planevar.geom import P, Polygon, Rectangle, Triangulation, grid_triangulation, inradius
+from planevar.geom import (P, Polygon, Rectangle, Triangulation, ear_clip, grid_triangulation,
+                           inradius)
 from planevar.variation import (
     PlanarCoeffs,
     SampledFunction,
     SearchConfig,
     VariationError,
     lipschitz_constant,
+    values_agree,
     var_exact_small,
     var_search,
 )
@@ -25,6 +27,7 @@ from planevar.ctpp import (
     CtppError,
     CtppFunction,
     CtppSum,
+    EdgeViolation,
     NotStarPlanar,
     PointOutsidePolygon,
     classify_point,
@@ -436,3 +439,96 @@ def test_huge_integer_beside_a_float_is_a_typed_error_for_library_callers(name):
     ``variation._on_floats`` does, not a bare OverflowError."""
     with pytest.raises(VariationError, match="^values overflow floating point: "):
         _OVERFLOW_CALLS[name]()
+
+
+def _validate_ctpp_fraction_oracle(g: CtppFunction) -> list:
+    """``validate_ctpp`` as it was before the integer path: every shared edge
+    evaluates both pieces at both endpoints and compares with ``values_agree``."""
+    out = []
+    for (i, j), t1, t2 in g.tri.shared_edges():
+        pa, pb = g.tri.vertices[i], g.tri.vertices[j]
+        c1, c2 = g.coeffs[t1], g.coeffs[t2]
+        va1, va2 = c1.eval(pa), c2.eval(pa)
+        vb1, vb2 = c1.eval(pb), c2.eval(pb)
+        if not (values_agree(va1, va2) and values_agree(vb1, vb2)):
+            out.append(EdgeViolation(edge=(i, j), triangles=(t1, t2),
+                                     values=(va1, va2, vb1, vb2)))
+    return out
+
+
+_EAR_POLYGONS = (
+    Polygon((P(0, 0), P(4, 0), P(4, 3), P(2, 1), P(Fraction(3, 2), 4), P(0, 3),
+             P(-1, Fraction(3, 2)))),
+    Polygon((P(0, 0), P(Fraction(5, 3), 0), P(3, Fraction(1, 7)), P(Fraction(5, 2), 2),
+             P(1, Fraction(3, 2)), P(Fraction(1, 2), 3), P(Fraction(-1, 3), 2))),
+)
+
+
+@st.composite
+def _perturbed_ctpps(draw):
+    """A continuous piecewise-planar function with one or more pieces changed.
+
+    The base is the interpolant of vertex values on a grid or an ear-clipped
+    polygon. Each change adds a multiple of the piece's edge function through
+    two of its vertices, so it may leave that edge valid and break the others.
+    ``kind`` picks the coefficient types: Fractions, ints (one integer plane),
+    exact pieces beside float ones, or complex pieces.
+    """
+    if draw(st.booleans()):
+        x0, y0 = draw(rationals), draw(rationals)
+        w, h = (draw(st.builds(Fraction, st.integers(1, 9), st.integers(1, 7))) for _ in range(2))
+        tri = grid_triangulation(Rectangle(x0, x0 + w, y0, y0 + h), draw(st.integers(1, 4)))
+    else:
+        tri = ear_clip(draw(st.sampled_from(_EAR_POLYGONS)))
+    kind = draw(st.sampled_from(["exact", "int", "mixed", "complex"]))
+    if kind == "int":
+        a, b, c = (draw(st.integers(-9, 9)) for _ in range(3))
+        coeffs = [PlanarCoeffs(a, b, c) for _ in tri.triangles]
+    else:
+        z = [draw(rationals) for _ in tri.vertices]
+        coeffs = [solve_plane(tri.vertices[i], tri.vertices[j], tri.vertices[k],
+                              z[i], z[j], z[k]) for i, j, k in tri.triangles]
+    # with s a multiple of L^2, L the vertices' common denominator, the change is integral
+    lift = math.lcm(*(c.denominator for v in tri.vertices for c in v)) ** 2
+    for t in draw(st.lists(st.integers(0, len(tri.triangles) - 1), min_size=1, max_size=3)):
+        i, j, _ = tri.triangles[t]
+        va, vb = tri.vertices[i], tri.vertices[j]
+        s = draw(st.integers(-3, 3)) * lift if kind == "int" else draw(rationals)
+        da, db = s * (va.y - vb.y), s * (vb.x - va.x)
+        dc = -(da * va.x + db * va.y)     # s * cross(va, vb, .) vanishes on the edge
+        if kind == "int":
+            assert da.denominator == db.denominator == dc.denominator == 1
+            da, db, dc = int(da), int(db), int(dc)
+        c0 = coeffs[t]
+        coeffs[t] = PlanarCoeffs(c0.a + da, c0.b + db, c0.c + dc)
+    if kind == "mixed":
+        for t in draw(st.lists(st.integers(0, len(coeffs) - 1), max_size=3)):
+            coeffs[t] = PlanarCoeffs(*(float(v) for v in (coeffs[t].a, coeffs[t].b, coeffs[t].c)))
+    if kind == "complex":
+        for t in draw(st.lists(st.integers(0, len(coeffs) - 1), min_size=1, max_size=3)):
+            c0 = coeffs[t]
+            coeffs[t] = PlanarCoeffs(complex(c0.a), complex(c0.b), complex(c0.c, draw(
+                st.sampled_from([0.0, 1e-12, 0.5]))))
+    return CtppFunction(tri, tuple(coeffs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_perturbed_ctpps())
+def test_validate_ctpp_matches_the_fraction_oracle(g):
+    got, want = validate_ctpp(g), _validate_ctpp_fraction_oracle(g)
+    assert got == want
+    assert [tuple(map(repr, v.values)) for v in got] == [tuple(map(repr, v.values)) for v in want]
+
+
+def test_validate_ctpp_reports_a_broken_piece_on_the_integer_path():
+    tri = ear_clip(_EAR_POLYGONS[0])
+    z = [Fraction(k * k, 3) for k in range(len(tri.vertices))]
+    coeffs = [solve_plane(tri.vertices[i], tri.vertices[j], tri.vertices[k], z[i], z[j], z[k])
+              for i, j, k in tri.triangles]
+    assert validate_ctpp(CtppFunction(tri, tuple(coeffs))) == []
+    coeffs[2] = PlanarCoeffs(coeffs[2].a, coeffs[2].b, coeffs[2].c + Fraction(1, 5))
+    g = CtppFunction(tri, tuple(coeffs))
+    got = validate_ctpp(g)
+    assert [(v.edge, v.triangles) for v in got] == [((1, 6), (0, 2)), ((1, 3), (1, 2)),
+                                                   ((3, 6), (2, 3))]
+    assert got == _validate_ctpp_fraction_oracle(g)

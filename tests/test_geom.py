@@ -199,6 +199,22 @@ class TestEarClip:
             validate_triangulation(tri)
 
 
+def test_adjacency_keeps_its_insertion_order_on_an_ear_clipped_polygon():
+    """Edges enter ``adjacency`` as (i, j), (j, k), (k, i) of each triangle in order;
+    ``shared_edges``, ``boundary_edges`` and the order of continuity violations
+    follow it. Pinned from the min/max-key build."""
+    poly = Polygon((P(0, 0), P(4, 0), P(4, 3), P(2, 1), P(Fraction(3, 2), 4), P(0, 3),
+                    P(-1, Fraction(3, 2))))
+    tri = ear_clip(poly)
+    assert tri.triangles == ((6, 0, 1), (1, 2, 3), (6, 1, 3), (6, 3, 4), (4, 5, 6))
+    assert list(tri.adjacency.items()) == [
+        ((0, 6), [0]), ((0, 1), [0]), ((1, 6), [0, 2]), ((1, 2), [1]), ((2, 3), [1]),
+        ((1, 3), [1, 2]), ((3, 6), [2, 3]), ((3, 4), [3]), ((4, 6), [3, 4]), ((4, 5), [4]),
+        ((5, 6), [4])]
+    assert tri.shared_edges() == [((1, 6), 0, 2), ((1, 3), 1, 2), ((3, 6), 2, 3),
+                                  ((4, 6), 3, 4)]
+
+
 class TestGridTriangulation:
     def test_unit_square_n1(self):
         tri = grid_triangulation(Rectangle.of(0, 1, 0, 1), 1)
@@ -360,3 +376,15 @@ def test_grid_subdivision_past_the_cap_is_refused_before_any_vertex(monkeypatch)
     monkeypatch.setattr(geom, "Point2", no_vertex)
     with pytest.raises(GeomError, match="grid subdivision must be <= 256, got 257"):
         grid_triangulation(Rectangle.of(0, 1, 0, 1), geom.MAX_GRID_SUBDIVISION + 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rationals, rationals, lengths, lengths, st.integers(1, 7))
+def test_grid_vertices_are_the_stepped_corner(x0, y0, w, h, n):
+    rect = Rectangle(x0, x0 + w, y0, y0 + h)
+    tri = grid_triangulation(rect, n)
+    assert tri.vertices == tuple(P(x0 + i * (w / n), y0 + j * (h / n))
+                                 for j in range(n + 1) for i in range(n + 1))
+    ints, scale = tri.vertex_lift()
+    assert tri.vertex_lift() is tri.vertex_lift()
+    assert [Fraction(c, scale) for c in ints] == [c for v in tri.vertices for c in v]

@@ -1,5 +1,6 @@
 """Serialization round-trips and CSV formatting."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -58,6 +59,55 @@ class TestNumberCodec:
             dec_coord("a/b")
         with pytest.raises(BadInputFile):
             dec_value({"no": 1})
+
+
+def _enc_coord_before(v):
+    """``enc_coord`` as it was before its fast path: always wrap in Fraction."""
+    v = Fraction(v)
+    return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+
+_LONG = "7" * 4301      # one digit past int's default string-conversion limit
+
+
+def _check_dec_coord(text):
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(BadInputFile) as info:
+            dec_coord(text)
+        assert str(info.value) == f"bad rational {text!r}"
+    else:
+        got = dec_coord(text)
+        assert type(got) is Fraction and got == want
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.text(alphabet="0123456789-+/_ .eE\n\u0663", max_size=10),
+                 st.from_regex(r"-?[0-9]{1,6}(/[0-9]{1,6})?", fullmatch=True)))
+def test_dec_coord_accepts_exactly_what_fraction_accepts(text):
+    _check_dec_coord(text)
+
+
+@pytest.mark.parametrize("text", [
+    "1/0", "1/000", "-0/5", "007/010", "-0", " 1/2", "1/2\n", "+3", "1_0/3", "\u0663/4",
+    "1.5", "1e3", "--1", "1//2", "-1/-2", "", _LONG, _LONG + "/3", "3/" + _LONG,
+    "-" + _LONG, _LONG + "/0",
+])
+def test_dec_coord_edge_strings_match_fraction(text):
+    _check_dec_coord(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(), st.booleans(), st.fractions(),
+                 st.floats(allow_nan=False, allow_infinity=False)))
+def test_enc_coord_writes_what_it_wrote_before(v):
+    assert json.dumps(enc_coord(v)) == json.dumps(_enc_coord_before(v))
+
+
+@pytest.mark.parametrize("v", [True, False, 0, -(10**30), Fraction(-7, 3), Fraction(6, 2), 0.75])
+def test_enc_coord_edge_values_write_what_they_wrote_before(v):
+    assert json.dumps(enc_coord(v)) == json.dumps(_enc_coord_before(v))
 
 
 class TestNonFinite:

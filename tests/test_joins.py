@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from planevar.geom import P, Rectangle, cross, dot
+from planevar.geom import P, Point2, Rectangle, cross, dot
 from planevar.variation import (
     SampledFunction,
     SearchConfig,
@@ -222,6 +222,39 @@ class TestSectorFill:
         f = SampledFunction((P(1, 0),), (Fraction(1),))
         with pytest.raises(Exception):
             sector_fill(f, spec)
+
+
+def _sector_fill_before(f, spec, n):
+    """``sector_fill`` on valid input as it was, with the y grid rebuilt for every x."""
+    from planevar.joins import _build_normalizer, _clamped_value, _fraction_linspace
+    phi = _build_normalizer(spec)
+    inv = phi.inverse()
+    fhat = RealFunction1D.from_pairs([(phi.apply(p).x, f.value(p)) for p in f.points])
+    corners = [phi.apply(c) for c in spec.rect.corners()]
+    r1 = Rectangle(min(c.x for c in corners), max(c.x for c in corners),
+                   min(c.y for c in corners), max(c.y for c in corners))
+    pairs = {p: f.value(p) for p in f.points}
+    for x in _fraction_linspace(r1.x_min, r1.x_max, n):
+        vx = _clamped_value(fhat, x)
+        for y in _fraction_linspace(r1.y_min, r1.y_max, n):
+            back = inv.apply(Point2(x, y))
+            if spec.rect.contains(back):
+                pairs.setdefault(back, vx)
+    pts = tuple(sorted(pairs, key=lambda q: (q.x, q.y)))
+    return SampledFunction(pts, tuple(pairs[q] for q in pts))
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("spec", [
+    SectorSpec(Rectangle.of(-1, 1, -1, 1), P(0, 0), P(1, 1), P(-1, 1)),
+    SectorSpec(Rectangle.of(-2, 3, -1, 2), P(Fraction(1, 2), Fraction(1, 2)), P(2, 1), P(-1, 3)),
+])
+def test_sector_fill_equals_the_loop_it_replaced(spec, n):
+    c = spec.centre
+    pts = (c, P(c.x + spec.ray1.x / 2, c.y + spec.ray1.y / 2),
+           P(c.x + spec.ray2.x / 3, c.y + spec.ray2.y / 3))
+    f = SampledFunction(pts, (Fraction(1), Fraction(-2, 3), Fraction(5, 2)))
+    assert sector_fill(f, spec, n=n) == _sector_fill_before(f, spec, n)
 
 
 class TestJoinReport:
