@@ -95,7 +95,7 @@ and the count of a list is
 which for m = 1 is the single-point convention. E(a, b) is 1 exactly when a
 is off the line and b is not strictly on a's side. This sum is the only
 count: ``_counts_from_matrix`` takes it over a gathered sign matrix,
-``vf_sweep`` takes it in interval form over one list (below), and
+``_sweep_counts`` takes it in interval form over one list (below), and
 ``variation.vf_line`` lists the segment each term flags. A list's
 count vector over the L distinct sign patterns of a sign table is therefore
 one "first" row of L terms plus one pair row per consecutive pair:
@@ -159,6 +159,11 @@ positions, plus 1 at position 2r_0, gives the count of every candidate line
 in O(N (k + m)) cells for N directions, k distinct points and m list
 entries, instead of the ~2k^3 * m signs of the table. Positions past 2d - 2
 hold no run and count 0, below the vf >= 1 of any list.
+
+``_sweep_counts`` is this counts pass and ``vf_sweep`` adds the witness pass.
+The counts pass also serves the suite's criterion 1: one ``_dense_ranks`` of
+the longer list counts it and, on the rank columns of its points, the list
+one point shorter, since one family serves every sublist.
 
 Each cell is a line of the family: position 2i is (a, b, v_i) and 2i + 1 is
 (2a, 2b, v_i + v_{i+1}); both are (2a, 2b, v_lo + v_hi) with lo = hi on a
@@ -290,9 +295,11 @@ def _lex_order(rows: np.ndarray) -> np.ndarray:
     return np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))
 
 
-# No production path calls candidate_lines: the tests use it as the vectorised
-# oracle of the family, and perfbench/tracer.py looks up candidate_lines,
-# build_sign_table and vf_of_indices by name when it installs its spans.
+# No production path calls candidate_lines or vf_of_indices: the tests use them
+# as oracles of the family and of a list's count, and perfbench/tracer.py (with
+# tests/test_tracer_guard.py) looks up candidate_lines, build_sign_table and
+# vf_of_indices by name when it installs its spans. Moving the two into the
+# tests waits for the layer trace to drop those spans (ROADMAP, item 1).
 def candidate_lines(int_points: list[tuple[int, int]]) -> np.ndarray:
     """Complete candidate family: unique integer rows (a, b, c), sorted lexicographically.
 
@@ -380,10 +387,9 @@ def build_sign_table(points: tuple[Point2, ...]) -> SignTable:
     return SignTable(signs=distinct, n_lines=len(line_dir))
 
 
-def vf_sweep(points: tuple[Point2, ...]) -> tuple[int, Line]:
-    """(variation factor, lex-smallest canonical witness line) of one list, without
-    a table ("One list: per-direction sweep" in the module docstring)."""
-    scale, normals, vals, per_dir, r = _dense_ranks(points)
+def _sweep_counts(per_dir: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(N, 2 max d) count of the list with rank columns ``r`` (N, m >= 1) on every
+    cell of the N directions, each with ``per_dir`` distinct projections."""
     n_dirs = len(per_dir)
     row = np.arange(n_dirs)[:, None]
     # pair p adds 1 on the positions [start, stop); empty when r_p = r_{p+1}
@@ -397,6 +403,14 @@ def vf_sweep(points: tuple[Point2, ...]) -> tuple[int, Line]:
             - np.bincount((stop + base).ravel(), minlength=n_dirs * width))
     counts = np.cumsum(diff.reshape(n_dirs, width), axis=1)
     counts[row[:, 0], 2 * r[:, 0]] += 1                                     # [s_0 = 0]
+    return counts
+
+
+def vf_sweep(points: tuple[Point2, ...]) -> tuple[int, Line]:
+    """(variation factor, lex-smallest canonical witness line) of one list, without
+    a table ("One list: per-direction sweep" in the module docstring)."""
+    scale, normals, vals, per_dir, r = _dense_ranks(points)
+    counts = _sweep_counts(per_dir, r)
     vf = int(counts.max())
     # the maximal cells as lines (2a, 2b, v_lo + v_hi); lo = hi on a projection
     d, pos = np.nonzero(counts == vf)
@@ -425,17 +439,6 @@ def _counts_from_matrix(S: np.ndarray) -> np.ndarray:
 def vf_of_indices(table: SignTable, idx) -> int:
     """Variation factor of one index list: its largest count over the table's patterns."""
     return int(_counts_from_matrix(table.signs[:, np.asarray(idx, dtype=np.intp)]).max())
-
-
-def _count_dtype(max_len: int):
-    """Smallest signed integer dtype that holds the count of a list of ``max_len`` points.
-
-    A count is at most one term per point (pair form), so at most ``max_len``.
-    """
-    for dtype in (np.int8, np.int16, np.int32):
-        if max_len <= np.iinfo(dtype).max:
-            return dtype
-    return np.int64
 
 
 class PackedCounts:
@@ -554,36 +557,33 @@ class _Offsets(dict):
 
 
 @dataclass(frozen=True)
-class _LevelRows:
-    """The rows a level step adds: row a * P + b is E(a, b) over the table's
-    patterns, and row P * P + b is [s_b = 0], the step from the empty list."""
-
-    dense: np.ndarray      # ((P + 1) * P, L) in ``_count_dtype(max_len)``
-    n_pts: int
-
-
-@dataclass(frozen=True)
 class Level:
     """Index lists of one length, each a list of the level before plus one index,
-    with each list's count on every pattern and its vf, the largest of them."""
+    with each list's count on every pattern and its vf, the largest of them.
 
-    rows: _LevelRows
+    ``rows`` are the rows a level step adds, shared by every level of a table:
+    row a * P + b is E(a, b) over the table's patterns, and row P * P + b is
+    [s_b = 0], the step from the empty list. Counts are int8: a count is at
+    most one term per point, and ``var_exact_small`` caps lists at
+    ``_EXACT_MAX_LEN = 6`` points.
+    """
+
+    rows: np.ndarray             # ((P + 1) * P, L) int8
+    n_pts: int                   # P
     length: int
     last: np.ndarray             # (N,) each list's last index; P for the empty list
     vf: np.ndarray               # (N,) int32
-    counts: np.ndarray           # (N, L)
+    counts: np.ndarray           # (N, L) int8
 
 
-def empty_level(table: SignTable, max_len: int) -> Level:
-    """The level of the empty list, the root of lists of at most ``max_len`` points,
-    with count 0 on every pattern; ``max_len`` picks the counts' dtype."""
+def empty_level(table: SignTable) -> Level:
+    """The level of the empty list, with count 0 on every pattern."""
     S = table.signs.T                                    # (P, L)
     n_pts, n_rows = S.shape
-    terms = np.concatenate([_pair_terms(S[:, None, :], S[None, :, :]).reshape(-1, n_rows),
-                            S == 0])
-    rows = _LevelRows(dense=terms.astype(_count_dtype(max_len)), n_pts=n_pts)
-    return Level(rows=rows, length=0, last=np.array([n_pts]), vf=np.zeros(1, dtype=np.int32),
-                 counts=np.zeros((1, n_rows), dtype=rows.dense.dtype))
+    rows = np.concatenate([_pair_terms(S[:, None, :], S[None, :, :]).reshape(-1, n_rows),
+                           S == 0]).astype(np.int8)
+    return Level(rows=rows, n_pts=n_pts, length=0, last=np.array([n_pts]),
+                 vf=np.zeros(1, dtype=np.int32), counts=np.zeros((1, n_rows), dtype=np.int8))
 
 
 def vf_batch(prev: Level, step: np.ndarray) -> Level:
@@ -594,8 +594,7 @@ def vf_batch(prev: Level, step: np.ndarray) -> Level:
     largest entry ("Pair form" in the module docstring).
     """
     parent, index = step[:, 0], step[:, 1]
-    rows = prev.rows
-    code = np.take(prev.last, parent) * rows.n_pts + index
-    counts = np.take(prev.counts, parent, axis=0) + np.take(rows.dense, code, axis=0)
-    return Level(rows=rows, length=prev.length + 1, last=index,
+    code = np.take(prev.last, parent) * prev.n_pts + index
+    counts = np.take(prev.counts, parent, axis=0) + np.take(prev.rows, code, axis=0)
+    return Level(rows=prev.rows, n_pts=prev.n_pts, length=prev.length + 1, last=index,
                  vf=counts.max(axis=1).astype(np.int32), counts=counts)

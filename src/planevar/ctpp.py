@@ -301,8 +301,8 @@ def boundary_ring(tri: Triangulation) -> list[int]:
             break
         ring.append(step)
         prev, cur = cur, step
-        if len(ring) > len(edges) + 1:
-            raise CtppError("boundary walk failed")
+    if len(ring) != len(edges):     # the walk closed on one of several rings
+        raise CtppError("boundary is not a single closed ring")
     pts = [tri.vertices[i] for i in ring]
     if shoelace_area(pts) < 0:
         ring.reverse()
@@ -356,7 +356,9 @@ def extend_to_polygon(g: CtppFunction, p0: Polygon) -> CtppFunction:
     A rectangle strictly containing both polygons is triangulated outside the
     carrier by ear clipping (hole bridged to the rectangle's right edge), new
     vertices receive the least-gradient value for their first triangle, and
-    the full extension is clipped to p0 (convex targets only).
+    the full extension is clipped to p0 (convex targets only). The carrier's
+    boundary must be one closed ring, so a carrier in two pieces or with a hole
+    is refused (``boundary_ring``).
     """
     if validate_ctpp(g):
         raise CtppError("input function violates continuity; refusing to extend")
@@ -663,9 +665,8 @@ def triangle_lipschitz_report(g: CtppFunction) -> list[PieceBound]:
     """Check |grad| <= (2/r) max|F| for every planar piece (exact when rational).
 
     For a planar piece the maximum of |F| over the triangle is attained at a
-    vertex. The inradius enters as a certified interval; the check first uses
-    the upper end (which strengthens the inequality) and falls back to the
-    lower end to classify genuine violations.
+    vertex. The inradius enters as a certified interval, exact or not; the
+    check uses its lower end, so only a genuine violation fails it.
     """
     out = []
     radius_cache: dict[tuple, object] = {}
@@ -684,16 +685,10 @@ def triangle_lipschitz_report(g: CtppFunction) -> list[PieceBound]:
             radius_cache[key] = r
         if exact:
             grad_sq = c.a * c.a + c.b * c.b
-            sup_sq = sup * sup
-            # |grad| <= 2 sup / r  <=>  grad_sq * r^2 <= 4 sup_sq
-            r_hi = r.exact if r.is_exact else r.hi
-            r_lo = r.exact if r.is_exact else r.lo
-            ok = grad_sq * r_hi * r_hi <= 4 * sup_sq
-            if not ok and grad_sq * r_lo * r_lo <= 4 * sup_sq:
-                ok = True  # inside the interval's slack: not a genuine violation
+            # |grad| <= 2 sup / r  <=>  grad_sq * r^2 <= 4 sup^2
+            ok = grad_sq * r.lo * r.lo <= 4 * sup * sup
         else:
             grad_sq = abs(complex(c.a)) ** 2 + abs(complex(c.b)) ** 2
-            ok = grad_sq <= (2 * sup / float(r.lo if not r.is_exact else r.exact)) ** 2 \
-                * (1 + 1e-9) + 1e-18
+            ok = grad_sq <= (2 * sup / float(r.lo)) ** 2 * (1 + 1e-9) + 1e-18
         out.append(PieceBound(idx, grad_sq, sup, ok))
     return out

@@ -173,10 +173,10 @@ def criterion_01(rng, registry) -> tuple[bool, str]:
         w = _rand_point(rng, span=6, den=6)
         pos = int(rng.integers(n + 2))
         plus = pts[:pos] + (w,) + pts[pos:]
-        table = _vfcore.build_sign_table(plus)
-        idx_s = [k for k in range(len(plus)) if k != pos]
-        vf_s = _vfcore.vf_of_indices(table, idx_s)
-        vf_p = _vfcore.vf_of_indices(table, np.arange(len(plus)))
+        # the family of plus serves both lists ("Completeness argument" in _vfcore)
+        _, _, _, per_dir, r = _vfcore._dense_ranks(plus)
+        vf_s = int(_vfcore._sweep_counts(per_dir, np.delete(r, pos, axis=1)).max())
+        vf_p = int(_vfcore._sweep_counts(per_dir, r).max())
         if vf_s > vf_p:
             violations += 1
         if not (1 <= vf_s <= max(n, 1)) or not (1 <= vf_p <= n + 1):

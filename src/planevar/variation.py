@@ -382,7 +382,7 @@ def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
 
     steps: list[np.ndarray] = []
     per_len: list[tuple[np.ndarray, np.ndarray]] = []
-    level = _vfcore.empty_level(table, top)
+    level = _vfcore.empty_level(table)
     cv = np.zeros(1)
     best_float = threshold = None
     for left in range(top, 0, -1):

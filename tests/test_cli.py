@@ -632,6 +632,21 @@ def test_ctpp_interp_output_is_pinned(tmp_path, capsys, values, coeffs):
     assert out.read_text() == json.dumps({**INTERP_DOC, "coeffs": coeffs}, indent=1)
 
 
+def test_ctpp_extend_refuses_a_carrier_of_two_rings(tmp_path):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [0, 1], [5, 5], [6, 5], [5, 6]],
+                             "triangles": [[0, 1, 2], [3, 4, 5]],
+                             "coeffs": [[0, 0, 0], [0, 0, 0]]}))
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"vertices": [[-1, -1], [8, -1], [8, 8], [-1, 8]]}))
+    ext = tmp_path / "ext.json"
+    code, out, err = run_cli("ctpp", "extend", "--ctpp", str(g), "--poly", str(poly),
+                             "--out", str(ext))
+    assert_single_error(code, err, "CtppError")
+    assert err == "error:CtppError:boundary is not a single closed ring\n"
+    assert out == "" and not ext.exists()
+
+
 @pytest.mark.parametrize("point", ["1/4,1/4", "5,5"])
 def test_ctpp_classify_degenerate_triangle_is_typed_error(tmp_path, point):
     # the point lies in triangle 0 or in none; the scan reaches triangle 1 either way

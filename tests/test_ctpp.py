@@ -30,6 +30,7 @@ from planevar.ctpp import (
     EdgeViolation,
     NotStarPlanar,
     PointOutsidePolygon,
+    boundary_ring,
     classify_point,
     eval_ctpp,
     extend_to_polygon,
@@ -195,6 +196,25 @@ class TestExtend:
         hook = Polygon((P(-2, -2), P(3, -2), P(3, 3), P(2, 3), P(2, -1), P(-2, -1)))
         with pytest.raises(NotContainable):
             extend_to_polygon(g, hook)
+
+    @pytest.mark.parametrize("tri", [
+        # two disjoint triangles
+        Triangulation((P(0, 0), P(1, 0), P(0, 1), P(5, 5), P(6, 5), P(5, 6)),
+                      ((0, 1, 2), (3, 4, 5))),
+        # the square [0, 3]^2 with the hole [1, 2]^2
+        Triangulation((P(0, 0), P(3, 0), P(3, 3), P(0, 3), P(1, 1), P(2, 1), P(2, 2), P(1, 2)),
+                      ((0, 1, 5), (0, 5, 4), (1, 2, 6), (1, 6, 5),
+                       (2, 3, 7), (2, 7, 6), (3, 0, 4), (3, 4, 7))),
+    ], ids=["two-triangles", "hole"])
+    def test_carrier_with_two_boundary_rings_rejected(self, tri):
+        """Every boundary vertex has two boundary neighbours, so the walk closes
+        on one ring; the extension must not fill the target around it."""
+        g = CtppFunction(tri, (PlanarCoeffs(Fraction(0), Fraction(0), Fraction(0)),)
+                         * len(tri.triangles))
+        with pytest.raises(CtppError, match="^boundary is not a single closed ring$"):
+            boundary_ring(tri)
+        with pytest.raises(CtppError, match="^boundary is not a single closed ring$"):
+            extend_to_polygon(g, Polygon((P(-1, -1), P(8, -1), P(8, 8), P(-1, 8))))
 
 
 class TestStarPlanar:

@@ -773,6 +773,21 @@ def test_vf_exact_does_not_drop_when_a_point_is_inserted(pts, data):
     assert vf_exact(longer).vf >= vf_exact(pts).vf
 
 
+@settings(max_examples=150, deadline=None)
+@given(point_lists_with_runs())
+@example((P(0, 0),))
+@example((P(0, 0), P(1, 0), P(0, 0), P(1, 0)))
+def test_sweep_counts_on_shared_ranks_give_every_sublists_vf(plus):
+    """One ``_dense_ranks`` of a list counts the list and each list one point
+    shorter, on the rank columns of its points, as their own sweeps do."""
+    _, _, _, per_dir, r = _vfcore._dense_ranks(plus)
+    assert int(_vfcore._sweep_counts(per_dir, r).max()) == vf_exact(plus).vf
+    for pos in range(len(plus) if len(plus) > 1 else 0):
+        shorter = np.delete(r, pos, axis=1)
+        assert int(_vfcore._sweep_counts(per_dir, shorter).max()) == \
+            vf_exact(plus[:pos] + plus[pos + 1:]).vf
+
+
 # invertible maps with integer entries and translation
 int_affine_maps = st.tuples(*[st.integers(-3, 3)] * 6).filter(
     lambda m: m[0] * m[3] - m[1] * m[2] != 0).map(lambda m: AffineMap.of(*m))
@@ -1154,7 +1169,7 @@ def _unpruned_maximum(f, max_len):
     """(value, witness, witness_vf) over every list of the lex levels, each list's
     vf stepped by ``vf_batch`` with no pruning and its value in Fractions."""
     table = build_sign_table(f.points)
-    level = empty_level(table, max_len)
+    level = empty_level(table)
     best = None
     for step, lists in _lex_levels(len(f.points), max_len):
         level = vf_batch(level, step)
@@ -1217,7 +1232,7 @@ def _vf_of_lists(table, batch):
     """vf_batch along the levels that spell out the rows of ``batch``: row i of
     level j is the first j + 1 entries of row i."""
     n, m = batch.shape
-    level = empty_level(table, m)
+    level = empty_level(table)
     for j in range(m):
         parent = np.arange(n) if j else np.zeros(n, dtype=np.intp)
         level = vf_batch(level, np.column_stack([parent, batch[:, j]]))
@@ -1268,7 +1283,7 @@ def test_vf_batch_matches_the_gather_oracle_up_to_the_caps(name, distinct):
     for k in range(1, 8):
         pts = KERNEL_SAMPLES[name][:k]
         table = build_sign_table(pts) if distinct else _table_of_signs(_reference_table(pts)[1])
-        level = empty_level(table, 6)
+        level = empty_level(table)
         for m, (step, lists) in enumerate(_lex_levels(k, 6), 1):
             level = vf_batch(level, step)
             assert level.length == m
@@ -1284,7 +1299,7 @@ def test_vf_batch_on_shuffled_and_repeating_batches(name, seed):
     zero row), carried over six levels, counts and vf alike."""
     table = build_sign_table(KERNEL_SAMPLES[name])
     rng = np.random.default_rng(seed)
-    level = empty_level(table, 6)
+    level = empty_level(table)
     lists = np.empty((1, 0), dtype=np.intp)
     for m in range(1, 7):
         few = 3 if m % 2 else 7
@@ -1301,7 +1316,7 @@ def test_vf_batch_on_shuffled_and_repeating_batches(name, seed):
 @pytest.mark.parametrize("m", [1, 2, 3, 6])
 def test_vf_batch_on_an_empty_batch(m):
     table = build_sign_table(SEVEN)
-    level = empty_level(table, 6)
+    level = empty_level(table)
     for step, _ in _lex_levels(7, m - 1):
         level = vf_batch(level, step)
     got = vf_batch(level, np.empty((0, 2), dtype=np.intp)).vf
@@ -1320,7 +1335,7 @@ def test_vf_batch_matches_the_gather_oracle_on_random_samples(pts, data):
     for table in (full, build_sign_table(sample)):
         assert _vf_of_lists(table, batch).tolist() == _batch_oracle(table, batch).tolist()
         depth = min(m, 4)          # every lex list; deeper levels are the caps test's
-        level = empty_level(table, depth)
+        level = empty_level(table)
         for step, lists in _lex_levels(len(pts), depth):
             level = vf_batch(level, step)
         if lists:
