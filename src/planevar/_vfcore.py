@@ -160,10 +160,14 @@ in O(N (k + m)) cells for N directions, k distinct points and m list
 entries, instead of the ~2k^3 * m signs of the table. Positions past 2d - 2
 hold no run and count 0, below the vf >= 1 of any list.
 
-``_sweep_counts`` is this counts pass and ``vf_sweep`` adds the witness pass.
+``_dense_ranks`` ranks the k distinct points, an (N, k) array, and maps each
+list entry to its point. ``_sweep_counts`` is this counts pass: it works in
+blocks of ``_SWEEP_BLOCK`` consecutive pairs, gathering the block's ranks and
+adding its runs to the one difference array, so its memory stays O(N (k +
+max d + block)) however long the list. ``vf_sweep`` adds the witness pass.
 The counts pass also serves the suite's criterion 1: one ``_dense_ranks`` of
-the longer list counts it and, on the rank columns of its points, the list
-one point shorter, since one family serves every sublist.
+the longer list counts it and, with that entry deleted from the index
+vector, the list one point shorter, since one family serves every sublist.
 
 Each cell is a line of the family: position 2i is (a, b, v_i) and 2i + 1 is
 (2a, 2b, v_i + v_{i+1}); both are (2a, 2b, v_lo + v_hi) with lo = hi on a
@@ -190,6 +194,7 @@ from .geom import Line, Point2, common_denominator
 
 _INT64_MAX = (1 << 63) - 1
 _SIGN_BLOCK = 4096     # sign-table rows filled at once
+_SWEEP_BLOCK = 256     # list pairs one sweep pass gathers at once
 
 
 # Defined here so that the sign-table size cap can raise a typed error;
@@ -342,8 +347,9 @@ def _refuse_large_family(distinct: int) -> None:
 
 def _dense_ranks(points: tuple[Point2, ...]):
     """(scale, normals (N, 2), each direction's distinct projections in order
-    (flat), their count per direction (N,), dense rank of each point's
-    projection among them (N, P)) over the N candidate normals."""
+    (flat), their count per direction (N,), dense rank of each distinct point's
+    projection among them (N, k), each entry's distinct point (m,)) over the N
+    candidate normals."""
     int_pts, scale = scale_to_ints(points)
     uniq, pts = _distinct_points(int_pts)                                   # (k, 2)
     _refuse_large_family(len(uniq))
@@ -357,7 +363,8 @@ def _dense_ranks(points: tuple[Point2, ...]):
     rank = np.empty(proj.shape, dtype=np.intp)
     rank[row, order] = np.cumsum(new, axis=1) - 1
     at = {q: i for i, q in enumerate(uniq)}
-    return scale, normals, ranked[new], new.sum(axis=1), rank[:, [at[q] for q in int_pts]]
+    idx = np.array([at[q] for q in int_pts], dtype=np.intp)
+    return scale, normals, ranked[new], new.sum(axis=1), rank, idx
 
 
 def build_sign_table(points: tuple[Point2, ...]) -> SignTable:
@@ -367,7 +374,8 @@ def build_sign_table(points: tuple[Point2, ...]) -> SignTable:
     points k to about 100, so a rank r_p and a position pos lie below 2k <= 200
     and 2 r_p - pos lies in (-200, 200), well inside int16's range.
     """
-    _, normals, _, per_dir, rank = _dense_ranks(points)
+    _, normals, _, per_dir, rank, idx = _dense_ranks(points)
+    rank = rank[:, idx]
     cells = 2 * per_dir - 1                              # positions 0..2d-2 per direction
     line_dir = np.repeat(np.arange(len(cells)), cells)
     line_pos = (np.arange(len(line_dir))
@@ -387,30 +395,45 @@ def build_sign_table(points: tuple[Point2, ...]) -> SignTable:
     return SignTable(signs=distinct, n_lines=len(line_dir))
 
 
-def _sweep_counts(per_dir: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """(N, 2 max d) count of the list with rank columns ``r`` (N, m >= 1) on every
-    cell of the N directions, each with ``per_dir`` distinct projections."""
-    n_dirs = len(per_dir)
-    row = np.arange(n_dirs)[:, None]
+def _run_diff(r: np.ndarray, base: np.ndarray, size: int) -> np.ndarray:
+    """The difference array, flat over (direction, position), of the runs of the
+    consecutive pairs in rank columns ``r`` (N, b); ``base`` is each direction's
+    first cell."""
     # pair p adds 1 on the positions [start, stop); empty when r_p = r_{p+1}
     here, after = r[:, :-1], r[:, 1:]
     up = here < after
     start = np.where(up, 2 * here + 1, 2 * after)
+    start += base
     stop = np.where(up, 2 * after + 1, 2 * here)
+    stop += base
+    diff = np.bincount(start.ravel(), minlength=size)
+    diff -= np.bincount(stop.ravel(), minlength=size)
+    return diff
+
+
+def _sweep_counts(per_dir: np.ndarray, rank: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """(N, 2 max d) count of the list of distinct points ``idx`` (m >= 1 entries)
+    on every cell of the N directions, each with ``per_dir`` distinct
+    projections, where ``rank`` (N, k) holds each distinct point's rank."""
+    n_dirs = len(per_dir)
+    row = np.arange(n_dirs)[:, None]
     width = 2 * int(per_dir.max())       # positions 0..2d-2, and one past the last
+    size = n_dirs * width
     base = row * width
-    diff = (np.bincount((start + base).ravel(), minlength=n_dirs * width)
-            - np.bincount((stop + base).ravel(), minlength=n_dirs * width))
+    # _SWEEP_BLOCK pairs at a time, so the temporaries stay (N, _SWEEP_BLOCK)
+    diff = _run_diff(rank[:, idx[:_SWEEP_BLOCK + 1]], base, size)
+    for lo in range(_SWEEP_BLOCK, len(idx) - 1, _SWEEP_BLOCK):
+        diff += _run_diff(rank[:, idx[lo:lo + _SWEEP_BLOCK + 1]], base, size)
     counts = np.cumsum(diff.reshape(n_dirs, width), axis=1)
-    counts[row[:, 0], 2 * r[:, 0]] += 1                                     # [s_0 = 0]
+    counts[row[:, 0], 2 * rank[:, idx[0]]] += 1                             # [s_0 = 0]
     return counts
 
 
 def vf_sweep(points: tuple[Point2, ...]) -> tuple[int, Line]:
     """(variation factor, lex-smallest canonical witness line) of one list, without
     a table ("One list: per-direction sweep" in the module docstring)."""
-    scale, normals, vals, per_dir, r = _dense_ranks(points)
-    counts = _sweep_counts(per_dir, r)
+    scale, normals, vals, per_dir, rank, idx = _dense_ranks(points)
+    counts = _sweep_counts(per_dir, rank, idx)
     vf = int(counts.max())
     # the maximal cells as lines (2a, 2b, v_lo + v_hi); lo = hi on a projection
     d, pos = np.nonzero(counts == vf)

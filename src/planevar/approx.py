@@ -224,38 +224,6 @@ class Poly2:
                 out[n] += c * w
         return Poly2.from_rows([out])
 
-    def restrict_line(self, p0: Point2, direction: Point2) -> tuple[Fraction, ...]:
-        """1-variable coefficients of t |-> p(p0 + t * direction)."""
-        one = (Fraction(1),)
-        tx = (to_fraction(p0.x), to_fraction(direction.x))
-        ty = (to_fraction(p0.y), to_fraction(direction.y))
-
-        def pmul(a, b):
-            out = [Fraction(0)] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-            return tuple(out)
-
-        x_pows = [one]
-        for _ in range(self.deg_x):
-            x_pows.append(pmul(x_pows[-1], tx))
-        y_pows = [one]
-        for _ in range(self.deg_y):
-            y_pows.append(pmul(y_pows[-1], ty))
-        acc = [Fraction(0)]
-        for m, row in enumerate(self.coeffs):
-            for n, c in enumerate(row):
-                if c == 0:
-                    continue
-                term = pmul(x_pows[m], y_pows[n])
-                if len(term) > len(acc):
-                    acc.extend([Fraction(0)] * (len(term) - len(acc)))
-                for i, v in enumerate(term):
-                    acc[i] += c * v
-        while len(acc) > 1 and acc[-1] == 0:
-            acc.pop()
-        return tuple(acc)
 
 
 def _monomial_to_bernstein(poly: Poly2) -> np.ndarray:

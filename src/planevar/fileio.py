@@ -169,37 +169,15 @@ def function_1d_from_json(text: str) -> RealFunction1D:
 
 # --- point lists ------------------------------------------------------------
 
-def point_list_to_json(points) -> str:
-    return json.dumps({"list": [[enc_coord(p.x), enc_coord(p.y)] for p in points]},
-                      indent=1)
-
-
 def point_list_from_json(text: str) -> tuple[Point2, ...]:
     doc = _load(text)
     return _points(doc, "list" if "list" in doc else "points")
 
 
-# --- polygons and triangulations -------------------------------------------
-
-def polygon_to_json(poly: Polygon) -> str:
-    return json.dumps({"vertices": [[enc_coord(p.x), enc_coord(p.y)]
-                                    for p in poly.vertices]}, indent=1)
-
+# --- polygons ----------------------------------------------------------------
 
 def polygon_from_json(text: str) -> Polygon:
     return Polygon(_points(_load(text), "vertices"))
-
-
-def triangulation_to_json(tri: Triangulation) -> str:
-    doc = {
-        "vertices": [[enc_coord(p.x), enc_coord(p.y)] for p in tri.vertices],
-        "triangles": [list(t) for t in tri.triangles],
-    }
-    return json.dumps(doc, indent=1)
-
-
-def triangulation_from_json(text: str) -> Triangulation:
-    return _triangulation(_load(text))
 
 
 # --- piecewise planar functions ---------------------------------------------

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class GeomError(ValueError):
@@ -164,16 +164,6 @@ def line_through(p: Point2, q: Point2) -> Line:
     return Line.from_coeffs(a, b, c)
 
 
-def transform_line(line: Line, phi: "AffineMap") -> Line:
-    """Image of ``line`` (as a point set) under an invertible affine map."""
-    inv = phi.inverse()
-    # a'(x,y) = (a,b) . M^-1 applied to (x - t)
-    a2 = line.a * inv.m00 + line.b * inv.m10
-    b2 = line.a * inv.m01 + line.b * inv.m11
-    c2 = line.c - (line.a * inv.t0 + line.b * inv.t1)
-    return Line.from_coeffs(a2, b2, c2)
-
-
 @dataclass(frozen=True, slots=True)
 class AffineMap:
     """x |-> M x + t with exact rational entries."""
@@ -245,18 +235,10 @@ class ScalarBounds:
     hi: Fraction
     exact: Fraction | None = None
 
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
-
     def __float__(self):
         if self.exact is not None:
             return float(self.exact)
         return float((self.lo + self.hi) / 2)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
 
 # ---------------------------------------------------------------------------
@@ -279,22 +261,12 @@ class Triangle:
     def area(self) -> Fraction:
         return abs(cross(self.v0, self.v1, self.v2)) / 2
 
-    def diameter_sq(self) -> Fraction:
-        return max(dist_sq(self.v0, self.v1), dist_sq(self.v1, self.v2),
-                   dist_sq(self.v2, self.v0))
-
     def contains(self, p: Point2) -> bool:
         """Closed-triangle membership, exact."""
         s1 = cross(self.v0, self.v1, p)
         s2 = cross(self.v1, self.v2, p)
         s3 = cross(self.v2, self.v0, p)
         return (s1 >= 0 and s2 >= 0 and s3 >= 0) or (s1 <= 0 and s2 <= 0 and s3 <= 0)
-
-    def contains_interior(self, p: Point2) -> bool:
-        s1 = cross(self.v0, self.v1, p)
-        s2 = cross(self.v1, self.v2, p)
-        s3 = cross(self.v2, self.v0, p)
-        return (s1 > 0 and s2 > 0 and s3 > 0) or (s1 < 0 and s2 < 0 and s3 < 0)
 
 
 def inradius(t: Triangle) -> ScalarBounds:
@@ -481,12 +453,6 @@ class Triangulation:
         i, j, k = self.triangles[idx]
         return Triangle(self.vertices[i], self.vertices[j], self.vertices[k])
 
-    def total_area(self) -> Fraction:
-        total = Fraction(0)
-        for i, j, k in self.triangles:
-            total += abs(cross(self.vertices[i], self.vertices[j], self.vertices[k])) / 2
-        return total
-
     def vertex_lift(self) -> tuple[list[int], int]:
         """``common_denominator`` of the flattened vertex coordinates
         (x0, y0, x1, y1, ...), built on first use and kept."""
@@ -556,48 +522,6 @@ class Triangulation:
         """Lowest index of a closed triangle containing p, or None."""
         hits = self._containing(p, first=True)
         return hits[0] if hits else None
-
-
-def validate_triangulation(tri: Triangulation) -> None:
-    """Assert pairwise interior-disjointness (exact, quadratic scan)."""
-    tris = [tri.triangle(i) for i in range(len(tri.triangles))]
-    boxes = []
-    for t in tris:
-        xs = [v.x for v in t.vertices]
-        ys = [v.y for v in t.vertices]
-        boxes.append((min(xs), max(xs), min(ys), max(ys)))
-    for i in range(len(tris)):
-        for j in range(i + 1, len(tris)):
-            bi, bj = boxes[i], boxes[j]
-            if bi[1] < bj[0] or bj[1] < bi[0] or bi[3] < bj[2] or bj[3] < bi[2]:
-                continue
-            if _triangles_overlap(tris[i], tris[j]):
-                raise GeomError(f"triangles {i} and {j} have overlapping interiors")
-
-
-def _triangles_overlap(t1: Triangle, t2: Triangle) -> bool:
-    """Interiors intersect (exact). Shared edges/vertices do not count."""
-    for p in t1.vertices:
-        if t2.contains_interior(p):
-            return True
-    for p in t2.vertices:
-        if t1.contains_interior(p):
-            return True
-    e1 = [(t1.v0, t1.v1), (t1.v1, t1.v2), (t1.v2, t1.v0)]
-    e2 = [(t2.v0, t2.v1), (t2.v1, t2.v2), (t2.v2, t2.v0)]
-    for a1, a2 in e1:
-        for b1, b2 in e2:
-            d1 = cross(b1, b2, a1)
-            d2 = cross(b1, b2, a2)
-            d3 = cross(a1, a2, b1)
-            d4 = cross(a1, a2, b2)
-            if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and \
-               ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
-                return True
-    # identical triangles with no strict crossings
-    if set(t1.vertices) == set(t2.vertices):
-        return True
-    return False
 
 
 def ear_clip(polygon: Polygon) -> Triangulation:
@@ -693,20 +617,3 @@ def grid_triangulation(rect: Rectangle, n: int) -> Triangulation:
             triangles.append((v, v + n + 2, v + n + 1))
     return Triangulation(tuple(vertices), tuple(triangles))
 
-
-def convex_hull(points: Iterable[Point2]) -> list[Point2]:
-    """Monotone-chain hull; collinear points on the hull are dropped."""
-    pts = sorted(set(points), key=lambda p: (p.x, p.y))
-    if len(pts) <= 2:
-        return pts
-    lower: list[Point2] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point2] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geom import AffineMap, Point2, Rectangle, common_denominator, cross, to_fraction
-from .onedim import RealFunction1D, _iota_value, var_1d
+from .onedim import RealFunction1D, _iota_value
 from .variation import (
     _EXACT_MAX_POINTS,
     SampledFunction,
@@ -79,15 +79,6 @@ class ConvexCurve:
     def graph_points(self) -> tuple[Point2, ...]:
         return tuple(Point2(x, y) for x, y in self.knots)
 
-    def value_at(self, x: Fraction) -> Fraction:
-        xs = [k[0] for k in self.knots]
-        if not xs[0] <= x <= xs[-1]:
-            raise JoinsError(f"{x} outside the knot range")
-        for (x1, y1), (x2, y2) in zip(self.knots, self.knots[1:]):
-            if x1 <= x <= x2:
-                return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
-        raise AssertionError("unreachable")
-
 
 def psi_pullback(f: SampledFunction, curve: ConvexCurve) -> RealFunction1D:
     """One-variable view x -> f(x, curve(x)) of a function sampled on the graph."""
@@ -98,25 +89,6 @@ def psi_pullback(f: SampledFunction, curve: ConvexCurve) -> RealFunction1D:
             raise DomainNotOnGraph(f"{p} is not a knot of the graph")
         pairs.append((p.x, f.value(p)))
     return RealFunction1D.from_pairs(pairs)
-
-
-@dataclass(frozen=True)
-class PullbackCertificate:
-    var_1d: object
-    var_graph: object
-    factor_ok: bool
-    graph_estimate: VarEstimate
-
-
-def pullback_certificate(f: SampledFunction, curve: ConvexCurve,
-                         max_len: int = 5) -> PullbackCertificate:
-    """Certify var(pullback) <= 2 * var(f on graph) with exact values."""
-    fhat = psi_pullback(f, curve)
-    v1 = var_1d(fhat)
-    est = best_estimate(f, "exact", max_len, 0)
-    return PullbackCertificate(var_1d=v1, var_graph=est.value,
-                               factor_ok=v1 <= 2 * est.value,
-                               graph_estimate=est)
 
 
 MAX_FILL_SUBDIVISION = 256   # cells per side of the grids graph_fill and sector_fill fill

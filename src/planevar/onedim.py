@@ -9,13 +9,12 @@ Cantor-function levels, one-over-n samples) with exact rational data.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geom import P, to_fraction
-from .variation import (InstanceTooLarge, SampledFunction, VariationError, _on_floats, all_exact,
-                        jump_sum, magnitudes)
+from .geom import to_fraction
+from .variation import InstanceTooLarge, _on_floats, all_exact, jump_sum, magnitudes
 
 
 class OnedimError(ValueError):
@@ -50,10 +49,6 @@ class RealSample:
     @property
     def hi(self) -> Fraction:
         return self.points[-1]
-
-    def gaps(self) -> list[tuple[Fraction, Fraction]]:
-        """Maximal open intervals of [lo, hi] missing from the sample."""
-        return [(a, b) for a, b in zip(self.points, self.points[1:]) if a < b]
 
 
 @dataclass(frozen=True)
@@ -140,6 +135,7 @@ class AcModulus:
 
 
 _AC_EXACT_CAP = 24
+_AC_MAX_PAIRS = 25_000    # sample pairs within delta that the greedy family may rank
 
 
 def ac_modulus(f: RealFunction1D, delta, mode: str = "auto") -> AcModulus:
@@ -149,7 +145,10 @@ def ac_modulus(f: RealFunction1D, delta, mode: str = "auto") -> AcModulus:
     Exact branch-and-bound (suffix variation as the admissible bound) up to 24
     points; beyond that, ``auto`` falls back to a greedy feasible family whose
     value is computed exactly but flagged inexact. ``mode="exact"`` raises
-    InstanceTooLarge instead of falling back.
+    InstanceTooLarge instead of falling back. The greedy family ranks every
+    sample pair within ``delta`` and scans the intervals taken for each, so
+    past ``_AC_MAX_PAIRS`` such pairs it raises InstanceTooLarge before it
+    builds one.
     """
     delta = to_fraction(delta)
     if delta <= 0:
@@ -167,6 +166,14 @@ def ac_modulus(f: RealFunction1D, delta, mode: str = "auto") -> AcModulus:
     if mode == "exact" and n > _AC_EXACT_CAP:
         raise InstanceTooLarge(f"{n} points > {_AC_EXACT_CAP} for exact mode")
     use_exact = mode == "exact" or (mode == "auto" and n <= _AC_EXACT_CAP)
+    if not use_exact:
+        pairs = 0
+        for i, t in enumerate(ts):
+            pairs += bisect_right(ts, t + delta, i + 1) - i - 1
+            if pairs > _AC_MAX_PAIRS:
+                raise InstanceTooLarge(f"more than {_AC_MAX_PAIRS} sample pairs lie within "
+                                       f"delta; the greedy family is meant for desk-scale "
+                                       f"samples")
 
     zero = Fraction(0) if rational else 0.0
     if n < 2:
@@ -300,16 +307,3 @@ def make_example(kind: str, n: int) -> RealFunction1D:
         raise OnedimError(f"example size must be <= {MAX_EXAMPLE_N}, got {n}")
     return gen(n)
 
-
-def embed_on_axis(f: RealFunction1D) -> SampledFunction:
-    """View a one-dimensional function as a plane sample on the x-axis."""
-    pts = tuple(P(x, 0) for x in f.sample.points)
-    return SampledFunction(pts, f.values)
-
-
-def axis_trace(f: SampledFunction) -> RealFunction1D:
-    """Extract the restriction of a plane sample to the x-axis."""
-    pairs = [(p.x, f.value(p)) for p in f.points if p.y == 0]
-    if not pairs:
-        raise VariationError("sample has no points on the x-axis")
-    return RealFunction1D.from_pairs(pairs)

@@ -174,9 +174,9 @@ def criterion_01(rng, registry) -> tuple[bool, str]:
         pos = int(rng.integers(n + 2))
         plus = pts[:pos] + (w,) + pts[pos:]
         # the family of plus serves both lists ("Completeness argument" in _vfcore)
-        _, _, _, per_dir, r = _vfcore._dense_ranks(plus)
-        vf_s = int(_vfcore._sweep_counts(per_dir, np.delete(r, pos, axis=1)).max())
-        vf_p = int(_vfcore._sweep_counts(per_dir, r).max())
+        _, _, _, per_dir, rank, idx = _vfcore._dense_ranks(plus)
+        vf_s = int(_vfcore._sweep_counts(per_dir, rank, np.delete(idx, pos)).max())
+        vf_p = int(_vfcore._sweep_counts(per_dir, rank, idx).max())
         if vf_s > vf_p:
             violations += 1
         if not (1 <= vf_s <= max(n, 1)) or not (1 <= vf_p <= n + 1):
@@ -184,6 +184,33 @@ def criterion_01(rng, registry) -> tuple[bool, str]:
     ok = violations == 0 and bound_violations == 0
     return ok, (f"trials={trials} violations={violations} "
                 f"bound_violations={bound_violations}")
+
+
+def _float_projections(ints, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(m, L) float projections a*x + b*y of the m integer points on the L directions.
+
+    Points run along the first axis: with m <= 9 and L = 10^5, the reductions
+    and broadcasts then run along the long axis.
+    """
+    X = np.array(ints, dtype=float)
+    proj = np.multiply.outer(X[:, 0], a)
+    proj += np.multiply.outer(X[:, 1], b)
+    return proj
+
+
+def _exact_line_signs(ints, proj: np.ndarray, a: np.ndarray, b: np.ndarray,
+                      c: np.ndarray) -> np.ndarray:
+    """(m, L) int8 exact signs of a*x + b*y - c, each float line at the m integer
+    points, given their ``_float_projections``. The float residual decides where
+    it clears its rounding bound; the rest are decided in Fractions."""
+    resid = proj - c
+    bound = 4 * np.finfo(float).eps * (np.abs(proj) + np.abs(c) + 1)
+    signs = np.sign(resid).astype(np.int8)
+    for pi, li in zip(*np.nonzero(np.abs(resid) <= bound)):
+        exact = (Fraction(float(a[li])) * ints[pi][0] + Fraction(float(b[li])) * ints[pi][1]
+                 - Fraction(float(c[li])))
+        signs[pi, li] = 0 if exact == 0 else (1 if exact > 0 else -1)
+    return signs
 
 
 def criterion_02(rng, registry) -> tuple[bool, str]:
@@ -200,26 +227,14 @@ def criterion_02(rng, registry) -> tuple[bool, str]:
             mismatches += 1
             continue
         # random-line lower bounds (exact signs via float filter + rational fallback)
-        ints, scale = _vfcore.scale_to_ints(pts)
-        X = np.array([[x, y] for x, y in ints], dtype=float)
+        ints, _ = _vfcore.scale_to_ints(pts)
         theta = rng.random(lines_per_list) * math.pi
         a = np.cos(theta)
         b = np.sin(theta)
-        proj = np.outer(a, X[:, 0]) + np.outer(b, X[:, 1])
-        lo, hi = proj.min(axis=1), proj.max(axis=1)
+        proj = _float_projections(ints, a, b)
+        lo, hi = proj.min(axis=0), proj.max(axis=0)
         c = lo + (hi - lo + 1.0) * rng.random(lines_per_list) - 0.5
-        resid = proj - c[:, None]
-        bound = 4 * np.finfo(float).eps * (np.abs(proj) + np.abs(c)[:, None] + 1)
-        signs = np.sign(resid).astype(np.int8)
-        unsure = np.abs(resid) <= bound
-        if unsure.any():
-            for li, pi in zip(*np.nonzero(unsure)):
-                av = Fraction(float(a[li]))
-                bv = Fraction(float(b[li]))
-                cv = Fraction(float(c[li]))
-                exact = av * ints[pi][0] + bv * ints[pi][1] - cv
-                signs[li, pi] = 0 if exact == 0 else (1 if exact > 0 else -1)
-        counts = _vfcore._counts_from_matrix(signs)
+        counts = _vfcore._counts_from_matrix(_exact_line_signs(ints, proj, a, b, c).T)
         if int(counts.max()) > vf_prod:
             random_line_excess += 1
     ok = mismatches == 0 and random_line_excess == 0

@@ -151,11 +151,6 @@ class SampledFunction:
     def sup_abs(self):
         return max(magnitudes(self.values))
 
-    def diameter_sq(self) -> Fraction:
-        pts = self.points
-        return max((dist_sq(a, b) for i, a in enumerate(pts) for b in pts[i + 1:]),
-                   default=Fraction(0))
-
 
 @dataclass(frozen=True)
 class PlanarCoeffs:

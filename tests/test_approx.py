@@ -56,11 +56,6 @@ class TestPoly2:
         y = Poly2.from_rows([[0, 1]])
         assert x * y == Poly2.from_rows([[0, 0], [0, 1]])
 
-    def test_restrict_line(self):
-        xy = Poly2.from_rows([[0, 0], [0, 1]])
-        coeffs = xy.restrict_line(P(0, 0), P(1, 1))  # t^2 along the diagonal
-        assert coeffs == (0, 0, 1)
-
     def test_float_lift_is_exact(self):
         p = Poly2.from_rows([[0.5]])
         assert p.coeffs[0][0] == Fraction(1, 2)

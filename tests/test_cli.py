@@ -3,14 +3,17 @@
 import hashlib
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from planevar import cli
+from planevar import cli, fileio
 from planevar.cli import main
+from planevar.variation import vf_exact
 
 
 def run_cli(*args):
@@ -289,6 +292,46 @@ def test_vf_too_many_points_is_typed_error(tmp_path):
     code, out, err = run_cli("vf", "--list", str(path))
     assert_single_error(code, err, "InstanceTooLarge")
     assert out == ""
+
+
+_ONE_GB = 1 << 30
+
+
+def _run_cli_within(limit: int, *args):
+    """run_cli in a child whose address space ``resource.RLIMIT_AS`` caps at ``limit``
+    bytes, with one BLAS thread so that the numpy import reserves little of it."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    result = subprocess.run([sys.executable, "-m", "planevar.cli", *args], capture_output=True,
+                            text=True, env=env, preexec_fn=cap)
+    return result.returncode, result.stdout, result.stderr
+
+
+@pytest.mark.parametrize("entries", [200, 20_000])
+def test_vf_on_a_long_list_runs_in_bounded_memory(tmp_path, entries):
+    """A list cycling through 40 distinct points: the sweep gathers the ranks of one
+    block of entries at a time, so 20,000 entries fit in 1 GB of address space
+    (an (N directions, m entries) rank array alone would take about 200 MB here)."""
+    cycle = [[f"{(i * 37) % 101}/16", f"{(i * i * 7 + 3 * i) % 89}/16"] for i in range(40)]
+    doc = {"list": [cycle[i % 40] for i in range(entries)]}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run_cli_within(_ONE_GB, "vf", "--list", str(path))
+    assert (code, err) == (0, "")
+    res = vf_exact(fileio.point_list_from_json(path.read_text()))
+    assert out == f"{res.vf}\nwitness: {res.witness}\n"
+
+
+def test_acmod_refuses_a_greedy_family_past_the_pair_cap(tmp_path, capsys):
+    # 1000 points of 1/n within delta = 1 of one another: 499,500 pairs
+    fn = tmp_path / "oon.json"
+    assert main(["example", "--kind", "one-over-n", "--n", "1000", "--out", str(fn)]) == 0
+    capsys.readouterr()
+    code = main(["acmod", "--fn", str(fn), "--delta", "1"])
+    captured = capsys.readouterr()
+    assert_single_error(code, captured.err, "InstanceTooLarge")
+    assert captured.out == ""
 
 
 def test_var_zero_restarts_is_typed_error(square_fx):

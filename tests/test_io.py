@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from planevar.geom import GeomError, P, Polygon, Rectangle, Triangulation, grid_triangulation
+from planevar.geom import GeomError, P, Polygon, Rectangle, Triangulation
 from planevar.variation import PlanarCoeffs, SampledFunction, var_planar_estimate
 from planevar.onedim import RealFunction1D, cantor_level
 from planevar.ctpp import CtppFunction, interpolate_grid
@@ -27,15 +27,11 @@ from planevar.fileio import (
     function_1d_to_json,
     parse_rect,
     point_list_from_json,
-    point_list_to_json,
     poly2_from_json,
     poly2_to_json,
     polygon_from_json,
-    polygon_to_json,
     sampled_function_from_json,
     sampled_function_to_json,
-    triangulation_from_json,
-    triangulation_to_json,
 )
 
 
@@ -133,12 +129,17 @@ class TestNonFinite:
         (sampled_function_from_json, '{"points": [[0, 0]], "values": [NaN]}'),
         (sampled_function_from_json, '{"points": [[0, 0]], "values": [[1.0, -Infinity]]}'),
         (poly2_from_json, '{"coeffs": [[1, NaN]]}'),
-        (triangulation_from_json,
-         '{"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, NaN]]}'),
+        (ctpp_from_json,
+         '{"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, NaN]], "coeffs": []}'),
     ])
     def test_json_tokens_refused(self, decode, text):
         with pytest.raises(BadInputFile):
             decode(text)
+
+
+def _points_doc(key: str, pts) -> str:
+    """A document holding ``pts`` under ``key``, written as the CLI's files are."""
+    return json.dumps({key: [[enc_coord(p.x), enc_coord(p.y)] for p in pts]}, indent=1)
 
 
 class TestRoundTrips:
@@ -162,19 +163,13 @@ class TestRoundTrips:
 
     def test_point_list(self):
         pts = (P(0, 0), P(1, 0), P(0, 0))
-        back = point_list_from_json(point_list_to_json(pts))
+        back = point_list_from_json(_points_doc("list", pts))
         assert back == pts
 
     def test_polygon(self):
         poly = Polygon((P(0, 0), P(2, 0), P(2, 1), P(Fraction(1, 2), 3)))
-        back = polygon_from_json(polygon_to_json(poly))
+        back = polygon_from_json(_points_doc("vertices", poly.vertices))
         assert back.vertices == poly.vertices
-
-    def test_triangulation(self):
-        tri = grid_triangulation(Rectangle.of(0, 1, 0, 1), 2)
-        back = triangulation_from_json(triangulation_to_json(tri))
-        assert back.vertices == tri.vertices
-        assert back.triangles == tri.triangles
 
     def test_ctpp(self):
         g = interpolate_grid(lambda v: v.x * v.y, Rectangle.of(0, 1, 0, 1), 2)
@@ -227,12 +222,12 @@ _TRIANGLE = '"vertices": [[0, 0], [1, 0], [0, 1]]'
     (point_list_from_json, '{"list": 3}'),
     (point_list_from_json, '{"list": "ab"}'),
     (polygon_from_json, '{"vertices": {"a": 1}}'),
-    (triangulation_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1]]}'),
-    (triangulation_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, 7]]}'),
-    (triangulation_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, -1]]}'),
-    (triangulation_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, 2.5]]}'),
-    (triangulation_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, true]]}'),
-    (triangulation_from_json, '{' + _TRIANGLE + ', "triangles": [5]}'),
+    (ctpp_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1]], "coeffs": []}'),
+    (ctpp_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, 7]], "coeffs": []}'),
+    (ctpp_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, -1]], "coeffs": []}'),
+    (ctpp_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, 2.5]], "coeffs": []}'),
+    (ctpp_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, true]], "coeffs": []}'),
+    (ctpp_from_json, '{' + _TRIANGLE + ', "triangles": [5], "coeffs": []}'),
     (ctpp_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, 2]], "coeffs": [[0, 0]]}'),
     (ctpp_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, 2]], "coeffs": [3]}'),
     (poly2_from_json, '{"coeffs": 3}'),
@@ -278,9 +273,9 @@ def test_sampled_function_round_trip(pts, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(points, max_size=12))
-def test_point_list_round_trip(pts):
-    assert point_list_from_json(point_list_to_json(pts)) == tuple(pts)
+@given(st.sampled_from(["list", "points"]), st.lists(points, max_size=12))
+def test_point_list_round_trip(key, pts):
+    assert point_list_from_json(_points_doc(key, pts)) == tuple(pts)
 
 
 @settings(max_examples=150, deadline=None)
@@ -331,13 +326,7 @@ values = exact_values | inexact_values
 @settings(max_examples=100, deadline=None)
 @given(polygons())
 def test_polygon_round_trip(poly):
-    assert polygon_from_json(polygon_to_json(poly)) == poly
-
-
-@settings(max_examples=100, deadline=None)
-@given(triangulations())
-def test_triangulation_round_trip(tri):
-    assert triangulation_from_json(triangulation_to_json(tri)) == tri
+    assert polygon_from_json(_points_doc("vertices", poly.vertices)) == poly
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planevar import onedim
 from planevar.geom import P
 from planevar.onedim import (
     AcModulus,
@@ -17,10 +18,8 @@ from planevar.onedim import (
     RealFunction1D,
     RealSample,
     ac_modulus,
-    axis_trace,
     bv_norm_1d,
     cantor_level,
-    embed_on_axis,
     iota_extend,
     make_example,
     one_over_n,
@@ -29,7 +28,7 @@ from planevar.onedim import (
     reciprocal_odd,
     var_1d,
 )
-from planevar.variation import InstanceTooLarge, cvar, vf_exact
+from planevar.variation import InstanceTooLarge, SampledFunction, cvar, vf_exact
 
 
 def f_of(pairs):
@@ -59,14 +58,9 @@ class TestVar1d:
             if len(xs) < 2:
                 continue
             f = f_of([(x, Fraction(rng.randint(-10, 10), 4)) for x in xs])
-            emb = embed_on_axis(f)
             mono = tuple(P(x, 0) for x in f.sample.points)
-            assert cvar(emb, mono) == var_1d(f)
+            assert cvar(SampledFunction(mono, f.values), mono) == var_1d(f)
             assert vf_exact(mono).vf == 1
-
-    def test_axis_trace_roundtrip(self):
-        f = f_of([(0, Fraction(1)), (1, Fraction(2))])
-        assert axis_trace(embed_on_axis(f)) == f
 
 
 class TestIota:
@@ -223,6 +217,25 @@ class TestAcModulus:
         res = ac_modulus(f, Fraction(1, 3), mode="greedy")
         assert isinstance(res, AcModulus) and not res.exact
 
+
+    @pytest.mark.parametrize("mode", ["auto", "greedy"])
+    def test_greedy_family_past_the_pair_cap_is_refused(self, mode):
+        # 400 points of 1/n within delta = 1 of one another: 80,200 pairs
+        with pytest.raises(InstanceTooLarge, match="more than 25000 sample pairs"):
+            ac_modulus(one_over_n(400), 1, mode=mode)
+
+    def test_pair_cap_counts_the_pairs_within_delta(self, monkeypatch):
+        f = cantor_level(6)
+        delta = Fraction(2, 3) ** 6
+        ts = f.sample.points
+        within = sum(1 for i, s in enumerate(ts) for t in ts[i + 1:] if t - s <= delta)
+        assert within == 1740
+        expected = ac_modulus(f, delta)
+        monkeypatch.setattr(onedim, "_AC_MAX_PAIRS", within)
+        assert ac_modulus(f, delta) == expected
+        monkeypatch.setattr(onedim, "_AC_MAX_PAIRS", within - 1)
+        with pytest.raises(InstanceTooLarge):
+            ac_modulus(f, delta)
 
 class TestGenerators:
     def test_reciprocal_alternating_n4(self):

@@ -19,7 +19,6 @@ ALLOWED = {
     "approx.c2_to_poly_auto(eps_target)": "library entry point; tests set it",
     "approx.c2_to_poly_auto(max_degree)": "library entry point; tests set it",
     "approx.c2_to_poly_auto(grid_n)": "library entry point; tests set it",
-    "joins.pullback_certificate(max_len)": "library entry point; tests set the cap",
     "geom.AffineMap.of(t0)": "a linear map is the common case; tests give translations",
     "geom.AffineMap.of(t1)": "a linear map is the common case; tests give translations",
     "cli.main(argv)": "None reads sys.argv; tests pass argument lists",

@@ -1,0 +1,64 @@
+"""Every function, class and method in the package is reached from the package.
+
+A definition whose bare name no ``ast.Name`` or ``ast.Attribute`` in
+``src/planevar`` carries, and that ``planevar/__init__.py`` does not import, is
+code that only tests run: it proves nothing about the CLI or the suite and
+should move into the tests or go. Names are matched bare, so any use of the
+same name anywhere in the package counts as a use. Dunder methods are called
+by Python itself and are not listed.
+"""
+
+import ast
+from pathlib import Path
+
+import planevar
+
+SRC = Path(planevar.__file__).parent
+
+# "module.qualname" -> why the definition stays although nothing in the package names it
+ALLOWED = {
+    "_vfcore.candidate_lines": "perfbench/tracer.py spans it by name (ROADMAP, item 1)",
+    "_vfcore.vf_of_indices": "perfbench/tracer.py spans it by name (ROADMAP, item 1)",
+    "cli._Parser.error": "argparse calls it on a bad command line",
+    "ctpp.Bumps.chi": "the paper's product bump, which tests check",
+}
+
+
+def _definitions(tree: ast.Module, module: str):
+    """(qualified name, bare name) of each module-level function or class and
+    each non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def unreached() -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    used |= {alias.name for node in ast.walk(trees["__init__"])
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return [qualname for module, tree in trees.items()
+            for qualname, name in _definitions(tree, module) if name not in used]
+
+
+def test_every_definition_is_reached_from_the_package():
+    orphans = [name for name in unreached() if name not in ALLOWED]
+    assert orphans == [], ("definitions that nothing in src/planevar names; move them "
+                           "into the tests, delete them, or allow them with a reason: "
+                           + ", ".join(orphans))
+
+
+def test_the_allowlist_names_only_unreached_definitions():
+    stale = sorted(set(ALLOWED) - set(unreached()))
+    assert stale == [], f"allowed definitions that the package now names, or that are gone: {stale}"

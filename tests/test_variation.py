@@ -28,9 +28,10 @@ from planevar.geom import (
     Line,
     P,
     Rectangle,
+    dist_sq,
     grid_triangulation,
+    line_through,
     side_of,
-    transform_line,
 )
 from planevar.suite import _crossing_count_reference, vf_pattern_oracle
 from planevar.variation import (
@@ -376,7 +377,7 @@ class TestNormsAndMaps:
             vals = tuple(Fraction(rng.randint(-10, 10), 4) for _ in pts)
             f = SampledFunction(tuple(pts), vals)
             est = var_exact_small(f, 5)
-            diam = math.sqrt(float(f.diameter_sq()))
+            diam = math.sqrt(float(max(dist_sq(a, b) for a in f.points for b in f.points)))
             assert float(est.value) <= diam * lipschitz_constant(f) + 1e-9
 
     def test_affine_identity_and_translation(self):
@@ -779,13 +780,30 @@ def test_vf_exact_does_not_drop_when_a_point_is_inserted(pts, data):
 @example((P(0, 0), P(1, 0), P(0, 0), P(1, 0)))
 def test_sweep_counts_on_shared_ranks_give_every_sublists_vf(plus):
     """One ``_dense_ranks`` of a list counts the list and each list one point
-    shorter, on the rank columns of its points, as their own sweeps do."""
-    _, _, _, per_dir, r = _vfcore._dense_ranks(plus)
-    assert int(_vfcore._sweep_counts(per_dir, r).max()) == vf_exact(plus).vf
+    shorter, with that entry deleted from the index vector, as their own sweeps do."""
+    _, _, _, per_dir, rank, idx = _vfcore._dense_ranks(plus)
+    assert int(_vfcore._sweep_counts(per_dir, rank, idx).max()) == vf_exact(plus).vf
     for pos in range(len(plus) if len(plus) > 1 else 0):
-        shorter = np.delete(r, pos, axis=1)
-        assert int(_vfcore._sweep_counts(per_dir, shorter).max()) == \
+        shorter = np.delete(idx, pos)
+        assert int(_vfcore._sweep_counts(per_dir, rank, shorter).max()) == \
             vf_exact(plus[:pos] + plus[pos + 1:]).vf
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_lists_with_runs(), st.integers(1, 3))
+@example((P(0, 0),), 1)
+@example((P(0, 0), P(1, 0), P(0, 0), P(1, 0), P(2, 0)), 2)
+def test_blocked_sweep_counts_equal_one_block(pts, block):
+    """Counting a list in blocks of 1-3 pairs gives every cell the count of one
+    pass over the whole list."""
+    _, _, _, per_dir, rank, idx = _vfcore._dense_ranks(pts)
+    whole = _vfcore._sweep_counts(per_dir, rank, idx)
+    assert len(idx) <= _vfcore._SWEEP_BLOCK            # the default is one block here
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_vfcore, "_SWEEP_BLOCK", block)
+        blocked = _vfcore._sweep_counts(per_dir, rank, idx)
+    assert blocked.dtype == whole.dtype
+    assert np.array_equal(blocked, whole)
 
 
 # invertible maps with integer entries and translation
@@ -800,7 +818,10 @@ def test_vf_exact_is_invariant_under_integer_affine_maps(pts, phi):
     res = vf_exact(pts)
     image = tuple(phi.apply(p) for p in pts)
     assert vf_exact(image).vf == res.vf
-    assert vf_line(image, transform_line(res.witness, phi))[0] == res.vf
+    w = res.witness
+    on = ((P(0, Fraction(w.c, w.b)), P(1, Fraction(w.c - w.a, w.b))) if w.b
+          else (P(Fraction(w.c, w.a), 0), P(Fraction(w.c, w.a), 1)))
+    assert vf_line(image, line_through(*(phi.apply(p) for p in on)))[0] == res.vf
 
 
 @settings(max_examples=60, deadline=None)
