@@ -215,6 +215,11 @@ class TestCsv:
 _TRIANGLE = '"vertices": [[0, 0], [1, 0], [0, 1]]'
 
 
+def triangulation_from_json(text: str) -> Triangulation:
+    """The triangulation part of a CTPP document, decoded as ctpp_from_json decodes it."""
+    return fileio._triangulation(fileio._load(text))
+
+
 @pytest.mark.parametrize("decode, text", [
     (sampled_function_from_json, '{"points": 5, "values": []}'),
     (sampled_function_from_json, '{"points": [[0, 0]], "values": 3}'),
@@ -222,12 +227,12 @@ _TRIANGLE = '"vertices": [[0, 0], [1, 0], [0, 1]]'
     (point_list_from_json, '{"list": 3}'),
     (point_list_from_json, '{"list": "ab"}'),
     (polygon_from_json, '{"vertices": {"a": 1}}'),
-    (ctpp_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1]], "coeffs": []}'),
-    (ctpp_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, 7]], "coeffs": []}'),
-    (ctpp_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, -1]], "coeffs": []}'),
-    (ctpp_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, 2.5]], "coeffs": []}'),
-    (ctpp_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, true]], "coeffs": []}'),
-    (ctpp_from_json, '{' + _TRIANGLE + ', "triangles": [5], "coeffs": []}'),
+    (triangulation_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1]]}'),
+    (triangulation_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, 7]]}'),
+    (triangulation_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, -1]]}'),
+    (triangulation_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, 2.5]]}'),
+    (triangulation_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, true]]}'),
+    (triangulation_from_json, '{' + _TRIANGLE + ', "triangles": [5]}'),
     (ctpp_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, 2]], "coeffs": [[0, 0]]}'),
     (ctpp_from_json, '{' + _TRIANGLE + ', "triangles": [[0, 1, 2]], "coeffs": [3]}'),
     (poly2_from_json, '{"coeffs": 3}'),
