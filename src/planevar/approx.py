@@ -161,26 +161,6 @@ class Poly2:
                     out[m][n] += c
         return Poly2.from_rows(out)
 
-    def __sub__(self, other: "Poly2") -> "Poly2":
-        return self + other.scale(-1)
-
-    def scale(self, k) -> "Poly2":
-        k = _lift(k)
-        return Poly2.from_rows([[c * k for c in row] for row in self.coeffs])
-
-    def __mul__(self, other: "Poly2") -> "Poly2":
-        rows = len(self.coeffs) + len(other.coeffs) - 1
-        cols = len(self.coeffs[0]) + len(other.coeffs[0]) - 1
-        out = [[Fraction(0)] * cols for _ in range(rows)]
-        for m1, row1 in enumerate(self.coeffs):
-            for n1, c1 in enumerate(row1):
-                if c1 == 0:
-                    continue
-                for m2, row2 in enumerate(other.coeffs):
-                    for n2, c2 in enumerate(row2):
-                        out[m1 + m2][n1 + n2] += c1 * c2
-        return Poly2.from_rows(out)
-
     def dx(self) -> "Poly2":
         if self.deg_x == 0:
             return Poly2.zero()

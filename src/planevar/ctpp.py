@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .geom import (
     to_fraction,
     _ear_clip_indices,
 )
+from .onedim import RealFunction1D
 from .variation import (PlanarCoeffs, SampledFunction, all_exact, float_overflow, is_exact_number,
                         magnitudes, spread, values_agree)
 
@@ -104,25 +106,19 @@ class CtppFunction:
 
     def vertex_value(self, vid: int):
         """Value at a vertex from its lowest-index triangle."""
-        owner = self._first_owner().get(vid)
+        owner = self._first_owner.get(vid)
         if owner is None:
             raise CtppError(f"vertex {vid} belongs to no triangle")
         return self.coeffs[owner].eval(self.tri.vertices[vid])
 
+    @cached_property
     def _first_owner(self) -> dict[int, int]:
         """Vertex id -> lowest index of a triangle that has it, built on first use."""
-        owners = self.__dict__.get("_owners")
-        if owners is None:
-            owners = {}
-            for t_idx, tri in enumerate(self.tri.triangles):
-                for vid in tri:
-                    owners.setdefault(vid, t_idx)
-            object.__setattr__(self, "_owners", owners)
+        owners = {}
+        for t_idx, tri in enumerate(self.tri.triangles):
+            for vid in tri:
+                owners.setdefault(vid, t_idx)
         return owners
-
-    def sample(self, points) -> SampledFunction:
-        pts = tuple(points)
-        return SampledFunction(pts, tuple(self.eval(p) for p in pts))
 
 
 @dataclass(frozen=True)
@@ -162,7 +158,7 @@ def validate_ctpp(g: CtppFunction) -> list[EdgeViolation]:
     lifted = all_exact(flat)
     if lifted:
         k, _ = common_denominator(flat)
-        xy, scale = tri.vertex_lift()
+        xy, scale = tri.vertex_lift
     out = []
     for (i, j), t1, t2 in tri.shared_edges():
         if lifted:
@@ -323,16 +319,12 @@ def _clip_convex(poly_pts: list[Point2], clip: Polygon) -> list[Point2]:
         prev_r = cross(a, b, prev)
         for cur in out:
             cur_r = cross(a, b, cur)
-            if cur_r >= 0:
-                if prev_r < 0:
-                    t = prev_r / (prev_r - cur_r)
-                    res.append(Point2(prev.x + (cur.x - prev.x) * t,
-                                      prev.y + (cur.y - prev.y) * t))
-                res.append(cur)
-            elif prev_r >= 0:
+            if (cur_r >= 0) != (prev_r >= 0):   # the edge crosses the clip line
                 t = prev_r / (prev_r - cur_r)
                 res.append(Point2(prev.x + (cur.x - prev.x) * t,
                                   prev.y + (cur.y - prev.y) * t))
+            if cur_r >= 0:
+                res.append(cur)
             prev, prev_r = cur, cur_r
         # drop consecutive duplicates
         out = []
@@ -348,6 +340,19 @@ def _is_convex(poly: Polygon) -> bool:
     v = poly.vertices
     n = len(v)
     return all(cross(v[i], v[(i + 1) % n], v[(i + 2) % n]) >= 0 for i in range(n))
+
+
+def _interner(vertices: list[Point2]):
+    """Index of a point in ``vertices``, appending the point on first sight."""
+    index: dict[Point2, int] = {p: i for i, p in enumerate(vertices)}
+
+    def vid(p: Point2) -> int:
+        if p not in index:
+            index[p] = len(vertices)
+            vertices.append(p)
+        return index[p]
+
+    return vid
 
 
 def extend_to_polygon(g: CtppFunction, p0: Polygon) -> CtppFunction:
@@ -379,18 +384,11 @@ def extend_to_polygon(g: CtppFunction, p0: Polygon) -> CtppFunction:
     h_pt = ring_pts[h_pos]
 
     vertices: list[Point2] = list(g.tri.vertices)
-    index_of: dict[Point2, int] = {p: i for i, p in enumerate(vertices)}
-
-    def vid(p: Point2) -> int:
-        if p not in index_of:
-            index_of[p] = len(vertices)
-            vertices.append(p)
-        return index_of[p]
-
+    vid = _interner(vertices)
     w_pt = Point2(xmax, h_pt.y)
     corners = [Point2(xmin, ymin), Point2(xmax, ymin), Point2(xmax, ymax), Point2(xmin, ymax)]
     outer = [vid(corners[0]), vid(corners[1]), vid(w_pt), vid(corners[2]), vid(corners[3])]
-    w_vid = index_of[w_pt]
+    w_vid = vid(w_pt)
 
     # combined weakly-simple ring: outer CCW, bridge w->h, hole clockwise, back
     hole_cw = [ring[(h_pos - k) % len(ring)] for k in range(len(ring))]  # starts at h
@@ -437,14 +435,7 @@ def extend_to_polygon(g: CtppFunction, p0: Polygon) -> CtppFunction:
 
     # clip inner + outer triangles to p0
     out_vertices: list[Point2] = []
-    out_index: dict[Point2, int] = {}
-
-    def out_vid(p: Point2) -> int:
-        if p not in out_index:
-            out_index[p] = len(out_vertices)
-            out_vertices.append(p)
-        return out_index[p]
-
+    out_vid = _interner(out_vertices)
     out_triangles: list[tuple[int, int, int]] = []
     out_coeffs: list[PlanarCoeffs] = []
 
@@ -474,54 +465,36 @@ def _least_gradient_plane(v1: Point2, v2: Point2, v_free: Point2, z1, z2):
     det = cross(v1, v2, v_free)
     if det == 0:
         raise CtppError("degenerate triangle in extension")
-    # grad components are affine in the free value z: a = A0 + A1 z, b = B0 + B1 z
+    # grad components are affine in the free value z: a = a0 + A1 z, b = b0 + B1 z
     A1 = -(v2.y - v1.y) / det
     B1 = (v2.x - v1.x) / det
-    dz1 = z2 - z1
-
-    def comps(z):
-        dz2 = z - z1
-        a = (dz1 * (v_free.y - v1.y) - dz2 * (v2.y - v1.y)) / det
-        b = ((v2.x - v1.x) * dz2 - (v_free.x - v1.x) * dz1) / det
-        return a, b
-
-    a0, b0 = comps(z1 * 0)  # components at z = 0
+    at_zero = solve_plane(v1, v2, v_free, z1, z2, z1 * 0)
+    a0, b0 = at_zero.a, at_zero.b
     denom = A1 * A1 + B1 * B1
     if is_exact_number(z1) and is_exact_number(z2):
         z_star = -(a0 * A1 + b0 * B1) / denom
     else:
         z_star = -(complex(a0) * complex(A1) + complex(b0) * complex(B1)) / complex(denom)
-    a, b = comps(z_star)
-    c = z1 - a * v1.x - b * v1.y
-    return PlanarCoeffs(a, b, c), z_star
+    return solve_plane(v1, v2, v_free, z1, z2, z_star), z_star
 
 
 # ---------------------------------------------------------------------------
 # star-planar bound
 
 def _ccw_sorted(rays: list[Point2]) -> bool:
-    """True when the directions are distinct and listed in one CCW sweep."""
-    import functools
-
+    """True when the directions are distinct and listed in one CCW sweep: going
+    round the cycle, exactly one step is not a strict angular rise."""
     def half(d):  # 0 for upper half (y>0 or y==0 and x>0), 1 otherwise
         return 0 if (d.y > 0 or (d.y == 0 and d.x > 0)) else 1
 
-    def cmp(u, v):
+    def rises(u, v):
         hu, hv = half(u), half(v)
         if hu != hv:
-            return -1 if hu < hv else 1
-        c = u.x * v.y - u.y * v.x
-        return 0 if c == 0 else (-1 if c > 0 else 1)
+            return hu < hv
+        return u.x * v.y - u.y * v.x > 0
 
     n = len(rays)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if cmp(rays[i], rays[j]) == 0:
-                return False  # parallel same-direction rays
-    order = sorted(range(n), key=functools.cmp_to_key(lambda i, j: cmp(rays[i], rays[j])))
-    pos = order.index(0)
-    rotated = order[pos:] + order[:pos]
-    return rotated == list(range(n))
+    return sum(not rises(rays[i], rays[(i + 1) % n]) for i in range(n)) == 1
 
 
 def star_planar_bound(f: SampledFunction, centre: Point2, rays: list[Point2],
@@ -607,7 +580,6 @@ class Bumps:
         return tuple(pts)
 
     def g_s_function(self):
-        from .onedim import RealFunction1D
         xs = self.g_s_breakpoints()
         return RealFunction1D.from_pairs([(x, self.g_s(x)) for x in xs])
 

@@ -24,6 +24,7 @@ from .geom import GeomError, Point2, Polygon, Rectangle, Triangulation, to_fract
 from .variation import PlanarCoeffs, SampledFunction, VarEstimate
 from .onedim import RealFunction1D
 from .ctpp import CtppFunction
+from .approx import Poly2
 
 
 class BadInputFile(ValueError):
@@ -207,8 +208,7 @@ def poly2_to_json(p) -> str:
                       indent=1)
 
 
-def poly2_from_json(text: str):
-    from .approx import Poly2
+def poly2_from_json(text: str) -> Poly2:
     rows = [_array(row, "coefficient row") for row in _field(_load(text), "coeffs")]
     if not rows or not all(rows):
         raise BadInputFile("field 'coeffs': empty coefficient array or row")

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 
@@ -140,9 +141,6 @@ class Line:
     def residual(self, p: Point2) -> Fraction:
         return self.a * p.x + self.b * p.y - self.c
 
-    def contains(self, p: Point2) -> bool:
-        return self.residual(p) == 0
-
     def __str__(self):
         return f"{self.a}x + {self.b}y = {self.c}"
 
@@ -174,10 +172,6 @@ class AffineMap:
     m11: Fraction
     t0: Fraction = Fraction(0)
     t1: Fraction = Fraction(0)
-
-    @staticmethod
-    def of(m00, m01, m10, m11, t0=0, t1=0) -> "AffineMap":
-        return AffineMap(*(to_fraction(v) for v in (m00, m01, m10, m11, t0, t1)))
 
     @property
     def det(self) -> Fraction:
@@ -355,9 +349,6 @@ class Polygon:
             object.__setattr__(self, "vertices", tuple(reversed(self.vertices)))
         _check_simple(self.vertices)
 
-    def area(self) -> Fraction:
-        return shoelace_area(self.vertices)
-
 
 def _check_simple(vertices: Sequence[Point2]) -> None:
     n = len(vertices)
@@ -453,15 +444,13 @@ class Triangulation:
         i, j, k = self.triangles[idx]
         return Triangle(self.vertices[i], self.vertices[j], self.vertices[k])
 
+    @cached_property
     def vertex_lift(self) -> tuple[list[int], int]:
         """``common_denominator`` of the flattened vertex coordinates
         (x0, y0, x1, y1, ...), built on first use and kept."""
-        lift = self.__dict__.get("_lift")
-        if lift is None:
-            lift = common_denominator([c for v in self.vertices for c in (v.x, v.y)])
-            object.__setattr__(self, "_lift", lift)
-        return lift
+        return common_denominator([c for v in self.vertices for c in (v.x, v.y)])
 
+    @cached_property
     def _edge_table(self) -> tuple[list[tuple[int, ...]], int | None, int]:
         """Integer edge functions of every triangle, built on first use.
 
@@ -472,24 +461,20 @@ class Triangulation:
         (``a`` lifted too). ``first_bad`` is the index of the first
         degenerate triangle, or None; the rows stop there.
         """
-        table = self.__dict__.get("_edges")
-        if table is None:
-            ints, scale = self.vertex_lift()
-            rows = []
-            first_bad = None
-            for idx, (i, j, k) in enumerate(self.triangles):
-                x0, y0 = ints[2 * i], ints[2 * i + 1]
-                x1, y1 = ints[2 * j], ints[2 * j + 1]
-                x2, y2 = ints[2 * k], ints[2 * k + 1]
-                ax, ay, bx, by, cx, cy = x1 - x0, y1 - y0, x2 - x1, y2 - y1, x0 - x2, y0 - y2
-                if ax * (y2 - y0) - ay * (x2 - x0) == 0:
-                    first_bad = idx
-                    break
-                rows.append((ax, ay, ax * y0 - ay * x0, bx, by, bx * y1 - by * x1,
-                             cx, cy, cx * y2 - cy * x2))
-            table = (rows, first_bad, scale)
-            object.__setattr__(self, "_edges", table)
-        return table
+        ints, scale = self.vertex_lift
+        rows = []
+        first_bad = None
+        for idx, (i, j, k) in enumerate(self.triangles):
+            x0, y0 = ints[2 * i], ints[2 * i + 1]
+            x1, y1 = ints[2 * j], ints[2 * j + 1]
+            x2, y2 = ints[2 * k], ints[2 * k + 1]
+            ax, ay, bx, by, cx, cy = x1 - x0, y1 - y0, x2 - x1, y2 - y1, x0 - x2, y0 - y2
+            if ax * (y2 - y0) - ay * (x2 - x0) == 0:
+                first_bad = idx
+                break
+            rows.append((ax, ay, ax * y0 - ay * x0, bx, by, bx * y1 - by * x1,
+                         cx, cy, cx * y2 - cy * x2))
+        return rows, first_bad, scale
 
     def _containing(self, p: Point2, first: bool) -> list[int]:
         """Indices of the closed triangles containing p, in index order.
@@ -497,7 +482,7 @@ class Triangulation:
         The scan raises the ``Triangle`` error at the first degenerate
         triangle it reaches; with ``first`` it ends at the first hit.
         """
-        rows, first_bad, scale = self._edge_table()
+        rows, first_bad, scale = self._edge_table
         (qx, qy), d = common_denominator((p.x, p.y))
         qx *= scale
         qy *= scale

@@ -139,24 +139,6 @@ def graph_fill(f: SampledFunction, curve: ConvexCurve, rect: Rectangle,
 # ---------------------------------------------------------------------------
 # pasting clamp
 
-def band_clamp(trace: RealFunction1D, a: Fraction, b: Fraction):
-    """Evaluator for the band-clamped trace: trace(a) left of the band,
-    interpolated trace inside, trace(b) right of it."""
-    a, b = to_fraction(a), to_fraction(b)
-    if not a < b:
-        raise JoinsError("band needs a < b")
-
-    inner = [(x, v) for x, v in zip(trace.sample.points, trace.values) if a <= x <= b]
-    if not inner:
-        raise NoAxisPoints("trace has no points inside the band")
-    inner_f = RealFunction1D.from_pairs(inner)
-
-    def clamp(x):
-        return _clamped_value(inner_f, to_fraction(x))
-
-    return clamp
-
-
 @dataclass(frozen=True)
 class PastingResult:
     h: SampledFunction
@@ -166,14 +148,16 @@ class PastingResult:
 
 def pasting_extend(f: SampledFunction, a, b) -> PastingResult:
     """The pasting construction: h(p) depends on p.x only, equal to the axis
-    trace inside [a, b] and to its band-edge values outside."""
+    trace inside [a, b] (interpolated between its points) and to the trace's
+    values at its first and last points outside."""
     a, b = to_fraction(a), to_fraction(b)
     axis_pairs = [(p.x, f.value(p)) for p in f.points if p.y == 0 and a <= p.x <= b]
     if not axis_pairs:
         raise NoAxisPoints("no sample points on the axis band")
+    if not a < b:
+        raise JoinsError("band needs a < b")
     trace = RealFunction1D.from_pairs(axis_pairs)
-    clamp = band_clamp(trace, a, b)
-    values = tuple(clamp(p.x) for p in f.points)
+    values = tuple(_clamped_value(trace, to_fraction(p.x)) for p in f.points)
     return PastingResult(h=SampledFunction(f.points, values), band=(a, b), trace=trace)
 
 
@@ -202,16 +186,14 @@ def _build_normalizer(spec: SectorSpec) -> AffineMap:
     """Affine map sending the vertex to the origin and the rays onto y = |x|
     (or onto the x-axis when the rays are opposite)."""
     d1, d2 = spec.ray1, spec.ray2
-    det = d1.x * d2.y - d1.y * d2.x
-    if det != 0:
+    if d1.x * d2.y - d1.y * d2.x != 0:
         # want M d1 = (1, 1) and M d2 = (-1, 1); with D = [d1 d2] (columns),
         # M = B D^-1 where B = [(1,-1),(1,1)] as columns (b1=(1,1), b2=(-1,1))
-        inv00, inv01 = d2.y / det, -d2.x / det
-        inv10, inv11 = -d1.y / det, d1.x / det
-        m00 = 1 * inv00 + (-1) * inv10
-        m01 = 1 * inv01 + (-1) * inv11
-        m10 = 1 * inv00 + 1 * inv10
-        m11 = 1 * inv01 + 1 * inv11
+        inv = AffineMap(d1.x, d2.x, d1.y, d2.y).inverse()
+        m00 = inv.m00 - inv.m10
+        m01 = inv.m01 - inv.m11
+        m10 = inv.m00 + inv.m10
+        m11 = inv.m01 + inv.m11
     else:
         # opposite rays: map d1 to (1, 0) and its left normal to (0, 1)
         norm_sq = d1.x * d1.x + d1.y * d1.y
@@ -344,7 +326,8 @@ def join_report(f: SampledFunction, sigma1, sigma2, mode: str = "exact",
         for part in (s1, s2, f.points):
             if not is_collinear(part) and len(part) > _EXACT_MAX_POINTS:
                 raise InstanceTooLarge(
-                    "exact join report needs <= 7 points per non-collinear set")
+                    f"exact join report needs <= {_EXACT_MAX_POINTS} points per "
+                    f"non-collinear set")
     joins = joins_convexly_on_sample(s1, s2)
     e1 = best_estimate(f.restrict(s1), mode, max_len, seed)
     e2 = best_estimate(f.restrict(s2), mode, max_len, seed)

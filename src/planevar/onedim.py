@@ -9,7 +9,7 @@ Cantor-function levels, one-over-n samples) with exact rational data.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -146,9 +146,9 @@ def ac_modulus(f: RealFunction1D, delta, mode: str = "auto") -> AcModulus:
     points; beyond that, ``auto`` falls back to a greedy feasible family whose
     value is computed exactly but flagged inexact. ``mode="exact"`` raises
     InstanceTooLarge instead of falling back. The greedy family ranks every
-    sample pair within ``delta`` and scans the intervals taken for each, so
-    past ``_AC_MAX_PAIRS`` such pairs it raises InstanceTooLarge before it
-    builds one.
+    sample pair within ``delta``, so past ``_AC_MAX_PAIRS`` such pairs it
+    raises InstanceTooLarge before it builds one. Taken intervals have disjoint
+    interiors, so sorted by start they are sorted by end too.
     """
     delta = to_fraction(delta)
     if delta <= 0:
@@ -216,18 +216,18 @@ def ac_modulus(f: RealFunction1D, delta, mode: str = "auto") -> AcModulus:
             if w > 0:
                 cands.append((w / length, -length, -i, -j, i, j, w, length))
     cands.sort(reverse=True)
-    taken: list[tuple[int, int]] = []
+    taken: list[tuple[int, int]] = []     # sorted (start, end) index pairs
     total = zero
     remaining = delta
     for _, _, _, _, i, j, w, length in cands:
         if length > remaining:
             continue
-        if any(ts[i] < ts[tj] and ts[ti] < ts[j] for ti, tj in taken):
+        k = bisect_left(taken, (j,))          # taken[:k] start before j
+        if k and i < taken[k - 1][1]:
             continue
-        taken.append((i, j))
+        insort(taken, (i, j))
         total = total + w
         remaining -= length
-    taken.sort()
     witness = tuple((ts[i], ts[j]) for i, j in taken)
     return AcModulus(total, witness, False)
 

@@ -120,22 +120,11 @@ class SampledFunction:
             index[p] = i
         object.__setattr__(self, "_index", index)
 
-    @staticmethod
-    def from_pairs(pairs) -> "SampledFunction":
-        pts, vals = zip(*pairs)
-        return SampledFunction(tuple(pts), tuple(vals))
-
     def value(self, p: Point2):
         idx = self._index.get(p)  # type: ignore[attr-defined]
         if idx is None:
             raise PointOutsideDomain(f"{p} not in sample")
         return self.values[idx]
-
-    def index_of(self, p: Point2) -> int:
-        idx = self._index.get(p)  # type: ignore[attr-defined]
-        if idx is None:
-            raise PointOutsideDomain(f"{p} not in sample")
-        return idx
 
     def __contains__(self, p: Point2) -> bool:
         return p in self._index  # type: ignore[attr-defined]
@@ -312,9 +301,14 @@ def _diff_matrix(f: SampledFunction) -> np.ndarray:
     return np.abs(vals_c[:, None] - vals_c[None, :])
 
 
-def _witness_key(f: SampledFunction, value, seq) -> tuple:
-    """Witness order: largest value, then fewest points, then lex-smallest coordinates."""
-    return (-value, len(seq), tuple((f.points[i].x, f.points[i].y) for i in seq))
+def _point_ranks(f: SampledFunction) -> list[int]:
+    """Rank of each sample point in (x, y) order. Witness order: largest value,
+    fewest points, then the smallest sequence of point ranks."""
+    k = len(f.points)
+    rank = [0] * k
+    for r, i in enumerate(sorted(range(k), key=lambda i: (f.points[i].x, f.points[i].y))):
+        rank[i] = r
+    return rank
 
 
 def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
@@ -354,8 +348,7 @@ def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
     (sum of |z_i - z_{i-1}|) / (D * vf). The window's lists are compared as
     (jump sum, vf) pairs by cross-multiplying, and only the winner becomes a
     Fraction. Ties go to the fewest points, then the smallest sequence of point
-    ranks in (x, y) order, which is ``_witness_key``'s order since sample
-    points are distinct. ``stats`` names the ``exact_path`` (``rational`` or
+    ranks (``_point_ranks``). ``stats`` names the ``exact_path`` (``rational`` or
     ``float``), counts the ``rechecked`` lists and gives the ``lists``
     stepped at each level after pruning.
     """
@@ -404,9 +397,7 @@ def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
     if rational:
         z, den = common_denominator(f.values)
         zjump = [[abs(b - a) for b in z] for a in z]
-    rank = [0] * k
-    for r, i in enumerate(sorted(range(k), key=lambda i: (f.points[i].x, f.points[i].y))):
-        rank[i] = r
+    rank = _point_ranks(f)
 
     window = []                 # (score, q, list, vf): the list's value is score / q
     for m, (vf, obj) in enumerate(per_len, 1):
@@ -700,7 +691,7 @@ def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEst
 
     Deterministic for a fixed seed: restarts run one after another, restart r
     uses the r-th spawn of the root seed sequence, and the best result is the
-    first in witness order (objective, length, coordinates). The witness value
+    first in witness order (``_point_ranks``). The witness value
     is recomputed exactly. ``stats`` counts proposals and accepted moves over
     all restarts, and ``attempts``, the ``_propose`` calls, of which
     1 - proposals / attempts proposed nothing; ``final_temperature`` is the
@@ -731,7 +722,8 @@ def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEst
     pairs = _vfcore.PackedCounts(table, cfg.max_len)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     results = [_anneal_once(pairs, diff, k, cfg, s) for s in children]
-    best = min(results, key=lambda r: _witness_key(f, r["obj"], r["idx"]))
+    rank = _point_ranks(f)
+    best = min(results, key=lambda r: (-r["obj"], len(r["idx"]), [rank[i] for i in r["idx"]]))
     witness = tuple(f.points[i] for i in best["idx"])
     vf = best["vf"]
     value = cvar(f, witness) / vf

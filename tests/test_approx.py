@@ -51,11 +51,6 @@ class TestPoly2:
         assert xy.int_x() == Poly2.from_rows([[0, 0], [0, 0], [0, Fraction(1, 2)]])
         assert xy.int_y() == Poly2.from_rows([[0, 0, 0], [0, 0, Fraction(1, 2)]])
 
-    def test_mul(self):
-        x = Poly2.from_rows([[0], [1]])
-        y = Poly2.from_rows([[0, 1]])
-        assert x * y == Poly2.from_rows([[0, 0], [0, 1]])
-
     def test_float_lift_is_exact(self):
         p = Poly2.from_rows([[0.5]])
         assert p.coeffs[0][0] == Fraction(1, 2)

@@ -30,6 +30,7 @@ from planevar.ctpp import (
     EdgeViolation,
     NotStarPlanar,
     PointOutsidePolygon,
+    _ccw_sorted,
     boundary_ring,
     classify_point,
     eval_ctpp,
@@ -48,6 +49,12 @@ from planevar.onedim import bv_norm_1d
 from planevar.svg import ctpp_svg
 
 RECT01 = Rectangle.of(0, 1, 0, 1)
+
+
+def _sample(g, points) -> SampledFunction:
+    """The values of ``g`` at ``points`` as a sample."""
+    pts = tuple(points)
+    return SampledFunction(pts, tuple(g.eval(p) for p in pts))
 
 
 class TestValidate:
@@ -184,8 +191,8 @@ class TestExtend:
         ext = extend_to_polygon(g, Polygon((P(-1, -1), P(2, -1), P(2, 2), P(-1, 2))))
         pts = tuple(P(Fraction(i, 2), Fraction(j, 2)) for i in range(3)
                     for j in range(3))
-        on_g = g.sample(pts)
-        on_ext = ext.sample(pts)
+        on_g = _sample(g, pts)
+        on_ext = _sample(ext, pts)
         assert on_g.values == on_ext.values
         assert var_exact_small(on_g.restrict(pts[:6]), 4).value == \
             var_exact_small(on_ext.restrict(pts[:6]), 4).value
@@ -258,6 +265,52 @@ class TestStarPlanar:
                  PlanarCoeffs(Fraction(1), Fraction(0), Fraction(0))])
 
 
+def _ccw_sorted_by_sorting(rays) -> bool:
+    """The sweep test as a pairwise scan for equal directions, a comparator
+    sort by angle, and a rotation of the order to start at ray 0."""
+    def half(d):
+        return 0 if (d.y > 0 or (d.y == 0 and d.x > 0)) else 1
+
+    def cmp(u, v):
+        hu, hv = half(u), half(v)
+        if hu != hv:
+            return -1 if hu < hv else 1
+        c = u.x * v.y - u.y * v.x
+        return 0 if c == 0 else (-1 if c > 0 else 1)
+
+    n = len(rays)
+    if any(cmp(rays[i], rays[j]) == 0 for i in range(n) for j in range(i + 1, n)):
+        return False
+    order = sorted(range(n), key=functools.cmp_to_key(lambda i, j: cmp(rays[i], rays[j])))
+    pos = order.index(0)
+    return order[pos:] + order[:pos] == list(range(n))
+
+
+@st.composite
+def _ray_lists(draw):
+    """2-6 directions: as drawn, or a rotation of an angle-sorted list, with a
+    repeated direction or an opposite ray mixed in on some draws."""
+    rays = draw(st.lists(st.builds(P, st.integers(-3, 3), st.integers(-3, 3)),
+                         min_size=2, max_size=6))
+    if draw(st.booleans()):
+        rays.sort(key=lambda d: math.atan2(d.y, d.x) % (2 * math.pi))
+        k = draw(st.integers(0, len(rays) - 1))
+        rays = rays[k:] + rays[:k]
+    extra = draw(st.sampled_from(["none", "repeat", "opposite"]))
+    if extra != "none" and len(rays) < 6:
+        d = draw(st.sampled_from(rays))
+        scale = draw(st.integers(1, 2))
+        new = P(scale * d.x, scale * d.y) if extra == "repeat" else P(-d.x, -d.y)
+        rays.insert(draw(st.integers(0, len(rays))), new)
+    return rays
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ray_lists())
+def test_ccw_sorted_equals_the_sort_and_rotate_check(rays):
+    assert _ccw_sorted(rays) == _ccw_sorted_by_sorting(rays)
+
+
 class TestBumps:
     def test_plateau_norm_three(self):
         for s, d in ((Fraction(1, 2), Fraction(1)), (Fraction(1, 3), Fraction(1, 2))):
@@ -273,7 +326,7 @@ class TestBumps:
         pc = pyramid_ctpp()
         pts = tuple(P(Fraction(i, 2) - 1, Fraction(j, 2) - 1)
                     for j in range(5) for i in range(5))
-        f = pc.sample(pts)
+        f = _sample(pc, pts)
         est = var_search(f, SearchConfig(iters=3000, restarts=4, seed=0))
         assert 2 <= est.value <= 4
         assert est.stats["max_objective_seen"] <= 4
@@ -310,7 +363,7 @@ class TestTriangleBound:
         g = interpolate_grid(lambda v: v.x * v.y, RECT01, 2)
         pts = tuple(P(Fraction(i, 4), Fraction(j, 4)) for i in range(5)
                     for j in range(5))
-        sample = g.sample(pts)
+        sample = _sample(g, pts)
         r_min = min(float(inradius(g.tri.triangle(i)).lo)
                     for i in range(len(g.tri.triangles)))
         sup = max(abs(complex(v)) for v in sample.values)
@@ -399,7 +452,7 @@ def test_first_owner_map_equals_the_triangle_scan(make):
     g = make()
     for vid in range(len(g.tri.vertices)):
         owner = next(t for t, tri in enumerate(g.tri.triangles) if vid in tri)
-        assert g._first_owner()[vid] == owner
+        assert g._first_owner[vid] == owner
         assert g.vertex_value(vid) == g.coeffs[owner].eval(g.tri.vertices[vid])
 
 

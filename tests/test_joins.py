@@ -27,7 +27,6 @@ from planevar.joins import (
     JoinsError,
     NoAxisPoints,
     SectorSpec,
-    band_clamp,
     best_estimate,
     graph_fill,
     join_report,
@@ -158,18 +157,27 @@ class TestPasting:
         assert res.h.value(P(Fraction(1, 2), -1)) == Fraction(1, 2)
 
     def test_clamp_compact_support(self):
-        trace = RealFunction1D.from_pairs(
-            [(0, Fraction(0)), (Fraction(1, 2), Fraction(1)), (1, Fraction(0))])
-        clamp = band_clamp(trace, 0, 1)
-        assert clamp(Fraction(-5)) == 0
-        assert clamp(Fraction(7)) == 0
-        assert clamp(Fraction(1, 4)) == Fraction(1, 2)
+        axis = (P(0, 0), P(Fraction(1, 2), 0), P(1, 0))
+        off_axis = (P(-5, 1), P(7, -1), P(Fraction(1, 4), 2))
+        f = SampledFunction(axis + off_axis, (Fraction(0), Fraction(1), Fraction(0),
+                                              Fraction(9), Fraction(9), Fraction(9)))
+        h = pasting_extend(f, 0, 1).h
+        assert h.value(P(-5, 1)) == 0
+        assert h.value(P(7, -1)) == 0
+        assert h.value(P(Fraction(1, 4), 2)) == Fraction(1, 2)
 
     def test_no_axis_points(self):
         pts = (P(0, 1), P(1, 1))
         f = SampledFunction(pts, (Fraction(1), Fraction(2)))
         with pytest.raises(NoAxisPoints):
             pasting_extend(f, 0, 1)
+
+    def test_empty_band_is_refused_after_the_axis_check(self):
+        f = self._grid_f(lambda p: p.x)
+        with pytest.raises(JoinsError, match="band needs a < b"):
+            pasting_extend(f, 1, 1)
+        with pytest.raises(NoAxisPoints):
+            pasting_extend(f, 1, 0)
 
 
 class TestSectorFill:

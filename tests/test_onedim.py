@@ -28,7 +28,8 @@ from planevar.onedim import (
     reciprocal_odd,
     var_1d,
 )
-from planevar.variation import InstanceTooLarge, SampledFunction, cvar, vf_exact
+from planevar.variation import (InstanceTooLarge, SampledFunction, _on_floats, all_exact, cvar,
+                                vf_exact)
 
 
 def f_of(pairs):
@@ -236,6 +237,51 @@ class TestAcModulus:
         monkeypatch.setattr(onedim, "_AC_MAX_PAIRS", within - 1)
         with pytest.raises(InstanceTooLarge):
             ac_modulus(f, delta)
+
+def _greedy_by_scan(f: RealFunction1D, delta: Fraction) -> AcModulus:
+    """The greedy family, each candidate tested against every interval taken."""
+    ts = f.sample.points
+    n = len(ts)
+    rational = all_exact(f.values)
+    vals = f.values if rational else _on_floats(tuple, f.values)
+    cands = []
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            length = ts[j] - ts[i]
+            if length > delta:
+                break
+            w = abs(vals[j] - vals[i])
+            if w > 0:
+                cands.append((w / length, -length, -i, -j, i, j, w, length))
+    cands.sort(reverse=True)
+    taken = []
+    total = Fraction(0) if rational else 0.0
+    remaining = delta
+    for _, _, _, _, i, j, w, length in cands:
+        if length > remaining:
+            continue
+        if any(ts[i] < ts[tj] and ts[ti] < ts[j] for ti, tj in taken):
+            continue
+        taken.append((i, j))
+        total = total + w
+        remaining -= length
+    taken.sort()
+    return AcModulus(total, tuple((ts[i], ts[j]) for i, j in taken), False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_VALUES, min_size=2, max_size=40, unique=True), st.booleans(), st.data())
+def test_greedy_modulus_equals_the_scan_of_every_taken_interval(xs, exact, data):
+    xs = sorted(xs)
+    values = st.lists(_VALUES if exact else st.floats(-4, 4), min_size=len(xs),
+                      max_size=len(xs))
+    f = RealFunction1D(RealSample(tuple(xs)), tuple(data.draw(values)))
+    delta = data.draw(st.fractions(min_value=Fraction(1, 24), max_value=8, max_denominator=24))
+    got = ac_modulus(f, delta, mode="greedy")
+    want = _greedy_by_scan(f, delta)
+    assert (got.value, got.witness, got.exact) == (want.value, want.witness, want.exact)
+    assert type(got.value) is type(want.value)
+
 
 class TestGenerators:
     def test_reciprocal_alternating_n4(self):

@@ -1,11 +1,16 @@
 """Every function, class and method in the package is reached from the package.
 
-A definition whose bare name no ``ast.Name`` or ``ast.Attribute`` in
-``src/planevar`` carries, and that ``planevar/__init__.py`` does not import, is
-code that only tests run: it proves nothing about the CLI or the suite and
-should move into the tests or go. Names are matched bare, so any use of the
-same name anywhere in the package counts as a use. Dunder methods are called
-by Python itself and are not listed.
+A module-level function or class whose bare name no ``ast.Name`` or
+``ast.Attribute`` in ``src/planevar`` carries, and a method whose name no
+``ast.Attribute`` carries, is code that only tests run, unless
+``planevar/__init__.py`` imports it: it proves nothing about the CLI or the
+suite and should move into the tests or go. A method is reached only through
+an attribute (``obj.name``), because a bare name is a local or a global.
+Names are still matched bare, so a same-named method of another class counts
+as a use (``Triangle.contains`` and ``Rectangle.contains`` would keep a
+``Line.contains`` alive): the guard finds orphans, it does not prove that a
+method is called. Dunder methods are called by Python itself and are not
+listed.
 """
 
 import ast
@@ -25,31 +30,32 @@ ALLOWED = {
 
 
 def _definitions(tree: ast.Module, module: str):
-    """(qualified name, bare name) of each module-level function or class and
-    each non-dunder method."""
+    """(qualified name, bare name, is a method) of each module-level function or
+    class and each non-dunder method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield f"{module}.{node.name}", node.name
+            yield f"{module}.{node.name}", node.name, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not (
                         item.name.startswith("__") and item.name.endswith("__")):
-                    yield f"{module}.{node.name}.{item.name}", item.name
+                    yield f"{module}.{node.name}.{item.name}", item.name, True
 
 
 def unreached() -> list[str]:
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    used = set()
+    names, attributes = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    used |= {alias.name for node in ast.walk(trees["__init__"])
-             if isinstance(node, ast.ImportFrom) for alias in node.names}
+                attributes.add(node.attr)
+    exported = {alias.name for node in ast.walk(trees["__init__"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
     return [qualname for module, tree in trees.items()
-            for qualname, name in _definitions(tree, module) if name not in used]
+            for qualname, name, method in _definitions(tree, module)
+            if name not in attributes | exported and (method or name not in names)]
 
 
 def test_every_definition_is_reached_from_the_package():

@@ -32,6 +32,7 @@ from planevar.geom import (
     grid_triangulation,
     line_through,
     side_of,
+    to_fraction,
 )
 from planevar.suite import _crossing_count_reference, vf_pattern_oracle
 from planevar.variation import (
@@ -74,6 +75,11 @@ from planevar.variation import (
     vf_exact,
     vf_line,
 )
+
+
+def _affine(m00, m01, m10, m11, t0=0, t1=0) -> AffineMap:
+    """An ``AffineMap`` with its entries made exact."""
+    return AffineMap(*(to_fraction(v) for v in (m00, m01, m10, m11, t0, t1)))
 
 
 def rand_point(rng, span=6, den=6):
@@ -381,9 +387,9 @@ class TestNormsAndMaps:
             assert float(est.value) <= diam * lipschitz_constant(f) + 1e-9
 
     def test_affine_identity_and_translation(self):
-        ident = AffineMap.of(1, 0, 0, 1)
+        ident = _affine(1, 0, 0, 1)
         assert affine_pushforward(F_X, ident).points == F_X.points
-        shift = AffineMap.of(1, 0, 0, 1, 1, 1)
+        shift = _affine(1, 0, 0, 1, 1, 1)
         moved = affine_pushforward(F_X, shift)
         est = var_exact_small(F_X, 4)
         assert vf_exact(est.witness).vf == vf_exact(
@@ -391,7 +397,7 @@ class TestNormsAndMaps:
 
     def test_affine_invariance_of_var(self):
         rng = random.Random(43)
-        rot90 = AffineMap.of(0, -1, 1, 0)
+        rot90 = _affine(0, -1, 1, 0)
         for _ in range(8):
             pts = []
             while len(pts) < 5:
@@ -403,8 +409,8 @@ class TestNormsAndMaps:
             assert var_exact_small(f, 4).value == \
                 var_exact_small(affine_pushforward(f, rot90), 4).value
             while True:
-                phi = AffineMap.of(*(Fraction(rng.randint(-4, 4), 2) for _ in range(4)),
-                                   rng.randint(-2, 2), rng.randint(-2, 2))
+                phi = _affine(*(Fraction(rng.randint(-4, 4), 2) for _ in range(4)),
+                              rng.randint(-2, 2), rng.randint(-2, 2))
                 if phi.det != 0:
                     break
             assert var_exact_small(f, 4).value == \
@@ -412,7 +418,7 @@ class TestNormsAndMaps:
 
     def test_singular_map_rejected(self):
         with pytest.raises(SingularMap):
-            affine_pushforward(F_X, AffineMap.of(1, 1, 1, 1))
+            affine_pushforward(F_X, _affine(1, 1, 1, 1))
 
     def test_product_norm_lower_bound(self):
         # search lower bound of a product never exceeds the product of exact norms
@@ -808,12 +814,12 @@ def test_blocked_sweep_counts_equal_one_block(pts, block):
 
 # invertible maps with integer entries and translation
 int_affine_maps = st.tuples(*[st.integers(-3, 3)] * 6).filter(
-    lambda m: m[0] * m[3] - m[1] * m[2] != 0).map(lambda m: AffineMap.of(*m))
+    lambda m: m[0] * m[3] - m[1] * m[2] != 0).map(lambda m: _affine(*m))
 
 
 @settings(max_examples=150, deadline=None)
 @given(point_lists_with_runs(max_size=6), int_affine_maps)
-@example((P(0, 0), P(1, 0), P(0, 0), P(2, 0)), AffineMap.of(2, 1, 1, 1, 3, -1))
+@example((P(0, 0), P(1, 0), P(0, 0), P(2, 0)), _affine(2, 1, 1, 1, 3, -1))
 def test_vf_exact_is_invariant_under_integer_affine_maps(pts, phi):
     res = vf_exact(pts)
     image = tuple(phi.apply(p) for p in pts)
