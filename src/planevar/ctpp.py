@@ -206,14 +206,15 @@ def interpolate_grid(oracle, rect: Rectangle, n: int) -> CtppFunction:
     ``oracle`` is a callable on Point2 or a mapping Point2 -> value.
     """
     tri = grid_triangulation(rect, n)
-    values = []
-    for v in tri.vertices:
-        if callable(oracle):
-            values.append(oracle(v))
-        else:
-            if v not in oracle:
-                raise OracleMissingVertex(f"oracle missing vertex {v}")
-            values.append(oracle[v])
+    if callable(oracle):
+        values = [oracle(v) for v in tri.vertices]
+    else:
+        values = []
+        for v in tri.vertices:
+            try:
+                values.append(oracle[v])
+            except KeyError:
+                raise OracleMissingVertex(f"oracle missing vertex {v}") from None
     if not all_exact(values):
         coeffs = [solve_plane(tri.vertices[i], tri.vertices[j], tri.vertices[k],
                               values[i], values[j], values[k])
@@ -511,6 +512,8 @@ def star_planar_bound(f: SampledFunction, centre: Point2, rays: list[Point2],
         raise CtppError("need at least two rays")
     if len(sector_coeffs) != n:
         raise CtppError("one coefficient triple per sector required")
+    if any(d.x == 0 and d.y == 0 for d in rays):
+        raise CtppError("ray directions must be nonzero")
     if not _ccw_sorted(rays):
         raise CtppError("rays must be in counter-clockwise angular order")
 

@@ -11,6 +11,24 @@ falls back to ``Fraction(str)``, so the two accept the same strings and give
 equal values. A zero denominator, or a number past ``int``'s digit limit,
 raises the same ``bad rational`` error on either path. ``enc_coord`` wraps
 its argument in ``Fraction`` only when it is not one already.
+
+Each reader decodes a distinct number string once per document: ``_points``
+and the value decoders put a per-call ``dict`` in front of ``dec_coord`` and
+``dec_value`` (``_memoised``). Grid documents repeat most strings, and a
+``Fraction`` is immutable, so points and coefficients may share one. Only
+``str`` keys, and ``int`` keys for coordinates, are memoised: a float or a bool
+equal to an int would hash to the same key. A bad entry is never stored, so
+the first bad entry raises the same error as a decode entry by entry.
+
+Every writer goes through ``_dump(doc)``, which returns exactly
+``json.dumps(doc, indent=1)``. With ``indent`` set, ``json`` runs its
+pure-Python encoder; ``_dump`` encodes each field once with the C encoder
+(``indent=None``), whose item separator already carries the newline and the
+indent of the innermost level, then moves the row brackets onto their own
+lines with one ``str.replace``. Both encoders write floats with
+``float.__repr__`` and non-finite floats as ``NaN``/``Infinity``. A field whose
+rows hold a list (a complex ``[re, im]`` value) or an empty row keeps
+``json.dumps(indent=1)``: the bracket count tells it apart.
 """
 
 from __future__ import annotations
@@ -114,23 +132,65 @@ def _field(doc: dict, key: str) -> list:
     return _array(doc[key], f"field {key!r}:")
 
 
-def _point(pair) -> Point2:
-    x, y = _array(pair, "point", 2)
-    return Point2(dec_coord(x), dec_coord(y))
+def _memoised(dec, keyed: tuple = (str,)):
+    """``dec`` with a memo for one document: each distinct value whose exact
+    type is in ``keyed`` is decoded once. No two key types may hold equal
+    values, so ``int`` never shares a memo with ``float`` (1 == 1.0)."""
+    memo = {}
+
+    def decode(v):
+        if type(v) in keyed:
+            d = memo.get(v)
+            if d is None:
+                d = memo[v] = dec(v)
+            return d
+        return dec(v)
+
+    return decode
 
 
 def _points(doc: dict, key: str) -> tuple[Point2, ...]:
-    return tuple(_point(p) for p in _field(doc, key))
+    dec = _memoised(dec_coord, (str, int))
+    pts = []
+    for pair in _field(doc, key):
+        x, y = _array(pair, "point", 2)
+        pts.append(Point2(dec(x), dec(y)))
+    return tuple(pts)
 
 
 def _triangulation(doc: dict) -> Triangulation:
     verts = _points(doc, "vertices")
-    tris = tuple(tuple(_index(i) for i in _array(t, "triangle"))
-                 for t in _field(doc, "triangles"))
+    tris = tuple(tuple(map(_index, _array(t, "triangle"))) for t in _field(doc, "triangles"))
     try:
         return Triangulation(verts, tris)
     except GeomError as exc:
         raise BadInputFile(str(exc)) from exc
+
+
+# --- the writer ----------------------------------------------------------------
+
+_ROWS = json.JSONEncoder(separators=(",\n   ", ": "))
+_FLAT = json.JSONEncoder(separators=(",\n  ", ": "))
+
+
+def _dump(doc: dict) -> str:
+    """``json.dumps(doc, indent=1)`` of a writer's document: a non-empty dict
+    of lists whose items are numbers, ``p/q`` strings or lists of those."""
+    return "{\n" + ",\n".join(f" {json.dumps(k)}: {_dump_field(v)}" for k, v in doc.items()) + "\n}"
+
+
+def _dump_field(v: list) -> str:
+    if v:
+        if type(v[0]) is list:
+            s = _ROWS.encode(v)
+            # one "[" per row and the outer one: no row holds a list or is empty
+            if s.count("[") == len(v) + 1 and "[]" not in s:
+                return "[\n  [\n   " + s[2:-2].replace("],\n   [", "\n  ],\n  [\n   ") + "\n  ]\n ]"
+        else:
+            s = _FLAT.encode(v)
+            if s.count("[") == 1:
+                return "[\n  " + s[1:-1] + "\n ]"
+    return json.dumps(v, indent=1).replace("\n", "\n ")
 
 
 # --- sampled functions ------------------------------------------------------
@@ -140,13 +200,13 @@ def sampled_function_to_json(f: SampledFunction) -> str:
         "points": [[enc_coord(p.x), enc_coord(p.y)] for p in f.points],
         "values": [enc_value(v) for v in f.values],
     }
-    return json.dumps(doc, indent=1)
+    return _dump(doc)
 
 
 def sampled_function_from_json(text: str) -> SampledFunction:
     doc = _load(text)
     pts = _points(doc, "points")
-    vals = tuple(dec_value(v) for v in _field(doc, "values"))
+    vals = tuple(map(_memoised(dec_value), _field(doc, "values")))
     if len(pts) != len(vals):
         raise BadInputFile("points/values length mismatch")
     return SampledFunction(pts, vals)
@@ -157,7 +217,7 @@ def function_1d_to_json(f: RealFunction1D) -> str:
         "points": [[enc_coord(x), 0] for x in f.sample.points],
         "values": [enc_value(v) for v in f.values],
     }
-    return json.dumps(doc, indent=1)
+    return _dump(doc)
 
 
 def function_1d_from_json(text: str) -> RealFunction1D:
@@ -190,29 +250,32 @@ def ctpp_to_json(g: CtppFunction) -> str:
         "coeffs": [[enc_value(c.a), enc_value(c.b), enc_value(c.c)]
                    for c in g.coeffs],
     }
-    return json.dumps(doc, indent=1)
+    return _dump(doc)
 
 
 def ctpp_from_json(text: str) -> CtppFunction:
     doc = _load(text)
     tri = _triangulation(doc)
-    coeffs = tuple(PlanarCoeffs(*(dec_value(v) for v in _array(c, "coefficient triple", 3)))
-                   for c in _field(doc, "coeffs"))
-    return CtppFunction(tri, coeffs)
+    dec = _memoised(dec_value)
+    coeffs = []
+    for triple in _field(doc, "coeffs"):
+        a, b, c = _array(triple, "coefficient triple", 3)
+        coeffs.append(PlanarCoeffs(dec(a), dec(b), dec(c)))
+    return CtppFunction(tri, tuple(coeffs))
 
 
 # --- polynomials -------------------------------------------------------------
 
 def poly2_to_json(p) -> str:
-    return json.dumps({"coeffs": [[enc_value(c) for c in row] for row in p.coeffs]},
-                      indent=1)
+    return _dump({"coeffs": [[enc_value(c) for c in row] for row in p.coeffs]})
 
 
 def poly2_from_json(text: str) -> Poly2:
     rows = [_array(row, "coefficient row") for row in _field(_load(text), "coeffs")]
     if not rows or not all(rows):
         raise BadInputFile("field 'coeffs': empty coefficient array or row")
-    return Poly2.from_rows([[dec_value(c) for c in row] for row in rows])
+    dec = _memoised(dec_value)
+    return Poly2.from_rows([[dec(c) for c in row] for row in rows])
 
 
 # --- rectangles ---------------------------------------------------------------

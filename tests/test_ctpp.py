@@ -152,6 +152,28 @@ class TestInterpolateGrid:
         with pytest.raises(OracleMissingVertex):
             interpolate_grid({P(0, 0): Fraction(1)}, RECT01, 1)
 
+    def test_mapping_oracle_is_read_once_per_vertex(self):
+        from planevar.ctpp import OracleMissingVertex
+        reads = []
+
+        class Table(dict):
+            def __getitem__(self, key):
+                reads.append(key)
+                return super().__getitem__(key)
+
+            def __contains__(self, key):
+                reads.append(key)
+                return super().__contains__(key)
+
+        tri = grid_triangulation(RECT01, 3)
+        table = Table((v, v.x - 2 * v.y) for v in tri.vertices)
+        assert interpolate_grid(table, RECT01, 3) == interpolate_grid(lambda v: v.x - 2 * v.y, RECT01, 3)
+        assert reads == list(tri.vertices)
+        del table[tri.vertices[5]]
+        with pytest.raises(OracleMissingVertex) as info:
+            interpolate_grid(table, RECT01, 3)
+        assert str(info.value) == f"oracle missing vertex {tri.vertices[5]}"
+
     def test_c1_error_bound_small(self):
         # measured sup error within the modulus of f at the cell diameter scale
         n = 8
@@ -255,6 +277,16 @@ class TestStarPlanar:
         f = SampledFunction(pts, tuple(c.eval(p) for p in pts))
         bound = star_planar_bound(f, P(0, 0), [P(0, 1), P(0, -1)], [c, c])
         assert bound == 4 * 2  # 2n * (max - min) with n = 2
+
+    @pytest.mark.parametrize("rays", [[P(1, 0), P(0, 0)], [P(0, 0), P(1, 0)],
+                                      [P(1, 0), P(0, 0), P(-1, 0)]])
+    def test_zero_ray_is_refused(self, rays):
+        # the angular-order check alone lets P(0, 0) through: it ranks after every
+        # upper direction, and in_sector then reads the sector beside it as a cone
+        f = SampledFunction((P(1, 1), P(-1, -1)), (Fraction(1), Fraction(5)))
+        c = PlanarCoeffs(Fraction(0), Fraction(0), Fraction(1))
+        with pytest.raises(CtppError, match="^ray directions must be nonzero$"):
+            star_planar_bound(f, P(0, 0), rays, [c] * len(rays))
 
     def test_not_star_planar(self):
         f = self._abs_sample()

@@ -353,3 +353,206 @@ def test_function_1d_round_trip(xs, data):
     back = function_1d_from_json(function_1d_to_json(f))
     assert back == f
     assert _same_values(back.values, f.values)
+
+
+# --- the writer: one C-encoder layout, pinned to json.dumps(indent=1) ---------
+
+_scalars = st.one_of(
+    st.integers(), st.integers(-10**40, 10**40),
+    st.fractions().map(enc_coord),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300]),
+)
+_entries = _scalars | st.lists(st.floats(), min_size=2, max_size=2)   # [re, im] pairs
+_flat_fields = st.lists(_entries, max_size=6)
+_row_fields = st.lists(st.lists(_entries, max_size=4), max_size=6)   # empty and width-1 rows too
+_docs = st.dictionaries(st.sampled_from(["points", "values", "vertices", "triangles", "coeffs"]),
+                        _flat_fields | _row_fields, min_size=1, max_size=3)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_docs)
+def test_dump_is_json_dumps_indent_1(doc):
+    assert fileio._dump(doc) == json.dumps(doc, indent=1)
+
+
+@pytest.mark.parametrize("doc", [
+    {"values": [1]},
+    {"values": [[1.5, -0.0]]},
+    {"values": [2, [1.5, -0.0], "1/2"]},
+    {"values": []},
+    {"coeffs": [[]]},
+    {"coeffs": [[1], [], [2]]},
+    {"coeffs": [[7]]},
+    {"points": [[0, "1/2"]], "values": [math.nan, math.inf, -math.inf, 1e-300, -(10**40)]},
+    {"coeffs": [[1, [0.0, 1.0]], [2, 3]]},
+    {"coeffs": [[[0.0, 1.0], [2.0, 3.0]], [[4.0, 5.0], [6.0, 7.0]]]},
+])
+def test_dump_edge_shapes_are_json_dumps_indent_1(doc):
+    assert fileio._dump(doc) == json.dumps(doc, indent=1)
+
+
+def _coord_rows(pts):
+    return [[enc_coord(p.x), enc_coord(p.y)] for p in pts]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(points, min_size=1, max_size=12, unique=True), st.data())
+def test_sampled_function_writer_is_json_dumps_of_its_doc(pts, data):
+    vals = data.draw(st.lists(values, min_size=len(pts), max_size=len(pts)))
+    f = SampledFunction(tuple(pts), tuple(vals))
+    doc = {"points": _coord_rows(pts), "values": [enc_value(v) for v in vals]}
+    assert sampled_function_to_json(f) == json.dumps(doc, indent=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=12, unique=True), st.data())
+def test_function_1d_writer_is_json_dumps_of_its_doc(xs, data):
+    f = RealFunction1D.from_pairs(zip(xs, data.draw(st.lists(values, min_size=len(xs),
+                                                             max_size=len(xs)))))
+    doc = {"points": [[enc_coord(x), 0] for x in f.sample.points],
+           "values": [enc_value(v) for v in f.values]}
+    assert function_1d_to_json(f) == json.dumps(doc, indent=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(triangulations(), st.data())
+def test_ctpp_writer_is_json_dumps_of_its_doc(tri, data):
+    rows = data.draw(st.lists(st.lists(values, min_size=3, max_size=3),
+                              min_size=len(tri.triangles), max_size=len(tri.triangles)))
+    g = CtppFunction(tri, tuple(PlanarCoeffs(*row) for row in rows))
+    doc = {"vertices": _coord_rows(tri.vertices),
+           "triangles": [list(t) for t in tri.triangles],
+           "coeffs": [[enc_value(v) for v in row] for row in rows]}
+    assert ctpp_to_json(g) == json.dumps(doc, indent=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.lists(values, min_size=width, max_size=width), min_size=1, max_size=4)))
+def test_poly2_writer_is_json_dumps_of_its_doc(rows):
+    p = Poly2.from_rows(rows)
+    doc = {"coeffs": [[enc_value(c) for c in row] for row in p.coeffs]}
+    assert poly2_to_json(p) == json.dumps(doc, indent=1)
+
+
+def test_grid_interpolant_writes_json_dumps_of_its_doc():
+    g = interpolate_grid(lambda v: v.x * v.x - v.y / 3, Rectangle.of(0, 1, Fraction(-1, 2), 2), 24)
+    text = ctpp_to_json(g)
+    # compared as lines: pytest's character diff of two 100 kB strings takes minutes
+    assert text.splitlines() == json.dumps(json.loads(text), indent=1).splitlines()
+
+
+# --- the readers: each distinct number string decoded once per document -------
+
+def _outcome(decode, text):
+    """What ``decode`` gives, as (type, repr) of every number, or the error it raises."""
+    try:
+        obj = decode(text)
+    except Exception as exc:                      # noqa: BLE001 - the outcome is compared
+        return ("error", type(exc).__name__, str(exc))
+    if isinstance(obj, SampledFunction):
+        nums = [c for p in obj.points for c in p] + list(obj.values)
+    elif isinstance(obj, RealFunction1D):
+        nums = list(obj.sample.points) + list(obj.values)
+    elif isinstance(obj, CtppFunction):
+        nums = ([c for p in obj.tri.vertices for c in p] + [i for t in obj.tri.triangles for i in t]
+                + [v for c in obj.coeffs for v in (c.a, c.b, c.c)])
+    elif isinstance(obj, Poly2):
+        nums = [c for row in obj.coeffs for c in row]
+    elif isinstance(obj, Polygon):
+        nums = [c for p in obj.vertices for c in p]
+    else:
+        nums = [c for p in obj for c in p]
+    return [(type(v).__name__, repr(v)) for v in nums]
+
+
+def _entry_by_entry(decode, text):
+    """The oracle: ``decode`` with every number decoded on its own, no memo."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_memoised", lambda dec, keyed=(str,): dec)
+        return _outcome(decode, text)
+
+
+# few distinct entries, so that strings repeat; "1/2" beside "2/4", ints beside
+# equal floats and bools, bad strings, non-numbers and [re, im] pairs
+_POOL = ["1/2", "2/4", "-3", "0", "7/3", "10", 0, 1, -3, 10, 1.0, 0.5, -0.0, True, False,
+         "x/2", "1/0", None, [1.0, 2.0], [0.5, -0.0]]
+_pool_entries = st.sampled_from(_POOL)
+_pool_points = st.lists(st.lists(_pool_entries, min_size=2, max_size=2), min_size=1, max_size=8)
+_GRID_VERTICES = [[x, y] for y in (0, "1/2", 1) for x in (0, "1/2", 1)]
+_GRID_TRIANGLES = [[v, v + 1, v + 4] for v in (0, 1, 3, 4)] + [[v, v + 4, v + 3] for v in (0, 1, 3, 4)]
+
+
+@st.composite
+def _pool_docs(draw):
+    """A reader and a document for it, drawn from the pool."""
+    kind = draw(st.sampled_from(["sampled", "function_1d", "list", "polygon", "ctpp", "poly2"]))
+    if kind in ("sampled", "function_1d"):
+        pts = draw(_pool_points | st.just(_GRID_VERTICES))
+        if kind == "function_1d":
+            pts = [[x, 0] for x, _ in pts]
+        vals = draw(st.lists(_pool_entries, min_size=len(pts), max_size=len(pts)))
+        decode = sampled_function_from_json if kind == "sampled" else function_1d_from_json
+        return decode, {"points": pts, "values": vals}
+    if kind == "list":
+        return point_list_from_json, {"list": draw(_pool_points)}
+    if kind == "polygon":
+        return polygon_from_json, {"vertices": draw(_pool_points)}
+    if kind == "ctpp":
+        verts = draw(st.just(_GRID_VERTICES) | _pool_points)
+        coeffs = draw(st.lists(st.lists(_pool_entries, min_size=3, max_size=3),
+                               min_size=len(_GRID_TRIANGLES), max_size=len(_GRID_TRIANGLES)))
+        return ctpp_from_json, {"vertices": verts, "triangles": _GRID_TRIANGLES, "coeffs": coeffs}
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(_pool_entries, min_size=width, max_size=width),
+                         min_size=1, max_size=3))
+    return poly2_from_json, {"coeffs": rows}
+
+
+@settings(max_examples=600, deadline=None)
+@given(_pool_docs())
+def test_readers_equal_an_entry_by_entry_decode(case):
+    decode, doc = case
+    text = json.dumps(doc)
+    assert _outcome(decode, text) == _entry_by_entry(decode, text)
+
+
+@pytest.mark.parametrize("decode, text, message", [
+    (sampled_function_from_json,
+     '{"points": [[0, 0], ["1/2", 0], [1, 0]], "values": ["1/3", "1/3", "1/0"]}',
+     "bad rational '1/0'"),
+    (point_list_from_json, '{"list": [["1/2", "1/2"], ["1/2", "x/2"]]}', "bad rational 'x/2'"),
+    (point_list_from_json, '{"list": [[1, 1], [1, true]]}', "bad coordinate True"),
+    (sampled_function_from_json, '{"points": [[0, 0], [1, 0]], "values": [1, true]}',
+     "boolean is not a value"),
+    (poly2_from_json, '{"coeffs": [["2/4", "2/4"], ["2/4", "2/0"]]}', "bad rational '2/0'"),
+])
+def test_a_bad_entry_after_a_repeated_good_one_keeps_its_message(decode, text, message):
+    with pytest.raises(BadInputFile) as info:
+        decode(text)
+    assert str(info.value) == message
+    assert _entry_by_entry(decode, text) == ("error", "BadInputFile", message)
+
+
+def test_equal_values_of_different_json_types_keep_their_types():
+    pts = point_list_from_json('{"list": [[1, "1/2"], [1.0, "2/4"], ["1", 0.5]]}')
+    assert [type(c) for p in pts for c in p] == [Fraction] * 6
+    assert pts == (P(1, Fraction(1, 2)),) * 3
+    f = sampled_function_from_json('{"points": [[0, 0], [1, 0], [2, 0]], "values": [1, 1.0, "1"]}')
+    assert [(type(v), v) for v in f.values] == [(int, 1), (float, 1.0), (Fraction, 1)]
+
+
+def test_a_grid_document_decodes_each_distinct_number_once(monkeypatch):
+    g = interpolate_grid(lambda v: v.x * v.x - v.y / 3, Rectangle.of(0, 1, 0, 1), 24)
+    text = ctpp_to_json(g)
+    doc = json.loads(text)
+    calls = []
+    for name in ("dec_coord", "dec_value"):
+        real = getattr(fileio, name)
+        monkeypatch.setattr(fileio, name, lambda v, real=real, name=name: calls.append(name) or real(v))
+    assert ctpp_from_json(text) == g
+    coords = {(type(c), c) for p in doc["vertices"] for c in p}
+    strings = {c for row in doc["coeffs"] for c in row if isinstance(c, str)}
+    others = [c for row in doc["coeffs"] for c in row if not isinstance(c, str)]
+    assert calls.count("dec_value") == len(strings) + len(others)
+    assert calls.count("dec_coord") == len(coords) + len(strings)   # dec_value reads a string so
