@@ -408,17 +408,20 @@ class C2Report:
         return all(self.checks.values())
 
 
-def grid_lipschitz(values: np.ndarray, X: np.ndarray, Y: np.ndarray,
-                   chunk: int = 256) -> float:
+_LIPSCHITZ_CHUNK = 256    # rows of one grid_lipschitz scan step
+
+
+def grid_lipschitz(values: np.ndarray, X: np.ndarray, Y: np.ndarray) -> float:
     """Max |dv| / distance over all grid point pairs (flattened, chunked).
 
-    Each chunk of rows i is scanned against the columns j >= its first row
-    only: float subtraction is exactly antisymmetric, so the (j, i) ratio
-    equals the (i, j) one bit for bit. Both ends of a pair fold it into their
-    row maximum. The result is NaN when any ratio is NaN: a NaN value or
-    coordinate, or an infinite value, whose own difference is inf - inf. It
-    does not depend on ``chunk``.
+    Each chunk of ``_LIPSCHITZ_CHUNK`` rows i is scanned against the columns
+    j >= its first row only: float subtraction is exactly antisymmetric, so
+    the (j, i) ratio equals the (i, j) one bit for bit. Both ends of a pair
+    fold it into their row maximum. The result is NaN when any ratio is NaN:
+    a NaN value or coordinate, or an infinite value, whose own difference is
+    inf - inf. It does not depend on the chunk size.
     """
+    chunk = _LIPSCHITZ_CHUNK
     v = values.ravel()
     x = X.ravel()
     y = Y.ravel()
@@ -447,9 +450,9 @@ def grid_lipschitz(values: np.ndarray, X: np.ndarray, Y: np.ndarray,
     return float(row_max.max(initial=0.0))
 
 
-# The grid Lipschitz scan compares all pairs of the grid_n^2 points, 256 rows at
-# a time: at this cap each of its temporaries holds 256 * 128^2 floats (32 MiB),
-# and one scan takes a few seconds.
+# The grid Lipschitz scan compares all pairs of the grid_n^2 points,
+# _LIPSCHITZ_CHUNK = 256 rows at a time: at this cap each of its temporaries
+# holds 256 * 128^2 floats (32 MiB), and one scan takes a few seconds.
 MAX_GRID_N = 128
 
 

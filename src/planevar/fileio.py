@@ -112,12 +112,6 @@ def dec_value(v):
     raise BadInputFile(f"cannot parse value {v!r}")
 
 
-def _index(v) -> int:
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise BadInputFile(f"bad vertex index {v!r}")
-    return v
-
-
 def _array(v, what: str, length: int | None = None) -> list:
     """v itself when it is a JSON array (of ``length`` items, when given)."""
     if not isinstance(v, list) or (length is not None and len(v) != length):
@@ -160,7 +154,7 @@ def _points(doc: dict, key: str) -> tuple[Point2, ...]:
 
 def _triangulation(doc: dict) -> Triangulation:
     verts = _points(doc, "vertices")
-    tris = tuple(tuple(map(_index, _array(t, "triangle"))) for t in _field(doc, "triangles"))
+    tris = tuple(tuple(_array(t, "triangle")) for t in _field(doc, "triangles"))
     try:
         return Triangulation(verts, tris)
     except GeomError as exc:

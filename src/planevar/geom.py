@@ -409,7 +409,9 @@ class Triangulation:
         adjacency: dict[tuple[int, int], list[int]] = {}
         get = adjacency.get
         for t_idx, t in enumerate(self.triangles):
-            if len(t) != 3 or not (0 <= t[0] < n and 0 <= t[1] < n and 0 <= t[2] < n):
+            # an index is an int in range(n); a bool or a float is not
+            if len(t) != 3 or not (type(t[0]) is type(t[1]) is type(t[2]) is int
+                                   and 0 <= t[0] < n and 0 <= t[1] < n and 0 <= t[2] < n):
                 raise GeomError(f"triangle {tuple(t)} needs three indices of the {n} vertices")
             i, j, k = t
             # edge keys (low, high) in the order (i, j), (j, k), (k, i)

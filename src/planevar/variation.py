@@ -295,10 +295,17 @@ def _lists(steps: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _diff_matrix(f: SampledFunction) -> np.ndarray:
-    """Floating |f_i - f_j| for every pair of sample indices."""
+def _diff_matrix(f: SampledFunction, max_len: int) -> np.ndarray:
+    """Floating |f_i - f_j| for every pair of sample indices; VariationError
+    when ``max_len`` times the largest is past the float range, so that no
+    sum of a list's jumps, nor a bound on one, can overflow."""
     vals_c = _on_floats(np.array, f.values)
-    return np.abs(vals_c[:, None] - vals_c[None, :])
+    with np.errstate(over="ignore"):
+        diff = np.abs(vals_c[:, None] - vals_c[None, :])
+    j_max = float(diff.max())
+    if not math.isfinite(j_max * max_len):
+        raise float_overflow(OverflowError(f"{max_len} jumps of up to {j_max!r}"))
+    return diff
 
 
 def _point_ranks(f: SampledFunction) -> list[int]:
@@ -319,38 +326,32 @@ def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
     the empty list: a list of length m is a list of length m - 1 plus one
     index (``_extensions``, in lexicographic order), and a level is only the
     (parent row, index) pairs. ``_vfcore.vf_batch`` carries the counts from
-    each level to the next, and a float pass extends each parent's curve
-    variation by one jump, the same left-to-right sum as adding all m - 1
-    jumps. Every list within a 1e-9 relative window of the float maximum,
-    at or above ``best - 1e-9 * (1 + |best|)``, is then rebuilt along its
-    parent rows and rechecked, which is sound because the float evaluation
-    error of these short sums is ~1e-15 relative.
+    each level to the next, and each list's jump sum J is its parent's plus
+    one jump, the same left-to-right sum as adding all m - 1 jumps.
+
+    A list's score orders the lists by value. On rational values, lifted to
+    integers z_i over one denominator D, the value is J / (D * vf) with J an
+    integer; vf <= max_len divides s = lcm(1, ..., max_len), so the score
+    J * (s // vf) is the value times D * s, exact. It is int64 while
+    2 * max_len * s * max |z| fits and object (Python ints) past that, as
+    ``_vfcore._coeff_dtype`` decides. On other values the score is the float
+    J / vf, and ``_diff_matrix`` refuses values whose jump sums could overflow.
 
     Branch and bound (Land and Doig, 1960): before a level is stepped, a
-    parent with float curve variation J, vf v and r levels left is dropped
-    when
+    parent with jump sum J, vf v and r levels left is dropped when the score
+    of J + reach[last] + (r - 1) * J_max at vf max(v, 1), times 1 + 1e-12 on
+    floats for rounding, lies strictly below the best score so far;
+    ``reach[i]`` is the largest jump from point i and J_max the largest of
+    all. A descendant's jump sum is at most that, and its vf at least v, since
+    appending a point never lowers vf. So every list at the best score is
+    stepped; a level that no parent survives into is not.
 
-        (J + reach[last] + (r - 1) * J_max) / max(v, 1) * (1 + 1e-12)
-
-    lies below the window floor of the levels finished so far, where
-    ``reach[i]`` is the largest jump from point i and J_max the largest jump
-    of all. A descendant's curve variation is at most the numerator (its
-    first new jump starts at the parent's last point), and its vf is at
-    least v, since appending a point never lowers vf. The 1e-12 slack
-    covers the float rounding of both sides, a few ulps for six terms. The
-    floor only rises as levels finish, so no dropped list could have
-    entered the final window: the window, the rechecked lists, the value
-    and the witness are the ones full enumeration gives. A level that no
-    parent survives into is not stepped.
-
-    On rational values the recheck is exact and on integers: with the values
-    lifted to z_i over one denominator D, a list's value is
-    (sum of |z_i - z_{i-1}|) / (D * vf). The window's lists are compared as
-    (jump sum, vf) pairs by cross-multiplying, and only the winner becomes a
-    Fraction. Ties go to the fewest points, then the smallest sequence of point
-    ranks (``_point_ranks``). ``stats`` names the ``exact_path`` (``rational`` or
-    ``float``), counts the ``rechecked`` lists and gives the ``lists``
-    stepped at each level after pruning.
+    The winner has the best score, then the fewest points, then the smallest
+    sequence of point ranks (``_point_ranks``): the lists at the best score of
+    the shortest level that holds one are rebuilt along their parent rows and
+    ordered by ``np.lexsort``. ``stats`` names the ``exact_path`` (``rational``
+    or ``float``), counts the lists at the best score as ``rechecked`` and
+    gives the ``lists`` stepped at each level after pruning.
     """
     k = len(f.points)
     if k > _EXACT_MAX_POINTS:
@@ -362,23 +363,40 @@ def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
 
     table = _vfcore.build_sign_table(f.points)
     top = 1 if k == 1 else max_len
+    rational = f.is_rational_real
+    if rational:
+        z, den = common_denominator(f.values)
+        s = math.lcm(*range(1, top + 1))
+        fits = 2 * top * s * max(map(abs, z)) <= _vfcore._INT64_MAX
+        dtype = np.int64 if fits else object
+        diff = np.array([[abs(b - a) for b in z] for a in z], dtype=dtype)
+        weight = np.array([s // max(v, 1) for v in range(top + 1)], dtype=dtype)
+        slack = 1
+
+        def score(jump_sum, vf):
+            return jump_sum * np.take(weight, vf)
+    else:
+        diff = _diff_matrix(f, top)
+        slack = 1 + 1e-12
+
+        def score(jump_sum, vf):
+            return jump_sum / np.maximum(vf, 1)
     # row k: the jump from the empty list, 0
-    jumps = np.concatenate([_diff_matrix(f), np.zeros((1, k))])
+    jumps = np.concatenate([diff, np.zeros((1, k), dtype=diff.dtype)])
     reach = jumps.max(axis=1)
-    j_max = float(reach.max())
+    j_max = reach.max()
     jumps = jumps.ravel()
 
     steps: list[np.ndarray] = []
     per_len: list[tuple[np.ndarray, np.ndarray]] = []
     level = _vfcore.empty_level(table)
-    cv = np.zeros(1)
-    best_float = threshold = None
+    cv = np.zeros(1, dtype=jumps.dtype)
+    best = None
     for left in range(top, 0, -1):
         parents = np.arange(len(cv))
-        if threshold is not None:
-            bound = ((cv + np.take(reach, level.last) + (left - 1) * j_max)
-                     / np.maximum(level.vf, 1) * (1 + 1e-12))
-            parents = parents[~(bound < threshold)]
+        if best is not None:
+            bound = score(cv + np.take(reach, level.last) + (left - 1) * j_max, level.vf) * slack
+            parents = parents[~(bound < best)]
             if not len(parents):
                 break
         step = _extensions(np.take(level.last, parents), k)
@@ -387,41 +405,21 @@ def var_exact_small(f: SampledFunction, max_len: int) -> VarEstimate:
         cv = np.take(cv, parent) + np.take(jumps, np.take(level.last, parent) * k + step[:, 1])
         level = _vfcore.vf_batch(level, step)
         steps.append(step)
-        obj = cv / np.maximum(level.vf, 1)
+        obj = score(cv, level.vf)
         per_len.append((level.vf, obj))
-        level_best = float(obj.max())
-        best_float = level_best if best_float is None else max(best_float, level_best)
-        threshold = best_float - 1e-9 * (1.0 + abs(best_float))
+        best = obj.max() if best is None else max(best, obj.max())
 
-    rational = f.is_rational_real
-    if rational:
-        z, den = common_denominator(f.values)
-        zjump = [[abs(b - a) for b in z] for a in z]
-    rank = _point_ranks(f)
-
-    window = []                 # (score, q, list, vf): the list's value is score / q
-    for m, (vf, obj) in enumerate(per_len, 1):
-        rows = np.flatnonzero(obj >= threshold)
-        if not len(rows):
-            continue
-        seqs, vfs = _lists(steps[:m], rows).tolist(), vf[rows].tolist()
-        if rational:
-            window += [(sum(zjump[a][b] for a, b in zip(seq, seq[1:])), v, seq, v)
-                       for seq, v in zip(seqs, vfs)]
-        else:
-            window += [(o, 1, seq, v) for seq, v, o in zip(seqs, vfs, obj[rows].tolist())]
-    top, top_q = window[0][:2]
-    for score, q, _, _ in window:
-        if score * top_q > top * q:
-            top, top_q = score, q
-    # among the lists of the largest value: fewest points, then smallest point ranks
-    score, q, seq, vf = min((c for c in window if c[0] * top_q == top * c[1]),
-                            key=lambda c: (len(c[2]), [rank[i] for i in c[2]]))
-    value = Fraction(score, den * q) if rational else score
+    ties = [np.flatnonzero(obj == best) for _, obj in per_len]
+    m = next(m for m, rows in enumerate(ties, 1) if len(rows))
+    seqs = _lists(steps[:m], ties[m - 1])
+    win = np.lexsort(np.take(_point_ranks(f), seqs).T[::-1])[0]
+    value = Fraction(int(best), den * s) if rational else float(best)
     stats = {"table_rows": table.n_lines, "distinct_rows": len(table.signs),
-             "exact_path": "rational" if rational else "float", "rechecked": len(window),
+             "exact_path": "rational" if rational else "float",
+             "rechecked": sum(len(rows) for rows in ties),
              "lists": tuple(len(step) for step in steps)}
-    return VarEstimate(value=value, witness=tuple(f.points[i] for i in seq), witness_vf=vf,
+    return VarEstimate(value=value, witness=tuple(f.points[i] for i in seqs[win]),
+                       witness_vf=int(per_len[m - 1][0][ties[m - 1][win]]),
                        exact=True, method="exhaustive_small", stats=stats)
 
 
@@ -718,7 +716,7 @@ def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEst
         return VarEstimate(value=cvar(f, f.points), witness=(f.points[0],), witness_vf=1,
                            exact=False, method="anneal", seed=cfg.seed)
     table = _vfcore.build_sign_table(f.points)
-    diff = _diff_matrix(f)
+    diff = _diff_matrix(f, cfg.max_len)
     pairs = _vfcore.PackedCounts(table, cfg.max_len)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     results = [_anneal_once(pairs, diff, k, cfg, s) for s in children]

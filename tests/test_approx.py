@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planevar import approx
 from planevar.geom import P, Rectangle
 from planevar.variation import SampledFunction, SearchConfig, var_search
 from planevar.ctpp import interpolate_grid
@@ -347,7 +348,8 @@ def _grid_lipschitz_ordered_pairs(values, X, Y, chunk):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 256])
-def test_grid_lipschitz_equals_ordered_pair_scan(chunk):
+def test_grid_lipschitz_equals_ordered_pair_scan(chunk, monkeypatch):
+    monkeypatch.setattr(approx, "_LIPSCHITZ_CHUNK", chunk)
     xs = np.linspace(0.0, 1.0, 13)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     zero = np.zeros((3, 11))
@@ -374,19 +376,20 @@ def test_grid_lipschitz_equals_ordered_pair_scan(chunk):
     grids += [(V, BX, BY), (W, BX, BY)]
     with np.errstate(invalid="ignore"):   # inf - inf
         for V, X, Y in grids:
-            got = grid_lipschitz(V, X, Y, chunk=chunk)
+            got = grid_lipschitz(V, X, Y)
             want = _grid_lipschitz_ordered_pairs(V, X, Y, chunk)
             assert got == want or (math.isnan(got) and math.isnan(want)), (V, X, Y)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 256])
-def test_grid_lipschitz_nan_value_gives_nan(chunk):
+def test_grid_lipschitz_nan_value_gives_nan(chunk, monkeypatch):
+    monkeypatch.setattr(approx, "_LIPSCHITZ_CHUNK", chunk)
     xs = np.linspace(0.0, 1.0, 30)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     V = 2 * X
-    assert grid_lipschitz(V, X, Y, chunk=chunk) == pytest.approx(2.0)
+    assert grid_lipschitz(V, X, Y) == pytest.approx(2.0)
     V[20, 5] = np.nan
-    assert math.isnan(grid_lipschitz(V, X, Y, chunk=chunk))
+    assert math.isnan(grid_lipschitz(V, X, Y))
 
 
 def test_c2_to_poly_refuses_non_finite_oracle_samples():

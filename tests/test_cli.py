@@ -396,6 +396,38 @@ def test_huge_integer_among_complex_values_is_typed_error(tmp_path, zigzag, comm
                               "int too large to convert to float\n")
 
 
+# 1e308 - (-1e308) is past the float range. 1e308 - (-5e307) is not, but a list of
+# three points can sum two such jumps. Both estimators refuse before any level or
+# proposal, and numpy's overflow warning stays off stderr.
+@pytest.mark.parametrize("values, jump", [([1e308, -1e308, "1/3"], "inf"),
+                                          ([1e308, -5e307, 0], "1.5e+308")])
+@pytest.mark.parametrize("command, max_len", [
+    (["var", "--mode", "exact", "--max-len", "3"], 3),
+    (["var", "--mode", "search", "--iters", "10"], 12),
+    (["join", "report", "--mode", "exact", "--max-len", "3"], 3),
+], ids=["exact", "search", "join-exact"])
+def test_jump_sums_past_the_float_range_are_typed_error(tmp_path, values, jump, command, max_len):
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"points": [[0, 0], [1, 0], [0, 1]], "values": values}))
+    args = [*command, "--fn", str(fn)]
+    if command[0] == "join":
+        for name, pts in (("sigma1", [[0, 0], [1, 0], [0, 1]]), ("sigma2", [[1, 0], [0, 1]])):
+            (tmp_path / f"{name}.json").write_text(json.dumps({"list": pts}))
+            args += [f"--{name}", str(tmp_path / f"{name}.json")]
+    code, out, err = run_cli(*args)
+    assert_single_error(code, err, "VariationError")
+    assert (out, err) == ("", "error:VariationError:values overflow floating point: "
+                              f"{max_len} jumps of up to {jump}\n")
+
+
+def test_finite_jump_sums_near_the_float_range_are_estimated(tmp_path):
+    """One point per list sums no jump: max-len 1 runs on the same values."""
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"points": [[0, 0], [1, 0], [0, 1]], "values": [1e308, -5e307, 0]}))
+    code, out, err = run_cli("var", "--fn", str(fn), "--mode", "exact", "--max-len", "1")
+    assert (code, out, err) == (0, "0\n0,true,exhaustive_small,1,1,\n", "")
+
+
 @pytest.mark.parametrize("command", [["iota", "--at", "1/2"], ["iota", "--at", "0"],
                                      ["acmod", "--delta", "1"]])
 def test_huge_integer_beside_a_complex_value_in_1d_is_typed_error(tmp_path, command):

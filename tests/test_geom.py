@@ -269,6 +269,13 @@ def test_triangulation_rejects_bad_index_triples(triangles):
         Triangulation((P(0, 0), P(1, 0), P(0, 1)), triangles)
 
 
+@pytest.mark.parametrize("triangle", [(0, 1.0, 2), (0, True, 2), (0.0, 1, 2)])
+def test_triangulation_refuses_indices_that_are_not_ints(triangle):
+    """1.0 and True compare equal to 1 and lie in range; neither is an index."""
+    with pytest.raises(GeomError, match="three indices of the 3 vertices"):
+        Triangulation((P(0, 0), P(1, 0), P(0, 1)), (triangle,))
+
+
 # --- point location: the integer scan against the Triangle.contains scan -------
 
 def _scan(tri, p):

@@ -20,7 +20,6 @@ ALLOWED = {
     "approx.c2_to_poly_auto(max_degree)": "library entry point; tests set it",
     "approx.c2_to_poly_auto(grid_n)": "library entry point; tests set it",
     "cli.main(argv)": "None reads sys.argv; tests pass argument lists",
-    "approx.grid_lipschitz(chunk)": "test seam: tests force small chunks to cross chunk edges",
 }
 
 

@@ -28,6 +28,7 @@ from planevar.geom import (
     Line,
     P,
     Rectangle,
+    common_denominator,
     dist_sq,
     grid_triangulation,
     line_through,
@@ -1217,6 +1218,61 @@ def test_var_exact_small_skips_a_level_that_no_parent_survives_into():
     assert est.stats["lists"] == (6, 30, 150, 550, 20)
     assert (est.value, est.witness, est.witness_vf) == _unpruned_maximum(f, 6)
     assert (est.value, est.witness_vf) == (204, 1)
+
+
+@pytest.mark.parametrize("offset", [0, 10**30], ids=["huge", "huge-offset"])
+@pytest.mark.parametrize("name", ORACLE_SAMPLES)
+def test_var_exact_small_scores_past_int64_match_the_oracle(name, offset):
+    """Lifted integers past int64 take the object path. Around 10^30 the values
+    differ in the 31st digit, where floats cannot tell them apart."""
+    rng = random.Random(f"{name}/{offset}")
+    for k in range(2, 6):
+        pts = ORACLE_SAMPLES[name][:k]
+        if offset:
+            vals = tuple(offset + Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in pts)
+        else:
+            vals = tuple(Fraction(rng.randint(-10**20, 10**20), rng.randint(1, 10**4))
+                         for _ in pts)
+        assert max(abs(v) for v in common_denominator(vals)[0]) > 2**63
+        f = SampledFunction(pts, vals)
+        for max_len in range(1, 5):
+            est = var_exact_small(f, max_len)
+            assert est.stats["exact_path"] == "rational"
+            assert (est.value, est.witness, est.witness_vf) == _var_exact_small_oracle(f, max_len)
+
+
+def test_var_exact_small_on_rationals_past_the_float_range():
+    """The rational path never converts a value to float, so 10^400 is exact."""
+    f = SampledFunction(SEVEN[:3], (10**400, 0, Fraction(1, 3)))
+    for max_len in (1, 3):
+        est = var_exact_small(f, max_len)
+        assert (est.value, est.witness, est.witness_vf) == _var_exact_small_oracle(f, max_len)
+    assert (est.value, est.witness_vf) == (10**400, 1)
+
+
+# Every list ties on constant values, so no parent is dropped and each list
+# counts in ``rechecked``; two values tie across 38 lists. The winner is the
+# lexsort of the point ranks over the shortest level's ties.
+@pytest.mark.parametrize("values, lists, rechecked", [
+    ((Fraction(3, 2),) * 7, (7, 42, 252, 1512, 9072, 54432), 65_317),
+    ((0, 1, 1, 0, 1, 0, 1), (7, 42, 252, 1512, 3072, 540), 38),
+], ids=["constant", "two-valued"])
+def test_var_exact_small_ties_on_seven_points_match_the_unpruned_maximum(values, lists,
+                                                                          rechecked):
+    f = SampledFunction(SEVEN, values)
+    est = var_exact_small(f, max_len=6)
+    assert (est.stats["lists"], est.stats["rechecked"]) == (lists, rechecked)
+    assert (est.value, est.witness, est.witness_vf) == _unpruned_maximum(f, 6)
+
+
+def test_var_exact_small_counts_only_float_ties_at_the_best_score():
+    """``rechecked`` counts the lists whose float score equals the best. The
+    1e-9 tie window that the float path used to keep counted 18 here: lists
+    such as (0.8 + 0.8) / 2 land a few ulps off the best, 0.8000000000000002."""
+    est = var_exact_small(SampledFunction(SEVEN[:3], (0.2, 1.0, 1.0)), max_len=4)
+    assert repr(est.value) == "0.8000000000000002"
+    assert est.witness == (SEVEN[0], SEVEN[2], SEVEN[0], SEVEN[2])
+    assert (est.witness_vf, est.stats["rechecked"]) == (3, 8)
 
 
 # --- prefix-shared batch kernel -----------------------------------------------
