@@ -76,11 +76,15 @@ def magnitudes(values) -> list:
 
 
 def jump_sum(values):
-    """Sum of |consecutive jumps|; Fraction(0) or 0.0 for a single value."""
+    """Sum of |consecutive jumps|; Fraction(0) or 0.0 for a single value.
+    A float sum past the float range is VariationError."""
     vals = list(values)
     if all_exact(vals):
         return sum((abs(vals[i] - vals[i - 1]) for i in range(1, len(vals))), Fraction(0))
-    return _on_floats(lambda c: float(sum(abs(c[i] - c[i - 1]) for i in range(1, len(c)))), vals)
+    total = _on_floats(lambda c: float(sum(abs(c[i] - c[i - 1]) for i in range(1, len(c)))), vals)
+    if not math.isfinite(total):
+        raise float_overflow(OverflowError(f"jump sum {total!r}"))
+    return total
 
 
 def spread(values):

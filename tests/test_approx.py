@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -379,6 +380,70 @@ def test_grid_lipschitz_equals_ordered_pair_scan(chunk, monkeypatch):
             got = grid_lipschitz(V, X, Y)
             want = _grid_lipschitz_ordered_pairs(V, X, Y, chunk)
             assert got == want or (math.isnan(got) and math.isnan(want)), (V, X, Y)
+
+
+@st.composite
+def lipschitz_grids(draw):
+    """(values, X, Y) on unit-square layouts scaled by 1, 1e-160, 1e-300 or 1e200."""
+    layout = draw(st.sampled_from(["grid", "row", "column", "tiny", "repeated", "scattered"]))
+    rows, cols = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    rows, cols = {"row": (1, cols), "column": (rows, 1),
+                  "tiny": (min(rows, 2), min(cols, 3))}.get(layout, (rows, cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if layout == "repeated":
+        UX = rng.choice([0.0, 0.25, 0.5, 1.0], size=(rows, cols))
+        UY = rng.choice([0.0, 0.1, 0.3], size=(rows, cols))
+    elif layout == "scattered":
+        UX, UY = rng.random((rows, cols)), rng.random((rows, cols))
+    else:
+        UX, UY = np.meshgrid(np.linspace(0, 1, rows), np.linspace(0, 1, cols), indexing="ij")
+    kind = draw(st.sampled_from(["smooth", "linear", "step", "spike", "random"]))
+    if kind == "smooth":
+        V = np.sin(3 * UX) * np.cos(2 * UY)
+    elif kind == "linear":      # every ratio on a line is the slope: nothing to prune
+        V = 2 * UX - UY
+    elif kind == "step":        # ties
+        V = (UX > 0.5).astype(float)
+    elif kind == "spike":
+        V = np.zeros((rows, cols))
+        V[rng.integers(rows), rng.integers(cols)] = 1.0
+    else:
+        V = rng.normal(size=(rows, cols))
+    scale = draw(st.sampled_from([1.0, 1e-160, 1e-300, 1e200]))
+    # near 1e300 the ratios overflow to inf
+    return V * draw(st.sampled_from([1.0, 1e300])), UX * scale, UY * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(lipschitz_grids(), st.sampled_from([1, 7, 256]))
+def test_grid_lipschitz_equals_the_ordered_pair_scan_on_any_layout(grid, chunk):
+    V, X, Y = grid
+    with mock.patch.object(approx, "_LIPSCHITZ_CHUNK", chunk), np.errstate(all="ignore"):
+        got = grid_lipschitz(V, X, Y)
+        want = _grid_lipschitz_ordered_pairs(V, X, Y, chunk)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_grid_lipschitz_settles_non_finite_points_up_front():
+    xs = np.linspace(0.0, 1.0, 5)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    V = 2 * X
+    for at, bad, want in (
+            ([(0, 0), (4, 4)], [np.inf, np.inf], math.nan),      # inf - inf
+            ([(0, 0), (4, 4)], [np.inf, -np.inf], 2.0),          # apart: ratio 0
+            ([(2, 2)], [np.nan], math.nan)):
+        PX = X.copy()
+        for a, b in zip(at, bad):
+            PX[a] = b
+        got = grid_lipschitz(V, PX, Y)
+        assert got == want or (math.isnan(got) and math.isnan(want)), (at, bad)
+    # one point, whatever its coordinates, has no pair
+    assert grid_lipschitz(np.ones((1, 1)), np.full((1, 1), np.nan), np.zeros((1, 1))) == 0.0
+    # a far point is an infinite distance away: NaN only where its value difference overflows
+    V = np.array([[1e308, 0.0, -1e308]])
+    X, Y = np.array([[np.inf, 0.0, 1.0]]), np.zeros((1, 3))
+    assert math.isnan(grid_lipschitz(V, X, Y))
+    assert grid_lipschitz(np.array([[1e308, 0.0, 0.0]]), X, Y) == 0.0
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 256])

@@ -428,6 +428,31 @@ def test_finite_jump_sums_near_the_float_range_are_estimated(tmp_path):
     assert (code, out, err) == (0, "0\n0,true,exhaustive_small,1,1,\n", "")
 
 
+# the paths that sum a list's jumps without an estimator: one list (cvar), the
+# one-dimensional variation (var1d), and a collinear part of a join report
+@pytest.mark.parametrize("command", ["cvar", "var1d", "join"])
+def test_one_jump_sum_past_the_float_range_is_typed_error(tmp_path, command):
+    if command == "cvar":
+        points, values = [[0, 0], [1, 0], [0, 1]], [1e308, -1e308, "1/3"]
+    else:
+        points, values = [[0, 0], [1, 0], [2, 0]], [1e308, -1e308, 0]
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"points": points, "values": values}))
+    args = [command, "--fn", str(fn)]
+    if command == "cvar":
+        (tmp_path / "list.json").write_text(json.dumps({"list": points}))
+        args += ["--list", str(tmp_path / "list.json")]
+    if command == "join":
+        args.insert(1, "report")
+        for name, pts in (("sigma1", points[:2]), ("sigma2", points[1:])):
+            (tmp_path / f"{name}.json").write_text(json.dumps({"list": pts}))
+            args += [f"--{name}", str(tmp_path / f"{name}.json")]
+    code, out, err = run_cli(*args)
+    assert_single_error(code, err, "VariationError")
+    assert (out, err) == ("", "error:VariationError:values overflow floating point: "
+                              "jump sum inf\n")
+
+
 @pytest.mark.parametrize("command", [["iota", "--at", "1/2"], ["iota", "--at", "0"],
                                      ["acmod", "--delta", "1"]])
 def test_huge_integer_beside_a_complex_value_in_1d_is_typed_error(tmp_path, command):
