@@ -7,15 +7,23 @@ uniform and Lipschitz errors are controlled by the measured second-derivative
 error (constants 2, 3, 4 and sqrt(13), hence 4 + sqrt(13) for the full norm).
 
 Bernstein-to-monomial conversion is exact because the conversion matrix
-amplifies rounding by roughly 3^degree in floating point. The exact kernels
-``bernstein2`` and ``Poly2.eval`` lift the values exactly (a float to its
-dyadic rational), put them over one denominator (``geom``'s integer lift), run
-every sum in plain ``int`` and divide once at the end, which gives the same
-values as a ``Fraction`` sum bit for bit. ``Poly2.eval`` evaluates
-homogeneously: at x = a/b, y = c/e it sums N_mn a^m b^(M-m) c^n e^(N-n) over
-the integer coefficients and divides by D b^M e^N. Complex samples or
-coefficients have no exact lift and keep the plain ``Fraction``/complex
-arithmetic.
+amplifies rounding by roughly 3^degree in floating point. A real ``Poly2``
+stores its coefficients as integer rows over one denominator (``geom``'s
+integer lift), trimmed and reduced to lowest terms, so equal polynomials
+have equal rows. Its arithmetic (``dx``, ``dy``, ``int_x``, ``int_y``,
+``at_x``, ``at_y``, ``+``) runs on those rows in plain ``int``, and the
+``Fraction`` coefficients are built only when ``coeffs`` is read.
+``bernstein2`` lifts its node values exactly (a float to its dyadic
+rational) over one denominator and converts them by forward differences:
+the coefficient of x^m y^n is C(d, m) C(d, n) times the (m, n)-th forward
+difference of the node table at (0, 0) (Lorentz, *Bernstein Polynomials*,
+1953). ``Poly2.eval`` evaluates homogeneously: at x = a/b, y = c/e it sums
+N_mn a^m b^(M-m) c^n e^(N-n) over the integer coefficients and divides by
+D b^M e^N. Every exact result equals the ``Fraction`` computation bit for
+bit, and ``eval_float_grid`` makes each float coefficient with one correctly
+rounded ``int / int`` division, the value ``float(Fraction)`` gives. Complex
+samples or coefficients have no exact lift and keep the plain
+``Fraction``/complex arithmetic.
 """
 
 from __future__ import annotations
@@ -23,8 +31,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
 import numpy as np
@@ -57,15 +65,28 @@ def _lift(v):
     return to_fraction(v)
 
 
-@dataclass(frozen=True)
+def _ratio(v) -> tuple[int, int]:
+    """(numerator, denominator) of ``_lift(v)`` for a real ``v``."""
+    if isinstance(v, (int, float, Fraction)):
+        return v.as_integer_ratio()
+    return to_fraction(v).as_integer_ratio()
+
+
 class Poly2:
     """Bivariate polynomial sum c[m][n] x^m y^n with exact coefficients.
 
     Rows index the x power. Trailing zero rows/columns are trimmed so equal
-    polynomials compare equal.
+    polynomials compare equal. A real polynomial is held as ``_int_rows`` =
+    (integer rows, den > 0) in lowest terms and ``coeffs`` is built from it
+    on first use; a polynomial with a complex coefficient holds ``coeffs``
+    only and ``_int_rows`` is None. Instances are immutable.
     """
 
-    coeffs: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("_int_rows", "_coeffs")
+
+    def __init__(self, int_rows, coeffs):
+        self._int_rows: tuple[tuple[tuple[int, ...], ...], int] | None = int_rows
+        self._coeffs: tuple[tuple, ...] | None = coeffs
 
     @staticmethod
     def from_rows(rows) -> "Poly2":
@@ -80,7 +101,23 @@ class Poly2:
             for row in lifted:
                 row.pop()
             width -= 1
-        return Poly2(tuple(tuple(row) for row in lifted))
+        flat = [v for row in lifted for v in row]
+        if any(isinstance(v, complex) for v in flat):
+            return Poly2(None, tuple(tuple(row) for row in lifted))
+        nums, den = common_denominator(flat)
+        return Poly2._of([nums[i:i + width] for i in range(0, len(nums), width)], den)
+
+    @staticmethod
+    def _of(rows: list[list[int]], den: int) -> "Poly2":
+        """The real polynomial ``rows / den`` (rectangular rows, den > 0),
+        trimmed and reduced to lowest terms."""
+        while len(rows) > 1 and not any(rows[-1]):
+            rows.pop()
+        width = len(rows[0])
+        while width > 1 and not any(row[width - 1] for row in rows):
+            width -= 1
+        g = math.gcd(den, *chain.from_iterable(rows))
+        return Poly2((tuple(tuple(c // g for c in row[:width]) for row in rows), den // g), None)
 
     @staticmethod
     def zero() -> "Poly2":
@@ -91,22 +128,37 @@ class Poly2:
         return Poly2.from_rows([[v]])
 
     @property
+    def coeffs(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._coeffs is None:
+            rows, den = self._int_rows
+            self._coeffs = tuple(tuple(Fraction(c, den) for c in row) for row in rows)
+        return self._coeffs
+
+    @property
     def deg_x(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._cells) - 1
 
     @property
     def deg_y(self) -> int:
-        return len(self.coeffs[0]) - 1
+        return len(self._cells[0]) - 1
 
-    @cached_property
-    def _int_rows(self) -> tuple[list[list[int]], int] | None:
-        """Coefficient rows as integers over one denominator (None if complex)."""
-        flat = [c for row in self.coeffs for c in row]
-        if any(isinstance(c, complex) for c in flat):
-            return None
-        nums, den = common_denominator(flat)
-        w = len(self.coeffs[0])
-        return [nums[i:i + w] for i in range(0, len(nums), w)], den
+    @property
+    def _cells(self) -> tuple[tuple, ...]:
+        """The integer rows of a real polynomial, the coefficients of a complex one."""
+        return self._coeffs if self._int_rows is None else self._int_rows[0]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Poly2):
+            return NotImplemented
+        if self._int_rows is not None and other._int_rows is not None:
+            return self._int_rows == other._int_rows
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"Poly2(coeffs={self.coeffs!r})"
 
     def eval(self, x, y):
         x = _lift(x)
@@ -134,91 +186,153 @@ class Poly2:
         return Fraction(total, den * b_pows[-1] * e_pows[-1])
 
     def eval_float_grid(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Float evaluation on [0,1]^2 grids.
+        """Float evaluation on [0,1]^2 grids, dense or open (``xs[:, None]``
+        with ``ys[None, :]``); the result has the broadcast shape.
 
-        Monomial Horner amplifies rounding by roughly 3^degree for
-        Bernstein-shaped coefficients, so beyond degree 18 the polynomial is
-        re-expanded exactly in the Bernstein basis (no cancellation) and
-        evaluated by a stable basis recurrence.
+        Each coefficient is one ``int / int`` division of its integer row
+        entry by the denominator, correctly rounded like ``float(Fraction)``.
+        Horner runs in y on ``Y`` for all rows at once, then in x on the
+        broadcast grid, so a point sees the same float operations on an open
+        grid as on a dense one. Monomial Horner amplifies rounding by roughly
+        3^degree for Bernstein-shaped coefficients, so beyond degree 18 the
+        polynomial is re-expanded exactly in the Bernstein basis (no
+        cancellation) and evaluated by a stable basis recurrence. A complex
+        coefficient is refused with ApproxError.
         """
+        if self._int_rows is None:
+            c = next(c for row in self._coeffs for c in row if isinstance(c, complex))
+            raise ApproxError("float evaluation needs real coefficients, "
+                              f"got the complex coefficient {c}")
         if max(self.deg_x, self.deg_y) > 18:
-            return _bernstein_basis_eval(self, X, Y)
+            return _bernstein_basis_eval(self, *np.broadcast_arrays(X, Y))
+        rows, den = self._int_rows
+        Y = np.asarray(Y)
+        column = (len(rows),) + (1,) * Y.ndim
+        inner = np.zeros((len(rows),) + Y.shape)
+        for c in reversed(np.array([[n / den for n in row] for row in rows]).T):
+            inner = inner * Y + c.reshape(column)
         total = np.zeros_like(X, dtype=float)
-        for row in reversed(self.coeffs):
-            inner = np.zeros_like(Y, dtype=float)
-            for c in reversed(row):
-                inner = inner * Y + float(c)
-            total = total * X + inner
+        for row in reversed(inner):
+            total = total * X + row
         return total
 
     def __add__(self, other: "Poly2") -> "Poly2":
-        rows = max(len(self.coeffs), len(other.coeffs))
-        cols = max(len(self.coeffs[0]), len(other.coeffs[0]))
-        out = [[Fraction(0)] * cols for _ in range(rows)]
-        for src in (self, other):
-            for m, row in enumerate(src.coeffs):
+        rows = max(self.deg_x, other.deg_x) + 1
+        cols = max(self.deg_y, other.deg_y) + 1
+        if self._int_rows is None or other._int_rows is None:
+            out = [[Fraction(0)] * cols for _ in range(rows)]
+            for src in (self, other):
+                for m, row in enumerate(src.coeffs):
+                    for n, c in enumerate(row):
+                        out[m][n] += c
+            return Poly2.from_rows(out)
+        den = math.lcm(self._int_rows[1], other._int_rows[1])
+        out = [[0] * cols for _ in range(rows)]
+        for src, src_den in (self._int_rows, other._int_rows):
+            scale = den // src_den
+            for m, row in enumerate(src):
+                out_row = out[m]
                 for n, c in enumerate(row):
-                    out[m][n] += c
-        return Poly2.from_rows(out)
+                    out_row[n] += c * scale
+        return Poly2._of(out, den)
+
+    def _like(self, cells) -> "Poly2":
+        """``cells``, shaped like ``_cells``, over this polynomial's denominator."""
+        if self._int_rows is None:
+            return Poly2.from_rows(cells)
+        return Poly2._of(cells, self._int_rows[1])
 
     def dx(self) -> "Poly2":
         if self.deg_x == 0:
             return Poly2.zero()
-        out = [[c * m for c in row] for m, row in enumerate(self.coeffs) if m > 0]
-        return Poly2.from_rows(out)
+        return self._like([[c * m for c in row] for m, row in enumerate(self._cells) if m > 0])
 
     def dy(self) -> "Poly2":
         if self.deg_y == 0:
             return Poly2.zero()
-        out = [[c * n for n, c in enumerate(row) if n > 0] for row in self.coeffs]
-        return Poly2.from_rows(out)
+        return self._like([[c * n for n, c in enumerate(row) if n > 0] for row in self._cells])
 
     def int_x(self) -> "Poly2":
         """Antiderivative from 0 in x: integral_0^x p(t, y) dt."""
-        out = [[Fraction(0)] * len(self.coeffs[0])]
-        for m, row in enumerate(self.coeffs):
-            out.append([c / (m + 1) for c in row])
-        return Poly2.from_rows(out)
+        zero = [0] * (self.deg_y + 1)
+        if self._int_rows is None:
+            return Poly2.from_rows([zero] + [[c / (m + 1) for c in row]
+                                             for m, row in enumerate(self._coeffs)])
+        rows, den = self._int_rows
+        lcm = math.lcm(*range(1, len(rows) + 1))
+        return Poly2._of([zero] + [[c * (lcm // (m + 1)) for c in row]
+                                   for m, row in enumerate(rows)], den * lcm)
 
     def int_y(self) -> "Poly2":
         """Antiderivative from 0 in y: integral_0^y p(x, s) ds."""
-        out = []
-        for row in self.coeffs:
-            out.append([Fraction(0)] + [c / (n + 1) for n, c in enumerate(row)])
-        return Poly2.from_rows(out)
+        if self._int_rows is None:
+            return Poly2.from_rows([[0] + [c / (n + 1) for n, c in enumerate(row)]
+                                    for row in self._coeffs])
+        rows, den = self._int_rows
+        lcm = math.lcm(*range(1, len(rows[0]) + 1))
+        steps = [lcm // (n + 1) for n in range(len(rows[0]))]
+        return Poly2._of([[0] + [c * s for c, s in zip(row, steps)] for row in rows], den * lcm)
 
     def at_y(self, y0) -> "Poly2":
         """Restriction y = y0, returned as a polynomial in x alone."""
         y0 = _lift(y0)
-        return Poly2.from_rows([[sum(c * y0 ** n for n, c in enumerate(row))]
-                                for row in self.coeffs])
+        if self._int_rows is None or isinstance(y0, complex):
+            return Poly2.from_rows([[sum(c * y0 ** n for n, c in enumerate(row))]
+                                    for row in self.coeffs])
+        rows, den = self._int_rows
+        a, b = y0.numerator, y0.denominator
+        b_pows = [b ** k for k in range(self.deg_y + 1)]
+        out = []
+        for row in rows:               # homogeneous Horner: b^N p(x, a/b) row by row
+            inner = 0
+            for c, bw in zip(reversed(row), b_pows):
+                inner = inner * a + c * bw
+            out.append([inner])
+        return Poly2._of(out, den * b_pows[-1])
 
     def at_x(self, x0) -> "Poly2":
         """Restriction x = x0, returned as a polynomial in y alone."""
         x0 = _lift(x0)
-        cols = len(self.coeffs[0])
-        out = [Fraction(0)] * cols
-        for m, row in enumerate(self.coeffs):
-            w = x0 ** m
-            for n, c in enumerate(row):
-                out[n] += c * w
-        return Poly2.from_rows([out])
-
+        if self._int_rows is None or isinstance(x0, complex):
+            out = [Fraction(0)] * (self.deg_y + 1)
+            for m, row in enumerate(self.coeffs):
+                w = x0 ** m
+                for n, c in enumerate(row):
+                    out[n] += c * w
+            return Poly2.from_rows([out])
+        rows, den = self._int_rows
+        a, b = x0.numerator, x0.denominator
+        b_pows = [b ** k for k in range(self.deg_x + 1)]
+        out = [0] * (self.deg_y + 1)
+        for row, bw in zip(reversed(rows), b_pows):
+            out = [t * a + c * bw for t, c in zip(out, row)]
+        return Poly2._of([out], den * b_pows[-1])
 
 
 def _monomial_to_bernstein(poly: Poly2) -> np.ndarray:
-    """Exact re-expansion in the tensor Bernstein basis of its own degree."""
+    """Float coefficients of the real ``poly`` in the tensor Bernstein basis of
+    its own degree, each the correctly rounded float of the exact rational.
+
+    Per variable b_k = sum_{m<=k} C(k,m)/C(d,m) c_m, so d! b_k is the binomial
+    transform sum_m C(k,m) a_m of a_m = m! (d-m)! c_m: the table whose forward
+    differences at 0 are a, rebuilt by prefix sums (the inverse of
+    ``_bernstein_of_nodes``' differencing). One ``int / int`` division by
+    den dx! dy! per coefficient ends it.
+    """
+    rows, den = poly._int_rows
     dx, dy = poly.deg_x, poly.deg_y
-    # b_k = sum_{m<=k} C(k,m)/C(d,m) c_m per variable (exact rationals)
-    ux = [[Fraction(comb(k, m), comb(dx, m)) if m <= k else Fraction(0)
-           for m in range(dx + 1)] for k in range(dx + 1)]
-    uy = [[Fraction(comb(k, m), comb(dy, m)) if m <= k else Fraction(0)
-           for m in range(dy + 1)] for k in range(dy + 1)]
-    mid = [[sum(ux[k][m] * poly.coeffs[m][n] for m in range(dx + 1))
-            for n in range(dy + 1)] for k in range(dx + 1)]
-    out = [[float(sum(mid[k][n] * uy[loc][n] for n in range(dy + 1)))
-            for loc in range(dy + 1)] for k in range(dx + 1)]
-    return np.array(out)
+
+    def weights(d):
+        return np.array([math.factorial(m) * math.factorial(d - m) for m in range(d + 1)],
+                        dtype=object)
+
+    A = np.array(rows, dtype=object) * weights(dx)[:, None] * weights(dy)
+    for k in range(dx, 0, -1):      # undoes forward-difference step k in x
+        A[k - 1:] = np.cumsum(A[k - 1:], axis=0)
+    for k in range(dy, 0, -1):
+        A[:, k - 1:] = np.cumsum(A[:, k - 1:], axis=1)
+    scale = den * math.factorial(dx) * math.factorial(dy)
+    return np.array([[b / scale for b in row] for row in A.tolist()])
 
 
 def _bernstein_basis_matrix(d: int, t: np.ndarray) -> np.ndarray:
@@ -247,7 +361,8 @@ def _bernstein_basis_eval(poly: Poly2, X: np.ndarray, Y: np.ndarray) -> np.ndarr
 
 
 def _bernstein_to_monomial(d: int) -> list[list[int]]:
-    """T[k][m] with b_{k,d}(x) = sum_m T[k][m] x^m (exact integers)."""
+    """T[k][m] with b_{k,d}(x) = sum_m T[k][m] x^m (exact integers); the
+    conversion of complex samples, which have no integer lift."""
     T = [[0] * (d + 1) for _ in range(d + 1)]
     for k in range(d + 1):
         for m in range(k, d + 1):
@@ -255,15 +370,40 @@ def _bernstein_to_monomial(d: int) -> list[list[int]]:
     return T
 
 
-# The degree at which c2_to_poly_auto stops doubling. The exact node grid and
-# conversion matrix hold (degree + 1)^2 rationals each, and c2_to_poly on the
-# sin_exp oracle at this degree took 16 s on a 2-core VM.
+# The degree at which c2_to_poly_auto stops doubling. On a 2-core Xeon VM
+# (CPython 3.11, numpy 2.4) c2_to_poly took 0.21-0.22 s at this degree on
+# either builtin oracle, with a 5.5 MiB tracemalloc peak: about half in the
+# seven Bernstein re-expansions of eval_float_grid, a quarter in bernstein2.
 MAX_DEGREE = 64
 
 
 def _refuse_large_degree(degree: int) -> None:
     if degree > MAX_DEGREE:
         raise ApproxError(f"degree must be <= {MAX_DEGREE}, got {degree}")
+
+
+def _check_degree(degree: int) -> None:
+    """The Bernstein degree's refusals, before any node value is read."""
+    if degree < 1:
+        raise ApproxError("degree must be >= 1")
+    _refuse_large_degree(degree)
+
+
+def _bernstein_of_nodes(G, den: int, d: int) -> Poly2:
+    """Monomial form of the tensor Bernstein polynomial of degree ``d`` whose
+    node values at (i/d, j/d) are the integers G[i][j] over ``den``.
+
+    C[m][n] = C(d, m) C(d, n) Dx^m Dy^n G[0][0], with Dx, Dy the forward
+    differences, which equals sum_kl T[k][m] G[k][l] T[l][n] for the
+    Bernstein-to-monomial matrix T (Farouki and Rajan, CAGD 5, 1988).
+    """
+    A = np.array(G, dtype=object)
+    for k in range(1, d + 1):      # after step k, A[i] = Dx^k G[i - k] for i >= k
+        A[k:] = A[k:] - A[k - 1:-1]
+    for k in range(1, d + 1):
+        A[:, k:] = A[:, k:] - A[:, k - 1:-1]
+    binom = np.array([comb(d, m) for m in range(d + 1)], dtype=object)
+    return Poly2._of((A * binom[:, None] * binom).tolist(), den)
 
 
 def bernstein2(g, degree: int, *, name: str = "oracle") -> Poly2:
@@ -276,49 +416,54 @@ def bernstein2(g, degree: int, *, name: str = "oracle") -> Poly2:
     ``g`` by ``name``, and so is a degree above ``MAX_DEGREE``, before ``g``
     is called.
     """
-    if degree < 1:
-        raise ApproxError("degree must be >= 1")
-    _refuse_large_degree(degree)
+    _check_degree(degree)
     d = degree
 
     def node(x, y):
         v = g(x, y)
         if isinstance(v, (float, complex)) and not cmath.isfinite(v):
             raise ApproxError(f"{name} is not finite at Bernstein node ({x}, {y}): {v}")
-        return _lift(v)
+        return v if isinstance(v, complex) else _ratio(v)
 
-    G = [[node(Fraction(i, d), Fraction(j, d)) for j in range(d + 1)] for i in range(d + 1)]
-    T = _bernstein_to_monomial(d)
-    # two-pass conversion: A[m][l] = sum_k T[k][m] G[k][l]; C[m][n] = sum_l A[m][l] T[l][n]
+    ts = [Fraction(i, d) for i in range(d + 1)]
+    G = [[node(x, y) for y in ts] for x in ts]
     flat = [v for row in G for v in row]
     if any(isinstance(v, complex) for v in flat):  # complex samples have no exact lift
+        G = [[v if isinstance(v, complex) else Fraction(*v) for v in row] for row in G]
+        T = _bernstein_to_monomial(d)
+        # two passes: A[m][l] = sum_k T[k][m] G[k][l]; C[m][n] = sum_l A[m][l] T[l][n]
         A = [[sum(T[k][m] * G[k][loc] for k in range(d + 1)) for loc in range(d + 1)]
              for m in range(d + 1)]
         C = [[sum(A[m][loc] * T[loc][n] for loc in range(d + 1)) for n in range(d + 1)]
              for m in range(d + 1)]
         return Poly2.from_rows(C)
-    nums, den = common_denominator(flat)
-    G = [nums[i * (d + 1):(i + 1) * (d + 1)] for i in range(d + 1)]
-    # T is upper triangular: T[k][m] == 0 for k > m
-    A = [[sum(T[k][m] * G[k][loc] for k in range(m + 1)) for loc in range(d + 1)]
-         for m in range(d + 1)]
-    C = [[Fraction(sum(A[m][loc] * T[loc][n] for loc in range(n + 1)), den)
-          for n in range(d + 1)] for m in range(d + 1)]
-    return Poly2.from_rows(C)
+    den = math.lcm(*(q for _, q in flat))
+    return _bernstein_of_nodes([[p * (den // q) for p, q in row] for row in G], den, d)
 
 
 def bernstein2_of_poly(p: Poly2, degree: int) -> Poly2:
     """``bernstein2`` of the polynomial ``p``, exact for complex coefficients too.
 
+    The node values of a real ``p`` come from one integer tensor product:
+    p(i/d, j/d) = sum_mn N_mn i^m d^(M-m) j^n d^(N-n) / (D d^M d^N).
     Complex samples have no exact lift, but the real and imaginary parts of
     ``p`` do, and the Bernstein operator is linear: a complex ``p`` gives the
     approximant of its real part plus i times that of its imaginary part,
     with every coefficient complex.
     """
-    if not any(isinstance(c, complex) for row in p.coeffs for c in row):
-        return bernstein2(p.eval, degree)
-    re, im = (bernstein2(Poly2.from_rows([[getattr(c, part) for c in row]
-                                          for row in p.coeffs]).eval, degree)
+    if p._int_rows is not None:
+        _check_degree(degree)
+        rows, den = p._int_rows
+        d, M, N = degree, p.deg_x, p.deg_y
+
+        def powers(k):
+            return np.array([[i ** m * d ** (k - m) for m in range(k + 1)] for i in range(d + 1)],
+                            dtype=object)
+
+        G = powers(M).dot(np.array(rows, dtype=object)).dot(powers(N).T)
+        return _bernstein_of_nodes(G, den * d ** (M + N), d)
+    re, im = (bernstein2_of_poly(Poly2.from_rows([[getattr(c, part) for c in row]
+                                                  for row in p.coeffs]), degree)
               for part in ("real", "imag"))
 
     def coeff(q, m, n):
@@ -565,10 +710,11 @@ def c2_to_poly(oracle: C2Oracle, degree: int, grid_n: int = 41,
     g_yy = bernstein2(oracle.fyy, degree, name="oracle fyy")
 
     xs = np.linspace(0.0, 1.0, grid_n)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    pts = xs.tolist()
+    X, Y = xs[:, None], xs[None, :]     # an open grid: eval_float_grid broadcasts it
 
     def sample(fn, what):
-        vals = np.array([[float(fn(float(a), float(b))) for b in xs] for a in xs])
+        vals = np.array([[float(fn(a, b)) for b in pts] for a in pts])
         bad = np.argwhere(~np.isfinite(vals))
         if len(bad):
             i, j = bad[0]
@@ -599,7 +745,7 @@ def c2_to_poly(oracle: C2Oracle, degree: int, grid_n: int = 41,
     hx_err = float(np.max(np.abs(FX - h_x.eval_float_grid(X, Y))))
     dpx_err = float(np.max(np.abs(FX - p.dx().eval_float_grid(X, Y))))
     dpy_err = float(np.max(np.abs(FY - p.dy().eval_float_grid(X, Y))))
-    lip_err = grid_lipschitz(F - P_vals, X, Y)
+    lip_err = grid_lipschitz(F - P_vals, *np.meshgrid(xs, xs, indexing="ij"))
     tol = 1e-6 * (1.0 + float(np.max(np.abs(F))))
 
     checks = {

@@ -287,9 +287,9 @@ points = st.one_of(
 
 
 @st.composite
-def polys(draw):
-    dx = draw(st.integers(0, 24))
-    dy = draw(st.integers(0, 24))
+def polys(draw, lo=0, hi=24):
+    dx = draw(st.integers(lo, hi))
+    dy = draw(st.integers(lo, hi))
     cells = draw(st.lists(exact_values, min_size=(dx + 1) * (dy + 1),
                           max_size=(dx + 1) * (dy + 1)))
     return Poly2.from_rows([cells[m * (dy + 1):(m + 1) * (dy + 1)] for m in range(dx + 1)])
@@ -329,6 +329,116 @@ def test_complex_coefficients_keep_fraction_arithmetic():
 def test_from_poly_refuses_complex_coefficients():
     with pytest.raises(ApproxError, match="complex"):
         C2Oracle.from_poly(Poly2.from_rows([[1, complex(0.5, 2)], [3, 0]]))
+
+
+def _trimmed(rows):
+    """Fraction rows without trailing zero rows and columns, as ``Poly2.coeffs`` holds them."""
+    rows = [[Fraction(v) for v in row] for row in rows if row] or [[Fraction(0)]]
+    while len(rows) > 1 and not any(rows[-1]):
+        rows.pop()
+    while len(rows[0]) > 1 and not any(row[-1] for row in rows):
+        rows = [row[:-1] for row in rows]
+    return tuple(tuple(row) for row in rows)
+
+
+def _assert_fractions(p, rows):
+    assert p.coeffs == _trimmed(rows)
+    assert all(type(c) is Fraction for row in p.coeffs for c in row)
+
+
+@settings(max_examples=50, deadline=None)
+@given(polys(), polys(), points)
+def test_arithmetic_equals_fraction_oracle(p, q, t):
+    c, w = p.coeffs, len(p.coeffs[0])
+    t = _lift(t)
+    _assert_fractions(p.dx(), [[v * m for v in row] for m, row in enumerate(c) if m > 0])
+    _assert_fractions(p.dy(), [[v * n for n, v in enumerate(row) if n > 0] for row in c])
+    _assert_fractions(p.int_x(), [[0] * w] + [[v / (m + 1) for v in row]
+                                              for m, row in enumerate(c)])
+    _assert_fractions(p.int_y(), [[0] + [v / (n + 1) for n, v in enumerate(row)] for row in c])
+    _assert_fractions(p.at_y(t), [[sum(v * t ** n for n, v in enumerate(row))] for row in c])
+    _assert_fractions(p.at_x(t), [[sum(row[n] * t ** m for m, row in enumerate(c))
+                                   for n in range(w)]])
+    total = [[Fraction(0)] * max(w, len(q.coeffs[0])) for _ in range(max(len(c), len(q.coeffs)))]
+    for src in (c, q.coeffs):
+        for m, row in enumerate(src):
+            for n, v in enumerate(row):
+                total[m][n] += v
+    _assert_fractions(p + q, total)
+    assert (p == q) == (c == q.coeffs)
+    # the same polynomial from other rows: floats where exact, a zero row and column more
+    again = Poly2.from_rows([[float(v) if float(v) == v else v for v in row] + [0] for row in c]
+                            + [[0] * (w + 1)])
+    assert again == p and hash(again) == hash(p)
+    assert (Poly2.from_rows([[v / 2 for v in row] for row in c]) == p) == (p == Poly2.zero())
+    assert p + Poly2.from_rows([[-v for v in row] for row in c]) == Poly2.zero()
+
+
+def _high_degree_oracle(x, y):
+    """Exact values on a third of the nodes, floats of two scales on the rest."""
+    if (x.numerator + y.numerator) % 3 == 0:
+        return x * x - y / 7
+    return math.sin(3 * float(x)) * math.exp(float(y)) * (1e-9 if x < y else 1.0)
+
+
+@pytest.mark.parametrize("d", [37, MAX_DEGREE])
+def test_bernstein2_at_high_degree_equals_fraction_oracle(d):
+    assert bernstein2(_high_degree_oracle, d).coeffs == \
+        _bernstein2_fraction(_high_degree_oracle, d).coeffs
+
+
+@settings(max_examples=30, deadline=None)
+@given(polys(hi=4), st.integers(1, MAX_DEGREE))
+def test_bernstein2_of_poly_equals_the_nodes_of_the_fraction_evaluation(p, d):
+    # the tensor-product node values against Horner in Fractions; the conversion
+    # itself is bernstein2's, checked against _bernstein2_fraction above
+    assert bernstein2_of_poly(p, d) == bernstein2(lambda x, y: _eval_fraction(p, x, y), d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(polys())
+def test_monomial_to_bernstein_equals_the_float_of_the_fraction_expansion(p):
+    dx, dy = p.deg_x, p.deg_y
+    # b_k = sum_{m<=k} C(k,m)/C(d,m) c_m per variable, in Fractions
+    ux = [[Fraction(math.comb(k, m), math.comb(dx, m)) for m in range(dx + 1)]
+          for k in range(dx + 1)]
+    uy = [[Fraction(math.comb(k, m), math.comb(dy, m)) for m in range(dy + 1)]
+          for k in range(dy + 1)]
+    mid = [[sum(ux[k][m] * p.coeffs[m][n] for m in range(dx + 1)) for n in range(dy + 1)]
+           for k in range(dx + 1)]
+    want = np.array([[float(sum(mid[k][n] * uy[j][n] for n in range(dy + 1)))
+                      for j in range(dy + 1)] for k in range(dx + 1)])
+    assert approx._monomial_to_bernstein(p).tobytes() == want.tobytes()
+
+
+def _horner_float_dense(p, X, Y):
+    """Float Horner on a dense grid, one coefficient at a time."""
+    total = np.zeros_like(X, dtype=float)
+    for row in reversed(p.coeffs):
+        inner = np.zeros_like(Y, dtype=float)
+        for c in reversed(row):
+            inner = inner * Y + float(c)
+        total = total * X + inner
+    return total
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(polys(hi=18), polys(lo=19)), st.integers(2, 41),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+def test_eval_float_grid_is_the_same_on_an_open_and_a_dense_grid(p, n, ys):
+    xs, ys = np.linspace(0.0, 1.0, n), np.array(ys)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    dense = p.eval_float_grid(X, Y)
+    assert p.eval_float_grid(xs[:, None], ys[None, :]).tobytes() == dense.tobytes()
+    if max(p.deg_x, p.deg_y) <= 18:
+        assert dense.tobytes() == _horner_float_dense(p, X, Y).tobytes()
+
+
+def test_eval_float_grid_refuses_a_complex_coefficient():
+    xs = np.linspace(0.0, 1.0, 5)
+    for rows in ([[1, complex(0.5, 2)], [3, 0]], [[0] * 20 + [complex(0.5, 2)]]):
+        with pytest.raises(ApproxError, match=r"complex coefficient \(0\.5\+2j\)"):
+            Poly2.from_rows(rows).eval_float_grid(xs[:, None], xs[None, :])
 
 
 def _grid_lipschitz_ordered_pairs(values, X, Y, chunk):

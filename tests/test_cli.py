@@ -200,6 +200,66 @@ def test_approx_bernstein_poly(tmp_path, capsys):
     assert json.loads(out.read_text()) == {"coeffs": [[0], [1]]}
 
 
+# sha256 of `approx c2 --builtin` stdout and --out-poly JSON (the --out CSV is
+# the stdout text), recorded before the polynomial layer moved onto integer rows
+C2_PINS = [
+    ("sin_cos", 8, "47a49d082765386330d9569f67de42d2125454d21fdd260cf72500cd4b8e8f63",
+     "52e5db788a4dc3a513f349691ff4111e14a8ae51ef930b6b379294fd88777d6b"),
+    ("sin_cos", 12, "5ee3da7bd8f53de597ab9610025bcae01cc9609886e0f8af1ec191c7c8ecba1e",
+     "122a42f9dd1c1171754adca8a295189744eebc62b2ff56a5031fcc62e15029bd"),
+    ("sin_cos", 16, "1a90d810253527c51f9e0aca322975e307baa25e34f2583cfcd93a3732f5f759",
+     "a4c1953882b1be7ac3e8520dac421013da7cf792ca46f2cc3247ec1447080487"),
+    ("sin_cos", 24, "85c0d90c95fea47d34cf0ca7e0561e7ab1503ddca32076d884584500c905090d",
+     "7229c7129f957a193d8570107d02ef9282048be555b09954ce10ff96fee6467e"),
+    ("sin_exp", 8, "04d5922b7db269476488cdd517f74119622b6620bddfe1fa14624509aa580e79",
+     "7277fa22cc0b1d698e3b37213a85e698b76bfca12a35bf4f9b0948c4760ccd30"),
+    ("sin_exp", 12, "8d4b0a195ee52bc07948c686c1327a1cfd49f69d8baa39813f3df4f66b3b2909",
+     "498e1975e9d9c8638a5486cf0b9372d0f2ab12899544750cee84144d41f4967d"),
+    ("sin_exp", 16, "61df017139d65ada9cf26186a2ab07e893ae4be582ea4427225db9cf1d365710",
+     "b65d702165a3e524d08c222bcd3f69d3772ccbe5ef139e21f3d826c9ed61e97e"),
+    ("sin_exp", 24, "7a283a5836a4adf550d9b30368d54c2b4ae58209c07f8be2a05a2fb1a79d43a9",
+     "699e897486a98f3c5662b9656203531cd55c3e51dadf931edf6851dcf4024f96"),
+    ("sin_exp", 64, "079e2e33ad856cdf51db4ab7a85035f7f0aca48d09042202601cbf0ee41cd6ea",
+     "d60a37a543597d299188457e1546e1f3046da2a323aacbea5d3eba7b4e4c42c1"),
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("builtin, degree, out_sha, poly_sha", C2_PINS,
+                         ids=[f"{b}-{d}" for b, d, _, _ in C2_PINS])
+def test_approx_c2_output_is_pinned(tmp_path, capsys, builtin, degree, out_sha, poly_sha):
+    csv, poly = tmp_path / "rep.csv", tmp_path / "p.json"
+    assert main(["approx", "c2", "--builtin", builtin, "--degree", str(degree),
+                 "--out", str(csv), "--out-poly", str(poly)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert _sha256(out) == out_sha
+    assert csv.read_bytes() == out
+    assert _sha256(poly.read_bytes()) == poly_sha
+
+
+# sha256 of `approx bernstein --poly` stdout on PIN_POLY, recorded as C2_PINS
+PIN_POLY = {"coeffs": [["1/3", "-5/4", "2/7", "1/2"], ["3/2", "-1/6", "5/8", 0],
+                       ["-7/5", "1/9", 0, 0], [0.1, 0, 0, 0]]}
+BERNSTEIN_PINS = [
+    (8, "e714089a31b61e2cfbc3610183f762aee32de386fe2bc3220383388bc8157684"),
+    (12, "729826e82d4637f56159759c0715640f6f12492fbcc234c374f2fc8b06f58c3d"),
+    (16, "a00ac5cefeb4e3d367bbf60204b058b7f5626c7038e92150d7b3004f0540db20"),
+    (20, "dd0d2dd41b54a8dabf8bd7d4acf9b7973d89cdee48004a8d2e8395b676655eac"),
+    (24, "e0a7debfb0a3af2648c718b41e139af80e46132c215e46e7d24eb98bcfa0972a"),
+]
+
+
+@pytest.mark.parametrize("degree, out_sha", BERNSTEIN_PINS)
+def test_approx_bernstein_poly_output_is_pinned(tmp_path, capsys, degree, out_sha):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(PIN_POLY))
+    assert main(["approx", "bernstein", "--poly", str(path), "--degree", str(degree)]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == out_sha
+
+
 def test_join_report_csv(tmp_path, capsys):
     fn = tmp_path / "f.json"
     fn.write_text(json.dumps({
