@@ -112,12 +112,15 @@ one "first" row of L terms plus one pair row per consecutive pair:
   row in the full level, so a child's counts and vf are those of full
   enumeration and only the dropped subtrees go unbuilt.
 * ``PackedCounts`` serves ``variation.var_search``, where P can reach ~100,
-  so it computes a pair row on first use and keeps it. An annealing move
+  so it computes a pair row on first use and keeps it in one P x P table
+  of rows, read as ``tab[a][b]``. An annealing move
   keeps a prefix of c and a suffix of d entries of the current list, and
   ``variation._propose`` returns that span with the new list, so ``delta``
   scans nothing: the new counts are the old ones minus the pair rows of the
   old middle plus those of the new middle, one to four rows for insert,
   delete and replace, at most two per list position for swap and reverse.
+  ``variation._anneal_once`` carries the list's jump terms over the same
+  span.
   Its rows are not arrays but Python ints, one field of w =
   ``max_len.bit_length() + 1`` bits per pattern (SIMD within a register;
   Lamport, "Multiple byte processing with full-word instructions", CACM
@@ -373,6 +376,12 @@ def build_sign_table(points: tuple[Point2, ...]) -> SignTable:
     The signs are filled in int16: ``_refuse_large_family`` keeps the distinct
     points k to about 100, so a rank r_p and a position pos lie below 2k <= 200
     and 2 r_p - pos lies in (-200, 200), well inside int16's range.
+
+    The rows are filled ``_SIGN_BLOCK`` lines at a time, and each block's rows
+    go into one set as byte strings, so the family's signs are never held at
+    once. The distinct rows come out in the byte order of their int8 signs
+    (0, 1, then -1 as 0xff), the order a sort of the rows as ``np.void``
+    gives. ``signs`` is a writable, C-contiguous int8 array.
     """
     _, normals, _, per_dir, rank, idx = _dense_ranks(points)
     rank = rank[:, idx]
@@ -382,16 +391,18 @@ def build_sign_table(points: tuple[Point2, ...]) -> SignTable:
                 - np.repeat(np.cumsum(cells) - cells, cells)).astype(np.int16)
     twice = (2 * rank).astype(np.int16)
     flip = np.where(normals[:, 0] < 0, np.int16(-1), np.int16(1))[:, None]
-    signs = np.empty((len(line_dir), rank.shape[1]), dtype=np.int8)
+    # a void item's tolist() keeps its trailing zero bytes
+    n_cols = rank.shape[1]
+    as_bytes = np.dtype((np.void, n_cols))
+    buf = np.empty((_SIGN_BLOCK, n_cols), dtype=np.int8)
+    keys: set[bytes] = set()
     for start in range(0, len(line_dir), _SIGN_BLOCK):
         block = slice(start, start + _SIGN_BLOCK)
         d = line_dir[block]
-        signs[block] = np.sign(twice[d] - line_pos[block, None]) * flip[d]
-    # one row per pattern: sort the rows as byte strings, keep each run's first
-    keys = np.sort(signs.view(np.dtype((np.void, signs.shape[1]))).ravel())
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = keys[1:] != keys[:-1]
-    distinct = keys[new].view(np.int8).reshape(-1, signs.shape[1])
+        signs = buf[:len(d)]
+        signs[...] = np.sign(twice[d] - line_pos[block, None]) * flip[d]
+        keys.update(signs.view(as_bytes).ravel().tolist())
+    distinct = np.frombuffer(bytearray().join(sorted(keys)), dtype=np.int8).reshape(-1, n_cols)
     return SignTable(signs=distinct, n_lines=len(line_dir))
 
 
@@ -472,13 +483,13 @@ class PackedCounts:
     count on pattern i ("Pair form" in the module docstring). ``full`` counts
     a list; ``delta`` turns the counts of one list into those of another
     through the pairs in which the two differ; ``vf`` reads the largest field.
-    Pair rows are computed on first use and kept, so one instance should
-    serve every list drawn from its table.
+    Pair rows are computed on first use and kept in one P x P table, read as
+    ``tab[a][b]``, so one instance should serve every list drawn from its table.
     """
 
     def __init__(self, table: SignTable, max_len: int):
         S = table.signs.T                                   # (P, L)
-        self._n_pts, n_rows = S.shape
+        n_pts, n_rows = S.shape
         w = max_len.bit_length() + 1
 
         def masks(cond: np.ndarray) -> list[int]:
@@ -496,23 +507,23 @@ class PackedCounts:
         self._not_neg = [ones ^ neg for neg in self._neg]
         self._first = [ones ^ pos ^ neg for pos, neg in zip(self._pos, self._neg)]
         self._high = ones << (w - 1)            # each field's top bit
-        self._pairs: dict[int, int] = {}        # a * P + b -> E(a, b), for the pairs met
+        # tab[a][b] is E(a, b) once the pair has been met, None before
+        self._tab: list[list[int | None]] = [[None] * n_pts for _ in range(n_pts)]
         self._offsets = _Offsets(1 << (w - 1), ones)    # for the t probed only
 
     def _pair(self, a: int, b: int) -> int:
         """E(a, b) over every pattern: 1 where a is off the line and b not on its side."""
-        key = a * self._n_pts + b
-        row = self._pairs.get(key)
+        row = self._tab[a][b]
         if row is None:
-            row = self._pairs[key] = ((self._pos[a] & self._not_pos[b])
-                                      | (self._neg[a] & self._not_neg[b]))
+            row = self._tab[a][b] = ((self._pos[a] & self._not_pos[b])
+                                     | (self._neg[a] & self._not_neg[b]))
         return row
 
     def full(self, idx) -> int:
         """Packed count vector of one index list, as ``_counts_from_matrix`` gives it."""
         counts = self._first[idx[0]]
-        for p in range(len(idx) - 1):
-            counts += self._pair(idx[p], idx[p + 1])
+        for a, b in zip(idx, idx[1:]):
+            counts += self._pair(a, b)
         return counts
 
     def delta(self, counts: int, old, new, c: int, d: int) -> int:
@@ -525,26 +536,22 @@ class PackedCounts:
         ``max_len``], no borrow between fields survives, and every valid span,
         (0, 0) included, gives the same int.
         """
-        n_pts, pairs = self._n_pts, self._pairs
+        tab, pair = self._tab, self._pair
         if c:
             lo = c - 1
         else:
             lo = 0
             counts += self._first[new[0]] - self._first[old[0]]
-        # the pairs (lst[p], lst[p + 1]) for p from lo up to the suffix's first entry
+        # the pairs (lst[p], lst[p + 1]) for p from lo up to the suffix's first
+        # entry; a row not yet met reads None, and a row of zeros (E(a, a), or a
+        # and b at one point) is computed again
         a = old[lo]
         for b in old[lo + 1:len(old) + 1 - d]:
-            try:
-                counts -= pairs[a * n_pts + b]
-            except KeyError:
-                counts -= self._pair(a, b)
+            counts -= tab[a][b] or pair(a, b)
             a = b
         a = new[lo]
         for b in new[lo + 1:len(new) + 1 - d]:
-            try:
-                counts += pairs[a * n_pts + b]
-            except KeyError:
-                counts += self._pair(a, b)
+            counts += tab[a][b] or pair(a, b)
             a = b
         return counts
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 from pathlib import Path
 
@@ -123,6 +124,8 @@ def _cmd_var(args) -> int:
     print(fmt_number(est.value))
     if not args.out:
         print(row)
+    if args.stats:
+        print(json.dumps(est.stats, sort_keys=True), file=sys.stderr)
     return 0
 
 
@@ -339,6 +342,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--restarts", type=int, default=8)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
+    sp.add_argument("--stats", action="store_true",
+                    help="write the estimate's stats as one JSON line on stderr")
     sp.set_defaults(func=_cmd_var)
 
     sp = sub.add_parser("var1d", help="one-dimensional variation")

@@ -40,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _vfcore
-from .geom import P, Point2, Rectangle, cross, dot
+from .geom import P, Point2, Rectangle, common_denominator
 from .variation import (
     PlanarCoeffs,
     SampledFunction,
@@ -126,16 +126,20 @@ def _crossing_count_reference(signs) -> int:
 
 
 def vf_pattern_oracle(points) -> int:
-    pts = tuple(points)
+    # one lift to integers by the lcm D of every coordinate's denominator:
+    # cross and dot then scale by D^2 > 0, which keeps their signs and order
+    coords, _ = common_denominator([c for p in points for c in (p.x, p.y)])
+    pts = list(zip(coords[::2], coords[1::2]))
     distinct = list(dict.fromkeys(pts))
     if len(distinct) == 1:
         return _crossing_count_reference([0] * len(pts))
     best = 0
     for i in range(len(distinct)):
         for j in range(i + 1, len(distinct)):
-            p, q = distinct[i], distinct[j]
-            res = [cross(p, q, z) for z in pts]
-            tpos = [dot(p, q, z) for z in pts]
+            (px, py), (qx, qy) = distinct[i], distinct[j]
+            dx, dy = qx - px, qy - py
+            res = [dx * (zy - py) - dy * (zx - px) for zx, zy in pts]      # cross(p, q, z)
+            tpos = [dx * (zx - px) + dy * (zy - py) for zx, zy in pts]     # dot(p, q, z)
             sgn = [0 if v == 0 else (1 if v > 0 else -1) for v in res]
             patterns = [sgn]
             for s in (1, -1):

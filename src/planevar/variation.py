@@ -575,15 +575,16 @@ def _anneal_once(pairs: _vfcore.PackedCounts, diff, k, cfg: SearchConfig, seed_e
     if cur[0] == cur[1]:
         cur = [0, 1]
     rows = diff.tolist()
-    # the hot loop reads only locals; a list's objective is its float jump sum
-    # over max(vf, 1), written out at both places
+    # the hot loop reads only locals; a list's objective is the float sum of its
+    # jump terms over max(vf, 1), and the current list's terms are carried
     propose, delta, vf_of, float_sum = _propose, pairs.delta, pairs.vf, _float_sum
     random, exp, cooling = rng.random, math.exp, COOLING
     iters, max_len = cfg.iters, cfg.max_len
 
     cur_counts = pairs.full(cur)
     cur_vf = vf_of(cur_counts, 0)
-    cur_obj = float_sum([rows[a][b] for a, b in zip(cur, cur[1:])]) / max(cur_vf, 1)
+    cur_terms = [rows[cur[0]][cur[1]]]
+    cur_obj = float_sum(cur_terms) / (cur_vf or 1)
     best_obj, best_idx, best_vf = cur_obj, list(cur), cur_vf
     max_seen = cur_obj
     temp = t0 if t0 > 0 else 1.0
@@ -596,13 +597,22 @@ def _anneal_once(pairs: _vfcore.PackedCounts, diff, k, cfg: SearchConfig, seed_e
         cand, c, d = move
         counts = delta(cur_counts, cur, cand, c, d)
         vf = vf_of(counts, cur_vf)
-        obj = float_sum([rows[a][b] for a, b in zip(cand, cand[1:])]) / max(vf, 1)
+        # the terms of the pairs that delta swaps, between the kept prefix and
+        # suffix; the rest are the current list's
+        lo = c - 1 if c else 0
+        terms = cur_terms[:lo]
+        a = cand[lo]
+        for b in cand[lo + 1:len(cand) + 1 - d]:
+            terms.append(rows[a][b])
+            a = b
+        terms += cur_terms[len(cur) - d:]
+        obj = float_sum(terms) / (vf or 1)
         proposals += 1
         if obj > max_seen:
             max_seen = obj
         change = obj - cur_obj
         if change >= 0 or (temp > 1e-300 and random() < exp(change / temp)):
-            cur, cur_obj, cur_counts, cur_vf = cand, obj, counts, vf
+            cur, cur_obj, cur_counts, cur_vf, cur_terms = cand, obj, counts, vf, terms
             accepted += 1
         if obj > best_obj:
             best_obj, best_idx, best_vf = obj, cand, vf
@@ -612,33 +622,20 @@ def _anneal_once(pairs: _vfcore.PackedCounts, diff, k, cfg: SearchConfig, seed_e
             "temperature": temp}
 
 
-def _draw_skipping(rng, k: int, banned: set[int]) -> int | None:
-    """An index in range(k) outside ``banned``, or None when there is none.
-
-    Draws ``rng.integers(k - len(banned))`` and steps the draw past each
-    banned index at or below it, which picks the same index as drawing into
-    the ascending list of allowed indices.
-    """
-    n_allowed = k - len(banned)
-    if n_allowed <= 0:
-        return None
-    value = int(rng.integers(n_allowed))
-    for b in sorted(banned):
-        if value >= b:
-            value += 1
-    return value
-
-
-# the moves _propose draws from, by (len(cur) < max_len) + 2 * (len(cur) > 2)
-_MOVES = (("replace", "swap", "reverse"),
-          ("replace", "swap", "reverse", "insert"),
-          ("replace", "swap", "reverse", "delete"),
-          ("replace", "swap", "reverse", "insert", "delete"))
-
-
 def _propose(rng, cur: list[int], k: int, max_len: int):
     """A random move of ``cur``: (the new list, c, d), or None for a move that
     would repeat an index next to itself or has nothing to act on.
+
+    ``cur`` must have no equal neighbours. The start list of a restart has
+    none, and no move returns one, so this holds along every walk. The checks
+    rest on it: an insert's two neighbours are distinct, and a swap or reverse
+    can only make equal neighbours at the pairs around the entries it moves.
+
+    The move is drawn as a code into (replace, swap, reverse, insert, delete),
+    with insert only while the list is shorter than ``max_len`` and delete
+    only while it is longer than 2 (code 3 is delete when insert is out). A
+    new entry is drawn from the indices that equal none of its neighbours, in
+    ascending order, by one draw stepped past each banned index at or below it.
 
     The new list keeps the first c and the last d entries of ``cur``, with
     c + d <= the length of either list: (pos, n - pos) for an insert at pos,
@@ -646,46 +643,52 @@ def _propose(rng, cur: list[int], k: int, max_len: int):
     for a swap or reverse of i < j, where n = len(cur).
     """
     n = len(cur)
-    moves = _MOVES[(n < max_len) + 2 * (n > 2)]
-    move = moves[int(rng.integers(len(moves)))]
-    if move == "insert":
-        pos = int(rng.integers(n + 1))
-        value = _draw_skipping(rng, k, set(cur[max(pos - 1, 0):pos + 1]))
-        if value is None:
+    grow = n < max_len
+    move = rng.integers(3 + grow + (n > 2))
+    if move == 0 or move == 3 and grow:             # replace or insert at pos
+        insert = move == 3
+        pos = rng.integers(n + insert)
+        lo = pos - 1 if pos else 0
+        # a replace's outer neighbours may be equal; an insert's two never are
+        banned = sorted(cur[lo:pos + 1]) if insert else sorted(set(cur[lo:pos + 2]))
+        n_allowed = k - len(banned)
+        if n_allowed <= 0:
             return None
-        return cur[:pos] + [value] + cur[pos:], pos, n - pos
-    if move == "delete":
-        pos = int(rng.integers(n))
+        value = rng.integers(n_allowed)
+        for b in banned:
+            if value >= b:
+                value += 1
+        if insert:
+            return cur[:pos] + [value] + cur[pos:], pos, n - pos
+        return cur[:pos] + [value] + cur[pos + 1:], pos, n - 1 - pos
+    if move >= 3:                                   # delete at pos
+        pos = rng.integers(n)
         if 0 < pos < n - 1 and cur[pos - 1] == cur[pos + 1]:
             return None
         return cur[:pos] + cur[pos + 1:], pos, n - 1 - pos
-    if move == "replace":
-        pos = int(rng.integers(n))
-        value = _draw_skipping(rng, k, set(cur[max(pos - 1, 0):pos + 2]))
-        if value is None:
-            return None
-        return cur[:pos] + [value] + cur[pos + 1:], pos, n - 1 - pos
-    out = list(cur)
-    if move == "swap":
+    if move == 1:                                   # swap i < j
         if n < 2:
             return None
-        i = int(rng.integers(n))
-        j = int(rng.integers(n))
+        i = rng.integers(n)
+        j = rng.integers(n)
         if i == j:
             return None
         if i > j:
             i, j = j, i
-        out[i], out[j] = out[j], out[i]
-    else:  # reverse
-        if n < 3:
+        a, b = cur[i], cur[j]
+        if (i and cur[i - 1] == b or j < n - 1 and cur[j + 1] == a
+                or j - i > 1 and (cur[i + 1] == b or cur[j - 1] == a)):
             return None
-        i = int(rng.integers(n - 1))
-        j = int(rng.integers(i + 1, n))
-        out[i:j + 1] = reversed(out[i:j + 1])
-    for a, b in zip(out, out[1:]):
-        if a == b:
-            return None
-    return out, i, n - 1 - j
+        out = list(cur)
+        out[i], out[j] = b, a
+        return out, i, n - 1 - j
+    if n < 3:                                       # reverse cur[i..j], i < j
+        return None
+    i = rng.integers(n - 1)
+    j = rng.integers(i + 1, n)
+    if i and cur[i - 1] == cur[j] or j < n - 1 and cur[j + 1] == cur[i]:
+        return None
+    return cur[:i] + cur[j:i - 1 if i else None:-1] + cur[j + 1:], i, n - 1 - j
 
 
 def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEstimate:
@@ -704,8 +707,9 @@ def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEst
     counts are ``_vfcore.PackedCounts`` ints: ``_propose`` returns the prefix
     and suffix its move keeps, ``delta`` adds and removes the pair rows
     between them, and the variation factor is probed from the current
-    list's. The loop holds every method it calls in a local and writes the
-    objective out inline.
+    list's. The jump terms of the current list are carried, and a proposal
+    looks up only those between the same prefix and suffix. The loop holds
+    every method it calls in a local and writes the objective out inline.
     Each restart replays ``np.random.default_rng(seed)`` from raw PCG64 words
     (``_Draws``), and sums the list's jumps in numpy's pairwise order
     (``_float_sum``). Both give the same ints and float bits as the Generator

@@ -108,6 +108,31 @@ def test_var_search_deterministic(square_fx, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("mode", [["--mode", "exact"],
+                                  ["--mode", "search", "--iters", "60", "--restarts", "2"]])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_var_stats_go_to_stderr_and_change_no_output(square_fx, tmp_path, capsys, mode,
+                                                     to_file):
+    """``--stats`` adds one sorted JSON line on stderr; stdout and ``--out`` keep their bytes."""
+    runs = []
+    for extra in ([], ["--stats"]):
+        out = tmp_path / f"var{len(runs)}.csv"
+        args = ["var", "--fn", square_fx, *mode] + (["--out", str(out)] if to_file else [])
+        assert main(args + extra) == 0
+        captured = capsys.readouterr()
+        runs.append((captured.out, out.read_bytes() if to_file else None, captured.err))
+    (out_plain, file_plain, err_plain), (out_stats, file_stats, err_stats) = runs
+    assert (out_stats, file_stats) == (out_plain, file_plain)
+    assert err_plain == ""
+    line, = err_stats.splitlines()
+    stats = json.loads(line)
+    assert line == json.dumps(stats, sort_keys=True)
+    if mode[1] == "exact":
+        assert stats["exact_path"] == "rational" and stats["lists"]
+    else:
+        assert (stats["proposals"], stats["restarts"]) == (120, 2)
+
+
 def test_repeated_main_calls_keep_no_parser_state(square_fx, capsys):
     """Later calls see defaults again, as a fresh process does."""
     search = ["var", "--fn", square_fx, "--mode", "search", "--restarts", "2",

@@ -40,7 +40,6 @@ from planevar.variation import (
     MAX_ITERS,
     MAX_RESTARTS,
     _Draws,
-    _draw_skipping,
     _extensions,
     _float_sum,
     _lists,
@@ -1018,6 +1017,42 @@ def test_sign_table_dtype_switch_is_exact_on_both_sides(m, dtype):
     _assert_table_holds(build_sign_table(pts), lines, signs)
 
 
+def _void_sort_distinct(signs: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (L, P) int8 array, deduplicated as the sign table
+    once was: ``np.sort`` over the rows as ``np.void``, each run's first kept."""
+    keys = np.sort(np.ascontiguousarray(signs).view(np.dtype((np.void, signs.shape[1]))).ravel())
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return keys[new].view(np.int8).reshape(-1, signs.shape[1])
+
+
+def _family_signs(pts) -> np.ndarray:
+    """The (L, P) int8 signs of every ``candidate_lines`` row on ``pts``, duplicate
+    patterns included, from int64 residuals (small coordinates only)."""
+    int_pts, _ = _vfcore.scale_to_ints(pts)
+    rows = candidate_lines(int_pts)
+    assert rows.dtype == np.int64
+    xyz = np.array([[x, y, -1] for x, y in int_pts], dtype=np.int64).T
+    return np.concatenate([np.sign(rows[i:i + 4096] @ xyz).astype(np.int8)
+                           for i in range(0, len(rows), 4096)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 13, 21, 34, 55, 100])
+def test_sign_table_rows_equal_the_void_sort_dedupe(k):
+    """The set-of-bytes dedupe against the void sort, row for row. Repeats of
+    the last point end many rows in zero bytes, which must survive as bytes."""
+    rng = random.Random(k)
+    cells = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
+    pts = tuple(P(x, y) for x, y in rng.sample(cells, k))
+    pts += pts[-1:] * rng.randint(1, 3)
+    table = build_sign_table(pts)
+    want = _void_sort_distinct(_family_signs(pts))
+    assert table.signs.dtype == np.int8 and table.signs.flags.c_contiguous
+    assert table.signs.flags.writeable
+    assert table.signs.shape == want.shape and np.array_equal(table.signs, want)
+    assert (table.signs[:, -2:] == 0).all(axis=1).any()
+
+
 def test_sign_table_peak_memory_stays_near_its_size():
     """45 distinct points on a 1/32 lattice with a collinear run and repeats."""
     rng = random.Random(45)
@@ -1631,6 +1666,23 @@ def test_var_search_with_an_unbounded_max_len_keeps_no_table_per_count():
     assert peak < 4 * 2**20
 
 
+def _draw_skipping(rng, k: int, banned: set[int]) -> int | None:
+    """An index in range(k) outside ``banned``, or None when there is none.
+
+    Draws ``rng.integers(k - len(banned))`` and steps the draw past each
+    banned index at or below it, which picks the same index as drawing into
+    the ascending list of allowed indices.
+    """
+    n_allowed = k - len(banned)
+    if n_allowed <= 0:
+        return None
+    value = int(rng.integers(n_allowed))
+    for b in sorted(banned):
+        if value >= b:
+            value += 1
+    return value
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 12).flatmap(lambda k: st.tuples(
     st.just(k), st.sets(st.integers(0, k - 1), max_size=3))), st.integers(0, 2**32 - 1))
@@ -1641,6 +1693,89 @@ def test_draw_skipping_picks_the_allowed_list_entry(k_banned, seed):
     expected = allowed[int(ref.integers(len(allowed)))] if allowed else None
     assert _draw_skipping(rng, k, banned) == expected
     assert rng.random() == ref.random()       # the same number of draws
+
+
+# the moves _propose_full_scan draws from, by (len(cur) < max_len) + 2 * (len(cur) > 2)
+_MOVES = (("replace", "swap", "reverse"),
+          ("replace", "swap", "reverse", "insert"),
+          ("replace", "swap", "reverse", "delete"),
+          ("replace", "swap", "reverse", "insert", "delete"))
+
+
+def _propose_full_scan(rng, cur: list[int], k: int, max_len: int):
+    """``_propose`` as it was written before it took move codes and checked
+    only the neighbours of the entries a swap or reverse moves: moves by name,
+    banned indices as a set, and every pair of the new list scanned."""
+    n = len(cur)
+    moves = _MOVES[(n < max_len) + 2 * (n > 2)]
+    move = moves[int(rng.integers(len(moves)))]
+    if move == "insert":
+        pos = int(rng.integers(n + 1))
+        value = _draw_skipping(rng, k, set(cur[max(pos - 1, 0):pos + 1]))
+        if value is None:
+            return None
+        return cur[:pos] + [value] + cur[pos:], pos, n - pos
+    if move == "delete":
+        pos = int(rng.integers(n))
+        if 0 < pos < n - 1 and cur[pos - 1] == cur[pos + 1]:
+            return None
+        return cur[:pos] + cur[pos + 1:], pos, n - 1 - pos
+    if move == "replace":
+        pos = int(rng.integers(n))
+        value = _draw_skipping(rng, k, set(cur[max(pos - 1, 0):pos + 2]))
+        if value is None:
+            return None
+        return cur[:pos] + [value] + cur[pos + 1:], pos, n - 1 - pos
+    out = list(cur)
+    if move == "swap":
+        if n < 2:
+            return None
+        i = int(rng.integers(n))
+        j = int(rng.integers(n))
+        if i == j:
+            return None
+        if i > j:
+            i, j = j, i
+        out[i], out[j] = out[j], out[i]
+    else:  # reverse
+        if n < 3:
+            return None
+        i = int(rng.integers(n - 1))
+        j = int(rng.integers(i + 1, n))
+        out[i:j + 1] = reversed(out[i:j + 1])
+    for a, b in zip(out, out[1:]):
+        if a == b:
+            return None
+    return out, i, n - 1 - j
+
+
+@st.composite
+def lists_without_equal_neighbours(draw):
+    """(cur, k, max_len): a list of 1..max_len indices below k, no two equal
+    neighbours, with small k so that repeats a few places apart are common."""
+    k = draw(st.integers(2, 9))
+    max_len = draw(st.integers(2, 14))
+    cur = [draw(st.integers(0, k - 1))]
+    for _ in range(draw(st.integers(0, max_len - 1))):
+        cur.append(draw(st.integers(0, k - 1).filter(lambda v, last=cur[-1]: v != last)))
+    return cur, k, max_len
+
+
+@pytest.mark.parametrize("source", [np.random.default_rng, _Draws])
+@settings(max_examples=300, deadline=None)
+@given(lists_without_equal_neighbours(), st.integers(0, 2**32 - 1))
+@example(([0, 1], 2, 2), 0)
+@example(([3, 1, 3, 1, 3], 4, 5), 1)
+def test_propose_matches_the_full_scan_rule(source, case, seed):
+    """Neighbour-only checks and move codes against the full-scan rule: the
+    same result for every draw, and the same draws taken (the next one agrees)."""
+    cur, k, max_len = case
+    entropy = np.random.SeedSequence(seed)
+    rng, ref = source(entropy), source(entropy)
+    for _ in range(20):
+        got, want = _propose(rng, cur, k, max_len), _propose_full_scan(ref, cur, k, max_len)
+        assert got == want, (cur, k, max_len)
+        assert rng.random() == ref.random()
 
 
 # --- stream-exact annealing -----------------------------------------------------
@@ -1769,6 +1904,75 @@ def test_var_search_at_fixed_seeds_is_unchanged(make, iters, seed, value, order,
     assert est.witness_vf == vf
     assert est.stats["proposals"] == proposals
     assert repr(est.stats["max_objective_seen"]) == max_seen
+
+
+def _lattice7():
+    """The 7 x 7 lattice: 2,574 distinct patterns, the widest packed counts of the pins."""
+    pts = tuple(P(i, j) for j in range(7) for i in range(7))
+    return SampledFunction(pts, tuple(Fraction((2 * p.x + p.y * p.y) % 5 - 2, 3) for p in pts))
+
+
+def _float14():
+    """Float values on 14 points, whose lists reach 15 jumps at max_len 20."""
+    rng = random.Random(17)
+    pts: list = []
+    while len(pts) < 14:
+        p = P(Fraction(rng.randint(-20, 20), 5), Fraction(rng.randint(-20, 20), 5))
+        if p not in pts:
+            pts.append(p)
+    return SampledFunction(tuple(pts), tuple(rng.uniform(-3, 3) for _ in pts))
+
+
+def _stats(proposals, max_seen, accepted, attempts, temperature, restarts, rows, distinct):
+    return {"proposals": proposals, "max_objective_seen": max_seen, "accepted": accepted,
+            "attempts": attempts, "final_temperature": temperature, "restarts": restarts,
+            "table_rows": rows, "distinct_rows": distinct}
+
+
+# Recorded before _propose took move codes and the annealer carried its jump
+# terms: every stats entry, at the edges of the configuration space.
+SEARCH_CONFIG_PINS = [
+    # max_len 2: the three-move tuple only, so most proposals are None
+    (_pyramid, SearchConfig(iters=300, restarts=2, seed=4, max_len=2), "Fraction(1, 1)",
+     (0, 12), 1, _stats(600, 1.0, 488, 1184, 0.22229219984074702, 2, 1952, 684)),
+    # max_len 3: the four-move tuples, insert at 2 points and delete at 3
+    (_pyramid, SearchConfig(iters=300, restarts=2, seed=5, max_len=3), "Fraction(2, 1)",
+     (10, 12, 14), 1, _stats(600, 2.0, 473, 797, 0.22229219984074702, 2, 1952, 684)),
+    (_lattice7, SearchConfig(iters=300, restarts=1, seed=6, max_len=12), "Fraction(5, 3)",
+     (14, 30, 10, 9, 14, 15), 3,
+     _stats(300, 1.6666666666666667, 249, 334, 0.2963895997876626, 1, 7816, 2574)),
+    # carried terms through _float_sum's eight-accumulator branch
+    (_float14, SearchConfig(iters=500, restarts=2, seed=7, max_len=20), "7.473675312276451",
+     (12, 5, 12, 8, 7, 4), 3,
+     _stats(1000, 7.473675312276451, 754, 1091, 0.4789044176510733, 2, 4300, 388)),
+    (_pyramid, SearchConfig(iters=0, restarts=2, seed=8, max_len=12), "Fraction(1, 1)",
+     (0, 12), 1, _stats(0, 1.0, 0, 0, 1.0, 2, 1952, 684)),
+    (_pyramid, SearchConfig(iters=200, restarts=3, seed=9, max_len=12), "Fraction(2, 1)",
+     (24, 12, 0), 1, _stats(600, 2.0, 564, 673, 0.3669578217261671, 3, 1952, 684)),
+]
+
+
+@pytest.mark.parametrize("make, cfg, value, order, vf, stats", SEARCH_CONFIG_PINS)
+def test_var_search_at_fixed_configs_is_unchanged(make, cfg, value, order, vf, stats):
+    f = make()
+    est = var_search(f, cfg)
+    assert repr(est.value) == value
+    assert est.witness == tuple(f.points[i] for i in order)
+    assert est.witness_vf == vf
+    assert est.stats == stats
+
+
+def test_float14_lists_reach_the_eight_accumulator_sum(monkeypatch):
+    """The float pin sums lists of 8 jumps and more, past ``_float_sum``'s plain loop."""
+    lengths = []
+
+    def recorded(terms):
+        lengths.append(len(terms))
+        return _float_sum(terms)
+
+    monkeypatch.setattr(variation, "_float_sum", recorded)
+    var_search(_float14(), SEARCH_CONFIG_PINS[3][1])
+    assert max(lengths) >= 8 and sum(n >= 8 for n in lengths) > 100
 
 
 def test_var_search_reports_acceptances_and_final_temperature():
