@@ -70,7 +70,6 @@ from .approx import (  # noqa: F401
     Poly2,
     bernstein2,
     c2_to_poly,
-    c2_to_poly_auto,
     match_points,
     match_triangle,
 )

@@ -10,20 +10,26 @@ Bernstein-to-monomial conversion is exact because the conversion matrix
 amplifies rounding by roughly 3^degree in floating point. A real ``Poly2``
 stores its coefficients as integer rows over one denominator (``geom``'s
 integer lift), trimmed and reduced to lowest terms, so equal polynomials
-have equal rows. Its arithmetic (``dx``, ``dy``, ``int_x``, ``int_y``,
-``at_x``, ``at_y``, ``+``) runs on those rows in plain ``int``, and the
-``Fraction`` coefficients are built only when ``coeffs`` is read.
-``bernstein2`` lifts its node values exactly (a float to its dyadic
-rational) over one denominator and converts them by forward differences:
-the coefficient of x^m y^n is C(d, m) C(d, n) times the (m, n)-th forward
-difference of the node table at (0, 0) (Lorentz, *Bernstein Polynomials*,
-1953). ``Poly2.eval`` evaluates homogeneously: at x = a/b, y = c/e it sums
-N_mn a^m b^(M-m) c^n e^(N-n) over the integer coefficients and divides by
-D b^M e^N. Every exact result equals the ``Fraction`` computation bit for
-bit, and ``eval_float_grid`` makes each float coefficient with one correctly
-rounded ``int / int`` division, the value ``float(Fraction)`` gives. Complex
-samples or coefficients have no exact lift and keep the plain
-``Fraction``/complex arithmetic.
+have equal rows. Its arithmetic (``eval``, ``dx``, ``dy``, ``int_x``,
+``int_y``, ``at_x``, ``at_y``, ``+``, ``eval_float_grid``) runs on those rows
+in plain ``int`` at exact real points, and the ``Fraction`` coefficients are
+built only when ``coeffs`` is read. ``bernstein2`` lifts its node values
+exactly (a float to its dyadic rational) over one denominator and converts
+them by forward differences: the coefficient of x^m y^n is C(d, m) C(d, n)
+times the (m, n)-th forward difference of the node table at (0, 0) (Lorentz,
+*Bernstein Polynomials*, 1953). ``Poly2.eval`` evaluates homogeneously: at
+x = a/b, y = c/e it sums N_mn a^m b^(M-m) c^n e^(N-n) over the integer
+coefficients and divides by D b^M e^N. Every exact result equals the
+``Fraction`` computation bit for bit, and ``eval_float_grid`` makes each
+float coefficient with one correctly rounded ``int / int`` division, the
+value ``float(Fraction)`` gives.
+
+Complex data has no exact lift and enters only by linearity, at the two
+Bernstein entry points: ``bernstein2`` (complex node values) and
+``bernstein2_of_poly`` (complex coefficients) convert the real and the
+imaginary parts exactly and return re + i im, each part's coefficient
+correctly rounded. A complex ``Poly2`` is a value (built, read, compared,
+hashed, written); its arithmetic is refused with ApproxError.
 """
 
 from __future__ import annotations
@@ -58,18 +64,21 @@ class PointNotInDomain(ApproxError):
     pass
 
 
-def _lift(v):
-    """Exact lift of int/float/Fraction to Fraction; complex passes through."""
-    if isinstance(v, complex):
-        return v
-    return to_fraction(v)
-
-
 def _ratio(v) -> tuple[int, int]:
-    """(numerator, denominator) of ``_lift(v)`` for a real ``v``."""
+    """(numerator, denominator) of ``to_fraction(v)``."""
     if isinstance(v, (int, float, Fraction)):
         return v.as_integer_ratio()
     return to_fraction(v).as_integer_ratio()
+
+
+def _trimmed(rows: list[list]) -> list[list]:
+    """Rectangular ``rows`` without trailing zero rows and columns."""
+    while len(rows) > 1 and not any(rows[-1]):
+        rows.pop()
+    width = len(rows[0])
+    while width > 1 and not any(row[width - 1] for row in rows):
+        width -= 1
+    return [row[:width] for row in rows]
 
 
 class Poly2:
@@ -78,8 +87,10 @@ class Poly2:
     Rows index the x power. Trailing zero rows/columns are trimmed so equal
     polynomials compare equal. A real polynomial is held as ``_int_rows`` =
     (integer rows, den > 0) in lowest terms and ``coeffs`` is built from it
-    on first use; a polynomial with a complex coefficient holds ``coeffs``
-    only and ``_int_rows`` is None. Instances are immutable.
+    on first use; every arithmetic method reads those rows through
+    ``_exact``. A polynomial with a complex coefficient holds ``coeffs`` only
+    and ``_int_rows`` is None: it is a value, and ``_exact`` refuses its
+    arithmetic with ApproxError. Instances are immutable.
     """
 
     __slots__ = ("_int_rows", "_coeffs")
@@ -90,20 +101,14 @@ class Poly2:
 
     @staticmethod
     def from_rows(rows) -> "Poly2":
-        lifted = [[_lift(v) for v in row] for row in rows]
-        width = max((len(r) for r in lifted), default=1)
-        for r in lifted:
-            r.extend([Fraction(0)] * (width - len(r)))
-        # trim trailing zero rows/columns
-        while len(lifted) > 1 and all(v == 0 for v in lifted[-1]):
-            lifted.pop()
-        while width > 1 and all(row[-1] == 0 for row in lifted):
-            for row in lifted:
-                row.pop()
-            width -= 1
-        flat = [v for row in lifted for v in row]
+        width = max((len(r) for r in rows), default=1)
+        cells = _trimmed([[v if isinstance(v, complex) else to_fraction(v) for v in row]
+                          + [Fraction(0)] * (width - len(row)) for row in rows])
+        # classify after the trim: a complex zero trimmed away leaves a real polynomial
+        flat = [v for row in cells for v in row]
         if any(isinstance(v, complex) for v in flat):
-            return Poly2(None, tuple(tuple(row) for row in lifted))
+            return Poly2(None, tuple(tuple(row) for row in cells))
+        width = len(cells[0])
         nums, den = common_denominator(flat)
         return Poly2._of([nums[i:i + width] for i in range(0, len(nums), width)], den)
 
@@ -111,13 +116,9 @@ class Poly2:
     def _of(rows: list[list[int]], den: int) -> "Poly2":
         """The real polynomial ``rows / den`` (rectangular rows, den > 0),
         trimmed and reduced to lowest terms."""
-        while len(rows) > 1 and not any(rows[-1]):
-            rows.pop()
-        width = len(rows[0])
-        while width > 1 and not any(row[width - 1] for row in rows):
-            width -= 1
+        rows = _trimmed(rows)
         g = math.gcd(den, *chain.from_iterable(rows))
-        return Poly2((tuple(tuple(c // g for c in row[:width]) for row in rows), den // g), None)
+        return Poly2((tuple(tuple(c // g for c in row) for row in rows), den // g), None)
 
     @staticmethod
     def zero() -> "Poly2":
@@ -147,6 +148,16 @@ class Poly2:
         """The integer rows of a real polynomial, the coefficients of a complex one."""
         return self._coeffs if self._int_rows is None else self._int_rows[0]
 
+    @property
+    def _exact(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(integer rows, den), the one input of the arithmetic; a complex
+        polynomial has none and is refused with ApproxError."""
+        if self._int_rows is None:
+            c = next(c for row in self._coeffs for c in row if isinstance(c, complex))
+            raise ApproxError("Poly2 arithmetic needs real coefficients, "
+                              f"got the complex coefficient {c}")
+        return self._int_rows
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly2):
             return NotImplemented
@@ -160,22 +171,14 @@ class Poly2:
     def __repr__(self) -> str:
         return f"Poly2(coeffs={self.coeffs!r})"
 
-    def eval(self, x, y):
-        x = _lift(x)
-        y = _lift(y)
-        if self._int_rows is None or isinstance(x, complex) or isinstance(y, complex):
-            total = 0
-            for row in reversed(self.coeffs):
-                inner = 0
-                for c in reversed(row):
-                    inner = inner * y + c
-                total = total * x + inner
-            return total
-        rows, den = self._int_rows
+    def eval(self, x, y) -> Fraction:
+        rows, den = self._exact
+        x = to_fraction(x)
+        y = to_fraction(y)
         a, b = x.numerator, x.denominator
         c, e = y.numerator, y.denominator
-        e_pows = [e ** k for k in range(self.deg_y + 1)]
-        b_pows = [b ** k for k in range(self.deg_x + 1)]
+        e_pows = [e ** k for k in range(len(rows[0]))]
+        b_pows = [b ** k for k in range(len(rows))]
         # homogeneous Horner: total = D b^M e^N p(x, y)
         total = 0
         for row, bw in zip(reversed(rows), b_pows):
@@ -196,16 +199,11 @@ class Poly2:
         grid as on a dense one. Monomial Horner amplifies rounding by roughly
         3^degree for Bernstein-shaped coefficients, so beyond degree 18 the
         polynomial is re-expanded exactly in the Bernstein basis (no
-        cancellation) and evaluated by a stable basis recurrence. A complex
-        coefficient is refused with ApproxError.
+        cancellation) and evaluated by a stable basis recurrence.
         """
-        if self._int_rows is None:
-            c = next(c for row in self._coeffs for c in row if isinstance(c, complex))
-            raise ApproxError("float evaluation needs real coefficients, "
-                              f"got the complex coefficient {c}")
+        rows, den = self._exact
         if max(self.deg_x, self.deg_y) > 18:
             return _bernstein_basis_eval(self, *np.broadcast_arrays(X, Y))
-        rows, den = self._int_rows
         Y = np.asarray(Y)
         column = (len(rows),) + (1,) * Y.ndim
         inner = np.zeros((len(rows),) + Y.shape)
@@ -217,18 +215,10 @@ class Poly2:
         return total
 
     def __add__(self, other: "Poly2") -> "Poly2":
-        rows = max(self.deg_x, other.deg_x) + 1
-        cols = max(self.deg_y, other.deg_y) + 1
-        if self._int_rows is None or other._int_rows is None:
-            out = [[Fraction(0)] * cols for _ in range(rows)]
-            for src in (self, other):
-                for m, row in enumerate(src.coeffs):
-                    for n, c in enumerate(row):
-                        out[m][n] += c
-            return Poly2.from_rows(out)
-        den = math.lcm(self._int_rows[1], other._int_rows[1])
-        out = [[0] * cols for _ in range(rows)]
-        for src, src_den in (self._int_rows, other._int_rows):
+        (a, a_den), (b, b_den) = self._exact, other._exact
+        den = math.lcm(a_den, b_den)
+        out = [[0] * max(len(a[0]), len(b[0])) for _ in range(max(len(a), len(b)))]
+        for src, src_den in ((a, a_den), (b, b_den)):
             scale = den // src_den
             for m, row in enumerate(src):
                 out_row = out[m]
@@ -236,52 +226,38 @@ class Poly2:
                     out_row[n] += c * scale
         return Poly2._of(out, den)
 
-    def _like(self, cells) -> "Poly2":
-        """``cells``, shaped like ``_cells``, over this polynomial's denominator."""
-        if self._int_rows is None:
-            return Poly2.from_rows(cells)
-        return Poly2._of(cells, self._int_rows[1])
-
     def dx(self) -> "Poly2":
-        if self.deg_x == 0:
+        rows, den = self._exact
+        if len(rows) == 1:
             return Poly2.zero()
-        return self._like([[c * m for c in row] for m, row in enumerate(self._cells) if m > 0])
+        return Poly2._of([[c * m for c in row] for m, row in enumerate(rows) if m > 0], den)
 
     def dy(self) -> "Poly2":
-        if self.deg_y == 0:
+        rows, den = self._exact
+        if len(rows[0]) == 1:
             return Poly2.zero()
-        return self._like([[c * n for n, c in enumerate(row) if n > 0] for row in self._cells])
+        return Poly2._of([[c * n for n, c in enumerate(row) if n > 0] for row in rows], den)
 
     def int_x(self) -> "Poly2":
         """Antiderivative from 0 in x: integral_0^x p(t, y) dt."""
-        zero = [0] * (self.deg_y + 1)
-        if self._int_rows is None:
-            return Poly2.from_rows([zero] + [[c / (m + 1) for c in row]
-                                             for m, row in enumerate(self._coeffs)])
-        rows, den = self._int_rows
+        rows, den = self._exact
         lcm = math.lcm(*range(1, len(rows) + 1))
-        return Poly2._of([zero] + [[c * (lcm // (m + 1)) for c in row]
-                                   for m, row in enumerate(rows)], den * lcm)
+        return Poly2._of([[0] * len(rows[0])] + [[c * (lcm // (m + 1)) for c in row]
+                                                 for m, row in enumerate(rows)], den * lcm)
 
     def int_y(self) -> "Poly2":
         """Antiderivative from 0 in y: integral_0^y p(x, s) ds."""
-        if self._int_rows is None:
-            return Poly2.from_rows([[0] + [c / (n + 1) for n, c in enumerate(row)]
-                                    for row in self._coeffs])
-        rows, den = self._int_rows
+        rows, den = self._exact
         lcm = math.lcm(*range(1, len(rows[0]) + 1))
         steps = [lcm // (n + 1) for n in range(len(rows[0]))]
         return Poly2._of([[0] + [c * s for c, s in zip(row, steps)] for row in rows], den * lcm)
 
     def at_y(self, y0) -> "Poly2":
         """Restriction y = y0, returned as a polynomial in x alone."""
-        y0 = _lift(y0)
-        if self._int_rows is None or isinstance(y0, complex):
-            return Poly2.from_rows([[sum(c * y0 ** n for n, c in enumerate(row))]
-                                    for row in self.coeffs])
-        rows, den = self._int_rows
+        rows, den = self._exact
+        y0 = to_fraction(y0)
         a, b = y0.numerator, y0.denominator
-        b_pows = [b ** k for k in range(self.deg_y + 1)]
+        b_pows = [b ** k for k in range(len(rows[0]))]
         out = []
         for row in rows:               # homogeneous Horner: b^N p(x, a/b) row by row
             inner = 0
@@ -292,18 +268,11 @@ class Poly2:
 
     def at_x(self, x0) -> "Poly2":
         """Restriction x = x0, returned as a polynomial in y alone."""
-        x0 = _lift(x0)
-        if self._int_rows is None or isinstance(x0, complex):
-            out = [Fraction(0)] * (self.deg_y + 1)
-            for m, row in enumerate(self.coeffs):
-                w = x0 ** m
-                for n, c in enumerate(row):
-                    out[n] += c * w
-            return Poly2.from_rows([out])
-        rows, den = self._int_rows
+        rows, den = self._exact
+        x0 = to_fraction(x0)
         a, b = x0.numerator, x0.denominator
-        b_pows = [b ** k for k in range(self.deg_x + 1)]
-        out = [0] * (self.deg_y + 1)
+        b_pows = [b ** k for k in range(len(rows))]
+        out = [0] * len(rows[0])
         for row, bw in zip(reversed(rows), b_pows):
             out = [t * a + c * bw for t, c in zip(out, row)]
         return Poly2._of([out], den * b_pows[-1])
@@ -360,20 +329,10 @@ def _bernstein_basis_eval(poly: Poly2, X: np.ndarray, Y: np.ndarray) -> np.ndarr
     return vals.reshape(shape)
 
 
-def _bernstein_to_monomial(d: int) -> list[list[int]]:
-    """T[k][m] with b_{k,d}(x) = sum_m T[k][m] x^m (exact integers); the
-    conversion of complex samples, which have no integer lift."""
-    T = [[0] * (d + 1) for _ in range(d + 1)]
-    for k in range(d + 1):
-        for m in range(k, d + 1):
-            T[k][m] = (-1) ** (m - k) * comb(d, m) * comb(m, k)
-    return T
-
-
-# The degree at which c2_to_poly_auto stops doubling. On a 2-core Xeon VM
-# (CPython 3.11, numpy 2.4) c2_to_poly took 0.21-0.22 s at this degree on
-# either builtin oracle, with a 5.5 MiB tracemalloc peak: about half in the
-# seven Bernstein re-expansions of eval_float_grid, a quarter in bernstein2.
+# The largest Bernstein degree. On a 2-core Xeon VM (CPython 3.11, numpy 2.4)
+# c2_to_poly took 0.21-0.22 s at this degree on either builtin oracle, with a
+# 5.5 MiB tracemalloc peak: about half in the seven Bernstein re-expansions of
+# eval_float_grid, a quarter in bernstein2.
 MAX_DEGREE = 64
 
 
@@ -406,6 +365,17 @@ def _bernstein_of_nodes(G, den: int, d: int) -> Poly2:
     return Poly2._of((A * binom[:, None] * binom).tolist(), den)
 
 
+def _complex_of(re: Poly2, im: Poly2) -> Poly2:
+    """re + i im, every coefficient the complex of the two parts' correctly
+    rounded floats: how complex data leaves the exact real conversion."""
+    def coeff(q, m, n):
+        return q.coeffs[m][n] if m <= q.deg_x and n <= q.deg_y else 0
+
+    return Poly2.from_rows([[complex(coeff(re, m, n), coeff(im, m, n))
+                             for n in range(max(re.deg_y, im.deg_y) + 1)]
+                            for m in range(max(re.deg_x, im.deg_x) + 1)])
+
+
 def bernstein2(g, degree: int, *, name: str = "oracle") -> Poly2:
     """Tensor Bernstein approximant of g on the unit square, monomial form.
 
@@ -414,7 +384,9 @@ def bernstein2(g, degree: int, *, name: str = "oracle") -> Poly2:
     grows. ``g`` is called at the rational nodes (i/d, j/d); a NaN or
     infinite value there is refused with ApproxError, whose message calls
     ``g`` by ``name``, and so is a degree above ``MAX_DEGREE``, before ``g``
-    is called.
+    is called. Complex node values have no exact lift, but their real and
+    imaginary parts do, and the Bernstein operator is linear: the result is
+    then ``_complex_of`` the two parts' approximants.
     """
     _check_degree(degree)
     d = degree
@@ -423,22 +395,19 @@ def bernstein2(g, degree: int, *, name: str = "oracle") -> Poly2:
         v = g(x, y)
         if isinstance(v, (float, complex)) and not cmath.isfinite(v):
             raise ApproxError(f"{name} is not finite at Bernstein node ({x}, {y}): {v}")
-        return v if isinstance(v, complex) else _ratio(v)
+        return v
+
+    def convert(values) -> Poly2:
+        ratios = [[_ratio(v) for v in row] for row in values]
+        den = math.lcm(*(q for row in ratios for _, q in row))
+        return _bernstein_of_nodes([[p * (den // q) for p, q in row] for row in ratios], den, d)
 
     ts = [Fraction(i, d) for i in range(d + 1)]
     G = [[node(x, y) for y in ts] for x in ts]
-    flat = [v for row in G for v in row]
-    if any(isinstance(v, complex) for v in flat):  # complex samples have no exact lift
-        G = [[v if isinstance(v, complex) else Fraction(*v) for v in row] for row in G]
-        T = _bernstein_to_monomial(d)
-        # two passes: A[m][l] = sum_k T[k][m] G[k][l]; C[m][n] = sum_l A[m][l] T[l][n]
-        A = [[sum(T[k][m] * G[k][loc] for k in range(d + 1)) for loc in range(d + 1)]
-             for m in range(d + 1)]
-        C = [[sum(A[m][loc] * T[loc][n] for loc in range(d + 1)) for n in range(d + 1)]
-             for m in range(d + 1)]
-        return Poly2.from_rows(C)
-    den = math.lcm(*(q for _, q in flat))
-    return _bernstein_of_nodes([[p * (den // q) for p, q in row] for row in G], den, d)
+    if any(isinstance(v, complex) for row in G for v in row):
+        return _complex_of(*(convert([[getattr(v, part) for v in row] for row in G])
+                             for part in ("real", "imag")))
+    return convert(G)
 
 
 def bernstein2_of_poly(p: Poly2, degree: int) -> Poly2:
@@ -446,32 +415,23 @@ def bernstein2_of_poly(p: Poly2, degree: int) -> Poly2:
 
     The node values of a real ``p`` come from one integer tensor product:
     p(i/d, j/d) = sum_mn N_mn i^m d^(M-m) j^n d^(N-n) / (D d^M d^N).
-    Complex samples have no exact lift, but the real and imaginary parts of
-    ``p`` do, and the Bernstein operator is linear: a complex ``p`` gives the
-    approximant of its real part plus i times that of its imaginary part,
-    with every coefficient complex.
+    A complex ``p`` gives ``_complex_of`` the approximants of its real and
+    imaginary parts, as in ``bernstein2``.
     """
-    if p._int_rows is not None:
-        _check_degree(degree)
-        rows, den = p._int_rows
-        d, M, N = degree, p.deg_x, p.deg_y
+    if p._int_rows is None:
+        return _complex_of(*(bernstein2_of_poly(Poly2.from_rows([[getattr(c, part) for c in row]
+                                                                 for row in p.coeffs]), degree)
+                             for part in ("real", "imag")))
+    _check_degree(degree)
+    rows, den = p._int_rows
+    d, M, N = degree, p.deg_x, p.deg_y
 
-        def powers(k):
-            return np.array([[i ** m * d ** (k - m) for m in range(k + 1)] for i in range(d + 1)],
-                            dtype=object)
+    def powers(k):
+        return np.array([[i ** m * d ** (k - m) for m in range(k + 1)] for i in range(d + 1)],
+                        dtype=object)
 
-        G = powers(M).dot(np.array(rows, dtype=object)).dot(powers(N).T)
-        return _bernstein_of_nodes(G, den * d ** (M + N), d)
-    re, im = (bernstein2_of_poly(Poly2.from_rows([[getattr(c, part) for c in row]
-                                                  for row in p.coeffs]), degree)
-              for part in ("real", "imag"))
-
-    def coeff(q, m, n):
-        return q.coeffs[m][n] if m <= q.deg_x and n <= q.deg_y else 0
-
-    return Poly2.from_rows([[complex(coeff(re, m, n), coeff(im, m, n))
-                             for n in range(max(re.deg_y, im.deg_y) + 1)]
-                            for m in range(max(re.deg_x, im.deg_x) + 1)])
+    G = powers(M).dot(np.array(rows, dtype=object)).dot(powers(N).T)
+    return _bernstein_of_nodes(G, den * d ** (M + N), d)
 
 
 # ---------------------------------------------------------------------------
@@ -726,14 +686,11 @@ def c2_to_poly(oracle: C2Oracle, degree: int, grid_n: int = 41,
     FX = sample(oracle.fx, "fx")
     FY = sample(oracle.fy, "fy")
 
-    fx00 = _lift(oracle.fx(Fraction(0), Fraction(0)))
-    fy00 = _lift(oracle.fy(Fraction(0), Fraction(0)))
-    f00 = _lift(oracle.f(Fraction(0), Fraction(0)))
-
-    h_x = Poly2.constant(fx00) + g_xx.at_y(0).int_x() + g_xy.int_y()
-    h_y = Poly2.constant(fy00) + g_xy.int_x() + g_yy.at_x(0).int_y()
+    zero = Fraction(0)
+    h_x = Poly2.constant(oracle.fx(zero, zero)) + g_xx.at_y(0).int_x() + g_xy.int_y()
+    h_y = Poly2.constant(oracle.fy(zero, zero)) + g_xy.int_x() + g_yy.at_x(0).int_y()
     assert h_y.dx() == g_xy
-    p = Poly2.constant(f00) + h_x.at_y(0).int_x() + h_y.int_y()
+    p = Poly2.constant(oracle.f(zero, zero)) + h_x.at_y(0).int_x() + h_y.int_y()
 
     eps = max(
         float(np.max(np.abs(sample(oracle.fxx, "fxx") - g_xx.eval_float_grid(X, Y)))),
@@ -760,19 +717,6 @@ def c2_to_poly(oracle: C2Oracle, degree: int, grid_n: int = 41,
                       hx_err=hx_err, dpx_err=dpx_err, dpy_err=dpy_err,
                       tol=tol, checks=checks)
     return p, report
-
-
-def c2_to_poly_auto(oracle: C2Oracle, eps_target: float = 1e-3,
-                    max_degree: int = MAX_DEGREE, grid_n: int = 41) -> tuple[Poly2, C2Report]:
-    """Default degree policy: double from 4 until the measured
-    second-derivative error reaches the target or the degree cap."""
-    oracle.spot_check()
-    degree = 4
-    while True:
-        p, rep = c2_to_poly(oracle, degree, grid_n=grid_n, skip_spot_check=True)
-        if rep.eps_meas <= eps_target or degree >= max_degree:
-            return p, rep
-        degree = min(2 * degree, max_degree)
 
 
 # ---------------------------------------------------------------------------

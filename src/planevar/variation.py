@@ -700,7 +700,9 @@ def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEst
     is recomputed exactly. ``stats`` counts proposals and accepted moves over
     all restarts, and ``attempts``, the ``_propose`` calls, of which
     1 - proposals / attempts proposed nothing; ``final_temperature`` is the
-    warmest restart's last temperature.
+    warmest restart's last temperature. A one-point sample has one list and
+    no move: its ``stats`` has the same keys, with no proposal, attempt or
+    accepted move.
 
     A proposal makes no numpy call at all, unless its list has 128 points or
     more (``_float_sum``); ``_Draws`` refills its words once per 512. The
@@ -720,19 +722,25 @@ def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEst
     """
     cfg = config or SearchConfig()
     k = len(f.points)
-    if k == 1:
-        return VarEstimate(value=cvar(f, f.points), witness=(f.points[0],), witness_vf=1,
-                           exact=False, method="anneal", seed=cfg.seed)
     table = _vfcore.build_sign_table(f.points)
-    diff = _diff_matrix(f, cfg.max_len)
-    pairs = _vfcore.PackedCounts(table, cfg.max_len)
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    results = [_anneal_once(pairs, diff, k, cfg, s) for s in children]
-    rank = _point_ranks(f)
-    best = min(results, key=lambda r: (-r["obj"], len(r["idx"]), [rank[i] for i in r["idx"]]))
-    witness = tuple(f.points[i] for i in best["idx"])
-    vf = best["vf"]
-    value = cvar(f, witness) / vf
+    if k == 1:
+        # the one list has no jump and no move: nothing is proposed, and the
+        # temperature stays at the start a zero jump table gives
+        results = [{"max_seen": 0.0, "proposals": 0, "accepted": 0, "attempts": 0,
+                    "temperature": 1.0}]
+        witness, vf = (f.points[0],), 1
+        value = cvar(f, witness)
+    else:
+        diff = _diff_matrix(f, cfg.max_len)
+        pairs = _vfcore.PackedCounts(table, cfg.max_len)
+        children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+        results = [_anneal_once(pairs, diff, k, cfg, s) for s in children]
+        rank = _point_ranks(f)
+        best = min(results, key=lambda r: (-r["obj"], len(r["idx"]),
+                                           [rank[i] for i in r["idx"]]))
+        witness = tuple(f.points[i] for i in best["idx"])
+        vf = best["vf"]
+        value = cvar(f, witness) / vf
     stats = {
         "proposals": int(sum(r["proposals"] for r in results)),
         "max_objective_seen": float(max(r["max_seen"] for r in results)),

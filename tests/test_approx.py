@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planevar import approx
-from planevar.geom import P, Rectangle
+from planevar.geom import P, Rectangle, to_fraction
 from planevar.variation import SampledFunction, SearchConfig, var_search
 from planevar.ctpp import interpolate_grid
 from planevar.approx import (
@@ -23,8 +23,6 @@ from planevar.approx import (
     OverlappingSquares,
     PointNotInDomain,
     Poly2,
-    _bernstein_to_monomial,
-    _lift,
     bernstein2,
     bernstein2_of_poly,
     c2_to_poly,
@@ -230,26 +228,20 @@ def test_high_degree_eval_is_stable():
             assert abs(V[i, j] - exact) < 1e-12
 
 
-def test_auto_degree_doubles_until_target():
-    from planevar.approx import c2_to_poly_auto
-    oracle = C2Oracle(
-        f=lambda x, y: math.sin(float(x)) * math.exp(float(y)),
-        fx=lambda x, y: math.cos(float(x)) * math.exp(float(y)),
-        fy=lambda x, y: math.sin(float(x)) * math.exp(float(y)),
-        fxx=lambda x, y: -math.sin(float(x)) * math.exp(float(y)),
-        fxy=lambda x, y: math.cos(float(x)) * math.exp(float(y)),
-        fyy=lambda x, y: math.sin(float(x)) * math.exp(float(y)))
-    p, rep = c2_to_poly_auto(oracle, eps_target=4e-2, max_degree=16, grid_n=17)
-    assert rep.eps_meas <= 4e-2
-    assert p.deg_x <= 18  # degree 16 inputs give a degree-18 polynomial
-    assert rep.passed
-
-
 # ---------------------------------------------------------------------------
 # the integer kernels against their Fraction-arithmetic originals
 
+def _bernstein_to_monomial(d: int) -> list[list[int]]:
+    """T[k][m] with b_{k,d}(x) = sum_m T[k][m] x^m (exact integers)."""
+    T = [[0] * (d + 1) for _ in range(d + 1)]
+    for k in range(d + 1):
+        for m in range(k, d + 1):
+            T[k][m] = (-1) ** (m - k) * math.comb(d, m) * math.comb(m, k)
+    return T
+
+
 def _bernstein2_fraction(g, d):
-    G = [[_lift(g(Fraction(i, d), Fraction(j, d))) for j in range(d + 1)]
+    G = [[to_fraction(g(Fraction(i, d), Fraction(j, d))) for j in range(d + 1)]
          for i in range(d + 1)]
     T = _bernstein_to_monomial(d)
     A = [[sum(T[k][m] * G[k][loc] for k in range(d + 1)) for loc in range(d + 1)]
@@ -260,8 +252,8 @@ def _bernstein2_fraction(g, d):
 
 
 def _eval_fraction(p, x, y):
-    x = _lift(x)
-    y = _lift(y)
+    x = to_fraction(x)
+    y = to_fraction(y)
     total = 0
     for row in reversed(p.coeffs):
         inner = 0
@@ -318,12 +310,62 @@ def test_poly_eval_equals_fraction_oracle(p, x, y):
     assert float(got) == float(want)
 
 
-def test_complex_coefficients_keep_fraction_arithmetic():
-    p = Poly2.from_rows([[1, complex(0.5, 2)], [3, 0]])
-    for x, y in ((Fraction(1, 3), Fraction(2, 3)), (0.25, -1.5)):
-        assert p.eval(x, y) == _eval_fraction(p, x, y)
-    for d in (1, 3, 5):
-        assert bernstein2(p.eval, d) == _bernstein2_fraction(p.eval, d)
+COMPLEX = complex(0.5, 2)
+
+
+def test_complex_poly2_arithmetic_is_refused_naming_the_coefficient():
+    q = Poly2.from_rows([[0, 1], [2, 0]])
+    xs = np.linspace(0.0, 1.0, 5)
+    for c in (Poly2.constant(COMPLEX), Poly2.from_rows([[1, COMPLEX], [3, 0]])):
+        calls = [lambda: c.eval(Fraction(1, 3), 0.25), lambda: c + q, lambda: q + c,
+                 c.dx, c.dy, c.int_x, c.int_y, lambda: c.at_x(Fraction(1, 2)),
+                 lambda: c.at_y(0), lambda: c.eval_float_grid(xs[:, None], xs[None, :])]
+        for call in calls:
+            with pytest.raises(ApproxError, match=r"complex coefficient \(0\.5\+2j\)"):
+                call()
+    p = Poly2.from_rows([[1, COMPLEX], [3, 0]])
+    # still a value: read, compared, hashed and printed
+    assert p.coeffs == ((1, COMPLEX), (3, 0)) and (p.deg_x, p.deg_y) == (1, 1)
+    assert p == Poly2.from_rows([[1.0, COMPLEX, 0], [3, 0, 0], [0, 0, 0]]) and p != q
+    assert hash(p) == hash(Poly2.from_rows([[Fraction(1), COMPLEX], [3]]))
+    assert "(0.5+2j)" in repr(p)
+
+
+def test_a_trimmed_complex_zero_leaves_a_real_polynomial():
+    # the complex test runs on the trimmed rows, so 0j in a trailing column is no complex coefficient
+    p = Poly2.from_rows([[1, 0j]])
+    assert p == Poly2.from_rows([[1]]) and hash(p) == hash(Poly2.constant(1))
+    assert p.dx() == Poly2.zero() and p + p == Poly2.constant(2) and p.eval(0.5, 3) == 1
+    assert Poly2.from_rows([[1, 2], [0j, 0]]) == Poly2.from_rows([[1, 2]])
+    # a complex zero that survives the trim keeps the polynomial complex
+    q = Poly2.from_rows([[0j, 1]])
+    assert q.coeffs == ((0j, 1),) and type(q.coeffs[0][0]) is complex
+    with pytest.raises(ApproxError, match=r"complex coefficient 0j"):
+        q.dx()
+
+
+def _complex_oracle(x, y):
+    """Complex values of two scales at most nodes, exact reals on a third of them."""
+    if (x.numerator + y.numerator) % 3 == 0:
+        return x * x - y / 7
+    return complex(math.sin(3 * float(x)), math.exp(float(y)) * (1e-9 if x < y else -1.0))
+
+
+@pytest.mark.parametrize("g", [_complex_oracle, lambda x, y: 1 + COMPLEX * y + 3 * x])
+@pytest.mark.parametrize("d", [1, 3, 5, 12])
+def test_complex_bernstein2_is_the_real_part_plus_i_times_the_imaginary_part(g, d):
+    re, im = (bernstein2(lambda x, y, part=part: getattr(g(x, y), part), d)
+              for part in ("real", "imag"))
+    for q, part in ((re, "real"), (im, "imag")):
+        assert q.coeffs == _bernstein2_fraction(lambda x, y: getattr(g(x, y), part), d).coeffs
+    got = bernstein2(g, d)
+    # every coefficient complex, each part the correctly rounded exact value
+    want = [[complex(re.coeffs[m][n] if m <= re.deg_x and n <= re.deg_y else 0,
+                     im.coeffs[m][n] if m <= im.deg_x and n <= im.deg_y else 0)
+             for n in range(max(re.deg_y, im.deg_y) + 1)]
+            for m in range(max(re.deg_x, im.deg_x) + 1)]
+    assert got.coeffs == tuple(tuple(row) for row in want)
+    assert all(type(v) is complex for row in got.coeffs for v in row)
 
 
 def test_from_poly_refuses_complex_coefficients():
@@ -350,7 +392,7 @@ def _assert_fractions(p, rows):
 @given(polys(), polys(), points)
 def test_arithmetic_equals_fraction_oracle(p, q, t):
     c, w = p.coeffs, len(p.coeffs[0])
-    t = _lift(t)
+    t = to_fraction(t)
     _assert_fractions(p.dx(), [[v * m for v in row] for m, row in enumerate(c) if m > 0])
     _assert_fractions(p.dy(), [[v * n for n, v in enumerate(row) if n > 0] for row in c])
     _assert_fractions(p.int_x(), [[0] * w] + [[v / (m + 1) for v in row]

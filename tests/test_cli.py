@@ -133,6 +133,18 @@ def test_var_stats_go_to_stderr_and_change_no_output(square_fx, tmp_path, capsys
         assert (stats["proposals"], stats["restarts"]) == (120, 2)
 
 
+def test_var_search_stats_on_one_point_have_the_search_keys(tmp_path, capsys):
+    """One point: one list, nothing proposed; stdout as without ``--stats``."""
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"points": [[0, 0]], "values": [1]}))
+    assert main(["var", "--fn", str(path), "--mode", "search", "--stats"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "0\n0,false,anneal,1,1,0\n"
+    assert captured.err.splitlines() == [
+        '{"accepted": 0, "attempts": 0, "distinct_rows": 1, "final_temperature": 1.0, '
+        '"max_objective_seen": 0.0, "proposals": 0, "restarts": 8, "table_rows": 1}']
+
+
 def test_repeated_main_calls_keep_no_parser_state(square_fx, capsys):
     """Later calls see defaults again, as a fresh process does."""
     search = ["var", "--fn", square_fx, "--mode", "search", "--restarts", "2",
@@ -662,6 +674,19 @@ def test_approx_bernstein_complex_coefficient_output_is_pinned(tmp_path):
         assert code == 0 and err == ""
         assert json.loads(out) == {"coeffs": [[[1.0, 0.0], [0.5, 2.0]],
                                               [[3.0, 0.0], [0.0, 0.0]]]}
+
+
+def test_approx_trimmed_complex_zero_is_a_real_polynomial(tmp_path):
+    # [0, 0] reads as 0j; in a trailing column it is trimmed and the polynomial is real
+    path, real = tmp_path / "p.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"coeffs": [[1, [0, 0]]]}))
+    real.write_text(json.dumps({"coeffs": [[1]]}))
+    code, out, err = run_cli("approx", "bernstein", "--poly", str(path), "--degree", "3")
+    assert code == 0 and err == "" and json.loads(out) == {"coeffs": [[1]]}
+    code, out, err = run_cli("approx", "c2", "--poly", str(path), "--degree", "3")
+    assert code == 0 and err == ""
+    assert out == "eps_meas,sup_err,lip_err,bound,pass\n0,0,0,2e-06,true\n"
+    assert run_cli("approx", "c2", "--poly", str(real), "--degree", "3") == (code, out, err)
 
 
 @pytest.mark.parametrize("grid", ["0", "1"])

@@ -16,9 +16,6 @@ SRC = Path(planevar.__file__).parent
 
 # "module.qualname(param)" -> why the default stays although no call sets it
 ALLOWED = {
-    "approx.c2_to_poly_auto(eps_target)": "library entry point; tests set it",
-    "approx.c2_to_poly_auto(max_degree)": "library entry point; tests set it",
-    "approx.c2_to_poly_auto(grid_n)": "library entry point; tests set it",
     "cli.main(argv)": "None reads sys.argv; tests pass argument lists",
 }
 

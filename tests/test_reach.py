@@ -11,6 +11,10 @@ as a use (``Triangle.contains`` and ``Rectangle.contains`` would keep a
 ``Line.contains`` alive): the guard finds orphans, it does not prove that a
 method is called. Dunder methods are called by Python itself and are not
 listed.
+
+An export that nothing else in the package names is reached only by its
+users, so each such name needs a reason in ``EXPORTS``, as each unreached
+definition does in ``ALLOWED``.
 """
 
 import ast
@@ -28,6 +32,38 @@ ALLOWED = {
     "ctpp.Bumps.chi": "the paper's product bump, which tests check",
 }
 
+# exported name that nothing else in src/planevar names -> why the library keeps it
+EXPORTS = {
+    "affine_pushforward": "the paper's affine invariance of the variation; tests check it",
+    "bv_norm": "the BV norm sup |f| + var(f) of the paper; tests check it on exact estimates",
+    "ear_clip": "triangulates a simple polygon; tests build non-grid CTPP triangulations with it",
+    "line_through": "builds the line through two points for library users and tests",
+    "lipschitz_constant": "a sample's Lipschitz constant; tests check var <= diameter times it",
+    "match_triangle": "the paper's planar matching correction (sup + spread <= 3 sup), tested",
+    "star_planar_bound": "the paper's 2n max |f(x) - f(w)| star-planar bound; tests check it",
+}
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _named(trees) -> tuple[set[str], set[str]]:
+    """(bare names, attribute names) that the package's code carries."""
+    names, attributes = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    return names, attributes
+
+
+def _exported(trees) -> set[str]:
+    return {alias.name for node in ast.walk(trees["__init__"])
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
 
 def _definitions(tree: ast.Module, module: str):
     """(qualified name, bare name, is a method) of each module-level function or
@@ -43,16 +79,9 @@ def _definitions(tree: ast.Module, module: str):
 
 
 def unreached() -> list[str]:
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    names, attributes = set(), set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                attributes.add(node.attr)
-    exported = {alias.name for node in ast.walk(trees["__init__"])
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    trees = _trees()
+    names, attributes = _named(trees)
+    exported = _exported(trees)
     return [qualname for module, tree in trees.items()
             for qualname, name, method in _definitions(tree, module)
             if name not in attributes | exported and (method or name not in names)]
@@ -68,3 +97,22 @@ def test_every_definition_is_reached_from_the_package():
 def test_the_allowlist_names_only_unreached_definitions():
     stale = sorted(set(ALLOWED) - set(unreached()))
     assert stale == [], f"allowed definitions that the package now names, or that are gone: {stale}"
+
+
+def unreached_exports() -> list[str]:
+    """Exported names that no ``ast.Name`` or ``ast.Attribute`` in the package carries."""
+    trees = _trees()
+    names, attributes = _named(trees)
+    return sorted(_exported(trees) - names - attributes)
+
+
+def test_every_unreached_export_has_a_reason():
+    missing = [name for name in unreached_exports() if name not in EXPORTS]
+    assert missing == [], ("exports that nothing in src/planevar names; give each a caller, "
+                           "move it into the tests, or list it with a reason: "
+                           + ", ".join(missing))
+
+
+def test_the_export_list_names_only_unreached_exports():
+    stale = sorted(set(EXPORTS) - set(unreached_exports()))
+    assert stale == [], f"listed exports that the package now names, or no longer exports: {stale}"
