@@ -18,10 +18,8 @@ from .geom import (  # noqa: F401
     Side,
     Triangle,
     Triangulation,
-    ear_clip,
     grid_triangulation,
     inradius,
-    line_through,
     side_of,
 )
 from .variation import (  # noqa: F401
@@ -29,10 +27,7 @@ from .variation import (  # noqa: F401
     SampledFunction,
     SearchConfig,
     VarEstimate,
-    affine_pushforward,
-    bv_norm,
     cvar,
-    lipschitz_constant,
     var_collinear,
     var_exact_small,
     var_planar,
@@ -61,7 +56,6 @@ from .ctpp import (  # noqa: F401
     interpolate_grid,
     make_bumps,
     pyramid_bump,
-    star_planar_bound,
     triangle_lipschitz_report,
     validate_ctpp,
 )
@@ -71,7 +65,6 @@ from .approx import (  # noqa: F401
     bernstein2,
     c2_to_poly,
     match_points,
-    match_triangle,
 )
 from .joins import (  # noqa: F401
     ConvexCurve,

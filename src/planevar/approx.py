@@ -43,9 +43,9 @@ from math import comb
 
 import numpy as np
 
-from .geom import Point2, common_denominator, to_fraction
-from .variation import SampledFunction, _on_floats, all_exact, magnitudes, spread
-from .ctpp import CtppFunction, CtppSum, ScaledBump, solve_plane
+from .geom import common_denominator, to_fraction
+from .variation import SampledFunction, _on_floats, all_exact, magnitudes
+from .ctpp import CtppFunction, CtppSum, ScaledBump
 
 
 class ApproxError(ValueError):
@@ -101,7 +101,9 @@ class Poly2:
 
     @staticmethod
     def from_rows(rows) -> "Poly2":
-        width = max((len(r) for r in rows), default=1)
+        width = max((len(r) for r in rows), default=0)
+        if width == 0:
+            raise ApproxError("Poly2 needs at least one coefficient")
         cells = _trimmed([[v if isinstance(v, complex) else to_fraction(v) for v in row]
                           + [Fraction(0)] * (width - len(row)) for row in rows])
         # classify after the trim: a complex zero trimmed away leaves a real polynomial
@@ -645,8 +647,7 @@ def _lipschitz_branch_and_bound(v: np.ndarray, x: np.ndarray, y: np.ndarray) -> 
 MAX_GRID_N = 128
 
 
-def c2_to_poly(oracle: C2Oracle, degree: int, grid_n: int = 41,
-               skip_spot_check: bool = False) -> tuple[Poly2, C2Report]:
+def c2_to_poly(oracle: C2Oracle, degree: int, grid_n: int = 41) -> tuple[Poly2, C2Report]:
     """Polynomial with certified-by-measurement uniform/Lipschitz error.
 
     Builds Bernstein approximants of the three second partials, candidate
@@ -663,8 +664,7 @@ def c2_to_poly(oracle: C2Oracle, degree: int, grid_n: int = 41,
     if grid_n > MAX_GRID_N:
         raise ApproxError(f"measurement grid takes at most {MAX_GRID_N} points per side, "
                           f"got {grid_n}")
-    if not skip_spot_check:
-        oracle.spot_check()
+    oracle.spot_check()
     g_xx = bernstein2(oracle.fxx, degree, name="oracle fxx")
     g_xy = bernstein2(oracle.fxy, degree, name="oracle fxy")
     g_yy = bernstein2(oracle.fyy, degree, name="oracle fyy")
@@ -699,9 +699,10 @@ def c2_to_poly(oracle: C2Oracle, degree: int, grid_n: int = 41,
     )
     P_vals = p.eval_float_grid(X, Y)
     sup_err = float(np.max(np.abs(F - P_vals)))
-    hx_err = float(np.max(np.abs(FX - h_x.eval_float_grid(X, Y))))
-    dpx_err = float(np.max(np.abs(FX - p.dx().eval_float_grid(X, Y))))
-    dpy_err = float(np.max(np.abs(FY - p.dy().eval_float_grid(X, Y))))
+    # p.dx() == h_x and p.dy() == h_y: differentiation commutes with int_y, and
+    # h_y.dx() == g_xy, so p's partials are measured on h_x and h_y
+    hx_err = dpx_err = float(np.max(np.abs(FX - h_x.eval_float_grid(X, Y))))
+    dpy_err = float(np.max(np.abs(FY - h_y.eval_float_grid(X, Y))))
     lip_err = grid_lipschitz(F - P_vals, *np.meshgrid(xs, xs, indexing="ij"))
     tol = 1e-6 * (1.0 + float(np.max(np.abs(F))))
 
@@ -721,25 +722,6 @@ def c2_to_poly(oracle: C2Oracle, degree: int, grid_n: int = 41,
 
 # ---------------------------------------------------------------------------
 # matching corrections
-
-@dataclass(frozen=True)
-class MatchTriangleReport:
-    sup_h: object
-    spread: object
-    bv_bound: object      # sup + spread
-    bound_3sup: object    # the 3 sup |h| chain
-
-
-def match_triangle(v0: Point2, v1: Point2, v2: Point2, f_vals, g0_vals):
-    """Planar correction matching f - g0 at the three vertices, with the
-    variation-norm bookkeeping (sup + spread <= 3 sup)."""
-    deltas = [a - b for a, b in zip(f_vals, g0_vals)]
-    h = solve_plane(v0, v1, v2, *deltas)
-    sup_h = max(magnitudes(deltas))
-    spread_h = spread(deltas)
-    return h, MatchTriangleReport(sup_h=sup_h, spread=spread_h,
-                                  bv_bound=sup_h + spread_h, bound_3sup=3 * sup_h)
-
 
 @dataclass(frozen=True)
 class MatchReport:

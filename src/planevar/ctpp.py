@@ -5,8 +5,8 @@ a*x + b*y + c on each triangle; continuity is equivalent to the two pieces of
 every shared edge agreeing at the edge endpoints. This module validates and
 evaluates such functions, classifies points by how many triangles contain
 them, interpolates samples on grid triangulations, extends a function beyond
-its polygon, bounds star-planar functions, and builds the standard bump
-constructions (plateau bump, its product, the pyramid).
+its polygon, and builds the standard bump constructions (plateau bump, the
+pyramid).
 
 Point location. ``eval_ctpp`` takes the plane of the lowest-index triangle
 that contains the point and ``classify_point`` counts all of them. Both use
@@ -48,7 +48,7 @@ from .geom import (
 )
 from .onedim import RealFunction1D
 from .variation import (PlanarCoeffs, SampledFunction, all_exact, float_overflow, is_exact_number,
-                        magnitudes, spread, values_agree)
+                        magnitudes, values_agree)
 
 
 class CtppError(ValueError):
@@ -60,10 +60,6 @@ class PointOutsidePolygon(CtppError):
 
 
 class OracleMissingVertex(CtppError):
-    pass
-
-
-class NotStarPlanar(CtppError):
     pass
 
 
@@ -480,66 +476,6 @@ def _least_gradient_plane(v1: Point2, v2: Point2, v_free: Point2, z1, z2):
 
 
 # ---------------------------------------------------------------------------
-# star-planar bound
-
-def _ccw_sorted(rays: list[Point2]) -> bool:
-    """True when the directions are distinct and listed in one CCW sweep: going
-    round the cycle, exactly one step is not a strict angular rise."""
-    def half(d):  # 0 for upper half (y>0 or y==0 and x>0), 1 otherwise
-        return 0 if (d.y > 0 or (d.y == 0 and d.x > 0)) else 1
-
-    def rises(u, v):
-        hu, hv = half(u), half(v)
-        if hu != hv:
-            return hu < hv
-        return u.x * v.y - u.y * v.x > 0
-
-    n = len(rays)
-    return sum(not rises(rays[i], rays[(i + 1) % n]) for i in range(n)) == 1
-
-
-def star_planar_bound(f: SampledFunction, centre: Point2, rays: list[Point2],
-                      sector_coeffs: list[PlanarCoeffs]):
-    """2 n max|f(x) - f(w)| upper bound for a function planar on each ray sector.
-
-    ``rays`` are direction vectors in counter-clockwise order; sector i spans
-    rays[i] to rays[i+1]. Sampled values must match the sector coefficients
-    (exactly for rational data, within ``FLOAT_TOL`` otherwise) or
-    NotStarPlanar is raised.
-    """
-    n = len(rays)
-    if n < 2:
-        raise CtppError("need at least two rays")
-    if len(sector_coeffs) != n:
-        raise CtppError("one coefficient triple per sector required")
-    if any(d.x == 0 and d.y == 0 for d in rays):
-        raise CtppError("ray directions must be nonzero")
-    if not _ccw_sorted(rays):
-        raise CtppError("rays must be in counter-clockwise angular order")
-
-    def in_sector(i: int, p: Point2) -> bool:
-        v = Point2(p.x - centre.x, p.y - centre.y)
-        if v.x == 0 and v.y == 0:
-            return True
-        d1, d2 = rays[i], rays[(i + 1) % n]
-        c1 = d1.x * v.y - d1.y * v.x
-        c2 = v.x * d2.y - v.y * d2.x
-        if d1.x * d2.y - d1.y * d2.x >= 0:  # cone spans <= pi
-            return c1 >= 0 and c2 >= 0
-        return c1 >= 0 or c2 >= 0  # reflex cone
-
-    for p in f.points:
-        sectors = [i for i in range(n) if in_sector(i, p)]
-        if not sectors:
-            raise NotStarPlanar(f"{p} lies in no sector")
-        for i in sectors:
-            if not values_agree(sector_coeffs[i].eval(p), f.value(p)):
-                raise NotStarPlanar(f"value at {p} does not match sector {i}")
-
-    return 2 * n * spread(f.values)
-
-
-# ---------------------------------------------------------------------------
 # bump constructions
 
 @dataclass(frozen=True)
@@ -558,7 +494,7 @@ class BumpSpec:
 
 @dataclass(frozen=True)
 class Bumps:
-    """Plateau bump g_s, its product chi(x,y) = g_s(x) g_s(y), and the pyramid."""
+    """Plateau bump g_s and the pyramid."""
 
     spec: BumpSpec
 
@@ -570,9 +506,6 @@ class Bumps:
         if t >= s:
             return Fraction(1)
         return (t - s / 2) / (s / 2)
-
-    def chi(self, p: Point2) -> Fraction:
-        return self.g_s(p.x) * self.g_s(p.y)
 
     def pyramid(self, p: Point2) -> Fraction:
         return pyramid_bump(p)

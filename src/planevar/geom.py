@@ -38,10 +38,6 @@ class GeomError(ValueError):
     pass
 
 
-class CoincidentPoints(GeomError):
-    pass
-
-
 class DegenerateTriangle(GeomError):
     pass
 
@@ -93,10 +89,6 @@ def P(x, y) -> Point2:
 def cross(o: Point2, a: Point2, b: Point2) -> Fraction:
     """Signed parallelogram area of (a-o, b-o); >0 means left turn."""
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
-
-
-def dot(o: Point2, a: Point2, b: Point2) -> Fraction:
-    return (a.x - o.x) * (b.x - o.x) + (a.y - o.y) * (b.y - o.y)
 
 
 def dist_sq(a: Point2, b: Point2) -> Fraction:
@@ -151,15 +143,6 @@ def side_of(line: Line, p: Point2) -> Side:
     if r == 0:
         return Side.ON
     return Side.RIGHT if r > 0 else Side.LEFT
-
-
-def line_through(p: Point2, q: Point2) -> Line:
-    if p == q:
-        raise CoincidentPoints(f"need two distinct points, got {p} twice")
-    a = q.y - p.y
-    b = p.x - q.x
-    c = a * p.x + b * p.y
-    return Line.from_coeffs(a, b, c)
 
 
 @dataclass(frozen=True, slots=True)
@@ -511,19 +494,15 @@ class Triangulation:
         return hits[0] if hits else None
 
 
-def ear_clip(polygon: Polygon) -> Triangulation:
-    """Triangulate a simple polygon by ear clipping.
+def _ear_clip_indices(vertices: list[Point2], ring: list[int]) -> Triangulation:
+    """Triangulate the simple polygon ``ring`` (indices into ``vertices``, CCW) by
+    ear clipping.
 
-    Emits |vertices|-2 triangles in clip order: each clipped triangle adjoins,
+    Emits |ring|-2 triangles in clip order: each clipped triangle adjoins,
     via its chord edge, the part of the polygon triangulated after it. Collinear
     boundary vertices are tolerated; a zero-area ear is skipped (its middle
     vertex dropped) only when no proper ear is available.
     """
-    ring = list(range(len(polygon.vertices)))
-    return _ear_clip_indices(list(polygon.vertices), ring)
-
-
-def _ear_clip_indices(vertices: list[Point2], ring: list[int]) -> Triangulation:
     triangles: list[tuple[int, int, int]] = []
     ring = list(ring)
     guard = 0

@@ -265,7 +265,7 @@ def joins_convexly_on_sample(sigma1, sigma2) -> bool:
 
     The test runs on Python integers: every coordinate of sigma1 | sigma2 is
     lifted over one common denominator. One positive scale keeps the signs of
-    ``cross`` and ``dot`` and the test 0 <= t <= |a|^2 as they are.
+    the cross and dot products and the test 0 <= t <= |a|^2 as they are.
     """
     s1, s2 = set(sigma1), set(sigma2)
     pts = list(s1 | s2)

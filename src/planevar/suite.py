@@ -461,11 +461,11 @@ def criterion_10(rng, registry) -> tuple[bool, str]:
                 if m + nn > 3:
                     rows[m][nn] = Fraction(0)
         fpoly = Poly2.from_rows(rows)
-        p, _ = c2_to_poly(C2Oracle.from_poly(fpoly), degree=2, skip_spot_check=True)
+        p, _ = c2_to_poly(C2Oracle.from_poly(fpoly), degree=2)
         if p != fpoly:
             exact_ok = False
     fixed = Poly2.from_rows([[0, 0, 1], [0, 0, 0], [0, 1, 0]])  # x^2 y + y^2
-    p_fixed, _ = c2_to_poly(C2Oracle.from_poly(fixed), degree=2, skip_spot_check=True)
+    p_fixed, _ = c2_to_poly(C2Oracle.from_poly(fixed), degree=2)
     exact_ok = exact_ok and p_fixed == fixed
 
     ok = rep.passed and chain_ok and exact_ok

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _vfcore
 from ._vfcore import InstanceTooLarge, VariationError
-from .geom import AffineMap, Line, Point2, common_denominator, cross, dist_sq, side_of
+from .geom import Line, Point2, common_denominator, cross, side_of
 
 
 class PointOutsideDomain(VariationError):
@@ -29,15 +29,7 @@ class NonRealCoefficients(VariationError):
     pass
 
 
-class DomainTooSmall(VariationError):
-    pass
-
-
 class MismatchedEstimate(VariationError):
-    pass
-
-
-class SingularMap(VariationError):
     pass
 
 
@@ -87,14 +79,6 @@ def jump_sum(values):
     return total
 
 
-def spread(values):
-    """max - min when exact, otherwise the largest pairwise |a - b|."""
-    vals = list(values)
-    if all_exact(vals):
-        return max(vals) - min(vals)
-    return _on_floats(lambda c: max(abs(a - b) for a in c for b in c), vals)
-
-
 FLOAT_TOL = 1e-9  # how far two values may differ when either is a float
 
 
@@ -140,9 +124,6 @@ class SampledFunction:
     @property
     def is_rational_real(self) -> bool:
         return all_exact(self.values)
-
-    def sup_abs(self):
-        return max(magnitudes(self.values))
 
 
 @dataclass(frozen=True)
@@ -756,7 +737,7 @@ def var_search(f: SampledFunction, config: SearchConfig | None = None) -> VarEst
 
 
 # ---------------------------------------------------------------------------
-# norms and invariance helpers
+# witness recomputation
 
 def verify_estimate(f: SampledFunction, est: VarEstimate) -> None:
     """Recompute the estimate's value from its witness; raise on mismatch."""
@@ -773,43 +754,3 @@ def verify_estimate(f: SampledFunction, est: VarEstimate) -> None:
     if not ok:
         raise MismatchedEstimate(
             f"estimate value {est.value} does not match witness recomputation {value}")
-
-
-def bv_norm(f: SampledFunction, est: VarEstimate):
-    """sup |f| + variation estimate; exact whenever the estimate is."""
-    verify_estimate(f, est)
-    return f.sup_abs() + est.value
-
-
-def lipschitz_ratio_sq(f: SampledFunction):
-    """Exact max of |df|^2 / |dx|^2 over point pairs (Fraction when rational)."""
-    pts = f.points
-    if len(pts) < 2:
-        raise DomainTooSmall("need at least two sample points")
-    rational = f.is_rational_real
-    best = Fraction(0) if rational else 0.0
-    vals = f.values if rational else _on_floats(tuple, f.values)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d2 = dist_sq(pts[i], pts[j])
-            if rational:
-                num = (vals[i] - vals[j]) ** 2
-                ratio = Fraction(num) / d2
-            else:
-                num = abs(vals[i] - vals[j]) ** 2
-                ratio = num / _on_floats(lambda c: c[0].real, (d2,))
-            if ratio > best:
-                best = ratio
-    return best
-
-
-def lipschitz_constant(f: SampledFunction) -> float:
-    """Largest |value difference| / euclidean distance over all point pairs."""
-    return math.sqrt(float(lipschitz_ratio_sq(f)))
-
-
-def affine_pushforward(f: SampledFunction, phi: AffineMap) -> SampledFunction:
-    """Transport the sample through an invertible affine map (values unchanged)."""
-    if phi.det == 0:
-        raise SingularMap("affine map must be invertible")
-    return SampledFunction(tuple(phi.apply(p) for p in f.points), f.values)

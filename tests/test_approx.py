@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from planevar import approx
 from planevar.geom import P, Rectangle, to_fraction
 from planevar.variation import SampledFunction, SearchConfig, var_search
-from planevar.ctpp import interpolate_grid
+from planevar.ctpp import interpolate_grid, solve_plane
 from planevar.approx import (
     MAX_DEGREE,
+    BUILTIN_ORACLES,
     MAX_GRID_N,
     ApproxError,
     C2Oracle,
@@ -28,7 +29,6 @@ from planevar.approx import (
     c2_to_poly,
     grid_lipschitz,
     match_points,
-    match_triangle,
 )
 
 RECT01 = Rectangle.of(0, 1, 0, 1)
@@ -54,6 +54,11 @@ class TestPoly2:
     def test_float_lift_is_exact(self):
         p = Poly2.from_rows([[0.5]])
         assert p.coeffs[0][0] == Fraction(1, 2)
+
+    @pytest.mark.parametrize("rows", [[], [[]], [[], []]])
+    def test_empty_rows_are_refused(self, rows):
+        with pytest.raises(ApproxError, match="^Poly2 needs at least one coefficient$"):
+            Poly2.from_rows(rows)
 
 
 class TestBernstein:
@@ -95,13 +100,12 @@ class TestBernstein:
 class TestC2Pipeline:
     def test_exact_quadratic_cubic(self):
         f = Poly2.from_rows([[0, 0, 1], [0, 0, 0], [0, 1, 0]])  # x^2 y + y^2
-        p, rep = c2_to_poly(C2Oracle.from_poly(f), 2, skip_spot_check=True)
+        p, rep = c2_to_poly(C2Oracle.from_poly(f), 2)
         assert p == f
         assert rep.eps_meas == 0
 
     def test_constant(self):
-        p, _ = c2_to_poly(C2Oracle.from_poly(Poly2.constant(Fraction(5))), 1,
-                          skip_spot_check=True)
+        p, _ = c2_to_poly(C2Oracle.from_poly(Poly2.constant(Fraction(5))), 1)
         assert p == Poly2.constant(5)
 
     def test_internal_chain_small_degree(self):
@@ -119,6 +123,28 @@ class TestC2Pipeline:
         assert rep.dpy_err <= 2 * rep.eps_meas + rep.tol
         assert rep.lip_norm_err <= (4 + math.sqrt(13)) * rep.eps_meas + rep.tol
 
+    @pytest.mark.parametrize("name", ["sin_exp", "sin_cos", "cubic"])
+    @pytest.mark.parametrize("degree", [1, 2, 5, 12])
+    def test_partials_of_p_are_the_first_partial_approximants(self, name, degree):
+        """p.dx() == h_x and p.dy() == h_y, so the report's dpx_err and dpy_err,
+        measured on h_x and h_y, are those of p's own partials bit for bit."""
+        oracle = BUILTIN_ORACLES.get(name) or C2Oracle.from_poly(
+            Poly2.from_rows([[Fraction(1, 3), 2, 0, -1], [-1, Fraction(5, 4), 3], [0, 1], [2]]))
+        p, rep = c2_to_poly(oracle, degree, grid_n=21)
+        g_xx, g_xy, g_yy = (bernstein2(g, degree) for g in (oracle.fxx, oracle.fxy, oracle.fyy))
+        zero = Fraction(0)
+        assert p.dx() == (Poly2.constant(oracle.fx(zero, zero)) + g_xx.at_y(0).int_x()
+                          + g_xy.int_y())
+        assert p.dy() == (Poly2.constant(oracle.fy(zero, zero)) + g_xy.int_x()
+                          + g_yy.at_x(0).int_y())
+        xs = np.linspace(0.0, 1.0, 21)
+        X, Y = xs[:, None], xs[None, :]
+        for err, partial, want in ((rep.dpx_err, p.dx(), oracle.fx),
+                                   (rep.dpy_err, p.dy(), oracle.fy)):
+            sampled = np.array([[float(want(a, b)) for b in xs.tolist()] for a in xs.tolist()])
+            assert err == float(np.max(np.abs(sampled - partial.eval_float_grid(X, Y))))
+        assert rep.dpx_err == rep.hx_err
+
     def test_inconsistent_oracle(self):
         bad = C2Oracle(
             f=lambda x, y: float(x) ** 2,
@@ -131,21 +157,29 @@ class TestC2Pipeline:
             c2_to_poly(bad, 2)
 
 
+def _match_triangle(v0, v1, v2, f_vals, g0_vals):
+    """The plane h matching f - g0 at three vertices, with the paper's
+    variation-norm bookkeeping for it: (h, sup |h| + spread, 3 sup |h|)."""
+    deltas = [a - b for a, b in zip(f_vals, g0_vals)]
+    sup = max(abs(d) for d in deltas)
+    return solve_plane(v0, v1, v2, *deltas), sup + max(deltas) - min(deltas), 3 * sup
+
+
 class TestMatchTriangle:
     def test_zero_difference(self):
-        h, rep = match_triangle(P(0, 0), P(1, 0), P(0, 1),
-                                (Fraction(1), Fraction(2), Fraction(3)),
-                                (Fraction(1), Fraction(2), Fraction(3)))
+        h, bv_bound, _ = _match_triangle(P(0, 0), P(1, 0), P(0, 1),
+                                         (Fraction(1), Fraction(2), Fraction(3)),
+                                         (Fraction(1), Fraction(2), Fraction(3)))
         assert (h.a, h.b, h.c) == (0, 0, 0)
-        assert rep.bv_bound == 0
+        assert bv_bound == 0
 
     def test_unit_corner(self):
-        h, rep = match_triangle(P(0, 0), P(1, 0), P(0, 1),
-                                (Fraction(1), Fraction(0), Fraction(0)),
-                                (Fraction(0), Fraction(0), Fraction(0)))
+        h, bv_bound, bound_3sup = _match_triangle(P(0, 0), P(1, 0), P(0, 1),
+                                                  (Fraction(1), Fraction(0), Fraction(0)),
+                                                  (Fraction(0), Fraction(0), Fraction(0)))
         assert (h.a, h.b, h.c) == (-1, -1, 1)  # 1 - x - y
-        assert rep.bound_3sup == 3
-        assert rep.bv_bound == 2  # sup 1 + spread 1
+        assert bound_3sup == 3
+        assert bv_bound == 2  # sup 1 + spread 1
 
     def test_bound_tightness_window(self):
         rng = random.Random(7)
@@ -154,9 +188,9 @@ class TestMatchTriangle:
             gv = tuple(Fraction(rng.randint(-8, 8), 4) for _ in range(3))
             if fv == gv:
                 continue
-            _, rep = match_triangle(P(0, 0), P(1, 0), P(0, 1), fv, gv)
-            assert rep.bv_bound <= rep.bound_3sup
-            assert rep.bound_3sup <= 3 * rep.bv_bound
+            _, bv_bound, bound_3sup = _match_triangle(P(0, 0), P(1, 0), P(0, 1), fv, gv)
+            assert bv_bound <= bound_3sup
+            assert bound_3sup <= 3 * bv_bound
 
 
 class TestMatchPoints:
@@ -623,11 +657,11 @@ def test_c2_to_poly_refuses_non_finite_oracle_samples():
     partial = C2Oracle(f=zero, fx=zero, fy=zero, fxx=zero, fxy=zero,
                        fyy=lambda x, y: math.nan if x == 0.025 else 0.0)   # off the Bernstein nodes
     with pytest.raises(ApproxError, match=r"oracle fyy is not finite at \(0.025, 0.0\)"):
-        c2_to_poly(partial, 4, skip_spot_check=True)
+        c2_to_poly(partial, 4)
     at_node = C2Oracle(f=zero, fx=zero, fy=zero, fxx=zero, fxy=zero,
                        fyy=lambda x, y: math.nan if x == 1 else 0.0)    # NaN at the node (1, 0)
     with pytest.raises(ApproxError, match=r"not finite at Bernstein node \(1, 0\)"):
-        c2_to_poly(at_node, 4, skip_spot_check=True)
+        c2_to_poly(at_node, 4)
     # the refusal at a Bernstein node names the partial
     for what, bad in (("fxx", math.nan), ("fxy", math.inf), ("fyy", math.nan)):
         def partial_at_node(x, y, bad=bad):
@@ -636,7 +670,7 @@ def test_c2_to_poly_refuses_non_finite_oracle_samples():
         oracle = C2Oracle(f=zero, fx=zero, fy=zero,
                           **{**dict(fxx=zero, fxy=zero, fyy=zero), what: partial_at_node})
         with pytest.raises(ApproxError) as info:
-            c2_to_poly(oracle, 4, skip_spot_check=True)
+            c2_to_poly(oracle, 4)
         assert str(info.value) == f"oracle {what} is not finite at Bernstein node (1, 0): {bad}"
     # f, fx and fy are read exactly at (0, 0), a grid point too
     for what in ("f", "fx", "fy"):
@@ -646,7 +680,7 @@ def test_c2_to_poly_refuses_non_finite_oracle_samples():
         oracle = C2Oracle(**{**dict(f=zero, fx=zero, fy=zero), what: at_origin},
                           fxx=zero, fxy=zero, fyy=zero)
         with pytest.raises(ApproxError, match=rf"oracle {what} is not finite at \(0.0, 0.0\)"):
-            c2_to_poly(oracle, 4, skip_spot_check=True)
+            c2_to_poly(oracle, 4)
 
 
 def test_c2_to_poly_refuses_a_grid_past_the_cap_before_any_oracle_call():

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planevar.geom import (
-    CoincidentPoints,
     DegenerateTriangle,
     GeomError,
     Line,
@@ -22,15 +21,25 @@ from planevar.geom import (
     Side,
     Triangle,
     Triangulation,
+    _ear_clip_indices,
     cross,
     dist_sq,
-    ear_clip,
     grid_triangulation,
     inradius,
-    line_through,
     shoelace_area,
     side_of,
 )
+
+
+def _line_through(p, q) -> Line:
+    """The line through two distinct points, in ``Line.from_coeffs``' canonical form."""
+    a, b = q.y - p.y, p.x - q.x
+    return Line.from_coeffs(a, b, a * p.x + b * p.y)
+
+
+def _ear_clip(polygon: Polygon) -> Triangulation:
+    """The polygon's triangulation by the ear clipping that ``extend_to_polygon`` runs."""
+    return _ear_clip_indices(list(polygon.vertices), range(len(polygon.vertices)))
 
 
 def rand_point(rng, span=10, den=12):
@@ -80,26 +89,29 @@ class TestSideOf:
 
     def test_diagonal_sign(self):
         # hand cross product: (1,0) is right of the line through (0,0),(1,1)
-        line = line_through(P(0, 0), P(1, 1))
+        line = _line_through(P(0, 0), P(1, 1))
         assert side_of(line, P(1, 0)) is Side.RIGHT
         assert side_of(line, P(0, 1)) is Side.LEFT
 
 class TestLineThrough:
+    """``Line.from_coeffs`` puts the line through two points in canonical form."""
+
     def test_horizontal(self):
-        assert line_through(P(0, 0), P(1, 0)) == Line(0, 1, 0)
+        assert _line_through(P(0, 0), P(1, 0)) == Line(0, 1, 0)
 
     def test_vertical(self):
-        assert line_through(P(0, 0), P(0, 1)) == Line(1, 0, 0)
+        assert _line_through(P(0, 0), P(0, 1)) == Line(1, 0, 0)
 
     def test_general_residuals_vanish(self):
-        line = line_through(P(0, 0), P(2, 1))
+        line = _line_through(P(0, 0), P(2, 1))
         assert line == Line(1, -2, 0)  # x - 2y = 0
         assert line.residual(P(0, 0)) == 0
         assert line.residual(P(2, 1)) == 0
 
     def test_coincident_raises(self):
-        with pytest.raises(CoincidentPoints):
-            line_through(P(1, 2), P(1, 2))
+        # two equal points give a = b = 0, the degenerate line from_coeffs refuses
+        with pytest.raises(GeomError, match="^degenerate line: a = b = 0$"):
+            _line_through(P(1, 2), P(1, 2))
 
     def test_canonical_equality(self):
         assert Line.from_coeffs(2, -4, 6) == Line.from_coeffs(-1, 2, -3)
@@ -146,27 +158,27 @@ class TestInradius:
 
 class TestEarClip:
     def test_unit_square(self):
-        tri = ear_clip(Polygon((P(0, 0), P(1, 0), P(1, 1), P(0, 1))))
+        tri = _ear_clip(Polygon((P(0, 0), P(1, 0), P(1, 1), P(0, 1))))
         assert len(tri.triangles) == 2
         assert _total_area(tri) == 1
 
     def test_convex_pentagon(self):
         poly = Polygon((P(0, 0), P(2, 0), P(3, 2), P(1, 4), P(-1, 2)))
-        tri = ear_clip(poly)
+        tri = _ear_clip(poly)
         assert len(tri.triangles) == 3
         assert _total_area(tri) == shoelace_area(poly.vertices)
         _assert_interiors_disjoint(tri)
 
     def test_l_shaped_hexagon(self):
         poly = Polygon((P(0, 0), P(2, 0), P(2, 1), P(1, 1), P(1, 2), P(0, 2)))
-        tri = ear_clip(poly)
+        tri = _ear_clip(poly)
         assert len(tri.triangles) == 4
         assert _total_area(tri) == 3
         _assert_interiors_disjoint(tri)
 
     def test_collinear_boundary_vertex(self):
         poly = Polygon((P(0, 0), P(1, 0), P(2, 0), P(2, 2), P(0, 2)))
-        tri = ear_clip(poly)
+        tri = _ear_clip(poly)
         assert _total_area(tri) == 4
         _assert_interiors_disjoint(tri)
 
@@ -194,7 +206,7 @@ class TestEarClip:
                 poly = Polygon(tuple(uniq))
             except Exception:
                 continue
-            tri = ear_clip(poly)
+            tri = _ear_clip(poly)
             assert _total_area(tri) == shoelace_area(poly.vertices)
             _assert_interiors_disjoint(tri)
 
@@ -205,7 +217,7 @@ def test_adjacency_keeps_its_insertion_order_on_an_ear_clipped_polygon():
     follow it. Pinned from the min/max-key build."""
     poly = Polygon((P(0, 0), P(4, 0), P(4, 3), P(2, 1), P(Fraction(3, 2), 4), P(0, 3),
                     P(-1, Fraction(3, 2))))
-    tri = ear_clip(poly)
+    tri = _ear_clip(poly)
     assert tri.triangles == ((6, 0, 1), (1, 2, 3), (6, 1, 3), (6, 3, 4), (4, 5, 6))
     assert list(tri.adjacency.items()) == [
         ((0, 6), [0]), ((0, 1), [0]), ((1, 6), [0, 2]), ((1, 2), [1]), ((2, 3), [1]),

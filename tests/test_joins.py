@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from planevar.geom import P, Point2, Rectangle, cross, dot
+from planevar.geom import P, Point2, Rectangle, cross
 from planevar.variation import (
     SampledFunction,
     SearchConfig,
@@ -337,8 +337,13 @@ class TestJoinReport:
         assert r.lower_ok            # restriction monotonicity always holds
 
 
+def _dot(o: Point2, a: Point2, b: Point2):
+    """(a - o) . (b - o) in the points' own Fractions."""
+    return (a.x - o.x) * (b.x - o.x) + (a.y - o.y) * (b.y - o.y)
+
+
 def _joins_convexly_fraction_oracle(sigma1, sigma2) -> bool:
-    """``joins_convexly_on_sample`` as geom's Fraction ``cross`` and ``dot`` on the
+    """``joins_convexly_on_sample`` as geom's Fraction ``cross`` and ``_dot`` on the
     points as given, with no integer lift."""
     s1, s2 = set(sigma1), set(sigma2)
     inter = s1 & s2
@@ -351,8 +356,8 @@ def _joins_convexly_fraction_oracle(sigma1, sigma2) -> bool:
             found = False
             for w in inter:
                 if cross(x, y, w) == 0:
-                    t = dot(x, y, w)
-                    if 0 <= t <= dot(x, y, y):
+                    t = _dot(x, y, w)
+                    if 0 <= t <= _dot(x, y, y):
                         found = True
                         break
             if not found:

@@ -25,13 +25,13 @@ from planevar._vfcore import (
 from planevar.ctpp import BumpSpec, CtppFunction, make_bumps, validate_ctpp
 from planevar.geom import (
     AffineMap,
+    GeomError,
     Line,
     P,
     Rectangle,
     common_denominator,
     dist_sq,
     grid_triangulation,
-    line_through,
     side_of,
     to_fraction,
 )
@@ -44,7 +44,6 @@ from planevar.variation import (
     _float_sum,
     _lists,
     _propose,
-    DomainTooSmall,
     InstanceTooLarge,
     MismatchedEstimate,
     NonRealCoefficients,
@@ -52,20 +51,15 @@ from planevar.variation import (
     PointOutsideDomain,
     SampledFunction,
     SearchConfig,
-    SingularMap,
     VarEstimate,
     VariationError,
-    affine_pushforward,
     all_exact,
-    bv_norm,
     cvar,
     is_collinear,
     is_exact_number,
     jump_sum,
     magnitudes,
-    spread,
     values_agree,
-    lipschitz_constant,
     var_collinear,
     var_exact_small,
     var_planar,
@@ -80,6 +74,29 @@ from planevar.variation import (
 def _affine(m00, m01, m10, m11, t0=0, t1=0) -> AffineMap:
     """An ``AffineMap`` with its entries made exact."""
     return AffineMap(*(to_fraction(v) for v in (m00, m01, m10, m11, t0, t1)))
+
+
+def _line_through(p, q) -> Line:
+    """The line through two distinct points, in ``Line.from_coeffs``' canonical form."""
+    a, b = q.y - p.y, p.x - q.x
+    return Line.from_coeffs(a, b, a * p.x + b * p.y)
+
+
+def _pushforward(f: SampledFunction, phi: AffineMap) -> SampledFunction:
+    """The sample carried through ``phi``: image points, the same values."""
+    return SampledFunction(tuple(phi.apply(p) for p in f.points), f.values)
+
+
+def _bv_norm(f: SampledFunction, est: VarEstimate):
+    """sup |f| + var(f), with the estimate first recomputed from its witness."""
+    verify_estimate(f, est)
+    return max(magnitudes(f.values)) + est.value
+
+
+def _lipschitz(f: SampledFunction) -> float:
+    """Largest |f(p) - f(q)| / |p - q| over the point pairs of an exact sample."""
+    pairs = itertools.combinations(zip(f.points, f.values), 2)
+    return math.sqrt(max(Fraction((u - v) ** 2) / dist_sq(p, q) for (p, u), (q, v) in pairs))
 
 
 def rand_point(rng, span=6, den=6):
@@ -158,8 +175,7 @@ class TestVfLine:
                 p, q = rand_point(rng), rand_point(rng)
                 if p == q:
                     continue
-                from planevar.geom import line_through
-                count, _ = vf_line(pts, line_through(p, q))
+                count, _ = vf_line(pts, _line_through(p, q))
                 assert count <= res.vf
 
 
@@ -337,25 +353,23 @@ class TestNormsAndMaps:
         pts = SQUARE
         f = SampledFunction(pts, (Fraction(5),) * 4)
         est = var_exact_small(f, 3)
-        assert bv_norm(f, est) == 5
+        assert _bv_norm(f, est) == 5
 
     def test_bv_norm_planar(self):
         est = var_planar_estimate(PlanarCoeffs(Fraction(1), Fraction(0), Fraction(0)),
                                   SQUARE)
-        assert bv_norm(F_X, est) == 2
+        assert _bv_norm(F_X, est) == 2
 
     def test_bv_norm_mismatch(self):
         wrong = VarEstimate(value=Fraction(9), witness=(SQUARE[0], SQUARE[1]),
                             witness_vf=1, exact=True, method="planar")
         with pytest.raises(MismatchedEstimate):
-            bv_norm(F_X, wrong)
+            verify_estimate(F_X, wrong)
 
     def test_lipschitz_examples(self):
-        assert lipschitz_constant(SampledFunction(SQUARE, (1, 1, 1, 1))) == 0
+        assert _lipschitz(SampledFunction(SQUARE, (1, 1, 1, 1))) == 0
         two = SampledFunction((P(0, 0), P(1, 0)), (Fraction(0), Fraction(1)))
-        assert lipschitz_constant(two) == 1
-        with pytest.raises(DomainTooSmall):
-            lipschitz_constant(SampledFunction((P(0, 0),), (Fraction(1),)))
+        assert _lipschitz(two) == 1
 
     def test_planar_lipschitz_bounded_by_gradient(self):
         rng = random.Random(37)
@@ -370,7 +384,7 @@ class TestNormsAndMaps:
                     pts.append(p)
             f = SampledFunction(tuple(pts), tuple(coeffs.eval(p) for p in pts))
             grad = math.sqrt(float(a * a + b * b))
-            assert lipschitz_constant(f) <= grad + 1e-12
+            assert _lipschitz(f) <= grad + 1e-12
 
     def test_lip_diameter_bound(self):
         rng = random.Random(41)
@@ -384,13 +398,10 @@ class TestNormsAndMaps:
             f = SampledFunction(tuple(pts), vals)
             est = var_exact_small(f, 5)
             diam = math.sqrt(float(max(dist_sq(a, b) for a in f.points for b in f.points)))
-            assert float(est.value) <= diam * lipschitz_constant(f) + 1e-9
+            assert float(est.value) <= diam * _lipschitz(f) + 1e-9
 
     def test_affine_identity_and_translation(self):
-        ident = _affine(1, 0, 0, 1)
-        assert affine_pushforward(F_X, ident).points == F_X.points
         shift = _affine(1, 0, 0, 1, 1, 1)
-        moved = affine_pushforward(F_X, shift)
         est = var_exact_small(F_X, 4)
         assert vf_exact(est.witness).vf == vf_exact(
             tuple(shift.apply(p) for p in est.witness)).vf
@@ -407,18 +418,19 @@ class TestNormsAndMaps:
             vals = tuple(Fraction(rng.randint(-8, 8), 2) for _ in pts)
             f = SampledFunction(tuple(pts), vals)
             assert var_exact_small(f, 4).value == \
-                var_exact_small(affine_pushforward(f, rot90), 4).value
+                var_exact_small(_pushforward(f, rot90), 4).value
             while True:
                 phi = _affine(*(Fraction(rng.randint(-4, 4), 2) for _ in range(4)),
                               rng.randint(-2, 2), rng.randint(-2, 2))
                 if phi.det != 0:
                     break
             assert var_exact_small(f, 4).value == \
-                var_exact_small(affine_pushforward(f, phi), 4).value
+                var_exact_small(_pushforward(f, phi), 4).value
 
     def test_singular_map_rejected(self):
-        with pytest.raises(SingularMap):
-            affine_pushforward(F_X, _affine(1, 1, 1, 1))
+        # AffineMap.inverse refuses a map of determinant 0
+        with pytest.raises(GeomError, match="^singular affine map$"):
+            _affine(1, 1, 1, 1).inverse()
 
     def test_product_norm_lower_bound(self):
         # search lower bound of a product never exceeds the product of exact norms
@@ -428,10 +440,10 @@ class TestNormsAndMaps:
         f = SampledFunction(pts, tuple(cf.eval(p) for p in pts))
         g = SampledFunction(pts, tuple(cg.eval(p) for p in pts))
         prod = SampledFunction(pts, tuple(a * b for a, b in zip(f.values, g.values)))
-        bf = bv_norm(f, var_planar_estimate(cf, pts))
-        bg = bv_norm(g, var_planar_estimate(cg, pts))
+        bf = _bv_norm(f, var_planar_estimate(cf, pts))
+        bg = _bv_norm(g, var_planar_estimate(cg, pts))
         est = var_search(prod, SearchConfig(iters=1500, restarts=4, seed=3))
-        assert bv_norm(prod, est) <= bf * bg
+        assert _bv_norm(prod, est) <= bf * bg
 
 
 def test_is_collinear():
@@ -539,7 +551,7 @@ def test_search_config_refuses_restarts_past_the_cap():
 @pytest.mark.parametrize("vals", [[1.5 + 2j, 10**400], [Fraction(10**400, 3), 0.5],
                                   [1.7e308 + 1.7e308j, 0]])
 def test_float_reductions_refuse_values_past_the_float_range(vals):
-    for reduce in (magnitudes, jump_sum, spread, lambda v: values_agree(*v)):
+    for reduce in (magnitudes, jump_sum, lambda v: values_agree(*v)):
         with pytest.raises(VariationError, match="values overflow floating point"):
             reduce(vals)
 
@@ -550,12 +562,6 @@ def test_estimates_refuse_an_exact_value_past_the_float_range():
         var_exact_small(f, 2)
     with pytest.raises(VariationError, match="values overflow floating point"):
         var_search(f, SearchConfig(iters=10, restarts=1))
-    with pytest.raises(VariationError, match="values overflow floating point"):
-        lipschitz_constant(f)
-    # float values, exact points whose squared distance is past the float range
-    far = SampledFunction((P(0, 0), P(10**200, 0)), (0.5, 1.5))
-    with pytest.raises(VariationError, match="values overflow floating point"):
-        lipschitz_constant(far)
 
 
 def test_is_exact_number():
@@ -588,7 +594,6 @@ def test_reductions_on_fractions_match_plain_expressions(vals):
     assert isinstance(jump_sum(vals), Fraction)
     assert magnitudes(vals) == [abs(v) for v in vals]
     assert max(magnitudes(vals)) == max(abs(v) for v in vals)
-    assert spread(vals) == max(vals) - min(vals)
     assert values_agree(vals[0], vals[-1]) == (vals[0] == vals[-1])
 
 
@@ -599,10 +604,8 @@ def test_reductions_on_floats_are_bit_identical_to_the_old_expressions(vals):
     cvals = [complex(v) for v in vals]
     old_jump_sum = float(sum(abs(cvals[i] - cvals[i - 1]) for i in range(1, len(cvals))))
     old_magnitudes = [abs(complex(v)) for v in vals]
-    old_spread = max(abs(a - b) for a in cvals for b in cvals)
     assert _bits([jump_sum(vals)]) == _bits([old_jump_sum])
     assert _bits(magnitudes(vals)) == _bits(old_magnitudes)
-    assert _bits([spread(vals)]) == _bits([old_spread])
     a, b = vals[0], vals[-1]
     assert values_agree(a, b) == (abs(complex(a) - complex(b)) <= 1e-9)
 
@@ -827,7 +830,7 @@ def test_vf_exact_is_invariant_under_integer_affine_maps(pts, phi):
     w = res.witness
     on = ((P(0, Fraction(w.c, w.b)), P(1, Fraction(w.c - w.a, w.b))) if w.b
           else (P(Fraction(w.c, w.a), 0), P(Fraction(w.c, w.a), 1)))
-    assert vf_line(image, line_through(*(phi.apply(p) for p in on)))[0] == res.vf
+    assert vf_line(image, _line_through(*(phi.apply(p) for p in on)))[0] == res.vf
 
 
 @settings(max_examples=60, deadline=None)
@@ -836,7 +839,7 @@ def test_var_exact_small_is_invariant_under_integer_affine_maps(pts, phi, data):
     sample = tuple(dict.fromkeys(pts))     # distinct points; collinear runs survive
     values = data.draw(st.lists(fractions, min_size=len(sample), max_size=len(sample)))
     f = SampledFunction(sample, tuple(values))
-    g = affine_pushforward(f, phi)
+    g = _pushforward(f, phi)
     max_len = data.draw(st.integers(1, 4))
     est, moved = var_exact_small(f, max_len), var_exact_small(g, max_len)
     assert moved.value == est.value
