@@ -472,22 +472,46 @@ class C2Oracle:
                         f"finite differences disagree with partials at ({x}, {y})")
 
 
-# Closed-form smooth test functions with their partials, by name.
+@dataclass(frozen=True)
+class _Product:
+    """(x, y) -> gx(x) * gy(y) for two one-variable float functions.
+
+    ``grid`` gives the values on the grid ``pts`` x ``pts`` from one call of
+    each factor per grid line: a float64 product is the IEEE product of two
+    Python floats, so every entry equals the pointwise call.
+    """
+
+    gx: object
+    gy: object
+
+    def __call__(self, x, y):
+        return self.gx(float(x)) * self.gy(float(y))
+
+    def grid(self, pts) -> np.ndarray:
+        return np.multiply.outer([self.gx(a) for a in pts], [self.gy(b) for b in pts])
+
+
+def _neg(g):
+    return lambda t: -g(t)
+
+
+# Closed-form smooth test functions with their partials, by name; each is a
+# product of one-variable math calls, a minus sign going with the x factor.
 BUILTIN_ORACLES = {
     "sin_exp": C2Oracle(
-        f=lambda x, y: math.sin(float(x)) * math.exp(float(y)),
-        fx=lambda x, y: math.cos(float(x)) * math.exp(float(y)),
-        fy=lambda x, y: math.sin(float(x)) * math.exp(float(y)),
-        fxx=lambda x, y: -math.sin(float(x)) * math.exp(float(y)),
-        fxy=lambda x, y: math.cos(float(x)) * math.exp(float(y)),
-        fyy=lambda x, y: math.sin(float(x)) * math.exp(float(y))),
+        f=_Product(math.sin, math.exp),
+        fx=_Product(math.cos, math.exp),
+        fy=_Product(math.sin, math.exp),
+        fxx=_Product(_neg(math.sin), math.exp),
+        fxy=_Product(math.cos, math.exp),
+        fyy=_Product(math.sin, math.exp)),
     "sin_cos": C2Oracle(
-        f=lambda x, y: math.sin(float(x)) * math.cos(float(y)),
-        fx=lambda x, y: math.cos(float(x)) * math.cos(float(y)),
-        fy=lambda x, y: -math.sin(float(x)) * math.sin(float(y)),
-        fxx=lambda x, y: -math.sin(float(x)) * math.cos(float(y)),
-        fxy=lambda x, y: -math.cos(float(x)) * math.sin(float(y)),
-        fyy=lambda x, y: -math.sin(float(x)) * math.cos(float(y))),
+        f=_Product(math.sin, math.cos),
+        fx=_Product(math.cos, math.cos),
+        fy=_Product(_neg(math.sin), math.sin),
+        fxx=_Product(_neg(math.sin), math.cos),
+        fxy=_Product(_neg(math.cos), math.sin),
+        fyy=_Product(_neg(math.sin), math.cos)),
 }
 
 
@@ -657,6 +681,11 @@ def c2_to_poly(oracle: C2Oracle, degree: int, grid_n: int = 41) -> tuple[Poly2, 
     sample on that grid or at a Bernstein node is refused with ApproxError,
     and so is a grid of fewer than 2 or more than ``MAX_GRID_N`` points per
     side, or a degree above ``MAX_DEGREE``, before any oracle call.
+
+    The measurement grid is sampled at every point, except for a partial that
+    is a ``_Product`` (every built-in oracle's): its factors are called once
+    per grid line and multiplied, which gives the same floats. The Bernstein
+    nodes and the spot check call every partial at its points.
     """
     _refuse_large_degree(degree)
     if grid_n < 2:
@@ -674,7 +703,10 @@ def c2_to_poly(oracle: C2Oracle, degree: int, grid_n: int = 41) -> tuple[Poly2, 
     X, Y = xs[:, None], xs[None, :]     # an open grid: eval_float_grid broadcasts it
 
     def sample(fn, what):
-        vals = np.array([[float(fn(a, b)) for b in pts] for a in pts])
+        if isinstance(fn, _Product):
+            vals = fn.grid(pts)
+        else:
+            vals = np.array([[float(fn(a, b)) for b in pts] for a in pts])
         bad = np.argwhere(~np.isfinite(vals))
         if len(bad):
             i, j = bad[0]

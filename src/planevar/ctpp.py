@@ -544,18 +544,27 @@ def pyramid_ctpp() -> CtppFunction:
     return CtppFunction(tri=Triangulation(tuple(pts), tuple(tris)), coeffs=tuple(coeffs))
 
 
+_ZERO = Fraction(0)
+
+
 @dataclass(frozen=True)
 class ScaledBump:
-    """coef * pyramid((p - centre) / delta); vanishes outside the delta-square."""
+    """coef * pyramid((p - centre) / delta), for delta > 0.
+
+    The bump vanishes off the open delta-square around ``centre``. There
+    ``eval`` returns ``coef * Fraction(0)`` without scaling the point: that is
+    the value, type and float sign of zero ``pyramid_bump`` would give.
+    """
 
     centre: Point2
     delta: Fraction
     coef: object
 
     def eval(self, p: Point2):
-        q = Point2((p.x - self.centre.x) / self.delta,
-                   (p.y - self.centre.y) / self.delta)
-        return self.coef * pyramid_bump(q)
+        dx, dy, delta = p.x - self.centre.x, p.y - self.centre.y, self.delta
+        if abs(dx) >= delta or abs(dy) >= delta:
+            return self.coef * _ZERO
+        return self.coef * pyramid_bump(Point2(dx / delta, dy / delta))
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,20 @@ def to_fraction(value) -> Fraction:
 
 @dataclass(frozen=True, slots=True)
 class Point2:
+    """A plane point with exact rational coordinates (``int`` or ``Fraction``).
+
+    The hash is taken on the normalised (numerator, denominator) pairs, which
+    equal points share whatever exact type carries them, so hash and ``==``
+    agree; it skips the modular inverse of ``Fraction.__hash__``. Floats do not
+    belong here: ``P`` and the file readers convert through ``to_fraction``.
+    """
+
     x: Fraction
     y: Fraction
+
+    def __hash__(self):
+        x, y = self.x, self.y
+        return hash((x.numerator, x.denominator, y.numerator, y.denominator))
 
     def __iter__(self):
         return iter((self.x, self.y))

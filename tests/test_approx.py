@@ -727,3 +727,53 @@ def test_bernstein2_of_poly_converts_real_and_imaginary_parts_exactly():
     # a real polynomial takes bernstein2 itself
     x2 = Poly2.from_rows([[0], [0], [1]])
     assert bernstein2_of_poly(x2, 4).coeffs == bernstein2(x2.eval, 4).coeffs
+
+
+PARTIALS = ("f", "fx", "fy", "fxx", "fxy", "fyy")
+# the built-in partials as closed forms, written as the oracles were before they
+# became products of one-variable factors
+_OLD_BUILTINS = {
+    "sin_exp": dict(
+        f=lambda x, y: math.sin(float(x)) * math.exp(float(y)),
+        fx=lambda x, y: math.cos(float(x)) * math.exp(float(y)),
+        fy=lambda x, y: math.sin(float(x)) * math.exp(float(y)),
+        fxx=lambda x, y: -math.sin(float(x)) * math.exp(float(y)),
+        fxy=lambda x, y: math.cos(float(x)) * math.exp(float(y)),
+        fyy=lambda x, y: math.sin(float(x)) * math.exp(float(y))),
+    "sin_cos": dict(
+        f=lambda x, y: math.sin(float(x)) * math.cos(float(y)),
+        fx=lambda x, y: math.cos(float(x)) * math.cos(float(y)),
+        fy=lambda x, y: -math.sin(float(x)) * math.sin(float(y)),
+        fxx=lambda x, y: -math.sin(float(x)) * math.cos(float(y)),
+        fxy=lambda x, y: -math.cos(float(x)) * math.sin(float(y)),
+        fyy=lambda x, y: -math.sin(float(x)) * math.cos(float(y))),
+}
+
+
+def _builtin_partials():
+    out = [(name, what, getattr(oracle, what))
+           for name, oracle in sorted(BUILTIN_ORACLES.items()) for what in PARTIALS]
+    assert len(out) == 12 and sorted(BUILTIN_ORACLES) == sorted(_OLD_BUILTINS)
+    return out
+
+
+@pytest.mark.parametrize("grid_n", [2, 41, 128])
+def test_builtin_grid_sampling_equals_the_per_point_loop(grid_n):
+    pts = np.linspace(0.0, 1.0, grid_n).tolist()
+    for name, what, fn in _builtin_partials():
+        assert isinstance(fn, approx._Product)
+        got = fn.grid(pts)
+        loop = np.array([[float(fn(a, b)) for b in pts] for a in pts])
+        old = np.array([[_OLD_BUILTINS[name][what](a, b) for b in pts] for a in pts])
+        assert got.dtype == np.float64 and got.shape == (grid_n, grid_n)
+        assert got.tobytes() == loop.tobytes() == old.tobytes(), (name, what)
+
+
+def test_builtin_partials_equal_the_closed_forms_at_any_point():
+    rng = random.Random(7)
+    points = [(Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(5, 7)), (0.05, 0.95),
+              (-2.5, 3.25), (1e-300, -0.0)]
+    points += [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(200)]
+    for name, what, fn in _builtin_partials():
+        for x, y in points:
+            assert repr(fn(x, y)) == repr(_OLD_BUILTINS[name][what](x, y)), (name, what, x, y)

@@ -277,6 +277,49 @@ def test_approx_c2_output_is_pinned(tmp_path, capsys, builtin, degree, out_sha, 
     assert _sha256(poly.read_bytes()) == poly_sha
 
 
+def test_a_builtin_c2_op_samples_each_factor_once_per_grid_line(monkeypatch, tmp_path, capsys):
+    """The measurement grid costs 41 calls of each factor, not 41 x 41 of each partial;
+    the Bernstein nodes, the spot check and the values at (0, 0) keep their point calls."""
+    from collections import Counter
+
+    from planevar import approx
+    calls = Counter()
+    in_grid = [False]
+
+    def counted(what, axis, g):
+        def factor(t):
+            calls[what, axis, "grid" if in_grid[0] else "point"] += 1
+            return g(t)
+        return factor
+
+    real = approx.BUILTIN_ORACLES["sin_exp"]
+    oracle = approx.C2Oracle(**{
+        what: approx._Product(counted(what, "x", getattr(real, what).gx),
+                              counted(what, "y", getattr(real, what).gy))
+        for what in ("f", "fx", "fy", "fxx", "fxy", "fyy")})
+    grid = approx._Product.grid
+
+    def flagged(self, pts):
+        in_grid[0] = True
+        try:
+            return grid(self, pts)
+        finally:
+            in_grid[0] = False
+    monkeypatch.setattr(approx._Product, "grid", flagged)
+    monkeypatch.setitem(approx.BUILTIN_ORACLES, "sin_exp", oracle)
+    poly = tmp_path / "p.json"
+    assert main(["approx", "c2", "--builtin", "sin_exp", "--degree", "8", "--grid", "41",
+                 "--out-poly", str(poly)]) == 0
+    (_, _, out_sha, poly_sha), = [pin for pin in C2_PINS if pin[:2] == ("sin_exp", 8)]
+    assert _sha256(capsys.readouterr().out.encode()) == out_sha
+    assert _sha256(poly.read_bytes()) == poly_sha
+    # per point: 81 Bernstein nodes for each second partial; 81 spot-check points,
+    # with f four times; one value of f, fx and fy at (0, 0)
+    point = {"f": 4 * 81 + 1, "fx": 81 + 1, "fy": 81 + 1, "fxx": 81, "fxy": 81, "fyy": 81}
+    assert calls == Counter({(what, axis, kind): 41 if kind == "grid" else point[what]
+                             for what in point for axis in "xy" for kind in ("grid", "point")})
+
+
 # sha256 of `approx bernstein --poly` stdout on PIN_POLY, recorded as C2_PINS
 PIN_POLY = {"coeffs": [["1/3", "-5/4", "2/7", "1/2"], ["3/2", "-1/6", "5/8", 0],
                        ["-7/5", "1/9", 0, 0], [0.1, 0, 0, 0]]}
@@ -295,6 +338,47 @@ def test_approx_bernstein_poly_output_is_pinned(tmp_path, capsys, degree, out_sh
     path.write_text(json.dumps(PIN_POLY))
     assert main(["approx", "bernstein", "--poly", str(path), "--degree", str(degree)]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == out_sha
+
+
+# `approx match` on a 7 x 7 sample of sixths against an exact interpolant on three
+# cells per side. At delta 1/3 each bump's square holds sample points strictly
+# inside it, on its boundary and outside it. MATCH_FLOAT holds the same values as
+# floats, so every bump term off its square is a float zero.
+MATCH_GRID = [(i, j) for i in range(7) for j in range(7)]
+MATCH_EXACT = [str(Fraction((7 * i + 3 * j) % 11 - 5, 1 + (i + j) % 4)) for i, j in MATCH_GRID]
+MATCH_FLOAT = [float(Fraction(v)) for v in MATCH_EXACT]
+MATCH_CENTRES = [[0, 0], ["2/3", "2/3"], [0, 1], [1, 0]]
+# sha256 of stdout and of the --sample-out bytes, recorded before bumps skipped
+# the points off their squares
+MATCH_PINS = [
+    (MATCH_EXACT, "dd9febf468e096e9856ee03bfabec256e10c1f152f724f1a5823fa7d43fa22ae",
+     "d84479a2b9441a53434deda98e8e07b8d26ed15ea9a71ff3055a6f3fb5e161e5"),
+    (MATCH_FLOAT, "61aa3e8d765530847347f8a62973f4fe55a1f58f36291ddce0e2386362bbee35",
+     "572f0af6ff09a86e25693e10fe6cb65bb74a7822ee5faa4dc2d62b0f955b3882"),
+]
+
+
+def _approx_match_pin(tmp_path, values) -> tuple[bytes, bytes]:
+    """(stdout, --sample-out bytes) of `approx match` on the MATCH_* inputs."""
+    from planevar.ctpp import interpolate_grid
+    from planevar.geom import Rectangle
+    fn, g0, pts, out = (tmp_path / name for name in ("f.json", "g0.json", "pts.json", "s.json"))
+    fn.write_text(json.dumps({"points": [[f"{i}/6", f"{j}/6"] for i, j in MATCH_GRID],
+                              "values": values}))
+    g0.write_text(fileio.ctpp_to_json(interpolate_grid(
+        lambda v: v.x * v.y - v.y / 2, Rectangle.of(0, 1, 0, 1), 3)))
+    pts.write_text(json.dumps({"list": MATCH_CENTRES}))
+    code, stdout, err = run_cli("approx", "match", "--fn", str(fn), "--ctpp", str(g0),
+                                "--points", str(pts), "--delta", "1/3",
+                                "--sample-out", str(out))
+    assert (code, err) == (0, "")
+    return stdout.encode(), out.read_bytes()
+
+
+@pytest.mark.parametrize("values, out_sha, sample_sha", MATCH_PINS, ids=["exact", "float"])
+def test_approx_match_output_is_pinned(tmp_path, values, out_sha, sample_sha):
+    out, sample = _approx_match_pin(tmp_path, values)
+    assert (_sha256(out), _sha256(sample)) == (out_sha, sample_sha)
 
 
 def test_join_report_csv(tmp_path, capsys):

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planevar.geom import (P, Polygon, Rectangle, Triangulation, _ear_clip_indices, dist_sq,
-                           grid_triangulation, inradius)
+from planevar.geom import (P, Point2, Polygon, Rectangle, Triangulation, _ear_clip_indices,
+                           dist_sq, grid_triangulation, inradius)
 from planevar.variation import (
     PlanarCoeffs,
     SampledFunction,
@@ -29,6 +29,7 @@ from planevar.ctpp import (
     CtppSum,
     EdgeViolation,
     PointOutsidePolygon,
+    ScaledBump,
     boundary_ring,
     classify_point,
     eval_ctpp,
@@ -585,3 +586,60 @@ def test_validate_ctpp_reports_a_broken_piece_on_the_integer_path():
     assert [(v.edge, v.triangles) for v in got] == [((1, 6), (0, 2)), ((1, 3), (1, 2)),
                                                    ((3, 6), (2, 3))]
     assert got == _validate_ctpp_fraction_oracle(g)
+
+
+def _scaled_bump_reference(bump: ScaledBump, p: Point2):
+    """``ScaledBump.eval`` before it tested the square: scale, then the pyramid."""
+    q = Point2((p.x - bump.centre.x) / bump.delta, (p.y - bump.centre.y) / bump.delta)
+    return bump.coef * pyramid_bump(q)
+
+
+_BUMP_COEFS = st.one_of(st.fractions(), st.integers(-9, 9), st.floats(),
+                        st.sampled_from([0.0, -0.0, 2.5, -2.5, 0, Fraction(-3, 7)]),
+                        st.complex_numbers(), st.sampled_from([-1.5 + 2j, -0.0 - 0.0j, 0j]))
+# offsets from the centre in units of delta: inside, on the boundary and outside
+_BUMP_STEPS = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
+                                         Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2), 2]),
+                        st.fractions(-3, 3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.fractions(-4, 4), st.fractions(-4, 4), st.fractions(Fraction(1, 50), 3),
+       _BUMP_COEFS, _BUMP_STEPS, _BUMP_STEPS)
+def test_scaled_bump_equals_the_scaled_pyramid(cx, cy, delta, coef, sx, sy):
+    bump = ScaledBump(Point2(cx, cy), delta, coef)
+    p = Point2(cx + sx * delta, cy + sy * delta)
+    assert repr(bump.eval(p)) == repr(_scaled_bump_reference(bump, p))
+
+
+def test_scaled_bump_keeps_the_type_and_sign_of_zero():
+    centre = P(Fraction(1, 3), 2)
+    for p in (P(Fraction(1, 3) + Fraction(1, 4), 2), P(0, Fraction(9, 4)), P(5, 5)):
+        for coef in (Fraction(2, 3), 4, 2.5, -2.5, -1.5 + 2j, -0.0):
+            bump = ScaledBump(centre, Fraction(1, 4), coef)
+            got, want = bump.eval(p), _scaled_bump_reference(bump, p)
+            assert (type(got), repr(got)) == (type(want), repr(want))
+    assert repr(ScaledBump(centre, Fraction(1, 4), -2.5).eval(P(5, 5))) == "-0.0"
+
+
+def test_match_sample_evaluates_a_bump_only_strictly_inside_its_square(monkeypatch):
+    from planevar import ctpp
+    g0 = interpolate_grid(lambda v: v.x * v.y, RECT01, 2)
+    grid = tuple(P(Fraction(i, 6), Fraction(j, 6)) for j in range(7) for i in range(7))
+    f = SampledFunction(grid, tuple(Fraction((5 * k) % 7 - 3, 4) for k in range(len(grid))))
+    centres = (P(0, 0), P(Fraction(2, 3), Fraction(2, 3)), P(0, 1), P(1, 0))
+    delta = Fraction(1, 3)
+    g, _ = match_points(f, g0, centres, delta)
+    seen = []
+
+    def spy(q):
+        seen.append(q)
+        return pyramid_bump(q)
+    monkeypatch.setattr(ctpp, "pyramid_bump", spy)
+    sample = g.sample(grid)
+    inside = [P((p.x - c.x) / delta, (p.y - c.y) / delta) for p in grid for c in centres
+              if abs(p.x - c.x) < delta and abs(p.y - c.y) < delta]
+    assert seen == inside and len(seen) == 9 + 3 * 4
+    monkeypatch.undo()
+    assert sample == SampledFunction(grid, tuple(
+        g0.eval(p) + sum(_scaled_bump_reference(b, p) for b in g.terms[1:]) for p in grid))

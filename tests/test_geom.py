@@ -406,3 +406,33 @@ def test_grid_vertices_are_the_stepped_corner(x0, y0, w, h, n):
     ints, scale = tri.vertex_lift
     assert tri.vertex_lift is tri.vertex_lift
     assert [Fraction(c, scale) for c in ints] == [c for v in tri.vertices for c in v]
+
+
+class TestPointHash:
+    """``Point2`` hashes on the normalised (numerator, denominator) pairs."""
+
+    def test_equal_points_of_every_exact_type_hash_equal(self):
+        import numpy as np
+        ones = [1, True, Fraction(1), Fraction(2, 2), np.int64(1)]
+        twos = [2, Fraction(2), Fraction(-4, -2), np.int32(2)]
+        points = [Point2(x, y) for x in ones for y in twos]
+        assert len({hash(p) for p in points}) == 1
+        assert all(p == points[0] for p in points)
+        halves = [Point2(Fraction(1, 2), Fraction(-3, 4)), Point2(Fraction(2, 4), Fraction(3, -4)),
+                  P("1/2", "-3/4"), P(0.5, -0.75)]
+        assert len({hash(p) for p in halves}) == 1
+
+    def test_a_dict_keyed_by_p_finds_an_int_point(self):
+        table = {P(1, 2): "a", P("1/2", 3): "b"}
+        assert table[Point2(1, 2)] == "a"
+        assert table[Point2(Fraction(1, 2), 3)] == "b"
+        assert Point2(2, 1) not in table
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions(), st.fractions(), st.fractions(), st.fractions())
+    def test_hash_agrees_with_equality(self, a, b, c, d):
+        p, q = Point2(a, b), Point2(c, d)
+        assert hash(p) == hash(Point2(Fraction(a.numerator, a.denominator), b))
+        if p == q:
+            assert hash(p) == hash(q)
+        assert (p == q) == ((a, b) == (c, d))
